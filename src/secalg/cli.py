@@ -355,7 +355,10 @@ def emit_report(report, fmt: str = "json") -> str:
 def _parse_k(text: Optional[str]) -> Optional[Fraction]:
     if text in (None, "symbolic"):
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"level --k {text} has a zero denominator") from None
 
 
 def run_command(cmd: Command, out=None) -> int:
@@ -531,7 +534,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     params = {k: v for k, v in vars(ns).items() if k != "command" and v is not None}
     try:
         return run_command(Command(ns.command, params))
-    except ParseError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -323,9 +323,6 @@ class Poly2:
 
     # -- structure as a polynomial in s over Q[c]
     def s_coeffs(self) -> dict[int, PolyC]:
-        out: dict[int, PolyC] = {}
-        for (ec, es), v in self.coeffs.items():
-            out.setdefault(es, PolyC())  # placeholder, replaced below
         tmp: dict[int, dict[int, Fraction]] = {}
         for (ec, es), v in self.coeffs.items():
             tmp.setdefault(es, {})[ec] = v
@@ -649,6 +646,16 @@ class CoeffK:
 
     def __repr__(self) -> str:
         return f"CoeffK({self.render()})"
+
+
+def sparse_add(acc: dict, key, v: CoeffK) -> None:
+    """acc[key] += v in a sparse CoeffK-valued dict; cancelled entries are dropped."""
+    w = acc.get(key)
+    w = v if w is None else w + v
+    if w.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = w
 
 
 # ---------------------------------------------------------------------------

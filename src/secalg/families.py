@@ -59,69 +59,71 @@ class FamilySpec:
             raise ValueError("r must be >= 2")
 
 
-class _FamilyMemo:
-    """Per-spec memoized evaluator (confined; no cross-spec sharing)."""
+def _initial_values(r: int, j: int) -> dict[int, PolyC]:
+    """P_{-j} = 1 and P_{-s} = 0 for the other s in 1..2r."""
+    return {-s: PolyC.const(1) if s == j else PolyC.zero() for s in range(1, 2 * r + 1)}
 
-    def __init__(self, spec: FamilySpec):
-        self.spec = spec
-        self.values: dict[int, PolyC] = {}
-        for s in range(1, 2 * spec.r + 1):
-            self.values[-s] = PolyC.const(1) if s == spec.j else PolyC.zero()
 
-    def get(self, k: int) -> PolyC:
-        if k < -2 * self.spec.r:
-            raise ValueError(f"family index {k} below -2r")
-        if k in self.values:
-            return self.values[k]
-        mp, r = self.spec.m_prime, self.spec.r
-        lead = mp * k + 2 * r
+def _walk(values: dict[int, PolyC], k: int, r: int, triple) -> PolyC:
+    """P_k from the memo ``values``, extending k's residue class mod r forward.
+
+    ``triple(kk)`` gives the coefficients (lead, mid, low) of the instance
+    lead * P_kk = 2c * mid * P_(kk-r) - low * P_(kk-2r).  The walk starts at
+    the last stored index of the class and stores every value it computes.
+    The recurrence is homogeneous, so once two consecutive values vanish the
+    class stays zero and the walk stops.
+    """
+    if k < -2 * r:
+        raise ValueError(f"family index {k} below -2r")
+    top = k
+    while top not in values:
+        top -= r
+    if top == k:
+        return values[k]
+    older, newer = values[top - r], values[top]
+    c = PolyC.c()
+    for kk in range(top + r, k + 1, r):
+        if older.is_zero() and newer.is_zero():
+            return newer
+        lead, mid, low = triple(kk)
         assert lead > 0
-        prev_r = self.get(k - r)
-        prev_2r = self.get(k - 2 * r)
-        val = (prev_r * (2 * (mp * k + r)) * PolyC.c() - prev_2r * (mp * k)).scale(
-            Fraction(1) / lead
-        )
-        self.values[k] = val
-        return val
+        val = (newer * (2 * mid) * c - older * low).scale(Fraction(1) / lead)
+        older, newer = newer, val
+        values[kk] = val
+    return newer
 
 
-_memos: dict[FamilySpec, _FamilyMemo] = {}
+def _family_triple(spec: FamilySpec):
+    mp, r = spec.m_prime, spec.r
+    return lambda k: (mp * k + 2 * r, mp * k + r, mp * k)
+
+
+#: Per-spec memos of family values (confined; no cross-spec sharing).
+_memos: dict[FamilySpec, dict[int, PolyC]] = {}
 
 
 def eval_family(spec: FamilySpec, k: int) -> PolyC:
     """The unique family value P^(l,j)_k as a polynomial in c."""
-    memo = _memos.get(spec)
-    if memo is None:
-        memo = _memos[spec] = _FamilyMemo(spec)
-    return memo.get(k)
+    values = _memos.get(spec)
+    if values is None:
+        values = _memos[spec] = _initial_values(spec.r, spec.j)
+    return _walk(values, k, spec.r, _family_triple(spec))
 
 
 def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
-    """Independent evaluator: iterate one residue class of k mod r forward.
+    """P_k walked from the initial values on a fresh memo.
 
-    Used to confirm uniqueness of the recurrence solution against the
-    memoized recursion.
+    Confirms that extending the shared memo of ``eval_family`` gives the
+    same values as a walk from scratch.
     """
-    if k < -2 * spec.r:
-        raise ValueError(f"family index {k} below -2r")
-    mp, r = spec.m_prime, spec.r
-    seed = {-s: (PolyC.const(1) if s == spec.j else PolyC.zero())
-            for s in range(1, 2 * r + 1)}
-    if k < 0:
-        return seed[k]
-    rho = k % r
-    start = rho if rho >= 0 else rho + r
-    older, newer = seed[start - 2 * r], seed[start - r]
-    kk = start
-    while True:
-        lead = mp * kk + 2 * r
-        val = (newer * (2 * (mp * kk + r)) * PolyC.c() - older * (mp * kk)).scale(
-            Fraction(1) / lead
-        )
-        if kk == k:
-            return val
-        older, newer = newer, val
-        kk += r
+    return _walk(_initial_values(spec.r, spec.j), k, spec.r, _family_triple(spec))
+
+
+def _sector_triple(m: int, r: int, l: int):
+    """Sector-l coefficients (mk+2rl, mk+rl, mk), not divided through by l."""
+    if not 1 <= l <= m - 1:
+        raise ValueError("sector l must lie in 1..m-1")
+    return lambda k: (Fraction(m * k + 2 * r * l), m * k + r * l, m * k)
 
 
 def sector_recurrence_value(m: int, r: int, l: int, j: int, k: int) -> PolyC:
@@ -130,27 +132,7 @@ def sector_recurrence_value(m: int, r: int, l: int, j: int, k: int) -> PolyC:
     This is the left-hand side of the rescaling identity, computed without
     dividing through by l.
     """
-    if not 1 <= l <= m - 1:
-        raise ValueError("sector l must lie in 1..m-1")
-    if k < -2 * r:
-        raise ValueError(f"index {k} below -2r")
-    values: dict[int, PolyC] = {
-        -s: (PolyC.const(1) if s == j else PolyC.zero()) for s in range(1, 2 * r + 1)
-    }
-
-    def get(kk: int) -> PolyC:
-        if kk in values:
-            return values[kk]
-        lead = Fraction(m * kk + 2 * r * l)
-        assert lead > 0
-        val = (
-            get(kk - r) * (2 * (m * kk + r * l)) * PolyC.c()
-            - get(kk - 2 * r) * (m * kk)
-        ).scale(Fraction(1) / lead)
-        values[kk] = val
-        return val
-
-    return get(k)
+    return _walk(_initial_values(r, j), k, r, _sector_triple(m, r, l))
 
 
 def rescaling_check(
@@ -159,6 +141,7 @@ def rescaling_check(
     """Exact equality of the sector-l recurrence and the m' = m/l family.
 
     Returns one report entry per (l, j, k); failures are entries, not errors.
+    Each (l, j) sector chain is walked once up to k_max.
     """
     if l_range is None:
         l_range = range(1, m)
@@ -168,8 +151,10 @@ def rescaling_check(
     for l in l_range:
         for j in j_range:
             spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
+            triple = _sector_triple(m, r, l)
+            sector = _initial_values(r, j)
             for k in range(-2 * r, k_max + 1):
-                lhs = sector_recurrence_value(m, r, l, j, k)
+                lhs = _walk(sector, k, r, triple)
                 rhs = eval_family(spec, k)
                 out.append(
                     {"l": l, "j": j, "k": k, "equal": lhs == rhs,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .coeffs import CoeffK
+from .coeffs import CoeffK, sparse_add
 from .ring import RingElem, RingParams, dp_laurent, p_laurent
 
 
@@ -110,12 +110,7 @@ class DiffClass:
             raise ValueError("parameter mismatch")
         odd = dict(self.odd)
         for key, v in other.odd.items():
-            w = odd.get(key)
-            w = v if w is None else w + v
-            if w.is_zero():
-                odd.pop(key, None)
-            else:
-                odd[key] = w
+            sparse_add(odd, key, v)
         return DiffClass(self.params, self.omega0 + other.omega0, odd)
 
     def scale(self, q: CoeffK) -> "DiffClass":
@@ -188,14 +183,7 @@ def _du_monomial_classes(
             out[(n - 1, j + 1)] = coef * Fraction(-n, j + 1)
     else:
         for e, a in dp_laurent(params).items():
-            key = (n + e, 0)
-            w = out.get(key)
-            add = coef * a * Fraction(1, m)
-            w = add if w is None else w + add
-            if w.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = w
+            sparse_add(out, (n + e, 0), coef * a * Fraction(1, m))
     return out
 
 
@@ -206,20 +194,11 @@ def eliminate_du(f: DiffForm) -> list[tuple[int, int, CoeffK]]:
     """
     params = f.params
     acc: dict[tuple[int, int], CoeffK] = {}
-
-    def add(key, v):
-        w = acc.get(key)
-        w = v if w is None else w + v
-        if w.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = w
-
     for e, l, v in f.dt_part.monomials():
-        add((e, l), v)
+        sparse_add(acc, (e, l), v)
     for e, j, v in f.du_part.monomials():
         for key, w in _du_monomial_classes(e, j, params, v).items():
-            add(key, w)
+            sparse_add(acc, key, w)
     return [(e + 1, l, acc[(e, l)]) for (e, l) in sorted(acc)]
 
 
@@ -249,22 +228,13 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
     for l in range(1, m):
         for n in range(lo - 2 * r - 2, hi + 2):
             row: dict[tuple[int, int], CoeffK] = {}
-
-            def add(key, v):
-                w = row.get(key)
-                w = v if w is None else w + v
-                if w.is_zero():
-                    row.pop(key, None)
-                else:
-                    row[key] = w
-
             # m * t^n * p(t) * u^(l-1) du, eliminated
             for e, a in p.items():
                 for key, w in _du_monomial_classes(n + e, l - 1, params, a * m).items():
-                    add(key, w)
+                    sparse_add(row, key, w)
             # - t^n p'(t) u^l dt
             for e, a in dp.items():
-                add((n + e, l), -a)
+                sparse_add(row, (n + e, l), -a)
             if row and all(lo <= e <= hi for (e, _l) in row):
                 rows.append(row)
     return rows
@@ -304,24 +274,15 @@ class ReductionTable:
             for row in rows:
                 f = row.get(col)
                 if f is not None:
+                    nf = -f
                     for kk, vv in piv.items():
-                        w = row.get(kk)
-                        w = -f * vv if w is None else w - f * vv
-                        if w.is_zero():
-                            row.pop(kk, None)
-                        else:
-                            row[kk] = w
+                        sparse_add(row, kk, nf * vv)
             for pcol, prow in pivots.items():
                 f = prow.get(col)
                 if f is not None:
-                    nr = dict(prow)
+                    nr, nf = dict(prow), -f
                     for kk, vv in piv.items():
-                        w = nr.get(kk)
-                        w = -f * vv if w is None else w - f * vv
-                        if w.is_zero():
-                            nr.pop(kk, None)
-                        else:
-                            nr[kk] = w
+                        sparse_add(nr, kk, nf * vv)
                     pivots[pcol] = nr
             pivots[col] = piv
             rows = [row for row in rows if row]
@@ -334,6 +295,13 @@ class ReductionTable:
     @property
     def dim(self) -> int:
         return self.n_cols - self.rank
+
+    def reduce_terms(self, terms: list[tuple[int, int, CoeffK]]) -> DiffClass:
+        """Expand the sum of coef * class(t^(n-1) u^l dt) over (n, l, coef) terms."""
+        out = DiffClass.zero(self.params)
+        for n, l, v in terms:
+            out = out + self.reduce_monomial(n - 1, l).scale(v)
+        return out
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
         """Expand class(t^t_exp u^sector dt) over the basis."""
@@ -400,11 +368,7 @@ def reduce_oracle(f: DiffForm, window: Optional[ReductionWindow] = None) -> Diff
             raise WindowError("window does not cover the input exponents")
 
     def run(w: ReductionWindow) -> DiffClass:
-        table = _table(params, w.lo, w.hi)
-        out = DiffClass.zero(params)
-        for n, l, v in terms:
-            out = out + table.reduce_monomial(n - 1, l).scale(v)
-        return out
+        return _table(params, w.lo, w.hi).reduce_terms(terms)
 
     buffer = 2 * params.r
     for _attempt in range(5):
@@ -483,24 +447,17 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
     """
     if l < 1:
         raise ValueError("recurrence applies to sectors l >= 1")
-    m, r = params.m, params.r
+    r = params.r
     instances: list[RecurrenceInstance] = []
     # work vector over monomial exponents, then fold into basis coordinates
     vec: dict[int, CoeffK] = {n - 1: CoeffK.one()}
-
-    def top_exponent():
-        return max(vec)
-
-    def bottom_exponent():
-        return min(vec)
-
     guard = 0
-    while vec and (top_exponent() > -1 or bottom_exponent() < -2 * r):
+    while vec and (max(vec) > -1 or min(vec) < -2 * r):
         guard += 1
         if guard > 10_000:
             raise PivotError("recurrence reduction did not terminate")
-        if top_exponent() > -1:
-            j = top_exponent()
+        if max(vec) > -1:
+            j = max(vec)
             inst = j + 1 - 2 * r  # solve the instance whose top term is X_j
             c_bot, c_mid, c_top = _paper_coeffs(inst, l, params)
             if c_top == 0:
@@ -510,24 +467,10 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
             instances.append(RecurrenceInstance(inst, l, inst >= 1))
             coef = vec.pop(j)
             # X_j = [2c(mn+rl) X_{j-r} - mn X_{j-2r}] / (mn+2rl)
-            for e, w in ((j - r, c_mid * (1 / Fraction(c_top))),):
-                cur = vec.get(e)
-                add = coef * w
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    vec.pop(e, None)
-                else:
-                    vec[e] = cur
-            e = j - 2 * r
-            add = coef * CoeffK.from_rat(Fraction(-c_bot, c_top))
-            cur = vec.get(e)
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                vec.pop(e, None)
-            else:
-                vec[e] = cur
+            sparse_add(vec, j - r, coef * (c_mid * (1 / Fraction(c_top))))
+            sparse_add(vec, j - 2 * r, coef * CoeffK.from_rat(Fraction(-c_bot, c_top)))
         else:
-            j = bottom_exponent()
+            j = min(vec)
             inst = j + 1  # solve the instance whose bottom term is X_j
             c_bot, c_mid, c_top = _paper_coeffs(inst, l, params)
             if c_bot == 0:
@@ -537,20 +480,8 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
             instances.append(RecurrenceInstance(inst, l, inst >= 1))
             coef = vec.pop(j)
             # X_j = [2c(mn+rl) X_{j+r} - (mn+2rl) X_{j+2r}] / (mn)
-            cur = vec.get(j + r)
-            add = coef * c_mid * (1 / Fraction(c_bot))
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                vec.pop(j + r, None)
-            else:
-                vec[j + r] = cur
-            cur = vec.get(j + 2 * r)
-            add = coef * CoeffK.from_rat(Fraction(-c_top, c_bot))
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                vec.pop(j + 2 * r, None)
-            else:
-                vec[j + 2 * r] = cur
+            sparse_add(vec, j + r, coef * c_mid * (1 / Fraction(c_bot)))
+            sparse_add(vec, j + 2 * r, coef * CoeffK.from_rat(Fraction(-c_top, c_bot)))
 
     odd = {(l, -e): v for e, v in vec.items()}
     return RecurrenceReduction(DiffClass(params, odd=odd), instances)

@@ -11,9 +11,10 @@ Values are immutable; all operations return fresh elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .coeffs import CoeffK
+from .coeffs import CoeffK, sparse_add
 
 # A Laurent polynomial in t: finite map exponent -> CoeffK, no zero entries.
 LaurentT = dict
@@ -35,12 +36,7 @@ def laurent_clean(d: dict[int, CoeffK]) -> dict[int, CoeffK]:
 def laurent_add(a: dict[int, CoeffK], b: dict[int, CoeffK]) -> dict[int, CoeffK]:
     out = dict(a)
     for e, v in b.items():
-        w = out.get(e)
-        w = v if w is None else w + v
-        if w.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = w
+        sparse_add(out, e, v)
     return out
 
 def laurent_scale(a: dict[int, CoeffK], q: CoeffK) -> dict[int, CoeffK]:
@@ -52,36 +48,18 @@ def laurent_mul(a: dict[int, CoeffK], b: dict[int, CoeffK]) -> dict[int, CoeffK]
     out: dict[int, CoeffK] = {}
     for e1, v1 in a.items():
         for e2, v2 in b.items():
-            e = e1 + e2
-            w = out.get(e)
-            w = v1 * v2 if w is None else w + v1 * v2
-            if w.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = w
+            sparse_add(out, e1 + e2, v1 * v2)
     return out
 
-def laurent_render(a: dict[int, CoeffK]) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a):
-        coef = a[e].render()
-        if "+" in coef or (coef.count("-") and not coef.startswith("-")):
-            coef = f"({coef})"
-        if e == 0:
-            parts.append(coef)
-        else:
-            te = "t" if e == 1 else f"t^{e}"
-            parts.append(te if coef == "1" else f"{coef}*{te}")
-    return " + ".join(parts)
 
-
+# p and p' are built once per RingParams and shared: callers must not mutate them.
+@lru_cache(maxsize=None)
 def p_laurent(params: RingParams) -> dict[int, CoeffK]:
     """p(t) = 1 - 2c t^r + t^(2r) as a Laurent polynomial."""
     c2 = CoeffK.from_int(-2) * CoeffK.c()
     return {0: CoeffK.one(), params.r: c2, 2 * params.r: CoeffK.one()}
 
+@lru_cache(maxsize=None)
 def dp_laurent(params: RingParams) -> dict[int, CoeffK]:
     """p'(t) = -2cr t^(r-1) + 2r t^(2r-1)."""
     r = params.r

@@ -32,7 +32,7 @@ from .kahler import (
     ReductionTable,
     ReductionWindow,
     differential,
-    _du_monomial_classes,
+    eliminate_du,
 )
 from .ring import RingElem, RingParams, p_laurent, ring_mul
 
@@ -209,6 +209,12 @@ class UCEElem:
 # ---------------------------------------------------------------------------
 
 
+def _cocycle_form(f: RingElem, g: RingElem) -> DiffForm:
+    """The form f dg, whose class is tau(f, g)."""
+    dg = differential(g)
+    return DiffForm(ring_mul(f, dg.dt_part), ring_mul(f, dg.du_part))
+
+
 class TauCache:
     """Memoized cocycle values on ring monomial pairs over one reduction table."""
 
@@ -222,49 +228,10 @@ class TauCache:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        params = self.params
-        # f dg for f = t^a u^la, g = t^b u^lb:
-        #   b * t^(a+b-1) u^(la+lb) dt  +  lb * t^(a+b) u^(la+lb-1) du
-        acc: dict[tuple[int, int], CoeffK] = {}
-
-        def add(keymono, v):
-            w = acc.get(keymono)
-            w = v if w is None else w + v
-            if w.is_zero():
-                acc.pop(keymono, None)
-            else:
-                acc[keymono] = w
-
-        la, lb = a_sec, b_sec
-        L = la + lb
-        dt_terms: list[tuple[int, int, CoeffK]] = []
-        if b_exp != 0:
-            dt_terms.append((a_exp + b_exp - 1, L, CoeffK.from_int(b_exp)))
-        du_sector = L - 1 if lb >= 1 else None
-        if lb >= 1:
-            # reduce u-power of the dt/du monomials before elimination
-            if du_sector >= params.m:
-                # u^(L-1) = p(t) u^(L-1-m)
-                for e, pv in p_laurent(params).items():
-                    for k2, v2 in _du_monomial_classes(
-                        a_exp + b_exp + e, du_sector - params.m, params,
-                        pv * lb
-                    ).items():
-                        add(k2, v2)
-            else:
-                for k2, v2 in _du_monomial_classes(
-                    a_exp + b_exp, du_sector, params, CoeffK.from_int(lb)
-                ).items():
-                    add(k2, v2)
-        for (e, l, v) in dt_terms:
-            if l >= params.m:
-                for pe, pv in p_laurent(params).items():
-                    add((e + pe, l - params.m), v * pv)
-            else:
-                add((e, l), v)
-        out = DiffClass.zero(params)
-        for (e, l), v in acc.items():
-            out = out + self.table.reduce_monomial(e, l).scale(v)
+        one = CoeffK.one()
+        form = _cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
+                             RingElem.monomial(self.params, one, b_exp, b_sec))
+        out = self.table.reduce_terms(eliminate_du(form))
         self._memo[key] = out
         return out
 
@@ -289,9 +256,7 @@ def tau_oracle(f: RingElem, g: RingElem, window: Optional[ReductionWindow] = Non
     """class(f dg) by du-elimination and oracle reduction (no case split)."""
     from .kahler import reduce_oracle
 
-    dg = differential(g)
-    form = DiffForm(ring_mul(f, dg.dt_part), ring_mul(f, dg.du_part))
-    return reduce_oracle(form, window)
+    return reduce_oracle(_cocycle_form(f, g), window)
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,15 @@ def test_emit_report_stable():
 
 def test_main_entry():
     assert main(["dim", "--m", "2", "--r", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--m", "3", "--r", "1"],
+    ["families", "--m", "3", "--r", "2", "--j", "0"],
+    ["obstructions", "--m", "3", "--k", "1/0"],
+    ["obstructions", "--m", "3", "--k", "abc"],
+])
+def test_main_invalid_parameters_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

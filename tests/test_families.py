@@ -1,6 +1,12 @@
+import hashlib
+import json
 import random
+import sys
 from fractions import Fraction as F
 
+import pytest
+
+from secalg import families
 from secalg.coeffs import PolyC
 from secalg.families import (
     INDEX_RECONCILIATION_NOTE,
@@ -121,3 +127,42 @@ def test_reconcile_with_kahler_reports_no_verbatim_match():
     reconciliation is a report, and this pins its documented outcome."""
     rep = reconcile_with_kahler(RingParams(3, 2), 1, range(1, 5))
     assert all(not e["any_match"] for e in rep)
+
+
+def _sympy_family(mp, r, j, k_max):
+    """The defining recurrence run in sympy over Q[c], as {k: {exp: coef}}."""
+    sympy = pytest.importorskip("sympy")
+    c = sympy.Symbol("c")
+    mp = sympy.Rational(mp.numerator, mp.denominator)
+    P = {-s: sympy.Poly(int(s == j), c, domain="QQ") for s in range(1, 2 * r + 1)}
+    for k in range(k_max + 1):
+        P[k] = (P[k - r] * (2 * c * (mp * k + r)) - P[k - 2 * r] * (mp * k)) * (
+            1 / (mp * k + 2 * r))
+    return {k: {e: F(int(v.p), int(v.q)) for (e,), v in p.terms() if v != 0}
+            for k, p in P.items()}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("m,l", [(3, 1), (3, 2), (4, 2), (5, 3)])
+def test_family_values_match_sympy_recurrence(m, l, r):
+    for j in range(1, 2 * r + 1):
+        expected = _sympy_family(F(m, l), r, j, 40)
+        s = FamilySpec(l=l, j=j, m_prime=F(m, l), r=r)
+        for k in range(-2 * r, 41):
+            assert eval_family(s, k).coeffs == expected[k], (j, k)
+            assert sector_recurrence_value(m, r, l, j, k).coeffs == expected[k], (j, k)
+
+
+def test_cold_eval_family_far_index():
+    # a zero residue class: cheap values, but as many steps as the recursion limit
+    s = spec(1, F(7, 3))
+    families._memos.pop(s, None)
+    assert eval_family(s, 2 * (sys.getrecursionlimit() + 10)).is_zero()
+
+
+def test_rescaling_report_order_and_renders_pinned():
+    rep = rescaling_check(4, 2, k_max=20)
+    assert [(e["l"], e["j"], e["k"]) for e in rep] == [
+        (l, j, k) for l in range(1, 4) for j in range(1, 5) for k in range(-4, 21)]
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "554b5111006f6fb265e0c2c87718976c43030c98c2861c1545dc14424599913a"

@@ -1,14 +1,19 @@
+import pytest
+
 from secalg.coeffs import CoeffK
 from secalg.kahler import DiffClass
 from secalg.ring import RingElem, RingParams, p_laurent
 from secalg.uce import (
     CurrentElem,
     SL2Elem,
+    TauCache,
     UCEElem,
+    _default_table,
     formula_vs_oracle,
     killing,
     lie_axiom_check,
     sl2_bracket,
+    tau_oracle,
     uce_bracket_formula,
     uce_bracket_oracle,
 )
@@ -105,3 +110,15 @@ def test_lie_axioms_small_grid():
     assert rep["ok"], {k: v for k, v in rep.items() if v and k != "counts"}
     assert rep["counts"]["antisymmetry_pairs"] > 0
     assert rep["counts"]["jacobi_direct_triples"] > 0
+
+
+@pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (3, 3)])
+def test_tau_cache_matches_tau_oracle(m, r):
+    """The memoized cocycle over one table equals the stabilized oracle."""
+    params = RingParams(m, r)
+    cache = TauCache(_default_table(params, 4 * r + 4))
+    monos = [RingElem.monomial(params, CoeffK.one(), i, l)
+             for l in range(m) for i in range(-2, 3)]
+    for f in monos:
+        for g in monos:
+            assert cache.tau(f, g) == tau_oracle(f, g), (f, g)
