@@ -10,9 +10,10 @@ of dimension 2r(m-1) + 1.  Two reducers are provided:
 * ``reduce_oracle`` -- the normative reducer.  It assembles the full space of
   relations among monomial classes ``t^n u^l dt`` over a t-exponent window
   (images of exact forms and of the module relation ``m u^(m-1) du = p' dt``
-  under du-elimination), runs exact Gauss-Jordan over Frac(Q[c, s]), and
-  expresses any class in the basis.  Results are accepted only when a re-run
-  on an enlarged window reproduces them (stabilization check).
+  under du-elimination), solves it exactly over Frac(Q[c, s]) in one pass,
+  each relation row for its outermost column, and expresses any class in the
+  basis.  Results are accepted only when a re-run on an enlarged window
+  reproduces them (stabilization check).
 
 * ``reduce_recurrence`` -- the stated three-term recurrence, kept as a
   fast path.  Every applied instance is logged with a validity flag, and
@@ -241,56 +242,49 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
 
 
 class ReductionTable:
-    """Row-reduced relation system over a window; maps monomial classes to basis."""
+    """Relation system over a window, solved in one pass; maps monomial classes to basis.
+
+    Each relation row is solved for its column farthest from the basis block.
+    The system is triangular in that distance: a sector-l row touches
+    exponents n-1, n+r-1, n+2r-1, and either its top exponent is >= 0 (pivot
+    mn + 2r(m+l) > 0) or its bottom exponent is < -2r (pivot mn != 0), never
+    both and never neither.  So, taken in order of distance, every row's other
+    columns are basis columns or columns solved by an earlier row.
+    """
 
     def __init__(self, params: RingParams, window: ReductionWindow):
         self.params = params
         self.window = window
         m, r = params.m, params.r
         lo, hi = window.lo, window.hi
-        self.basis_cols = {(-1, 0)} | {
-            (-j, l) for l in range(1, m) for j in range(1, 2 * r + 1)
-        }
-        if not all(lo <= e <= hi for (e, _l) in self.basis_cols):
+        solved = {(-1, 0): DiffClass(params, omega0=CoeffK.one())}
+        for l in range(1, m):
+            for j in range(1, 2 * r + 1):
+                solved[(-j, l)] = DiffClass(params, odd={(l, j): CoeffK.one()})
+        if not all(lo <= e <= hi for (e, _l) in solved):
             raise WindowError("window does not cover the basis exponents")
-        all_cols = [(e, l) for l in range(m) for e in range(lo, hi + 1)]
-        nonbasis = [cd for cd in all_cols if cd not in self.basis_cols]
-        nonbasis.sort(key=lambda t: (-abs(t[0]), t[0], t[1]))
-        order = nonbasis + sorted(self.basis_cols)
 
-        rows = _relation_rows(params, lo, hi)
-        pivots: dict[tuple[int, int], dict] = {}
-        for col in order:
-            piv = None
-            for row in rows:
-                if col in row:
-                    piv = row
-                    break
-            if piv is None:
-                continue
-            rows.remove(piv)
-            pc = piv[col]
-            piv = {kk: vv / pc for kk, vv in piv.items()}
-            for row in rows:
-                f = row.get(col)
-                if f is not None:
-                    nf = -f
-                    for kk, vv in piv.items():
-                        sparse_add(row, kk, nf * vv)
-            for pcol, prow in pivots.items():
-                f = prow.get(col)
-                if f is not None:
-                    nr, nf = dict(prow), -f
-                    for kk, vv in piv.items():
-                        sparse_add(nr, kk, nf * vv)
-                    pivots[pcol] = nr
-            pivots[col] = piv
-            rows = [row for row in rows if row]
+        def distance(col: tuple[int, int]) -> int:
+            e, l = col
+            return abs(e + 1) if l == 0 else max(e + 1, -2 * r - e, 0)
 
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.n_cols = len(all_cols)
-        self.basis_pivots = sorted(cd for cd in pivots if cd in self.basis_cols)
+        pivoted = [(max(row, key=distance), row) for row in _relation_rows(params, lo, hi)]
+        pivoted.sort(key=lambda pr: distance(pr[0]))
+        for col, row in pivoted:
+            if col in solved or any(k != col and k not in solved for k in row):
+                raise AssertionError(
+                    f"relation row for {col} is not triangular over window {window}"
+                )
+            inv = -row[col].inv()
+            cls = DiffClass.zero(params)
+            for k, v in row.items():
+                if k != col:
+                    cls = cls + solved[k].scale(v * inv)
+            solved[col] = cls
+
+        self._classes = solved
+        self.rank = len(pivoted)
+        self.n_cols = m * (hi - lo + 1)
 
     @property
     def dim(self) -> int:
@@ -305,35 +299,12 @@ class ReductionTable:
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
         """Expand class(t^t_exp u^sector dt) over the basis."""
-        cd = (t_exp, sector)
-        if not (self.window.lo <= t_exp <= self.window.hi):
-            raise WindowError(f"monomial exponent {t_exp} outside window {self.window}")
-        params = self.params
-        if cd in self.basis_cols and cd not in self.pivots:
-            if sector == 0:
-                return DiffClass(params, omega0=CoeffK.one())
-            return DiffClass(params, odd={(sector, -t_exp): CoeffK.one()})
-        row = self.pivots.get(cd)
-        if row is None:
+        cls = self._classes.get((t_exp, sector))
+        if cls is None:
             raise WindowError(
-                f"monomial {cd} is unresolved over window {self.window}"
+                f"monomial {(t_exp, sector)} is unresolved over window {self.window}"
             )
-        omega0 = CoeffK.zero()
-        odd: dict[tuple[int, int], CoeffK] = {}
-        for col, v in row.items():
-            if col == cd:
-                continue
-            if col not in self.basis_cols:
-                raise WindowError(
-                    f"reduction of {cd} references non-basis monomial {col}; "
-                    "window too small"
-                )
-            e, l = col
-            if l == 0:
-                omega0 = omega0 - v
-            else:
-                odd[(l, -e)] = -v
-        return DiffClass(params, omega0=omega0, odd=odd)
+        return cls
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,10 @@ from .kahler import (
     DiffForm,
     ReductionTable,
     ReductionWindow,
+    _table,
     differential,
     eliminate_du,
+    reduce_oracle,
 )
 from .ring import RingElem, RingParams, p_laurent, ring_mul
 
@@ -244,8 +246,6 @@ class TauCache:
 
 
 def _default_table(params: RingParams, span: int) -> ReductionTable:
-    from .kahler import _table
-
     r = params.r
     lo = -span - 2 * r - 1
     hi = span + 2 * r + 1
@@ -254,8 +254,6 @@ def _default_table(params: RingParams, span: int) -> ReductionTable:
 
 def tau_oracle(f: RingElem, g: RingElem, window: Optional[ReductionWindow] = None) -> DiffClass:
     """class(f dg) by du-elimination and oracle reduction (no case split)."""
-    from .kahler import reduce_oracle
-
     return reduce_oracle(_cocycle_form(f, g), window)
 
 

@@ -1,13 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from secalg import kahler
+from secalg.cli import main
 from secalg.coeffs import CoeffK
 from secalg.kahler import (
     DiffClass,
     DiffForm,
     PivotError,
+    ReductionTable,
     ReductionWindow,
     basis_dim,
     differential,
@@ -167,3 +171,64 @@ def test_basis_dim_stabilizes_wider_grid():
     for m in (2, 3, 4):
         for r in (2, 3, 4):
             assert basis_dim(RingParams(m, r)) == 2 * r * (m - 1) + 1
+
+
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_reduction_table_matches_sympy_rref(m, r):
+    """Independent oracle: sympy's rref over QQ(c) of the same relation rows.
+
+    Basis columns go last, so every pivot is a non-basis column and its rref
+    row expresses that column's class in the basis.  The window contains
+    sector-l rows whose top coefficient mn + 2r(m+l) vanishes (m | 2rl).
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    params = RingParams(m, r)
+    lo, hi = -4 * r - 2, 2 * r + 2
+    c, s = sympy.symbols("c s")
+    K = sympy.QQ.frac_field(c)  # from_sympy rejects any s
+
+    def to_k(v: CoeffK):
+        def poly(p):
+            return sympy.Add(*(sympy.Rational(q) * c**ec * s**es
+                               for (ec, es), q in p.coeffs.items()))
+        return K.from_sympy(poly(v.num) / poly(v.den))
+
+    basis = [(-1, 0)] + [(-j, l) for l in range(1, m) for j in range(1, 2 * r + 1)]
+    cols = [(e, l) for l in range(m) for e in range(lo, hi + 1) if (e, l) not in basis]
+    cols += basis
+    index = {col: i for i, col in enumerate(cols)}
+    rows = kahler._relation_rows(params, lo, hi)
+    dense = [[K.zero] * len(cols) for _ in rows]
+    for i, row in enumerate(rows):
+        for col, v in row.items():
+            dense[i][index[col]] = to_k(v)
+    rref, pivots = DomainMatrix(dense, (len(rows), len(cols)), K).rref()
+    rref = rref.to_Matrix()
+
+    table = ReductionTable(params, ReductionWindow(lo, hi))
+    assert table.dim == len(cols) - len(pivots) == len(basis)
+    for i, p in enumerate(pivots):
+        cls = table.reduce_monomial(*cols[p])
+        for (e, l) in basis:
+            want = -rref[i, index[(e, l)]]
+            got = cls.omega0 if l == 0 else cls.coeff(l, -e)
+            assert K.from_sympy(want) == to_k(got), (cols[p], (e, l))
+
+
+def test_reduction_table_rejects_a_row_solved_twice(monkeypatch):
+    relation_rows = kahler._relation_rows
+    monkeypatch.setattr(kahler, "_relation_rows",
+                        lambda params, lo, hi: relation_rows(params, lo, hi)[:1] * 2)
+    with pytest.raises(AssertionError, match="not triangular"):
+        ReductionTable(P32, ReductionWindow(-9, 9))
+
+
+@pytest.mark.parametrize("dt, digest", [
+    ("t^150*u", "e16099667fcc154ebf496af4f881ae6571c5ded703861278a36ab24aed152a8c"),
+    ("t^-120*u^2", "082a373d42db851cec7fcea15a2c94bc7e6a1b7884dac2dd8545e07883aeccc5"),
+])
+def test_far_reduction_pinned(dt, digest, capsys):
+    assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", dt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
