@@ -10,7 +10,8 @@ Grammar (shared tokens; byte offsets reported on error):
                    combined with "+", "-", "*", "/", and "^" int
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
-                   | "u"["^"int]
+                   | "u"["^"int]; a term's coefficient must lie in Q[c]
+                   (no s, no k, no denominator in c), else exit 2
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"

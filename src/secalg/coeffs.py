@@ -3,9 +3,13 @@
 Three layers, all over arbitrary-precision rationals (``fractions.Fraction``):
 
 * ``PolyC``   -- sparse univariate polynomials in the curve parameter ``c``.
+  The algebra side (ring, Kahler reduction, cocycle, bracket, families) lives
+  in Q[c]: p(t) is in Z[c][t] and every relation pivot is a nonzero rational.
 * ``Poly2``   -- sparse bivariate polynomials in ``c`` and ``s``.
 * ``CoeffK``  -- the coefficient field Frac(Q[c, s]), stored as a canonical
-  reduced fraction of two ``Poly2`` values.
+  reduced fraction of two ``Poly2`` values.  It serves the free-field side
+  (OPEs, Wakimoto operators) and the CLI coefficient parser; ``as_polyc`` is
+  the one way from it into the algebra side.
 
 ``s`` is the primitive level variable; the level itself is ``k = s**2`` and
 is rewritten into ``s`` on input and out of ``s`` only for display or
@@ -66,6 +70,13 @@ class PolyC:
                     clean[e] = v
         self.coeffs = clean
 
+    @staticmethod
+    def _of(clean: dict[int, Fraction]) -> "PolyC":
+        """Wrap an already-clean dict (nonzero Fractions, exponents >= 0) unchecked."""
+        p = object.__new__(PolyC)
+        p.coeffs = clean
+        return p
+
     # -- constructors
     @staticmethod
     def zero() -> "PolyC":
@@ -105,10 +116,10 @@ class PolyC:
                 out[e] = w
             else:
                 out.pop(e, None)
-        return PolyC(out)
+        return PolyC._of(out)
 
     def __neg__(self) -> "PolyC":
-        return PolyC({e: -v for e, v in self.coeffs.items()})
+        return PolyC._of({e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + (-other)
@@ -116,7 +127,7 @@ class PolyC:
     def __mul__(self, other) -> "PolyC":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return PolyC({e: v * q for e, v in self.coeffs.items()}) if q else PolyC()
+            return PolyC._of({e: v * q for e, v in self.coeffs.items()} if q else {})
         out: dict[int, Fraction] = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
@@ -126,7 +137,7 @@ class PolyC:
                     out[e] = w
                 else:
                     out.pop(e, None)
-        return PolyC(out)
+        return PolyC._of(out)
 
     __rmul__ = __mul__
 
@@ -150,7 +161,7 @@ class PolyC:
                     rem[ee] = w
                 else:
                     rem.pop(ee, None)
-        return PolyC(quo), PolyC(rem)
+        return PolyC._of(quo), PolyC._of(rem)
 
     def divexact(self, other: "PolyC") -> "PolyC":
         q, r = self.divmod(other)
@@ -168,10 +179,6 @@ class PolyC:
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic()
-
-    def eval(self, c_val) -> Fraction:
-        q = Fraction(c_val)
-        return sum((v * q**e for e, v in self.coeffs.items()), Fraction(0))
 
     # -- rendering
     def render(self) -> str:
@@ -336,9 +343,6 @@ class Poly2:
                 out[(ec, es)] = v
         return Poly2(out)
 
-    def s_degree(self) -> int:
-        return max((es for (_ec, es) in self.coeffs), default=-1)
-
     def divexact_polyc(self, d: PolyC) -> "Poly2":
         sc = self.s_coeffs()
         return Poly2.from_s_coeffs({es: p.divexact(d) for es, p in sc.items()})
@@ -426,12 +430,6 @@ class Poly2:
         if G.is_zero():
             return Poly2.const(1)
         return G * (1 / G.leading_coeff())
-
-    def eval(self, c_val: Fraction, s_val: Fraction) -> Fraction:
-        tot = Fraction(0)
-        for (ec, es), v in self.coeffs.items():
-            tot += v * c_val**ec * s_val**es
-        return tot
 
     # -- rendering
     @staticmethod
@@ -527,10 +525,6 @@ class CoeffK:
     @staticmethod
     def from_rat(q) -> "CoeffK":
         return CoeffK(Poly2.const(Fraction(q)))
-
-    @staticmethod
-    def from_polyc(p: PolyC) -> "CoeffK":
-        return CoeffK(Poly2.from_polyc(p))
 
     @staticmethod
     def c() -> "CoeffK":
@@ -648,8 +642,17 @@ class CoeffK:
         return f"CoeffK({self.render()})"
 
 
-def sparse_add(acc: dict, key, v: CoeffK) -> None:
-    """acc[key] += v in a sparse CoeffK-valued dict; cancelled entries are dropped."""
+def as_polyc(x: PolyC | CoeffK) -> PolyC:
+    """A ring coefficient in Q[c]: a PolyC as is, or a CoeffK with no s and denominator 1."""
+    if isinstance(x, PolyC):
+        return x
+    if x.den == _P2_ONE and not any(es for (_ec, es) in x.num.coeffs):
+        return PolyC({ec: v for (ec, _es), v in x.num.coeffs.items()})
+    raise ValueError(f"ring coefficient {x.render(k_style=True)} is not a polynomial in c")
+
+
+def sparse_add(acc: dict, key, v) -> None:
+    """acc[key] += v in a sparse dict of PolyC or CoeffK values; cancelled entries are dropped."""
     w = acc.get(key)
     w = v if w is None else w + v
     if w.is_zero():

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import CoeffK, PolyC
+from .coeffs import PolyC
 from . import kahler
 from .ring import RingParams
 
@@ -227,7 +227,7 @@ def reconcile_with_kahler(
             ok = True
             for j in range(1, 2 * r + 1):
                 fam = eval_family(FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r), cand)
-                if CoeffK.from_polyc(fam) != oracle[j]:
+                if fam != oracle[j]:
                     ok = False
                     break
             entry["matches"][cand] = ok

@@ -10,10 +10,11 @@ of dimension 2r(m-1) + 1.  Two reducers are provided:
 * ``reduce_oracle`` -- the normative reducer.  It assembles the full space of
   relations among monomial classes ``t^n u^l dt`` over a t-exponent window
   (images of exact forms and of the module relation ``m u^(m-1) du = p' dt``
-  under du-elimination), solves it exactly over Frac(Q[c, s]) in one pass,
-  each relation row for its outermost column, and expresses any class in the
-  basis.  Results are accepted only when a re-run on an enlarged window
-  reproduces them (stabilization check).
+  under du-elimination), solves it exactly over Q[c] in one pass, each
+  relation row for its outermost column, and expresses any class in the
+  basis.  Every pivot is a nonzero rational, so no denominator in c arises.
+  Results are accepted only when a re-run on an enlarged window reproduces
+  them (stabilization check).
 
 * ``reduce_recurrence`` -- the stated three-term recurrence, kept as a
   fast path.  Every applied instance is logged with a validity flag, and
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .coeffs import CoeffK, sparse_add
+from .coeffs import PolyC, sparse_add
 from .ring import RingElem, RingParams, dp_laurent, p_laurent
 
 
@@ -78,11 +79,11 @@ class DiffClass:
 
     __slots__ = ("params", "omega0", "odd")
 
-    def __init__(self, params: RingParams, omega0: CoeffK | None = None,
-                 odd: dict[tuple[int, int], CoeffK] | None = None):
+    def __init__(self, params: RingParams, omega0: PolyC | None = None,
+                 odd: dict[tuple[int, int], PolyC] | None = None):
         self.params = params
-        self.omega0 = omega0 if omega0 is not None else CoeffK.zero()
-        clean: dict[tuple[int, int], CoeffK] = {}
+        self.omega0 = omega0 if omega0 is not None else PolyC.zero()
+        clean: dict[tuple[int, int], PolyC] = {}
         if odd:
             for (l, j), v in odd.items():
                 if not (1 <= l <= params.m - 1 and 1 <= j <= 2 * params.r):
@@ -114,7 +115,7 @@ class DiffClass:
             sparse_add(odd, key, v)
         return DiffClass(self.params, self.omega0 + other.omega0, odd)
 
-    def scale(self, q: CoeffK) -> "DiffClass":
+    def scale(self, q: PolyC) -> "DiffClass":
         if q.is_zero():
             return DiffClass.zero(self.params)
         return DiffClass(
@@ -122,13 +123,13 @@ class DiffClass:
         )
 
     def __neg__(self) -> "DiffClass":
-        return self.scale(CoeffK.from_int(-1))
+        return self.scale(PolyC.const(-1))
 
     def __sub__(self, other: "DiffClass") -> "DiffClass":
         return self + (-other)
 
-    def coeff(self, l: int, j: int) -> CoeffK:
-        return self.odd.get((l, j), CoeffK.zero())
+    def coeff(self, l: int, j: int) -> PolyC:
+        return self.odd.get((l, j), PolyC.zero())
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,15 +171,15 @@ def differential(a: RingElem) -> DiffForm:
 
 
 def _du_monomial_classes(
-    n: int, j: int, params: RingParams, coef: CoeffK
-) -> dict[tuple[int, int], CoeffK]:
+    n: int, j: int, params: RingParams, coef: PolyC
+) -> dict[tuple[int, int], PolyC]:
     """coef * t^n u^j du as dt-monomial classes {(t_exp, sector): coef}, mod dA.
 
     j <= m-2 uses exactness of d(t^n u^(j+1)); j = m-1 uses the module
     relation m u^(m-1) du = p'(t) dt, which is exact in Omega^1 itself.
     """
     m = params.m
-    out: dict[tuple[int, int], CoeffK] = {}
+    out: dict[tuple[int, int], PolyC] = {}
     if j <= m - 2:
         if n != 0:
             out[(n - 1, j + 1)] = coef * Fraction(-n, j + 1)
@@ -188,13 +189,13 @@ def _du_monomial_classes(
     return out
 
 
-def eliminate_du(f: DiffForm) -> list[tuple[int, int, CoeffK]]:
+def eliminate_du(f: DiffForm) -> list[tuple[int, int, PolyC]]:
     """Rewrite f as a combination of monomial classes t^(n-1) u^l dt mod dA.
 
     Returns triples (n, l, coef) meaning coef * class(t^(n-1) u^l dt).
     """
     params = f.params
-    acc: dict[tuple[int, int], CoeffK] = {}
+    acc: dict[tuple[int, int], PolyC] = {}
     for e, l, v in f.dt_part.monomials():
         sparse_add(acc, (e, l), v)
     for e, j, v in f.du_part.monomials():
@@ -218,17 +219,16 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
     """
     m, r = params.m, params.r
     rows: list[dict] = []
-    one = CoeffK.one()
     p = p_laurent(params)
     dp = dp_laurent(params)
 
     for n in range(lo + 1, hi + 2):
         if n != 0 and lo <= n - 1 <= hi:
-            rows.append({(n - 1, 0): CoeffK.from_int(n)})
+            rows.append({(n - 1, 0): PolyC.const(n)})
 
     for l in range(1, m):
         for n in range(lo - 2 * r - 2, hi + 2):
-            row: dict[tuple[int, int], CoeffK] = {}
+            row: dict[tuple[int, int], PolyC] = {}
             # m * t^n * p(t) * u^(l-1) du, eliminated
             for e, a in p.items():
                 for key, w in _du_monomial_classes(n + e, l - 1, params, a * m).items():
@@ -249,7 +249,8 @@ class ReductionTable:
     exponents n-1, n+r-1, n+2r-1, and either its top exponent is >= 0 (pivot
     mn + 2r(m+l) > 0) or its bottom exponent is < -2r (pivot mn != 0), never
     both and never neither.  So, taken in order of distance, every row's other
-    columns are basis columns or columns solved by an earlier row.
+    columns are basis columns or columns solved by an earlier row.  Every pivot
+    (n, mn or mn + 2r(m+l)) is a nonzero rational, so the table stays in Q[c].
     """
 
     def __init__(self, params: RingParams, window: ReductionWindow):
@@ -257,10 +258,11 @@ class ReductionTable:
         self.window = window
         m, r = params.m, params.r
         lo, hi = window.lo, window.hi
-        solved = {(-1, 0): DiffClass(params, omega0=CoeffK.one())}
+        one = PolyC.const(1)
+        solved = {(-1, 0): DiffClass(params, omega0=one)}
         for l in range(1, m):
             for j in range(1, 2 * r + 1):
-                solved[(-j, l)] = DiffClass(params, odd={(l, j): CoeffK.one()})
+                solved[(-j, l)] = DiffClass(params, odd={(l, j): one})
         if not all(lo <= e <= hi for (e, _l) in solved):
             raise WindowError("window does not cover the basis exponents")
 
@@ -275,7 +277,10 @@ class ReductionTable:
                 raise AssertionError(
                     f"relation row for {col} is not triangular over window {window}"
                 )
-            inv = -row[col].inv()
+            pivot = row[col]
+            if pivot.degree() != 0:
+                raise AssertionError(f"pivot {pivot.render()} of {col} is not a nonzero constant")
+            inv = -1 / pivot.leading()
             cls = DiffClass.zero(params)
             for k, v in row.items():
                 if k != col:
@@ -290,7 +295,7 @@ class ReductionTable:
     def dim(self) -> int:
         return self.n_cols - self.rank
 
-    def reduce_terms(self, terms: list[tuple[int, int, CoeffK]]) -> DiffClass:
+    def reduce_terms(self, terms: list[tuple[int, int, PolyC]]) -> DiffClass:
         """Expand the sum of coef * class(t^(n-1) u^l dt) over (n, l, coef) terms."""
         out = DiffClass.zero(self.params)
         for n, l, v in terms:
@@ -360,7 +365,7 @@ def reduce_oracle(f: DiffForm, window: Optional[ReductionWindow] = None) -> Diff
 def reduce_monomial_class(params: RingParams, t_exp: int, sector: int) -> DiffClass:
     """Oracle reduction of the single class t^t_exp u^sector dt."""
     form = DiffForm(
-        RingElem.monomial(params, CoeffK.one(), t_exp, sector), RingElem.zero(params)
+        RingElem.monomial(params, PolyC.const(1), t_exp, sector), RingElem.zero(params)
     )
     return reduce_oracle(form)
 
@@ -399,12 +404,12 @@ class RecurrenceReduction:
     instances: list
 
 
-def _paper_coeffs(n: int, l: int, params: RingParams) -> tuple[Fraction, CoeffK, Fraction]:
+def _paper_coeffs(n: int, l: int, params: RingParams) -> tuple[Fraction, PolyC, Fraction]:
     """Stated coefficients: (mn, 2c(mn+rl), mn+2rl) at instance n, sector l."""
     m, r = params.m, params.r
     return (
         Fraction(m * n),
-        CoeffK.from_int(2 * (m * n + r * l)) * CoeffK.c(),
+        PolyC({1: 2 * (m * n + r * l)}),
         Fraction(m * n + 2 * r * l),
     )
 
@@ -421,7 +426,7 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
     r = params.r
     instances: list[RecurrenceInstance] = []
     # work vector over monomial exponents, then fold into basis coordinates
-    vec: dict[int, CoeffK] = {n - 1: CoeffK.one()}
+    vec: dict[int, PolyC] = {n - 1: PolyC.const(1)}
     guard = 0
     while vec and (max(vec) > -1 or min(vec) < -2 * r):
         guard += 1
@@ -439,7 +444,7 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
             coef = vec.pop(j)
             # X_j = [2c(mn+rl) X_{j-r} - mn X_{j-2r}] / (mn+2rl)
             sparse_add(vec, j - r, coef * (c_mid * (1 / Fraction(c_top))))
-            sparse_add(vec, j - 2 * r, coef * CoeffK.from_rat(Fraction(-c_bot, c_top)))
+            sparse_add(vec, j - 2 * r, coef * Fraction(-c_bot, c_top))
         else:
             j = min(vec)
             inst = j + 1  # solve the instance whose bottom term is X_j
@@ -452,7 +457,7 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
             coef = vec.pop(j)
             # X_j = [2c(mn+rl) X_{j+r} - (mn+2rl) X_{j+2r}] / (mn)
             sparse_add(vec, j + r, coef * c_mid * (1 / Fraction(c_bot)))
-            sparse_add(vec, j + 2 * r, coef * CoeffK.from_rat(Fraction(-c_top, c_bot)))
+            sparse_add(vec, j + 2 * r, coef * Fraction(-c_top, c_bot))
 
     odd = {(l, -e): v for e, v in vec.items()}
     return RecurrenceReduction(DiffClass(params, odd=odd), instances)
@@ -480,12 +485,11 @@ def verify_recurrence(
             d: table.reduce_monomial(n + d - 1, l)
             for d in (0, r, 2 * r)
         }
-        c = CoeffK.c()
 
         def residual(mid_shift: int) -> DiffClass:
-            acc = X[0].scale(CoeffK.from_int(m * n))
-            acc = acc + X[r].scale(CoeffK.from_int(-2 * (m * n + r * mid_shift)) * c)
-            acc = acc + X[2 * r].scale(CoeffK.from_int(m * n + 2 * r * mid_shift))
+            acc = X[0].scale(PolyC.const(m * n))
+            acc = acc + X[r].scale(PolyC({1: -2 * (m * n + r * mid_shift)}))
+            acc = acc + X[2 * r].scale(PolyC.const(m * n + 2 * r * mid_shift))
             return acc
 
         out.append(
@@ -504,7 +508,7 @@ def verify_recurrence(
 # ---------------------------------------------------------------------------
 
 
-def structure_constants(l: int, k: int, params: RingParams) -> dict[int, CoeffK]:
+def structure_constants(l: int, k: int, params: RingParams) -> dict[int, PolyC]:
     """Oracle coordinates of class(t^(k-1) u^l dt) in the w(l)_(-j) basis."""
     if l < 1 or k < 1:
         raise ValueError("structure constants need l >= 1 and k >= 1")

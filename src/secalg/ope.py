@@ -461,9 +461,6 @@ class OPESector:
     epsilon: CoeffK
     poles: dict  # order d (int; d >= 1 singular, d <= 0 optional) -> FieldExpr
 
-    def max_pole(self) -> int:
-        return max(self.poles, default=0)
-
     def to_json_dict(self) -> dict:
         return {
             "epsilon": self.epsilon.render(),

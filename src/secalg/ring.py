@@ -3,7 +3,9 @@
 Here p(t) = 1 - 2c*t^r + t^(2r) with m >= 2 and r >= 2.  Elements are graded
 by u-degree mod m: one Laurent polynomial in t per sector l in {0, .., m-1}.
 Multiplication eagerly rewrites u^m -> p(t), so every element has a unique
-normal form and equality is structural.
+normal form and equality is structural.  Coefficients are ``PolyC`` values in
+Q[c]; ``RingElem.monomial`` is the one way in, and it takes a Frac(Q[c, s])
+coefficient from the parser only when that lies in Q[c].
 
 Values are immutable; all operations return fresh elements.
 """
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .coeffs import CoeffK, sparse_add
+from .coeffs import PolyC, as_polyc, sparse_add
 
-# A Laurent polynomial in t: finite map exponent -> CoeffK, no zero entries.
+# A Laurent polynomial in t: finite map exponent -> PolyC, no zero entries.
 LaurentT = dict
 
 
@@ -30,22 +32,22 @@ class RingParams:
             raise ValueError("superelliptic parameters require m >= 2 and r >= 2")
 
 
-def laurent_clean(d: dict[int, CoeffK]) -> dict[int, CoeffK]:
+def laurent_clean(d: dict[int, PolyC]) -> dict[int, PolyC]:
     return {e: v for e, v in d.items() if not v.is_zero()}
 
-def laurent_add(a: dict[int, CoeffK], b: dict[int, CoeffK]) -> dict[int, CoeffK]:
+def laurent_add(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:
     out = dict(a)
     for e, v in b.items():
         sparse_add(out, e, v)
     return out
 
-def laurent_scale(a: dict[int, CoeffK], q: CoeffK) -> dict[int, CoeffK]:
+def laurent_scale(a: dict[int, PolyC], q: PolyC) -> dict[int, PolyC]:
     if q.is_zero():
         return {}
     return {e: v * q for e, v in a.items()}
 
-def laurent_mul(a: dict[int, CoeffK], b: dict[int, CoeffK]) -> dict[int, CoeffK]:
-    out: dict[int, CoeffK] = {}
+def laurent_mul(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:
+    out: dict[int, PolyC] = {}
     for e1, v1 in a.items():
         for e2, v2 in b.items():
             sparse_add(out, e1 + e2, v1 * v2)
@@ -54,19 +56,16 @@ def laurent_mul(a: dict[int, CoeffK], b: dict[int, CoeffK]) -> dict[int, CoeffK]
 
 # p and p' are built once per RingParams and shared: callers must not mutate them.
 @lru_cache(maxsize=None)
-def p_laurent(params: RingParams) -> dict[int, CoeffK]:
+def p_laurent(params: RingParams) -> dict[int, PolyC]:
     """p(t) = 1 - 2c t^r + t^(2r) as a Laurent polynomial."""
-    c2 = CoeffK.from_int(-2) * CoeffK.c()
-    return {0: CoeffK.one(), params.r: c2, 2 * params.r: CoeffK.one()}
+    one = PolyC.const(1)
+    return {0: one, params.r: PolyC({1: -2}), 2 * params.r: one}
 
 @lru_cache(maxsize=None)
-def dp_laurent(params: RingParams) -> dict[int, CoeffK]:
+def dp_laurent(params: RingParams) -> dict[int, PolyC]:
     """p'(t) = -2cr t^(r-1) + 2r t^(2r-1)."""
     r = params.r
-    return {
-        r - 1: CoeffK.from_int(-2 * r) * CoeffK.c(),
-        2 * r - 1: CoeffK.from_int(2 * r),
-    }
+    return {r - 1: PolyC({1: -2 * r}), 2 * r - 1: PolyC.const(2 * r)}
 
 
 class RingElem:
@@ -74,9 +73,9 @@ class RingElem:
 
     __slots__ = ("params", "sectors")
 
-    def __init__(self, params: RingParams, sectors: dict[int, dict[int, CoeffK]] | None = None):
+    def __init__(self, params: RingParams, sectors: dict[int, dict[int, PolyC]] | None = None):
         self.params = params
-        clean: dict[int, dict[int, CoeffK]] = {}
+        clean: dict[int, dict[int, PolyC]] = {}
         if sectors:
             for l, lt in sectors.items():
                 if not 0 <= l < params.m:
@@ -92,11 +91,11 @@ class RingElem:
         return RingElem(params)
 
     @staticmethod
-    def monomial(params: RingParams, coef: CoeffK, t_exp: int, u_exp: int) -> "RingElem":
-        """coef * t^t_exp * u^u_exp, with u_exp >= 0 reduced mod the relation."""
+    def monomial(params: RingParams, coef: PolyC, t_exp: int, u_exp: int) -> "RingElem":
+        """coef * t^t_exp * u^u_exp, u_exp >= 0 reduced; coef goes through ``as_polyc``."""
         if u_exp < 0:
             raise ValueError("u exponent must be non-negative")
-        elem = RingElem(params, {0: {t_exp: coef}})
+        elem = RingElem(params, {0: {t_exp: as_polyc(coef)}})
         p = p_laurent(params)
         while u_exp >= params.m:
             elem = RingElem(
@@ -109,7 +108,7 @@ class RingElem:
 
     @staticmethod
     def one(params: RingParams) -> "RingElem":
-        return RingElem.monomial(params, CoeffK.one(), 0, 0)
+        return RingElem.monomial(params, PolyC.const(1), 0, 0)
 
     def is_zero(self) -> bool:
         return not self.sectors
@@ -137,15 +136,14 @@ class RingElem:
         return RingElem(self.params, out)
 
     def __neg__(self) -> "RingElem":
-        none = CoeffK.from_int(-1)
         return RingElem(
-            self.params, {l: laurent_scale(lt, none) for l, lt in self.sectors.items()}
+            self.params, {l: {e: -v for e, v in lt.items()} for l, lt in self.sectors.items()}
         )
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
-    def scale(self, q: CoeffK) -> "RingElem":
+    def scale(self, q: PolyC) -> "RingElem":
         return RingElem(
             self.params, {l: laurent_scale(lt, q) for l, lt in self.sectors.items()}
         )
@@ -154,7 +152,7 @@ class RingElem:
         if self.params != other.params:
             raise ValueError("ring parameter mismatch")
 
-    def monomials(self) -> Iterable[tuple[int, int, CoeffK]]:
+    def monomials(self) -> Iterable[tuple[int, int, PolyC]]:
         """Yield (t_exp, sector, coef) over all stored monomials."""
         for l in sorted(self.sectors):
             for e in sorted(self.sectors[l]):
@@ -187,7 +185,7 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     a._check(b)
     m = a.params.m
     p = p_laurent(a.params)
-    out: dict[int, dict[int, CoeffK]] = {}
+    out: dict[int, dict[int, PolyC]] = {}
     for l1, lt1 in a.sectors.items():
         for l2, lt2 in b.sectors.items():
             prod = laurent_mul(lt1, lt2)
@@ -199,6 +197,6 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     return RingElem(a.params, out)
 
 
-def decompose_sectors(a: RingElem) -> list[tuple[int, dict[int, CoeffK]]]:
+def decompose_sectors(a: RingElem) -> list[tuple[int, dict[int, PolyC]]]:
     """Nonzero graded components, ascending sector."""
     return [(l, dict(a.sectors[l])) for l in sorted(a.sectors)]

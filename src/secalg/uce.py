@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import CoeffK
+from .coeffs import PolyC
 from .kahler import (
     DiffClass,
     DiffForm,
@@ -59,13 +59,13 @@ _KILLING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 
 @dataclass(frozen=True)
 class SL2Elem:
-    e_coef: CoeffK
-    h_coef: CoeffK
-    f_coef: CoeffK
+    e_coef: PolyC
+    h_coef: PolyC
+    f_coef: PolyC
 
     @staticmethod
     def gen(name: str) -> "SL2Elem":
-        one, zero = CoeffK.one(), CoeffK.zero()
+        one, zero = PolyC.const(1), PolyC.zero()
         if name == "e":
             return SL2Elem(one, zero, zero)
         if name == "h":
@@ -74,25 +74,24 @@ class SL2Elem:
             return SL2Elem(zero, zero, one)
         raise ValueError(f"unknown sl2 generator {name!r}")
 
-    def coeff(self, name: str) -> CoeffK:
+    def coeff(self, name: str) -> PolyC:
         return {"e": self.e_coef, "h": self.h_coef, "f": self.f_coef}[name]
 
 
 def sl2_bracket(x: SL2Elem, y: SL2Elem) -> SL2Elem:
     """Bilinear extension of [e,f]=h, [h,e]=2e, [h,f]=-2f."""
-    two = CoeffK.from_int(2)
     return SL2Elem(
-        e_coef=two * (x.h_coef * y.e_coef - x.e_coef * y.h_coef),
+        e_coef=(x.h_coef * y.e_coef - x.e_coef * y.h_coef) * 2,
         h_coef=x.e_coef * y.f_coef - x.f_coef * y.e_coef,
-        f_coef=two * (x.f_coef * y.h_coef - x.h_coef * y.f_coef),
+        f_coef=(x.f_coef * y.h_coef - x.h_coef * y.f_coef) * 2,
     )
 
 
-def killing(x: SL2Elem, y: SL2Elem) -> CoeffK:
+def killing(x: SL2Elem, y: SL2Elem) -> PolyC:
     return (
         x.e_coef * y.f_coef
         + x.f_coef * y.e_coef
-        + CoeffK.from_int(2) * x.h_coef * y.h_coef
+        + x.h_coef * y.h_coef * 2
     )
 
 
@@ -118,8 +117,8 @@ class CurrentElem:
 
     @staticmethod
     def monomial(params: RingParams, gen: str, t_exp: int, sector: int,
-                 coef: Optional[CoeffK] = None) -> "CurrentElem":
-        coef = coef if coef is not None else CoeffK.one()
+                 coef: Optional[PolyC] = None) -> "CurrentElem":
+        coef = coef if coef is not None else PolyC.const(1)
         return CurrentElem(
             params, {gen: RingElem.monomial(params, coef, t_exp, sector)}
         )
@@ -133,11 +132,11 @@ class CurrentElem:
             parts[g] = parts[g] + a if g in parts else a
         return CurrentElem(self.params, parts)
 
-    def scale(self, q: CoeffK) -> "CurrentElem":
+    def scale(self, q: PolyC) -> "CurrentElem":
         return CurrentElem(self.params, {g: a.scale(q) for g, a in self.parts.items()})
 
     def __neg__(self) -> "CurrentElem":
-        return self.scale(CoeffK.from_int(-1))
+        return self.scale(PolyC.const(-1))
 
     def __sub__(self, other: "CurrentElem") -> "CurrentElem":
         return self + (-other)
@@ -180,11 +179,11 @@ class UCEElem:
     def __add__(self, other: "UCEElem") -> "UCEElem":
         return UCEElem(self.current + other.current, self.central + other.central)
 
-    def scale(self, q: CoeffK) -> "UCEElem":
+    def scale(self, q: PolyC) -> "UCEElem":
         return UCEElem(self.current.scale(q), self.central.scale(q))
 
     def __neg__(self) -> "UCEElem":
-        return self.scale(CoeffK.from_int(-1))
+        return self.scale(PolyC.const(-1))
 
     def __sub__(self, other: "UCEElem") -> "UCEElem":
         return self + (-other)
@@ -230,7 +229,7 @@ class TauCache:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        one = CoeffK.one()
+        one = PolyC.const(1)
         form = _cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
                              RingElem.monomial(self.params, one, b_exp, b_sec))
         out = self.table.reduce_terms(eliminate_du(form))
@@ -274,7 +273,7 @@ def uce_bracket_oracle(
     for ga, fa in a.current.parts.items():
         for gb, gbelem in b.current.parts.items():
             for gen, coef in _BRACKET[(ga, gb)]:
-                prod = ring_mul(fa, gbelem).scale(CoeffK.from_int(coef))
+                prod = ring_mul(fa, gbelem).scale(PolyC.const(coef))
                 current = current + CurrentElem(params, {gen: prod})
             kap = _KILLING.get((ga, gb))
             if kap:
@@ -283,7 +282,7 @@ def uce_bracket_oracle(
                     if cache is not None
                     else tau_oracle(fa, gbelem)
                 )
-                central = central + t.scale(CoeffK.from_int(kap))
+                central = central + t.scale(PolyC.const(kap))
     return UCEElem(current, central)
 
 
@@ -311,7 +310,7 @@ def uce_bracket_formula(
     central = DiffClass.zero(params)
     p = p_laurent(params)
 
-    def expand_class(t_exp: int, sector: int, coef: CoeffK) -> DiffClass:
+    def expand_class(t_exp: int, sector: int, coef: PolyC) -> DiffClass:
         if sector >= m:
             out = DiffClass.zero(params)
             for pe, pv in p.items():
@@ -334,7 +333,7 @@ def uce_bracket_formula(
                         if L:
                             # multiply in u^L with reduction
                             cur = ring_mul(
-                                cur, RingElem.monomial(params, CoeffK.one(), 0, L)
+                                cur, RingElem.monomial(params, PolyC.const(1), 0, L)
                             )
                         current = current + CurrentElem(params, {gen: cur})
                     if not kap:
@@ -453,9 +452,9 @@ def lie_axiom_check(
     monos = [(i, l) for l in range(params.m) for i in range(-exp_bound, exp_bound + 1)]
     for (i, l1), (j, l2), (k, l3) in itertools.combinations_with_replacement(monos, 3):
         n_ring += 1
-        fa = RingElem.monomial(params, CoeffK.one(), i, l1)
-        fb = RingElem.monomial(params, CoeffK.one(), j, l2)
-        fc = RingElem.monomial(params, CoeffK.one(), k, l3)
+        fa = RingElem.monomial(params, PolyC.const(1), i, l1)
+        fb = RingElem.monomial(params, PolyC.const(1), j, l2)
+        fc = RingElem.monomial(params, PolyC.const(1), k, l3)
         lhs = ring_mul(ring_mul(fa, fb), fc)
         rhs = ring_mul(fa, ring_mul(fb, fc))
         if lhs != rhs or ring_mul(fa, fb) != ring_mul(fb, fa):
@@ -466,9 +465,9 @@ def lie_axiom_check(
     n_coc = 0
     for (i, l1), (j, l2), (k, l3) in itertools.combinations_with_replacement(monos, 3):
         n_coc += 1
-        fa = RingElem.monomial(params, CoeffK.one(), i, l1)
-        fb = RingElem.monomial(params, CoeffK.one(), j, l2)
-        fc = RingElem.monomial(params, CoeffK.one(), k, l3)
+        fa = RingElem.monomial(params, PolyC.const(1), i, l1)
+        fb = RingElem.monomial(params, PolyC.const(1), j, l2)
+        fc = RingElem.monomial(params, PolyC.const(1), k, l3)
         s = cache.tau(ring_mul(fa, fb), fc)
         s = s + cache.tau(ring_mul(fb, fc), fa)
         s = s + cache.tau(ring_mul(fc, fa), fb)

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from secalg.cli import parse_field_expr
-from secalg.coeffs import CoeffK
+from secalg.coeffs import CoeffK, PolyC
 from secalg.families import (
     INDEX_RECONCILIATION_NOTE,
     FamilySpec,
@@ -57,8 +57,6 @@ def ops_by_m(conv):
 
 
 def test_criterion_01_table_reproduction():
-    from secalg.coeffs import PolyC
-
     def poly(d):
         return PolyC({e: F(*v) if isinstance(v, tuple) else F(v) for e, v in d.items()})
 
@@ -317,11 +315,11 @@ def test_criterion_12_property_suites(conv):
 
     for _ in range(4):
         a = RingElem.monomial(
-            P32, CoeffK.from_rat(F(rng.randint(1, 5), rng.randint(1, 3))),
+            P32, PolyC.const(F(rng.randint(1, 5), rng.randint(1, 3))),
             rng.randint(-3, 3), rng.randint(0, 2),
         )
         b = RingElem.monomial(
-            P32, CoeffK.from_rat(F(rng.randint(-5, -1), rng.randint(1, 3))),
+            P32, PolyC.const(F(rng.randint(-5, -1), rng.randint(1, 3))),
             rng.randint(-3, 3), rng.randint(0, 2),
         )
         fa = DiffForm(a, RingElem.zero(P32))
@@ -330,7 +328,7 @@ def test_criterion_12_property_suites(conv):
         ok = ok and reduce_oracle(fab) == reduce_oracle(fa) + reduce_oracle(fb)
         ok = ok and reduce_oracle(differential(ring_mul(a, b))).is_zero()
     for j in (1, 3):
-        ok = ok and reduce_monomial_class(P32, -j, 1).odd == {(1, j): CoeffK.one()}
+        ok = ok and reduce_monomial_class(P32, -j, 1).odd == {(1, j): PolyC.const(1)}
 
     # ope bilinearity and derivative consistency (compact seeded rerun)
     from test_ope import (

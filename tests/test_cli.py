@@ -145,6 +145,9 @@ def test_main_entry():
     ["families", "--m", "3", "--r", "2", "--j", "0"],
     ["obstructions", "--m", "3", "--k", "1/0"],
     ["obstructions", "--m", "3", "--k", "abc"],
+    ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "s*t^2*u"],
+    ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(1/(c-1))*t^2*u"],
+    ["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "k*u", "--y", "f", "--b", "t^2*u"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

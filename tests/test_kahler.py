@@ -6,7 +6,7 @@ import pytest
 
 from secalg import kahler
 from secalg.cli import main
-from secalg.coeffs import CoeffK
+from secalg.coeffs import PolyC
 from secalg.kahler import (
     DiffClass,
     DiffForm,
@@ -29,7 +29,7 @@ P22 = RingParams(2, 2)
 
 
 def mono(params, coef, t, u):
-    return RingElem.monomial(params, CoeffK.from_rat(coef), t, u)
+    return RingElem.monomial(params, PolyC.const(coef), t, u)
 
 
 def dt_form(params, elem):
@@ -58,7 +58,7 @@ def test_eliminate_du_defining_relation():
 def test_eliminate_du_exactness_rule():
     # t^2 u^0 du == -2 t u dt (mod dA)
     form = DiffForm(RingElem.zero(P32), mono(P32, 1, 2, 0))
-    assert eliminate_du(form) == [(2, 1, CoeffK.from_int(-2))]
+    assert eliminate_du(form) == [(2, 1, PolyC.const(-2))]
     # u^0 du = d(u) is exact
     form = DiffForm(RingElem.zero(P32), mono(P32, 1, 0, 0))
     assert eliminate_du(form) == []
@@ -67,7 +67,7 @@ def test_eliminate_du_exactness_rule():
 def test_reduce_basis_elements():
     # t^-1 dt is w0
     cls = reduce_oracle(dt_form(P32, mono(P32, 1, -1, 0)))
-    assert cls.omega0.is_one() and not cls.odd
+    assert cls.omega0 == PolyC.const(1) and not cls.odd
     # t^(n-1) dt for n != 0 is exact
     for n in (3, -2, 5):
         cls = reduce_oracle(dt_form(P32, mono(P32, 1, n - 1, 0)))
@@ -77,7 +77,7 @@ def test_reduce_basis_elements():
         for j in range(1, 5):
             cls = reduce_monomial_class(P32, -j, l)
             assert cls.omega0.is_zero()
-            assert cls.odd == {(l, j): CoeffK.one()}
+            assert cls.odd == {(l, j): PolyC.const(1)}
 
 
 def test_reduce_linearity_randomized():
@@ -129,7 +129,7 @@ def test_stated_recurrence_vs_oracle():
 
 def test_reduce_recurrence_basis_and_flags():
     red = reduce_recurrence(-1, 1, P32)  # class t^-2 u dt, already basis
-    assert red.cls == DiffClass(P32, odd={(1, 2): CoeffK.one()})
+    assert red.cls == DiffClass(P32, odd={(1, 2): PolyC.const(1)})
     assert red.instances == []
     # reducing t^0 u dt requires instances outside the stated range n >= 1
     red = reduce_recurrence(1, 1, P32)
@@ -186,14 +186,11 @@ def test_reduction_table_matches_sympy_rref(m, r):
 
     params = RingParams(m, r)
     lo, hi = -4 * r - 2, 2 * r + 2
-    c, s = sympy.symbols("c s")
-    K = sympy.QQ.frac_field(c)  # from_sympy rejects any s
+    c = sympy.symbols("c")
+    K = sympy.QQ.frac_field(c)
 
-    def to_k(v: CoeffK):
-        def poly(p):
-            return sympy.Add(*(sympy.Rational(q) * c**ec * s**es
-                               for (ec, es), q in p.coeffs.items()))
-        return K.from_sympy(poly(v.num) / poly(v.den))
+    def to_k(v: PolyC):
+        return K.from_sympy(sympy.Add(*(sympy.Rational(q) * c**e for e, q in v.coeffs.items())))
 
     basis = [(-1, 0)] + [(-j, l) for l in range(1, m) for j in range(1, 2 * r + 1)]
     cols = [(e, l) for l in range(m) for e in range(lo, hi + 1) if (e, l) not in basis]
@@ -231,4 +228,20 @@ def test_reduction_table_rejects_a_row_solved_twice(monkeypatch):
 ])
 def test_far_reduction_pinned(dt, digest, capsys):
     assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", dt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["bracket", "--m", "3", "--r", "2", "--x", "h", "--a", "(1/2+c)*t^3*u^2 - t^-2",
+      "--y", "h", "--b", "(3-c)*t*u + 2*t^5*u^2"],
+     "a27a8f2d4a0f02815fbe47c70e302f6dc8f9e52cace22fe81fe515f474ecadd2"),
+    (["bracket-audit", "--m", "3", "--r", "2", "--expbound", "2"],
+     "397620857a0fc35fabd5dc13280c6ce21f92c6be0a54cf506010483567219f2e"),
+    (["kahler-reduce", "--m", "3", "--r", "2",
+      "--dt", "(2/3 - 5/7*c)*t^9*u^2 + c^2*t^-11*u", "--du", "(1+c)*t^4*u^2"],
+     "e1e86082b8abe2ca84831fe2a47718ef8d3d07504d61762d6df3b2388ac13e35"),
+])
+def test_q_c_coefficient_rendering_pinned(argv, digest, capsys):
+    """Rational and c-dependent coefficients render as they did over Frac(Q[c, s])."""
+    assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from secalg.coeffs import CoeffK
+from secalg.coeffs import CoeffK, PolyC
 from secalg.ring import RingElem, RingParams, decompose_sectors, p_laurent, ring_mul
 
 P32 = RingParams(3, 2)
 
 
 def mono(params, coef, t, u):
-    return RingElem.monomial(params, CoeffK.from_rat(coef), t, u)
+    return RingElem.monomial(params, PolyC.const(coef), t, u)
 
 
 def rand_elem(rng, params, n_terms=3, exp_bound=4):
@@ -81,8 +81,16 @@ def test_sector_additivity():
         assert set(prod.sectors) <= {(l1 + l2) % 3}
 
 
+def test_monomial_takes_q_c_field_coefficients_only():
+    field = CoeffK.from_rat(F(1, 2)) + CoeffK.c() * CoeffK.from_rat(F(-3, 5))
+    poly = PolyC({0: F(1, 2), 1: F(-3, 5)})
+    assert RingElem.monomial(P32, field, 3, 4) == RingElem.monomial(P32, poly, 3, 4)
+    with pytest.raises(ValueError, match="ring coefficient s is not a polynomial in c"):
+        RingElem.monomial(P32, CoeffK.s(), 0, 1)
+
+
 def test_u_to_m_equals_p():
-    um = RingElem.monomial(P32, CoeffK.one(), 0, 3)
+    um = RingElem.monomial(P32, PolyC.const(1), 0, 3)
     assert um == RingElem(P32, {0: p_laurent(P32)})
     rng = random.Random(4)
     for _ in range(8):

@@ -1,6 +1,6 @@
 import pytest
 
-from secalg.coeffs import CoeffK
+from secalg.coeffs import PolyC
 from secalg.kahler import DiffClass
 from secalg.ring import RingElem, RingParams, p_laurent
 from secalg.uce import (
@@ -28,12 +28,12 @@ def cur(gen, t, l, params=P32):
 def test_sl2_bracket_and_killing():
     e, h, f = (SL2Elem.gen(g) for g in "ehf")
     assert sl2_bracket(e, f) == h
-    assert sl2_bracket(h, e).e_coef == CoeffK.from_int(2)
-    assert sl2_bracket(h, f).f_coef == CoeffK.from_int(-2)
-    assert sl2_bracket(h, h) == SL2Elem(CoeffK.zero(), CoeffK.zero(), CoeffK.zero())
+    assert sl2_bracket(h, e).e_coef == PolyC.const(2)
+    assert sl2_bracket(h, f).f_coef == PolyC.const(-2)
+    assert sl2_bracket(h, h) == SL2Elem(PolyC.zero(), PolyC.zero(), PolyC.zero())
     assert sl2_bracket(e, e).h_coef.is_zero()
-    assert killing(e, f).is_one() and killing(f, e).is_one()
-    assert killing(h, h) == CoeffK.from_int(2)
+    assert killing(e, f) == PolyC.const(1) and killing(f, e) == PolyC.const(1)
+    assert killing(h, h) == PolyC.const(2)
     assert killing(e, h).is_zero()
 
 
@@ -41,7 +41,7 @@ def test_oracle_bracket_loop_cocycle():
     # [e (x) t, f (x) t^-1] = h (x) 1 - w0
     b = uce_bracket_oracle(cur("e", 1, 0), cur("f", -1, 0))
     assert b.current == CurrentElem.monomial(P32, "h", 0, 0)
-    assert b.central == DiffClass(P32, omega0=CoeffK.from_int(-1))
+    assert b.central == DiffClass(P32, omega0=PolyC.const(-1))
     # [e (x) 1, f (x) 1] = h (x) 1
     b = uce_bracket_oracle(cur("e", 0, 0), cur("f", 0, 0))
     assert b.current == CurrentElem.monomial(P32, "h", 0, 0)
@@ -51,7 +51,7 @@ def test_oracle_bracket_loop_cocycle():
         for j in range(-3, 4):
             b = uce_bracket_oracle(cur("e", i, 0), cur("f", j, 0))
             expected = (
-                DiffClass(P32, omega0=CoeffK.from_int(j)) if i + j == 0
+                DiffClass(P32, omega0=PolyC.const(j)) if i + j == 0
                 else DiffClass.zero(P32)
             )
             assert b.central == expected
@@ -66,8 +66,8 @@ def test_oracle_bracket_type_ii_pair():
 
 def test_central_elements_are_central():
     center = UCEElem(
-        CurrentElem.zero(P32), DiffClass(P32, omega0=CoeffK.one(),
-                                         odd={(1, 2): CoeffK.c()})
+        CurrentElem.zero(P32), DiffClass(P32, omega0=PolyC.const(1),
+                                         odd={(1, 2): PolyC.c()})
     )
     x = cur("e", 2, 1)
     assert uce_bracket_oracle(x, center).is_zero()
@@ -82,7 +82,7 @@ def test_formula_type_i_example_pair():
     formula = uce_bracket_formula(A, B)
     oracle = uce_bracket_oracle(A, B)
     assert formula.current == oracle.current
-    assert formula.central == oracle.central.scale(CoeffK.from_int(2))
+    assert formula.central == oracle.central.scale(PolyC.const(2))
     assert formula.central != oracle.central
 
 
@@ -91,7 +91,7 @@ def test_formula_type_ii_example_pair():
     A, B = cur("e", 1, 1), cur("f", 1, 2)
     formula = uce_bracket_formula(A, B)
     oracle = uce_bracket_oracle(A, B)
-    assert formula.central == DiffClass(P32, omega0=CoeffK.from_int(2))
+    assert formula.central == DiffClass(P32, omega0=PolyC.const(2))
     assert oracle.central.is_zero()
     assert formula.current == oracle.current
 
@@ -117,7 +117,7 @@ def test_tau_cache_matches_tau_oracle(m, r):
     """The memoized cocycle over one table equals the stabilized oracle."""
     params = RingParams(m, r)
     cache = TauCache(_default_table(params, 4 * r + 4))
-    monos = [RingElem.monomial(params, CoeffK.one(), i, l)
+    monos = [RingElem.monomial(params, PolyC.const(1), i, l)
              for l in range(m) for i in range(-2, 3)]
     for f in monos:
         for g in monos:
