@@ -17,6 +17,11 @@ specialization.  Canonical form: gcd-reduced fraction whose denominator has
 leading coefficient 1 under graded-lex order with ``c < s``.  Equality of
 canonical forms is structural, so it is decidable and unique.
 
+Every denominator the free-field side builds is a monomial ``c^a s^b``.  A
+gcd with a one-term argument is the monomial of the least exponents, and
+division by one term shifts exponents, so those skip the primitive PRS; only
+other denominators (the parser accepts e.g. ``1/(c-1)``) run it.
+
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
 """
@@ -248,6 +253,13 @@ class Poly2:
         self.coeffs = clean
 
     @staticmethod
+    def _of(clean: dict[tuple[int, int], Fraction]) -> "Poly2":
+        """Wrap an already-clean dict (nonzero Fractions, exponents >= 0) unchecked."""
+        p = object.__new__(Poly2)
+        p.coeffs = clean
+        return p
+
+    @staticmethod
     def zero() -> "Poly2":
         return Poly2()
 
@@ -300,10 +312,10 @@ class Poly2:
                 out[m] = w
             else:
                 out.pop(m, None)
-        return Poly2(out)
+        return Poly2._of(out)
 
     def __neg__(self) -> "Poly2":
-        return Poly2({m: -v for m, v in self.coeffs.items()})
+        return Poly2._of({m: -v for m, v in self.coeffs.items()})
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
@@ -311,7 +323,7 @@ class Poly2:
     def __mul__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return Poly2({m: v * q for m, v in self.coeffs.items()}) if q else Poly2()
+            return Poly2._of({m: v * q for m, v in self.coeffs.items()} if q else {})
         out: dict[tuple[int, int], Fraction] = {}
         for (c1, s1), v1 in self.coeffs.items():
             for (c2, s2), v2 in other.coeffs.items():
@@ -321,7 +333,7 @@ class Poly2:
                     out[m] = w
                 else:
                     out.pop(m, None)
-        return Poly2(out)
+        return Poly2._of(out)
 
     __rmul__ = __mul__
 
@@ -351,6 +363,15 @@ class Poly2:
         """Exact multivariate division (raises if not divisible)."""
         if other.is_zero():
             raise ZeroDivisionError("Poly2 division by zero")
+        if len(other.coeffs) == 1:
+            # a monomial divisor: shift exponents, no remainder loop
+            [((dc, ds), dv)] = other.coeffs.items()
+            quo = {}
+            for (ec, es), v in self.coeffs.items():
+                if ec < dc or es < ds:
+                    raise ArithmeticError("inexact Poly2 division")
+                quo[(ec - dc, es - ds)] = v / dv
+            return Poly2._of(quo)
         rem = Poly2(dict(self.coeffs))
         quo: dict[tuple[int, int], Fraction] = {}
         lm, lc = other.leading_mono(), other.leading_coeff()
@@ -375,11 +396,21 @@ class Poly2:
 
     @staticmethod
     def gcd(a: "Poly2", b: "Poly2") -> "Poly2":
-        """gcd in Q[c, s], primitive-PRS on s over Q[c]; unit-normalized monic."""
+        """gcd in Q[c, s], unit-normalized monic.
+
+        If either argument is a single term ``v c^i s^j`` the gcd is the
+        monomial ``c^min(ec) s^min(es)`` over the terms of both (the divisors
+        of a monomial in the UFD Q[c, s] are monomials); otherwise a
+        primitive-PRS on s over Q[c].
+        """
         if a.is_zero():
-            return Poly2(dict(b.coeffs)) * (1 / b.leading_coeff()) if not b.is_zero() else Poly2()
+            return b * (1 / b.leading_coeff()) if not b.is_zero() else Poly2()
         if b.is_zero():
-            return Poly2(dict(a.coeffs)) * (1 / a.leading_coeff())
+            return a * (1 / a.leading_coeff())
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+            monos = [*a.coeffs, *b.coeffs]
+            return Poly2._of({(min(ec for ec, _ in monos), min(es for _, es in monos)):
+                              Fraction(1)})
         ca, cb = a.content_c(), b.content_c()
         pa, pb = a.divexact_polyc(ca), b.divexact_polyc(cb)
         cg = PolyC.gcd(ca, cb)
@@ -591,7 +622,9 @@ class CoeffK:
 
     def __mul__(self, other) -> "CoeffK":
         if isinstance(other, (int, Fraction)):
-            other = CoeffK.from_rat(other)
+            # a nonzero rational keeps num/den coprime and den monic
+            q = Fraction(other)
+            return CoeffK(self.num * q, self.den, _canonical=True) if q else CoeffK.zero()
         if self.is_zero() or other.is_zero():
             return CoeffK.zero()
         return CoeffK(self.num * other.num, self.den * other.den)

@@ -12,7 +12,8 @@ tests the three even-sector OPE identities
 
 as exact identities of canonical field expressions.  The full diagnostics
 (every pole of every OPE under every configuration, plus which identities
-hold at first order) are always produced; downstream verifications require
+hold at first order) are always produced, once per process and
+configuration, and handed out as copies; downstream verifications require
 an explicitly selected configuration and stamp it, together with its
 calibration status, into every report.
 
@@ -22,7 +23,9 @@ fields are attached so each claim can be replayed from the witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import functools
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -33,7 +36,6 @@ from .ope import (
     FieldExpr,
     FieldGen,
     NOMono,
-    OPEResult,
     charge_of,
     is_laurent,
     nested_product,
@@ -121,10 +123,6 @@ def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
 # ---------------------------------------------------------------------------
 
 
-def _ope_poles_json(res: OPEResult) -> dict:
-    return res.to_json_dict()
-
-
 @dataclass
 class CalibrationResult:
     per_config: list  # one diagnostics dict per configuration
@@ -135,13 +133,19 @@ class CalibrationResult:
     def to_json_dict(self) -> dict:
         return {
             "per_config": self.per_config,
-            "passing": [vars(c) for c in self.passing],
-            "residue_passing": [vars(c) for c in self.residue_passing],
-            "chosen": vars(self.chosen) if self.chosen else None,
+            "passing": [asdict(c) for c in self.passing],
+            "residue_passing": [asdict(c) for c in self.residue_passing],
+            "chosen": asdict(self.chosen) if self.chosen else None,
         }
 
 
+@functools.cache
 def _config_diagnostics(conv: ConventionConfig) -> dict:
+    """The calibration OPEs of one configuration; computed once per process.
+
+    The result depends on constants only.  The cached dict is shared, so
+    callers that hand it on give out a deep copy.
+    """
     ops = build_operators(2, conv)
     e0, h0, f0 = ops.op("e", 0), ops.op("h", 0), ops.op("f", 0)
     k = CoeffK.k()
@@ -165,18 +169,18 @@ def _config_diagnostics(conv: ConventionConfig) -> dict:
         "hf_no_double": hf_p2.is_zero(),
     }
     return {
-        "config": vars(conv),
+        "config": asdict(conv),
         "checks": checks,
         "full_match": all(checks.values()),
         "residue_match": checks["ef_residue_is_h0"]
         and checks["he_residue_is_2e0"]
         and checks["hf_residue_is_minus_2f0"],
         "opes": {
-            "e0f0": _ope_poles_json(ef),
-            "h0e0": _ope_poles_json(he),
-            "h0f0": _ope_poles_json(hf),
+            "e0f0": ef.to_json_dict(),
+            "h0e0": he.to_json_dict(),
+            "h0f0": hf.to_json_dict(),
             # delegated normalization: computed and reported, no target
-            "h0h0": _ope_poles_json(hh),
+            "h0h0": hh.to_json_dict(),
         },
     }
 
@@ -192,7 +196,7 @@ def calibrate_conventions(strict: bool = True) -> CalibrationResult:
     choosing the unique full match if one exists, else the unique
     residue-level match (each identity holding at first order).
     """
-    diags = [_config_diagnostics(conv) for conv in ALL_CONFIGS]
+    diags = [copy.deepcopy(_config_diagnostics(conv)) for conv in ALL_CONFIGS]
     passing = [
         conv for conv, d in zip(ALL_CONFIGS, diags) if d["full_match"]
     ]
@@ -237,9 +241,9 @@ def working_config() -> tuple[ConventionConfig, dict]:
     if result.chosen is None:
         raise CalibrationError("no usable convention configuration", result)
     status = {
-        "full_calibration": [vars(c) for c in result.passing],
-        "residue_calibration": [vars(c) for c in result.residue_passing],
-        "chosen": vars(result.chosen),
+        "full_calibration": [asdict(c) for c in result.passing],
+        "residue_calibration": [asdict(c) for c in result.residue_passing],
+        "chosen": asdict(result.chosen),
         "mode": "full" if result.passing else "residue",
     }
     return result.chosen, status
@@ -272,7 +276,7 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
     ghost_part = nested_product(
         [FieldGen("beta", 0), FieldGen("gamma", 0)], conv
     ).scale(CoeffK.from_int(-2))
-    report = {"m": ops.m, "conventions": vars(conv), "entries": [], "ok": True}
+    report = {"m": ops.m, "conventions": asdict(conv), "entries": [], "ok": True}
     two = CoeffK.from_int(2)
     for l in range(1, ops.m):
         e_l, f_l = ops.op("e", l), ops.op("f", l)
@@ -378,7 +382,7 @@ def charge_residue_check(ops: OperatorSet, l: int) -> dict:
 
     return {
         "l": l,
-        "conventions": vars(conv),
+        "conventions": asdict(conv),
         "residue_e0_fl": residue_0l.render(),
         "h_l": h_l.render(),
         "residue_differs_from_h_l": residue_0l != h_l,
@@ -446,7 +450,7 @@ def branch_cut_check(
         "l1": l1,
         "l2": l2,
         "k": str(k_val) if k_val is not None else "symbolic",
-        "conventions": vars(conv),
+        "conventions": asdict(conv),
         "epsilon_values": [e.render() for e in eps_values],
         "exponential_terms_all_minus_alpha_sq": all(
             e == minus_alpha_sq for e in frac
@@ -600,7 +604,7 @@ def obstruction_report(
     if conventions is None:
         conventions, calib = working_config()
     else:
-        calib = {"chosen": vars(conventions), "mode": "explicit"}
+        calib = {"chosen": asdict(conventions), "mode": "explicit"}
     ops = build_operators(m, conventions)
     cells: dict = {}
 
@@ -658,7 +662,7 @@ def obstruction_report(
     return ObstructionReport(
         m=m,
         k=str(k_val) if k_val is not None else "symbolic",
-        conventions=vars(conventions),
+        conventions=asdict(conventions),
         calibration=calib,
         cells=cells,
     )

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secalg.coeffs import (
     CoeffK,
@@ -138,3 +141,47 @@ def test_poly2_gcd_reduction():
     x = CoeffK(num, den)
     assert x.num == Poly2({(1, 0): F(1), (0, 0): F(1)})
     assert x.den == Poly2({(0, 1): F(1), (0, 0): F(1)})
+
+
+# -- independent oracle: canonical forms and gcds against sympy ---------------
+
+_S, _C = sympy.symbols("s c")
+_monos = st.sampled_from([(ec, es) for ec in range(4) for es in range(4)])
+_rats = st.sampled_from([F(n, d) for n in range(-6, 7) if n for d in range(1, 5)])
+
+
+def _poly2s(min_size, max_size):
+    terms = st.lists(st.tuples(_monos, _rats), min_size=min_size, max_size=max_size)
+    return terms.map(lambda ts: Poly2(dict(ts)))
+
+
+def _sym(p):
+    """The same polynomial as a sympy Poly over QQ in gens (s, c)."""
+    return sympy.Poly.from_dict({(es, ec): v for (ec, es), v in p.coeffs.items()},
+                                _S, _C, domain=sympy.QQ)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(num=_poly2s(0, 4), den=_poly2s(1, 3))
+def test_canonical_form_matches_sympy(num, den):
+    """Monomial (one-term) and non-monomial denominators alike."""
+    x = CoeffK(num, den)
+    n, d, n_out, d_out = _sym(num), _sym(den), _sym(x.num), _sym(x.den)
+    assert n_out * d == n * d_out
+    assert n_out.gcd(d_out).is_ground
+    assert d_out.LC(order="grlex") == 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mono=_poly2s(1, 1), p=_poly2s(0, 4))
+def test_monomial_gcd_and_divexact_match_sympy(mono, p):
+    g = Poly2.gcd(p, mono)
+    assert g == Poly2.gcd(mono, p)
+    assert _sym(g) == _sym(mono).gcd(_sym(p)).monic()
+    assert (p * mono).divexact(mono) == p
+    [(dc, ds)] = mono.coeffs
+    if all(ec >= dc and es >= ds for ec, es in p.coeffs):
+        assert p.divexact(mono) * mono == p
+    else:
+        with pytest.raises(ArithmeticError):
+            p.divexact(mono)

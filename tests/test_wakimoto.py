@@ -1,11 +1,15 @@
+import copy
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from secalg.cli import main
 from secalg.coeffs import CoeffK
 from secalg.ope import ConventionConfig, FieldExpr
 from secalg.wakimoto import (
     CalibrationError,
+    _config_diagnostics,
     branch_cut_check,
     build_operators,
     calibrate_conventions,
@@ -69,6 +73,23 @@ def test_working_config_choice():
     conv, status = working_config()
     assert (conv.sigma_rev, conv.nesting) == (-1, "right")
     assert status["mode"] == "residue"
+
+
+def test_calibration_cache_is_isolated():
+    first = calibrate_conventions(strict=False)
+    want = copy.deepcopy(first.to_json_dict())
+    first.per_config[0]["checks"]["ef_double_is_k"] = True
+    first.per_config[0]["config"]["nesting"] = "left"
+    first.per_config[0]["opes"].clear()
+    first.passing.append(first.chosen)
+    first.to_json_dict()["chosen"]["nesting"] = "left"
+    _conv, status = working_config()
+    status["chosen"]["sigma_rev"] = 1
+    status["residue_calibration"].clear()
+    assert calibrate_conventions(strict=False).to_json_dict() == want
+    assert _config_diagnostics.cache_info().currsize <= 4
+    with pytest.raises(CalibrationError, match="no calibration"):
+        calibrate_conventions(strict=True)
 
 
 def test_charge_relations_e_side_and_t4_dropout():
@@ -177,3 +198,22 @@ def test_obstruction_report_specialized():
     rep = obstruction_report(3, F(-1))
     for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         assert rep.cells[pair]["status"] == "regular"
+
+
+@pytest.mark.parametrize("argv, status, digest", [
+    (["obstructions", "--m", "7"], 0,
+     "89d795f3d54b95297988fc0fe04ba3a37a0a1ad2fc3cd7245428f4ba36009a70"),
+    (["obstructions", "--m", "9", "--k", "3/5"], 0,
+     "8aea102756682cb19730868d4e6f64d08217383906db5efae996eefd31992e87"),
+    (["calibrate"], 1,
+     "e87bf91a27123ccb5640113a322423a3d16885abbc6393eaed7bfd7f58595e9e"),
+    (["charges", "--m", "5"], 1,
+     "ddc3e47a55ef973b8c1fbd836f240285b6aab03a6eb39393677adcd90aa3524b"),
+    # a non-monomial denominator, 1/(c-1), keeps the gcd on its general path
+    (["ope", "--m", "3", "--e", "no(b[0]*exp((1+c)/(s*c^2),phi0))",
+      "--f", "no(gamma[1]*exp(1/(c-1),phi0))"], 0,
+     "389687507176ff780331bd098a73e7e84d9570c37005d6ce53aead715a17e7c6"),
+])
+def test_free_field_output_pinned(argv, status, digest, capsys):
+    assert main(argv) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
