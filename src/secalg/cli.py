@@ -11,7 +11,8 @@ Grammar (shared tokens; byte offsets reported on error):
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
-                   (no s, no k, no denominator in c), else exit 2
+                   (no s, no k, no denominator in c, c-degree at most
+                   coeffs.MAX_C_DEGREE), else exit 2
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
@@ -22,6 +23,7 @@ Grammar (shared tokens; byte offsets reported on error):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -488,6 +490,7 @@ def run_command(cmd: Command, out=None) -> int:
     raise ValueError(f"unknown command {cmd.name!r}")
 
 
+@functools.cache  # built on first use; parse_args leaves the parser unchanged
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="secalg",

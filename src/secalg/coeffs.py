@@ -1,11 +1,16 @@
 """Exact coefficient arithmetic.
 
-Three layers, all over arbitrary-precision rationals (``fractions.Fraction``):
+Three layers, all exact over Q (Python integers and ``fractions.Fraction``):
 
-* ``PolyC``   -- sparse univariate polynomials in the curve parameter ``c``.
-  The algebra side (ring, Kahler reduction, cocycle, bracket, families) lives
-  in Q[c]: p(t) is in Z[c][t] and every relation pivot is a nonzero rational.
-* ``Poly2``   -- sparse bivariate polynomials in ``c`` and ``s``.
+* ``PolyC``   -- univariate polynomials in the curve parameter ``c``, each a
+  rational content times a primitive integer polynomial (von zur Gathen and
+  Gerhard, *Modern Computer Algebra*, ch. 6).  By Gauss's lemma a product of
+  primitive polynomials is primitive, so a product convolves integers with no
+  gcd, and a sum takes one integer gcd rather than one per coefficient.  The
+  algebra side (ring, Kahler reduction, cocycle, bracket, families) lives in
+  Q[c]: p(t) is in Z[c][t] and every relation pivot is a nonzero rational.
+* ``Poly2``   -- sparse bivariate polynomials in ``c`` and ``s`` with
+  ``Fraction`` coefficients.
 * ``CoeffK``  -- the coefficient field Frac(Q[c, s]), stored as a canonical
   reduced fraction of two ``Poly2`` values.  It serves the free-field side
   (OPEs, Wakimoto operators) and the CLI coefficient parser; ``as_polyc`` is
@@ -58,91 +63,144 @@ def rat_sqrt(q: Fraction) -> Optional[Fraction]:
 # Univariate polynomials in c
 # ---------------------------------------------------------------------------
 
+_ONE = Fraction(1)
+#: PolyC stores every coefficient up to its degree, so outside input is held to this degree.
+MAX_C_DEGREE = 100_000
+
+
+def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], Fraction]:
+    """``num/den * ints`` as (primitive part, content).
+
+    Trailing zeros are dropped, and the gcd of the integers and the sign of the
+    last one move into the content, so the integer tuple is primitive.
+    """
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return (), _ONE
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return tuple(ints), Fraction(num * g, den)
+
 
 class PolyC:
-    """Sparse polynomial in ``c`` with rational coefficients."""
+    """Polynomial in ``c`` over Q, stored as ``cont * sum(ints[e] * c^e)``.
 
-    __slots__ = ("coeffs",)
+    ``ints`` is a dense tuple of integers, lowest degree first, that is
+    primitive: their gcd is 1, the last entry is positive and there are no
+    trailing zeros.  ``cont`` is a nonzero rational carrying the sign.  The
+    zero polynomial is ``ints == ()`` with ``cont == 1``.  The form is unique,
+    so equality and hashing are structural.
+    """
+
+    __slots__ = ("ints", "cont")
 
     def __init__(self, coeffs: Optional[dict[int, Fraction]] = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = Fraction(v)
-                if v != 0:
-                    if e < 0:
-                        raise ValueError("PolyC exponents must be non-negative")
-                    clean[e] = v
-        self.coeffs = clean
+        fracs: dict[int, Fraction] = {}
+        for e, v in (coeffs or {}).items():
+            v = Fraction(v)
+            if v:
+                if not 0 <= e <= MAX_C_DEGREE:
+                    raise ValueError(f"c exponent {e} outside 0..{MAX_C_DEGREE}")
+                fracs[e] = v
+        den = math.lcm(*(v.denominator for v in fracs.values()))
+        ints = [0] * (max(fracs, default=-1) + 1)
+        for e, v in fracs.items():
+            ints[e] = v.numerator * (den // v.denominator)
+        self.ints, self.cont = _primitive(ints, 1, den)
 
     @staticmethod
-    def _of(clean: dict[int, Fraction]) -> "PolyC":
-        """Wrap an already-clean dict (nonzero Fractions, exponents >= 0) unchecked."""
+    def _of(ints: tuple[int, ...], cont: Fraction) -> "PolyC":
+        """Wrap an already-canonical (primitive tuple, nonzero content) pair unchecked."""
         p = object.__new__(PolyC)
-        p.coeffs = clean
+        p.ints, p.cont = ints, cont
         return p
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The nonzero rational coefficients ``{exponent: value}``, as a fresh dict."""
+        return {e: self.cont * x for e, x in enumerate(self.ints) if x}
 
     # -- constructors
     @staticmethod
     def zero() -> "PolyC":
-        return PolyC()
+        return _ZERO
 
     @staticmethod
     def const(v) -> "PolyC":
-        return PolyC({0: Fraction(v)})
+        v = Fraction(v)
+        return PolyC._of((1,), v) if v else _ZERO
 
     @staticmethod
     def c(power: int = 1) -> "PolyC":
-        return PolyC({power: Fraction(1)})
+        return PolyC({power: 1})
 
     # -- queries
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
+        return len(self.ints) - 1
 
     def leading(self) -> Fraction:
-        return self.coeffs[self.degree()] if self.coeffs else Fraction(0)
+        return self.cont * self.ints[-1] if self.ints else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyC) and self.coeffs == other.coeffs
+        return isinstance(other, PolyC) and self.ints == other.ints and self.cont == other.cont
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.ints, self.cont))
 
     # -- arithmetic
     def __add__(self, other: "PolyC") -> "PolyC":
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            w = out.get(e, Fraction(0)) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        return PolyC._of(out)
+        a, b = self.ints, other.ints
+        if not b:
+            return self
+        if not a:
+            return other
+        # over the common denominator lcm(qa, qb), with the multipliers' gcd h factored out
+        pa, qa = self.cont.numerator, self.cont.denominator
+        pb, qb = other.cont.numerator, other.cont.denominator
+        g = math.gcd(qa, qb)
+        fa, fb = pa * (qb // g), pb * (qa // g)
+        h = math.gcd(fa, fb)
+        fa, fb = fa // h, fb // h
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        ints = [fa * x for x in a]
+        for i, y in enumerate(b):
+            ints[i] += fb * y
+        return PolyC._of(*_primitive(ints, h, qa // g * qb))
 
     def __neg__(self) -> "PolyC":
-        return PolyC._of({e: -v for e, v in self.coeffs.items()})
+        return PolyC._of(self.ints, -self.cont) if self.ints else self
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + (-other)
 
     def __mul__(self, other) -> "PolyC":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return PolyC._of({e: v * q for e, v in self.coeffs.items()} if q else {})
-        out: dict[int, Fraction] = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = e1 + e2
-                w = out.get(e, Fraction(0)) + v1 * v2
-                if w:
-                    out[e] = w
-                else:
-                    out.pop(e, None)
-        return PolyC._of(out)
+            return PolyC._of(self.ints, self.cont * other) if other and self.ints else _ZERO
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return _ZERO
+        cont = self.cont * other.cont
+        if len(a) < len(b):
+            a, b = b, a
+        if b[-1] == 1 and not any(b[:-1]):
+            # a one-term factor c^e shifts exponents
+            return PolyC._of((0,) * (len(b) - 1) + a, cont)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    out[j] += x * y
+        return PolyC._of(tuple(out), cont)
 
     __rmul__ = __mul__
 
@@ -152,21 +210,21 @@ class PolyC:
     def divmod(self, other: "PolyC") -> tuple["PolyC", "PolyC"]:
         if other.is_zero():
             raise ZeroDivisionError("PolyC division by zero")
-        rem = dict(self.coeffs)
+        rem = self.coeffs
         quo: dict[int, Fraction] = {}
-        dob, lob = other.degree(), other.leading()
+        dob, lob, ocoeffs = other.degree(), other.leading(), other.coeffs
         while rem and max(rem) >= dob:
             e = max(rem)
             f = rem[e] / lob
             quo[e - dob] = f
-            for eo, vo in other.coeffs.items():
+            for eo, vo in ocoeffs.items():
                 ee = e - dob + eo
                 w = rem.get(ee, Fraction(0)) - f * vo
                 if w:
                     rem[ee] = w
                 else:
                     rem.pop(ee, None)
-        return PolyC._of(quo), PolyC._of(rem)
+        return PolyC(quo), PolyC(rem)
 
     def divexact(self, other: "PolyC") -> "PolyC":
         q, r = self.divmod(other)
@@ -187,43 +245,44 @@ class PolyC:
 
     # -- rendering
     def render(self) -> str:
-        """Canonical text, e.g. ``8/5*c^2 - 3/5``."""
-        if not self.coeffs:
+        """Canonical text, e.g. ``8/5*c^2 - 3/5``; each coefficient is ``cont * ints[e]``."""
+        if not self.ints:
             return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[e]
-            mag = abs(v)
-            if e == 0:
-                body = _frac_str(mag)
-            elif mag == 1:
-                body = "c" if e == 1 else f"c^{e}"
-            else:
-                body = f"{_frac_str(mag)}*c" + (f"^{e}" if e > 1 else "")
-            parts.append(("-" if v < 0 else "+", body))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        p, q = self.cont.numerator, self.cont.denominator
+        terms = []
+        for e in range(len(self.ints) - 1, -1, -1):
+            x = self.ints[e]
+            if not x:
+                continue
+            g = math.gcd(x, q)  # = gcd(p * x, q), as p and q are coprime
+            n = p * (x // g)
+            mag = f"{abs(n)}" if g == q else f"{abs(n)}/{q // g}"
+            if e:
+                var = "c" if e == 1 else f"c^{e}"
+                mag = var if mag == "1" else f"{mag}*{var}"
+            terms.append(f"{'-' if n < 0 else '+'} {mag}")
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def render_ratio(self) -> str:
-        """Common-denominator display, e.g. ``(8*c^2 - 3)/5``."""
-        if self.is_zero():
-            return "0"
-        den = 1
-        for v in self.coeffs.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        num = PolyC({e: v * den for e, v in self.coeffs.items()})
-        text = num.render()
+        """Common-denominator display, e.g. ``(8*c^2 - 3)/5``.
+
+        The integers are coprime, so the denominator of ``cont`` is the lcm of
+        the coefficients' denominators.
+        """
+        den = self.cont.denominator
+        text = PolyC._of(self.ints, Fraction(self.cont.numerator)).render()
         if den == 1:
             return text
-        if len(num.coeffs) > 1:
+        if len(self.ints) - self.ints.count(0) > 1:
             text = f"({text})"
         return f"{text}/{den}"
 
     def __repr__(self) -> str:
         return f"PolyC({self.render()})"
+
+
+_ZERO = PolyC._of((), _ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +493,7 @@ class Poly2:
                 break
             # pseudo-remainder of A by B in (Q[c])[s]
             lb = B[db]
-            R = {e: PolyC(dict(p.coeffs)) for e, p in A.items()}
+            R = dict(A)
             for _ in range(da - db + 1):
                 dr = sdeg(R)
                 if dr < db:

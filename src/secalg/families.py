@@ -156,9 +156,11 @@ def rescaling_check(
             for k in range(-2 * r, k_max + 1):
                 lhs = _walk(sector, k, r, triple)
                 rhs = eval_family(spec, k)
+                equal = lhs == rhs
+                text = lhs.render()  # canonical forms: equal values render alike
                 out.append(
-                    {"l": l, "j": j, "k": k, "equal": lhs == rhs,
-                     "lhs": lhs.render(), "rhs": rhs.render()}
+                    {"l": l, "j": j, "k": k, "equal": equal,
+                     "lhs": text, "rhs": text if equal else rhs.render()}
                 )
     return out
 

@@ -123,7 +123,7 @@ class DiffClass:
         )
 
     def __neg__(self) -> "DiffClass":
-        return self.scale(PolyC.const(-1))
+        return DiffClass(self.params, -self.omega0, {key: -v for key, v in self.odd.items()})
 
     def __sub__(self, other: "DiffClass") -> "DiffClass":
         return self + (-other)

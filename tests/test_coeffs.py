@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -185,3 +186,82 @@ def test_monomial_gcd_and_divexact_match_sympy(mono, p):
     else:
         with pytest.raises(ArithmeticError):
             p.divexact(mono)
+
+
+# -- independent oracle: PolyC against sympy over QQ and the Fraction-dict renderer
+
+_c = sympy.symbols("c")
+_qs = st.sampled_from([F(n, d) for n in range(-40, 41) for d in (1, 2, 3, 4, 6, 9, 14)])
+_polycs = st.lists(st.tuples(st.integers(0, 6), _qs), max_size=5).map(lambda ts: PolyC(dict(ts)))
+
+
+def _symc(p):
+    return sympy.Poly.from_dict({(e,): v for e, v in p.coeffs.items()} or {(0,): 0},
+                                _c, domain=sympy.QQ)
+
+
+def _assert_canonical(p):
+    assert type(p.ints) is tuple and all(type(x) is int for x in p.ints)
+    assert isinstance(p.cont, F) and p.cont != 0
+    if p.ints:
+        assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0
+    else:
+        assert p.cont == 1
+
+
+def _fraction_dict_render(coeffs):
+    """PolyC's renderer from when it stored a dict of reduced Fractions."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for e in sorted(coeffs, reverse=True):
+        v = coeffs[e]
+        mag = abs(v)
+        if e == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = "c" if e == 1 else f"c^{e}"
+        else:
+            body = f"{mag}*c" + (f"^{e}" if e > 1 else "")
+        parts.append(("-" if v < 0 else "+", body))
+    sign0, body0 = parts[0]
+    text = ("-" if sign0 == "-" else "") + body0
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def _fraction_dict_render_ratio(coeffs):
+    if not coeffs:
+        return "0"
+    den = 1
+    for v in coeffs.values():
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    text = _fraction_dict_render({e: v * den for e, v in coeffs.items()})
+    if den == 1:
+        return text
+    if len(coeffs) > 1:
+        text = f"({text})"
+    return f"{text}/{den}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=_polycs, b=_polycs, q=_qs)
+def test_polyc_matches_sympy(a, b, q):
+    """Zero, constants, one-term values and negative leading coefficients alike."""
+    sa, sb = _symc(a), _symc(b)
+    results = {"add": (a + b, sa + sb), "sub": (a - b, sa - sb), "mul": (a * b, sa * sb),
+               "scale": (a.scale(q), sa * q), "neg": (-a, -sa),
+               "gcd": (PolyC.gcd(a, b), sa.gcd(sb).monic())}
+    if not b.is_zero():
+        (quo, rem), (squo, srem) = a.divmod(b), sa.div(sb)
+        results.update(quo=(quo, squo), rem=(rem, srem))
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert _symc(got) == want, name
+    # structural equality and hashing agree with value equality
+    assert (a == b) == (sa == sb)
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a) and PolyC(a.coeffs) == a
+    assert a.render() == _fraction_dict_render(a.coeffs)
+    assert a.render_ratio() == _fraction_dict_render_ratio(a.coeffs)

@@ -245,3 +245,19 @@ def test_q_c_coefficient_rendering_pinned(argv, digest, capsys):
     """Rational and c-dependent coefficients render as they did over Frac(Q[c, s])."""
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["families", "--m", "3", "--r", "3", "--j", "1", "--l", "1", "--kmax", "300",
+      "--format", "md"],
+     "12b615e8ea95f373a38b66dda18aacd14a5d2a0e630cab8fb29b54b197abb73e"),
+    (["families", "--m", "4", "--r", "2", "--j", "2", "--l", "3", "--kmax", "200"],
+     "885afbf403814e0288504a60c632431c53da6e45285079f614a373d032190c81"),
+    (["kahler-reduce", "--m", "4", "--r", "3", "--dt", "(1/3 - c)*t^-90*u^3",
+      "--format", "md"],
+     "c7b540f8e78f8f18c894fc29a470e21b93756b011d48ea881351dbe82bba32cb"),
+])
+def test_large_coefficient_rendering_pinned(argv, digest, capsys):
+    """Far family values and classes: large contents through render and render_ratio."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
