@@ -7,14 +7,14 @@ The quotient has the basis
 
 of dimension 2r(m-1) + 1.  Two reducers are provided:
 
-* ``reduce_oracle`` -- the normative reducer.  It assembles the full space of
-  relations among monomial classes ``t^n u^l dt`` over a t-exponent window
-  (images of exact forms and of the module relation ``m u^(m-1) du = p' dt``
-  under du-elimination), solves it exactly over Q[c] in one pass, each
-  relation row for its outermost column, and expresses any class in the
-  basis.  Every pivot is a nonzero rational, so no denominator in c arises.
-  Results are accepted only when a re-run on an enlarged window reproduces
-  them (stabilization check).
+* ``reduce_oracle`` -- the normative reducer.  It expresses any class in the
+  basis through the ring's reduction table: the relations among monomial
+  classes ``t^n u^l dt`` (images of exact forms and of the module relation
+  ``m u^(m-1) du = p' dt`` under du-elimination), solved exactly over Q[c],
+  each relation row for its outermost column.  Every pivot is a nonzero
+  rational, so no denominator in c arises.  The system is triangular in the
+  distance from the basis block, so a column's class does not depend on the
+  window it was solved over, and the table grows outward on demand.
 
 * ``reduce_recurrence`` -- the stated three-term recurrence, kept as a
   fast path.  Every applied instance is logged with a validity flag, and
@@ -22,15 +22,17 @@ of dimension 2r(m-1) + 1.  Two reducers are provided:
   ``verify_recurrence`` which evaluates candidate recurrences on
   oracle-reduced classes and reports which ones actually hold.
 
-Everything is pure and immutable; reduction tables are cached per
-(parameters, window) and never mutated after construction.
+Values are immutable.  Each ring has one reduction table (``ring_table``),
+kept for the process: it only grows, a solved column never changes, and
+growth holds the table's lock, so the table is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .coeffs import PolyC, sparse_add
@@ -38,7 +40,7 @@ from .ring import RingElem, RingParams, dp_laurent, p_laurent
 
 
 class WindowError(ValueError):
-    """Raised when a reduction window fails to stabilize."""
+    """Raised when a window does not cover what it must, or a column stays unresolved."""
 
 
 class PivotError(ValueError):
@@ -210,12 +212,13 @@ def eliminate_du(f: DiffForm) -> list[tuple[int, int, PolyC]]:
 
 
 def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
-    """All relation rows among monomial classes with support inside [lo, hi].
+    """All relation rows among monomial classes with exponents inside [lo, hi].
 
     Sector 0: images of d(t^n) kill every class(t^j dt) with j != -1.
     Sector l >= 1: images of the module-relation generators
-    t^n u^l (m u^(m-1) du - p'(t) dt); images of d(t^n u^l) vanish
-    identically because du-elimination is built from exactly those forms.
+    t^n u^l (m u^(m-1) du - p'(t) dt), which touch exponents n-1, n+r-1 and
+    n+2r-1; images of d(t^n u^l) vanish identically because du-elimination
+    is built from exactly those forms.
     """
     m, r = params.m, params.r
     rows: list[dict] = []
@@ -223,11 +226,11 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
     dp = dp_laurent(params)
 
     for n in range(lo + 1, hi + 2):
-        if n != 0 and lo <= n - 1 <= hi:
+        if n != 0:
             rows.append({(n - 1, 0): PolyC.const(n)})
 
     for l in range(1, m):
-        for n in range(lo - 2 * r - 2, hi + 2):
+        for n in range(lo + 1, hi - 2 * r + 2):
             row: dict[tuple[int, int], PolyC] = {}
             # m * t^n * p(t) * u^(l-1) du, eliminated
             for e, a in p.items():
@@ -236,13 +239,14 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
             # - t^n p'(t) u^l dt
             for e, a in dp.items():
                 sparse_add(row, (n + e, l), -a)
-            if row and all(lo <= e <= hi for (e, _l) in row):
-                rows.append(row)
+            if not all(lo <= e <= hi for (e, _l) in row):
+                raise AssertionError(f"relation row (n={n}, l={l}) leaves [{lo}, {hi}]")
+            rows.append(row)
     return rows
 
 
 class ReductionTable:
-    """Relation system over a window, solved in one pass; maps monomial classes to basis.
+    """Relation system solved column by column; maps monomial classes to basis.
 
     Each relation row is solved for its column farthest from the basis block.
     The system is triangular in that distance: a sector-l row touches
@@ -251,27 +255,47 @@ class ReductionTable:
     both and never neither.  So, taken in order of distance, every row's other
     columns are basis columns or columns solved by an earlier row.  Every pivot
     (n, mn or mn + 2r(m+l)) is a nonzero rational, so the table stays in Q[c].
+
+    The table starts over ``window`` and grows when ``reduce_monomial`` meets
+    a column outside it.  Growth solves only the new columns, from the rows of
+    the strip next to them, so it gives the classes a table built over the
+    larger window at once would give.
     """
 
     def __init__(self, params: RingParams, window: ReductionWindow):
         self.params = params
-        self.window = window
         m, r = params.m, params.r
-        lo, hi = window.lo, window.hi
         one = PolyC.const(1)
-        solved = {(-1, 0): DiffClass(params, omega0=one)}
+        basis = {(-1, 0): DiffClass(params, omega0=one)}
         for l in range(1, m):
             for j in range(1, 2 * r + 1):
-                solved[(-j, l)] = DiffClass(params, odd={(l, j): one})
-        if not all(lo <= e <= hi for (e, _l) in solved):
+                basis[(-j, l)] = DiffClass(params, odd={(l, j): one})
+        if not all(window.lo <= e <= window.hi for (e, _l) in basis):
             raise WindowError("window does not cover the basis exponents")
+        self.n_basis = len(basis)
+        self._classes = basis
+        self._lock = threading.Lock()
+        self.rank = 0
+        self._solve(_relation_rows(params, window.lo, window.hi), window, None)
+
+    def _solve(self, rows: list[dict], window: ReductionWindow,
+               old: Optional[ReductionWindow]) -> None:
+        """Solve the rows nearest first, then publish the classes and ``window``.
+
+        Rows that pivot inside ``old`` were solved when ``old`` was built.
+        """
+        r = self.params.r
 
         def distance(col: tuple[int, int]) -> int:
             e, l = col
             return abs(e + 1) if l == 0 else max(e + 1, -2 * r - e, 0)
 
-        pivoted = [(max(row, key=distance), row) for row in _relation_rows(params, lo, hi)]
+        pivoted = [(max(row, key=distance), row) for row in rows]
+        if old is not None:
+            pivoted = [(col, row) for col, row in pivoted if not old.lo <= col[0] <= old.hi]
         pivoted.sort(key=lambda pr: distance(pr[0]))
+        new: dict[tuple[int, int], DiffClass] = {}
+        solved = ChainMap(new, self._classes)
         for col, row in pivoted:
             if col in solved or any(k != col and k not in solved for k in row):
                 raise AssertionError(
@@ -281,19 +305,37 @@ class ReductionTable:
             if pivot.degree() != 0:
                 raise AssertionError(f"pivot {pivot.render()} of {col} is not a nonzero constant")
             inv = -1 / pivot.leading()
-            cls = DiffClass.zero(params)
+            cls = DiffClass.zero(self.params)
             for k, v in row.items():
                 if k != col:
                     cls = cls + solved[k].scale(v * inv)
-            solved[col] = cls
+            new[col] = cls
 
-        self._classes = solved
-        self.rank = len(pivoted)
-        self.n_cols = m * (hi - lo + 1)
+        self._classes.update(new)
+        self.rank += len(pivoted)
+        self.window = window
+        self.n_cols = self.params.m * (window.hi - window.lo + 1)
+
+    def cover(self, window: ReductionWindow) -> None:
+        """Grow the table to cover ``window``, solving only the new columns."""
+        with self._lock:
+            old = self.window
+            lo, hi = min(window.lo, old.lo), max(window.hi, old.hi)
+            if (lo, hi) == (old.lo, old.hi):
+                return
+            # a new column's row reaches 2r exponents back toward the basis
+            reach = 2 * self.params.r
+            rows = []
+            if lo < old.lo:
+                rows += _relation_rows(self.params, lo, old.lo - 1 + reach)
+            if hi > old.hi:
+                rows += _relation_rows(self.params, old.hi + 1 - reach, hi)
+            self._solve(rows, ReductionWindow(lo, hi), old)
 
     @property
     def dim(self) -> int:
-        return self.n_cols - self.rank
+        with self._lock:
+            return self.n_cols - self.rank
 
     def reduce_terms(self, terms: list[tuple[int, int, PolyC]]) -> DiffClass:
         """Expand the sum of coef * class(t^(n-1) u^l dt) over (n, l, coef) terms."""
@@ -303,63 +345,44 @@ class ReductionTable:
         return out
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
-        """Expand class(t^t_exp u^sector dt) over the basis."""
+        """Expand class(t^t_exp u^sector dt) over the basis, growing the table to reach it."""
         cls = self._classes.get((t_exp, sector))
         if cls is None:
-            raise WindowError(
-                f"monomial {(t_exp, sector)} is unresolved over window {self.window}"
-            )
+            if not 0 <= sector < self.params.m:
+                raise ValueError(f"sector {sector} is outside 0..{self.params.m - 1}")
+            self.cover(ReductionWindow(t_exp, t_exp))
+            cls = self._classes.get((t_exp, sector))
+            if cls is None:
+                raise WindowError(
+                    f"monomial {(t_exp, sector)} is unresolved over window {self.window}"
+                )
         return cls
 
 
-@lru_cache(maxsize=None)
-def _table(params: RingParams, lo: int, hi: int) -> ReductionTable:
-    return ReductionTable(params, ReductionWindow(lo, hi))
+_TABLES: dict[RingParams, ReductionTable] = {}
+_TABLES_LOCK = threading.Lock()
 
 
-def default_window(params: RingParams, exponents: list[int]) -> ReductionWindow:
-    r = params.r
-    lo = min(exponents, default=0)
-    hi = max(exponents, default=0)
-    lo = min(lo, -2 * r)
-    hi = max(hi, 0)
-    return ReductionWindow(lo - 2 * r - 1, hi + 2 * r + 1)
+def ring_table(params: RingParams) -> ReductionTable:
+    """The one reduction table of the ring, shared by every caller in the process."""
+    with _TABLES_LOCK:
+        table = _TABLES.get(params)
+        if table is None:
+            table = _TABLES[params] = ReductionTable(params, ReductionWindow(-2 * params.r, -1))
+        return table
 
 
 def reduce_oracle(f: DiffForm, window: Optional[ReductionWindow] = None) -> DiffClass:
     """Reduce the class of f to the basis by exact elimination.
 
-    Runs on the given (or default) window and again on the window enlarged by
-    2r; the two results must agree, else the window is enlarged (buffer
-    doubled) and the pair is retried.  Persistent disagreement raises
-    ``WindowError``.
+    A given ``window`` must cover the input exponents with one to spare on
+    each side, else ``WindowError``; the class does not depend on it.
     """
-    params = f.params
     terms = eliminate_du(f)
     exps = [n - 1 for (n, _l, _v) in terms]
-    if window is None:
-        window = default_window(params, exps)
-    else:
-        if exps and (window.lo > min(exps) - 1 or window.hi < max(exps) + 1):
-            raise WindowError("window does not cover the input exponents")
-
-    def run(w: ReductionWindow) -> DiffClass:
-        return _table(params, w.lo, w.hi).reduce_terms(terms)
-
-    buffer = 2 * params.r
-    for _attempt in range(5):
-        try:
-            first = run(window)
-            second = run(window.enlarged(2 * params.r))
-        except WindowError:
-            window = window.enlarged(buffer)
-            buffer *= 2
-            continue
-        if first == second:
-            return first
-        window = window.enlarged(buffer)
-        buffer *= 2
-    raise WindowError("window too small: reduction failed to stabilize")
+    if window is not None and exps and (window.lo > min(exps) - 1 or window.hi < max(exps) + 1):
+        raise WindowError("window does not cover the input exponents")
+    return ring_table(f.params).reduce_terms(terms)
 
 
 def reduce_monomial_class(params: RingParams, t_exp: int, sector: int) -> DiffClass:
@@ -370,18 +393,18 @@ def reduce_monomial_class(params: RingParams, t_exp: int, sector: int) -> DiffCl
     return reduce_oracle(form)
 
 
-def basis_dim(params: RingParams, window: Optional[ReductionWindow] = None) -> int:
-    """Dimension of the quotient on the window; must stabilize under enlargement."""
-    if window is None:
-        window = default_window(params, [])
-    for _attempt in range(5):
-        d1 = _table(params, window.lo, window.hi).dim
-        w2 = window.enlarged(2 * params.r)
-        d2 = _table(params, w2.lo, w2.hi).dim
-        if d1 == d2:
-            return d1
-        window = window.enlarged(4 * params.r)
-    raise WindowError("basis dimension failed to stabilize")
+def basis_dim(params: RingParams) -> int:
+    """Dimension of the quotient over the basis block enlarged by 2r.
+
+    Over the block itself the dimension is the number of basis columns; the
+    rows of the enlarged window must pivot on every other column.
+    """
+    table = ring_table(params)
+    table.cover(ReductionWindow(-2 * params.r, -1).enlarged(2 * params.r))
+    d = table.dim
+    if d != table.n_basis:
+        raise WindowError(f"dimension {d} over {table.window} differs from the basis block's")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +486,7 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
     return RecurrenceReduction(DiffClass(params, odd=odd), instances)
 
 
-def verify_recurrence(
-    params: RingParams, l: int, n_range: range, table: Optional[ReductionTable] = None
-) -> list[dict]:
+def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
     """Evaluate recurrence candidates on oracle-reduced classes.
 
     For each instance n, reports whether (a) the stated coefficients
@@ -474,11 +495,7 @@ def verify_recurrence(
     a theorem check run against first principles, not an assumption.
     """
     m, r = params.m, params.r
-    if table is None:
-        lo = min(n_range) - 2 * r - 2
-        hi = max(n_range) + 2 * r + 2
-        lo = min(lo, -2 * r - 1)
-        table = _table(params, lo - 2 * r, hi + 2 * r)
+    table = ring_table(params)
     out = []
     for n in n_range:
         X = {

@@ -30,11 +30,10 @@ from .kahler import (
     DiffClass,
     DiffForm,
     ReductionTable,
-    ReductionWindow,
-    _table,
     differential,
     eliminate_du,
     reduce_oracle,
+    ring_table,
 )
 from .ring import RingElem, RingParams, p_laurent, ring_mul
 
@@ -244,16 +243,9 @@ class TauCache:
         return out
 
 
-def _default_table(params: RingParams, span: int) -> ReductionTable:
-    r = params.r
-    lo = -span - 2 * r - 1
-    hi = span + 2 * r + 1
-    return _table(params, lo, hi)
-
-
-def tau_oracle(f: RingElem, g: RingElem, window: Optional[ReductionWindow] = None) -> DiffClass:
+def tau_oracle(f: RingElem, g: RingElem) -> DiffClass:
     """class(f dg) by du-elimination and oracle reduction (no case split)."""
-    return reduce_oracle(_cocycle_form(f, g), window)
+    return reduce_oracle(_cocycle_form(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +278,7 @@ def uce_bracket_oracle(
     return UCEElem(current, central)
 
 
-def uce_bracket_formula(
-    a: UCEElem, b: UCEElem, table: Optional[ReductionTable] = None
-) -> UCEElem:
+def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
     """The printed Type I/II/III bracket formulas, per monomial pair.
 
     Central terms of Types I and III are monomial classes expanded in the
@@ -299,13 +289,7 @@ def uce_bracket_formula(
     if params != b.params:
         raise ValueError("parameter mismatch")
     m = params.m
-    if table is None:
-        span = 2
-        for elem in (a, b):
-            for relem in elem.current.parts.values():
-                for e, _l, _v in relem.monomials():
-                    span = max(span, abs(e))
-        table = _default_table(params, 2 * span + 2 * params.r + 2)
+    table = ring_table(params)
     current = CurrentElem.zero(params)
     central = DiffClass.zero(params)
     p = p_laurent(params)
@@ -368,7 +352,6 @@ def lie_axiom_check(
     params: RingParams,
     exp_bound: int = 4,
     direct_exp_bound: int = 1,
-    table: Optional[ReductionTable] = None,
 ) -> dict:
     """Antisymmetry and Jacobi for the oracle bracket; exact, no tolerance.
 
@@ -381,10 +364,7 @@ def lie_axiom_check(
     tau(fg,h) + tau(gh,f) + tau(hf,g); all four ingredients are verified
     exhaustively over the grid.
     """
-    span = 3 * exp_bound + 4 * params.r + 3
-    if table is None:
-        table = _default_table(params, span)
-    cache = TauCache(table)
+    cache = TauCache(ring_table(params))
     report = {
         "antisymmetry_failures": [],
         "jacobi_direct_failures": [],
@@ -489,18 +469,14 @@ def lie_axiom_check(
     return report
 
 
-def formula_vs_oracle(
-    params: RingParams, exp_bound: int = 3, table: Optional[ReductionTable] = None
-) -> list[dict]:
+def formula_vs_oracle(params: RingParams, exp_bound: int = 3) -> list[dict]:
     """Per-pair comparison of the printed bracket formulas with the oracle.
 
     Runs x = e, y = f (Killing value 1, the discriminating pairing) over all
     monomial pairs t^i u^l1, t^j u^l2 with |i|, |j| <= exp_bound and
     (l1, l2) != (0, 0).  Emits both central vectors; asserts nothing.
     """
-    if table is None:
-        table = _default_table(params, 2 * exp_bound + 2 * params.r + 2)
-    cache = TauCache(table)
+    cache = TauCache(ring_table(params))
     out = []
     m = params.m
     for l1 in range(m):
@@ -512,7 +488,7 @@ def formula_vs_oracle(
                 for j in range(-exp_bound, exp_bound + 1):
                     A = UCEElem(CurrentElem.monomial(params, "e", i, l1))
                     B = UCEElem(CurrentElem.monomial(params, "f", j, l2))
-                    formula = uce_bracket_formula(A, B, table)
+                    formula = uce_bracket_formula(A, B)
                     oracle = uce_bracket_oracle(A, B, cache)
                     out.append(
                         {

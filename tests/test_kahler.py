@@ -1,8 +1,13 @@
 import hashlib
 import random
+import sys
+import threading
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secalg import kahler
 from secalg.cli import main
@@ -19,6 +24,7 @@ from secalg.kahler import (
     reduce_monomial_class,
     reduce_oracle,
     reduce_recurrence,
+    ring_table,
     structure_constants,
     verify_recurrence,
 )
@@ -220,6 +226,121 @@ def test_reduction_table_rejects_a_row_solved_twice(monkeypatch):
                         lambda params, lo, hi: relation_rows(params, lo, hi)[:1] * 2)
     with pytest.raises(AssertionError, match="not triangular"):
         ReductionTable(P32, ReductionWindow(-9, 9))
+
+
+def fresh_table(params):
+    return ReductionTable(params, ReductionWindow(-2 * params.r, -1))
+
+
+_WHOLE: dict = {}
+
+
+def whole_table(params):
+    """One table built over [-5r-3, 3r+3] at once, the reference for grown tables."""
+    if params not in _WHOLE:
+        _WHOLE[params] = ReductionTable(params, ReductionWindow(-5 * params.r - 3, 3 * params.r + 3))
+    return _WHOLE[params]
+
+
+_GRID = [RingParams(m, r) for m in (2, 3, 4) for r in (2, 3)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grown_table_matches_whole_window_table(data):
+    """Classes do not depend on the order in which columns are first requested,
+    and the oracle over a fresh ring table is linear."""
+    params = data.draw(st.sampled_from(_GRID))
+    whole = whole_table(params)
+    cols = [(e, l) for l in range(params.m)
+            for e in range(whole.window.lo, whole.window.hi + 1)]
+    table = fresh_table(params)
+    for col in data.draw(st.permutations(cols)):
+        assert table.reduce_monomial(*col) == whole.reduce_monomial(*col), col
+    assert table.window == whole.window and table.dim == whole.dim == table.n_basis
+
+    span = 3 * params.r
+    term = st.tuples(st.integers(-5, 5), st.integers(-span, span),
+                     st.integers(0, params.m - 1), st.booleans())
+
+    def form(terms):
+        dt = du = RingElem.zero(params)
+        for coef, e, l, is_du in terms:
+            elem = RingElem.monomial(params, PolyC({0: coef, 1: 1}), e, l)
+            dt, du = (dt, du + elem) if is_du else (dt + elem, du)
+        return DiffForm(dt, du)
+
+    a, b = data.draw(term), data.draw(term)
+    with mock.patch.dict(kahler._TABLES, clear=True):
+        assert reduce_oracle(form([a, b])) == reduce_oracle(form([a])) + reduce_oracle(form([b]))
+
+
+def test_growth_is_linear_in_the_final_width(monkeypatch):
+    relation_rows = kahler._relation_rows
+    count = [0]
+
+    def counted(params, lo, hi):
+        rows = relation_rows(params, lo, hi)
+        count[0] += len(rows)
+        return rows
+
+    monkeypatch.setattr(kahler, "_relation_rows", counted)
+    table = fresh_table(P32)
+    for e in range(0, 201):
+        table.reduce_monomial(e, 1)
+    assert table.window == ReductionWindow(-4, 200)
+    assert count[0] <= 3 * table.n_cols, (count[0], table.n_cols)
+    assert table.dim == table.n_basis
+    once = ReductionTable(P32, table.window)
+    for e in range(-4, 201):
+        for l in range(3):
+            assert table.reduce_monomial(e, l) == once.reduce_monomial(e, l), (e, l)
+
+
+def test_sector_out_of_range_does_not_grow():
+    table = fresh_table(P32)
+    before = (table.window, table.n_cols, table.rank)
+    for sector in (-1, 3, 7):
+        with pytest.raises(ValueError, match="sector"):
+            table.reduce_monomial(50, sector)
+    assert (table.window, table.n_cols, table.rank) == before
+
+
+def test_ring_table_grows_safely_across_threads():
+    params = RingParams(3, 3)
+    jobs = [[(120, 1), (-110, 2)], [(-130, 1), (90, 2)], [(100, 0), (140, 2)],
+            [(-90, 2), (130, 1)]]
+    with mock.patch.dict(kahler._TABLES, clear=True):
+        serial = {col: ring_table(params).reduce_monomial(*col) for job in jobs for col in job}
+    results: dict = {}
+    errors: list = []
+    barrier = threading.Barrier(len(jobs))
+
+    def work(job):
+        try:
+            barrier.wait(timeout=60)
+            for col in job:
+                results[col] = ring_table(params).reduce_monomial(*col)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.dict(kahler._TABLES, clear=True):
+            threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            table = ring_table(params)
+            assert errors == []
+            assert results == serial
+            assert table.window == ReductionWindow(-130, 140)
+            assert table.dim == table.n_basis
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("dt, digest", [

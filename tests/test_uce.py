@@ -1,14 +1,13 @@
 import pytest
 
 from secalg.coeffs import PolyC
-from secalg.kahler import DiffClass
+from secalg.kahler import DiffClass, ring_table
 from secalg.ring import RingElem, RingParams, p_laurent
 from secalg.uce import (
     CurrentElem,
     SL2Elem,
     TauCache,
     UCEElem,
-    _default_table,
     formula_vs_oracle,
     killing,
     lie_axiom_check,
@@ -114,9 +113,9 @@ def test_lie_axioms_small_grid():
 
 @pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (3, 3)])
 def test_tau_cache_matches_tau_oracle(m, r):
-    """The memoized cocycle over one table equals the stabilized oracle."""
+    """The memoized cocycle over the ring table equals the oracle."""
     params = RingParams(m, r)
-    cache = TauCache(_default_table(params, 4 * r + 4))
+    cache = TauCache(ring_table(params))
     monos = [RingElem.monomial(params, PolyC.const(1), i, l)
              for l in range(m) for i in range(-2, 3)]
     for f in monos:
