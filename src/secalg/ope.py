@@ -182,7 +182,7 @@ class FieldExpr:
         return all(self.terms[k].coef == other.terms[k].coef for k in self.terms)
 
     def __hash__(self):
-        return hash(frozenset((k, self.terms[k].coef.key()) for k in self.terms))
+        return hash(frozenset(self.terms))
 
     # -- algebra
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
@@ -230,6 +230,15 @@ class FieldExpr:
                 )
         return FieldExpr(out)
 
+    def renamed(self, sigma: dict) -> "FieldExpr":
+        """The same sum with every generator of sector l moved to sigma[l]."""
+        out = FieldExpr()  # sigma is injective: no terms meet, momentum keys stay
+        for (factors, mkey), mo in self.terms.items():
+            mo = NOMono(mo.coef, [FieldGen(g.kind, sigma[g.sector], g.deriv) for g in factors],
+                        mo.momentum)
+            out.terms[(mo.factors, mkey)] = mo
+        return out
+
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -241,6 +250,17 @@ class FieldExpr:
 
     def __repr__(self):
         return f"FieldExpr({self.render()})"
+
+
+def canonical_sectors(*exprs: FieldExpr) -> dict:
+    """The monotone map of the nonzero sectors of exprs onto 1..n, fixing 0.
+
+    Contractions compare sectors only with each other and with 0, so
+    ``wick_ope`` commutes with this renaming, which also keeps sort orders.
+    """
+    nonzero = sorted({g.sector for fe in exprs for mo in fe.terms.values()
+                      for g in mo.factors} - {0})
+    return {0: 0, **{l: i for i, l in enumerate(nonzero, 1)}}
 
 
 def _term_sort_key(key):
@@ -498,6 +518,13 @@ class OPEResult:
         for k in [k for k, sec in self.sectors.items() if not sec.poles]:
             del self.sectors[k]
 
+    def renamed(self, sigma: dict) -> "OPEResult":
+        """A fresh result with every field's sectors renamed by sigma."""
+        return OPEResult(
+            OPESector(sec.epsilon, {d: fe.renamed(sigma) for d, fe in sec.poles.items()})
+            for sec in self.sectors.values()
+        )
+
     def sector_list(self) -> list[OPESector]:
         return [self.sectors[k] for k in sorted(self.sectors, key=repr)]
 
@@ -542,16 +569,6 @@ class OPEResult:
             out["sectors"] = secs
         return out
 
-    def render(self) -> str:
-        if not self.sectors:
-            return "regular"
-        chunks = []
-        for sec in self.sector_list():
-            eps = sec.epsilon.render()
-            for d in sorted(sec.poles, reverse=True):
-                chunks.append(f"[eps={eps}, d={d}] {sec.poles[d].render()}")
-        return "\n".join(chunks)
-
 
 def wick_ope(
     E: FieldExpr,
@@ -568,6 +585,8 @@ def wick_ope(
     exact.  Orders d >= 1 - extra_orders are kept per sector; the default
     keeps exactly the singular orders.
     """
+    if extra_orders < 0:
+        raise ValueError("extra_orders must be non-negative")
     sectors: dict = {}
 
     def emit(eps: CoeffK, d: int, monos: list[NOMono]):
@@ -673,10 +692,13 @@ def charge_of(
     Prerequisite: the probe carries no exponential, so the OPE stays in the
     epsilon = 0 sector.
     """
+    return scalar_ratio(wick_ope(probe, F, conv).zero_sector_pole(1), F)
+
+
+def scalar_ratio(pole1: FieldExpr, F: FieldExpr) -> Optional[CoeffK]:
+    """The scalar lam with pole1 = lam * F, or None if there is none."""
     if F.is_zero():
         return None
-    res = wick_ope(probe, F, conv)
-    pole1 = res.zero_sector_pole(1)
     if pole1.is_zero():
         return CoeffK.zero()
     # candidate scalar from any shared monomial of F
@@ -712,7 +734,8 @@ def is_laurent(result: OPEResult, k_val: Optional[Fraction] = None):
             d >= 1 for sec in result.sector_list() for d in sec.poles
         )
         return ("laurent",) if has_pole else ("regular",)
-    # classify by the (unique, in all uses here) fractional exponent
+    # classify by the first fractional exponent: unique for the built
+    # operators, not for all CLI input (two sectors misread, ROADMAP item 1)
     eps = fracs[0].epsilon
     if k_val is not None:
         eps = specialize(eps, None, Fraction(k_val))

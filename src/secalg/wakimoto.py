@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -36,9 +36,11 @@ from .ope import (
     FieldExpr,
     FieldGen,
     NOMono,
-    charge_of,
+    OPEResult,
+    canonical_sectors,
     is_laurent,
     nested_product,
+    scalar_ratio,
     wick_ope,
 )
 
@@ -56,9 +58,22 @@ class OperatorSet:
     operators: dict  # (name, sector) -> FieldExpr
     alpha: CoeffK
     f_parts: dict  # sector -> {part name -> FieldExpr}, for witness reports
+    _opes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, name: str, sector: int) -> FieldExpr:
         return self.operators[(name, sector)]
+
+    def ope(self, E: FieldExpr, F: FieldExpr, extra_orders: int = 0) -> OPEResult:
+        """``wick_ope`` under these conventions, expanded once per pair of
+        ``canonical_sectors`` in this set; each call gets a fresh copy
+        renamed back to its own sectors.
+        """
+        sigma = canonical_sectors(E, F)
+        key = (E.renamed(sigma), F.renamed(sigma), self.conventions, extra_orders)
+        res = self._opes.get(key)
+        if res is None:
+            res = self._opes[key] = wick_ope(*key)
+        return res.renamed({v: l for l, v in sigma.items()})
 
 
 def _gen(kind: str, sector: int, deriv: int = 0) -> FieldExpr:
@@ -280,9 +295,9 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
     two = CoeffK.from_int(2)
     for l in range(1, ops.m):
         e_l, f_l = ops.op("e", l), ops.op("f", l)
-        ce = charge_of(h0, e_l, conv)
-        cf = charge_of(h0, f_l, conv)
-        pole1 = wick_ope(h0, f_l, conv).zero_sector_pole(1)
+        ce = scalar_ratio(ops.ope(h0, e_l).zero_sector_pole(1), e_l)
+        pole1 = ops.ope(h0, f_l).zero_sector_pole(1)
+        cf = scalar_ratio(pole1, f_l)
         charged_parts = (
             ops.f_parts[l]["T1"] + ops.f_parts[l]["T2"] + ops.f_parts[l]["T3"]
         )
@@ -302,7 +317,7 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
         # orthogonality of the h0 ghost bilinear against sector-l generators
         orth = []
         for kind in ("beta", "gamma", "heis"):
-            res = wick_ope(ghost_part, FieldExpr.generator(kind, l), conv)
+            res = ops.ope(ghost_part, FieldExpr.generator(kind, l))
             orth.append(res.is_trivial())
         entry["ghost_part_orthogonal"] = all(orth)
         report["entries"].append(entry)
@@ -331,7 +346,7 @@ def charge_residue_check(ops: OperatorSet, l: int) -> dict:
     f_l = ops.op("f", l)
     h_l = ops.op("h", l)
 
-    res_0l = wick_ope(e0, f_l, conv)
+    res_0l = ops.ope(e0, f_l)
     residue_0l = res_0l.zero_sector_pole(1)
     exp_witnesses = [
         mo.render() for mo in residue_0l.monomials() if not mo.momentum.is_zero()
@@ -351,7 +366,7 @@ def charge_residue_check(ops: OperatorSet, l: int) -> dict:
             missing.append(name)
 
     # reversed pair: e^(l)(z) f0(w)
-    res_l0 = wick_ope(ops.op("e", l), ops.op("f", 0), conv)
+    res_l0 = ops.ope(ops.op("e", l), ops.op("f", 0))
     residue_l0 = res_l0.zero_sector_pole(1)
     expected_l0 = (
         FieldExpr.generator("beta", l)
@@ -419,7 +434,7 @@ def branch_cut_check(
         raise ValueError("sectors must be >= 1")
     conv = ops.conventions
     minus_alpha_sq = CoeffK.zero() - (CoeffK.one() / CoeffK.k())
-    res = wick_ope(ops.op("e", l1), ops.op("f", l2), conv, extra_orders=1)
+    res = ops.ope(ops.op("e", l1), ops.op("f", l2), extra_orders=1)
 
     eps_values = [sec.epsilon for sec in res.sector_list()]
     frac = [e for e in eps_values if not e.is_zero()]

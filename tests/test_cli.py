@@ -149,6 +149,7 @@ def test_main_entry():
     ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(1/(c-1))*t^2*u"],
     ["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "k*u", "--y", "f", "--b", "t^2*u"],
     ["kahler-reduce", "--m", "2", "--r", "2", "--dt", "c^1000000000*t^-1"],
+    ["ope", "--m", "2", "--e", "beta[0]", "--f", "gamma[0]", "--extra-orders", "-1"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from secalg.coeffs import CoeffK
 from secalg.ope import (
+    ALL_CONFIGS,
     ConventionConfig,
     ExpFactor,
     FieldExpr,
@@ -17,6 +22,7 @@ from secalg.ope import (
     taylor_shift,
     wick_ope,
 )
+from secalg.wakimoto import build_operators
 
 CONV = ConventionConfig(sigma_rev=-1, nesting="right")
 ALPHA = CoeffK.alpha()
@@ -234,3 +240,52 @@ def test_sector_locality():
     # exactly the crossing the locality statement excludes
     across = wick_ope(FieldExpr.exponential(ALPHA), fe("heis", 0), CONV)
     assert not across.is_trivial()
+
+
+def test_negative_extra_orders_rejected():
+    with pytest.raises(ValueError):
+        wick_ope(fe("beta", 0), fe("gamma", 0), CONV, extra_orders=-1)
+
+
+_gens = st.builds(gen, st.sampled_from(("beta", "gamma", "heis")),
+                  st.integers(0, 3), st.integers(0, 2))
+_monos = st.builds(
+    NOMono,
+    st.builds(lambda n, d: CoeffK.from_rat(F(n, d)),
+              st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    st.lists(_gens, max_size=2),
+    st.sampled_from((CoeffK.zero(), ALPHA, CoeffK.zero() - ALPHA)),
+)
+_exprs = st.lists(_monos, min_size=1, max_size=3).map(FieldExpr)
+# injective renamings of the nonzero sectors 1..3, monotone or not; 0 fixed
+_renamings = st.permutations(range(1, 7)).map(
+    lambda p: {0: 0, 1: p[0], 2: p[1], 3: p[2]})
+
+
+def _sectors(fe_):
+    return {g.sector for mo in fe_.terms.values() for g in mo.factors}
+
+
+def _poles(res):
+    """Every nonzero (epsilon, order) coefficient, for exact comparison."""
+    return {(k, d): fld for k, sec in res.sectors.items() for d, fld in sec.poles.items()}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(E=_exprs, Fx=_exprs, sigma=_renamings)
+def test_wick_commutes_with_sector_renaming(E, Fx, sigma):
+    sE, sF = E.renamed(sigma), Fx.renamed(sigma)
+    assert _sectors(sE) == {sigma[l] for l in _sectors(E)}
+    for conv in ALL_CONFIGS:
+        ops = build_operators(2, conv)
+        for extra in (0, 1):
+            want = wick_ope(E, Fx, conv, extra)
+            assert _poles(wick_ope(sE, sF, conv, extra)) == _poles(want.renamed(sigma))
+            # the per-operator-set memo: a miss, a renamed hit, and a hit after
+            # a caller mutated the result it was handed
+            got = ops.ope(E, Fx, extra)
+            assert _poles(got) == _poles(want)
+            assert _poles(ops.ope(sE, sF, extra)) == _poles(want.renamed(sigma))
+            for sec in got.sectors.values():
+                sec.poles.clear()
+            assert _poles(ops.ope(E, Fx, extra)) == _poles(want)

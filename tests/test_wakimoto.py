@@ -1,12 +1,16 @@
 import copy
 import hashlib
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
+import secalg.wakimoto as wakimoto
 from secalg.cli import main
 from secalg.coeffs import CoeffK
-from secalg.ope import ConventionConfig, FieldExpr
+from secalg.ope import ConventionConfig, FieldExpr, is_laurent, wick_ope
 from secalg.wakimoto import (
     CalibrationError,
     _config_diagnostics,
@@ -213,7 +217,74 @@ def test_obstruction_report_specialized():
     (["ope", "--m", "3", "--e", "no(b[0]*exp((1+c)/(s*c^2),phi0))",
       "--f", "no(gamma[1]*exp(1/(c-1),phi0))"], 0,
      "389687507176ff780331bd098a73e7e84d9570c37005d6ce53aead715a17e7c6"),
+    (["obstructions", "--m", "4"], 0,
+     "40cb94acd2ad2692d2b4655558a69650015b1eda22108475d2db4c60ba5bb8f8"),
+    (["obstructions", "--m", "12", "--k", "2/3"], 0,
+     "1a2e4c41d0f86740d73ff9c4798546faaa2ebfa885ee920159d028420f74dda8"),
+    (["charges", "--m", "8"], 1,
+     "18e2abef10ff9b0afed673fc51b93d246bba5aae1e9fdf0e2e569c2c873779a5"),
 ])
 def test_free_field_output_pinned(argv, status, digest, capsys):
     assert main(argv) == status
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def wick_calls(monkeypatch):
+    """Count the Wick expansions the obstruction program runs."""
+    working_config()  # the calibration OPEs are computed once per process
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wick_ope(*args, **kwargs)
+
+    monkeypatch.setattr(wakimoto, "wick_ope", counted)
+    return calls
+
+
+def test_obstruction_report_one_expansion_per_orbit(wick_calls):
+    for m in (4, 9, 12):
+        wick_calls.clear()
+        rep = obstruction_report(m)
+        # e0 f(l), e(l) f0, and e(l1) f(l2) for l1 < l2, l1 = l2, l1 > l2
+        assert len(wick_calls) == 5
+        if m == 12:
+            continue
+        ops = build_operators(m, CONV)
+        for l in range(1, m):
+            for cell, E, Fx in (((0, l), ops.op("e", 0), ops.op("f", l)),
+                                ((l, 0), ops.op("e", l), ops.op("f", 0))):
+                obstructed = wick_ope(E, Fx, CONV).zero_sector_pole(1) != ops.op("h", l)
+                assert (rep.cells[cell]["status"] == "charge_residue_obstructed") == obstructed
+            for l2 in range(1, m):
+                res = wick_ope(ops.op("e", l), ops.op("f", l2), CONV, extra_orders=1)
+                assert rep.cells[(l, l2)]["status"] == is_laurent(res)[0]
+
+
+def test_charge_relations_one_expansion_per_orbit(wick_calls):
+    for m in (2, 5, 8):
+        wick_calls.clear()
+        verify_charge_relations(build_operators(m, CONV))
+        # h0 e(l), h0 f(l), and the ghost bilinear against beta, gamma, b of l
+        assert len(wick_calls) == 5
+
+
+def test_branch_cut_check_shared_across_threads():
+    pairs = [(l1, l2) for l1 in range(1, 6) for l2 in range(1, 6)]
+    want = {p: branch_cut_check(build_operators(6, CONV), *p, F(1, 2)) for p in pairs}
+    shared = build_operators(6, CONV)
+
+    def run(seed):
+        order = random.Random(seed).sample(pairs, len(pairs))
+        return {p: branch_cut_check(shared, *p, F(1, 2)) for p in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, seed) for seed in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == want for got in results)
