@@ -371,8 +371,9 @@ def run_command(cmd: Command, out=None) -> int:
     fmt = p.get("format", "json")
 
     if cmd.name == "families":
-        m, r, j = p["m"], p["r"], p["j"]
-        l = p.get("l") or 1
+        m, r, j, l = p["m"], p["r"], p["j"], p.get("l", 1)
+        if not 1 <= l <= m - 1:
+            raise ValueError(f"sector --l {l} outside 1..m-1 = 1..{m - 1}")
         spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
         table = family_table(spec, p.get("kmax", 4))
         if fmt == "md":
@@ -474,6 +475,8 @@ def run_command(cmd: Command, out=None) -> int:
 
     if cmd.name == "critical-levels":
         mmax = p.get("mmax", 12)
+        if mmax < 2:
+            raise ValueError(f"--mmax {mmax} below 2: there is no sector to check")
         rows = []
         ok = True
         for m in range(2, mmax + 1):

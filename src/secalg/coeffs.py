@@ -4,11 +4,14 @@ Three layers, all exact over Q (Python integers and ``fractions.Fraction``):
 
 * ``PolyC``   -- univariate polynomials in the curve parameter ``c``, each a
   rational content times a primitive integer polynomial (von zur Gathen and
-  Gerhard, *Modern Computer Algebra*, ch. 6).  By Gauss's lemma a product of
-  primitive polynomials is primitive, so a product convolves integers with no
-  gcd, and a sum takes one integer gcd rather than one per coefficient.  The
-  algebra side (ring, Kahler reduction, cocycle, bracket, families) lives in
-  Q[c]: p(t) is in Z[c][t] and every relation pivot is a nonzero rational.
+  Gerhard, *Modern Computer Algebra*, ch. 6).  The content is a reduced pair
+  of Python ints, so content arithmetic builds no ``Fraction``, and a product
+  of two integer contents (denominator 1) takes no gcd.  By Gauss's lemma a
+  product of primitive polynomials is primitive, so a product convolves
+  integers with no gcd, and a sum takes one integer gcd rather than one per
+  coefficient.  The algebra side (ring, Kahler reduction, cocycle, bracket,
+  families) lives in Q[c]: p(t) is in Z[c][t] and every relation pivot is a
+  nonzero rational.
 * ``Poly2``   -- sparse bivariate polynomials in ``c`` and ``s`` with
   ``Fraction`` coefficients.
 * ``CoeffK``  -- the coefficient field Frac(Q[c, s]), stored as a canonical
@@ -63,40 +66,50 @@ def rat_sqrt(q: Fraction) -> Optional[Fraction]:
 # Univariate polynomials in c
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
 #: PolyC stores every coefficient up to its degree, so outside input is held to this degree.
 MAX_C_DEGREE = 100_000
 
 
-def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], Fraction]:
-    """``num/den * ints`` as (primitive part, content).
+def _ratio_mul(pa: int, qa: int, pb: int, qb: int) -> tuple[int, int]:
+    """``pa/qa * pb/qb`` in lowest terms, for reduced inputs with positive denominators."""
+    if qa == qb == 1:
+        return pa * pb, 1
+    g, h = math.gcd(pa, qb), math.gcd(pb, qa)
+    return (pa // g) * (pb // h), (qa // h) * (qb // g)
 
-    Trailing zeros are dropped, and the gcd of the integers and the sign of the
-    last one move into the content, so the integer tuple is primitive.
+
+def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], int, int]:
+    """``num/den * ints`` as (primitive part, content numerator, content denominator).
+
+    ``num/den`` must be in lowest terms.  Trailing zeros are dropped, and the
+    gcd of the integers and the sign of the last one move into the content, so
+    the integer tuple is primitive.
     """
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return (), _ONE
+        return (), 1, 1
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [x // g for x in ints]
-    return tuple(ints), Fraction(num * g, den)
+        num, den = _ratio_mul(num, den, g, 1)
+    return tuple(ints), num, den
 
 
 class PolyC:
-    """Polynomial in ``c`` over Q, stored as ``cont * sum(ints[e] * c^e)``.
+    """Polynomial in ``c`` over Q, stored as ``num/den * sum(ints[e] * c^e)``.
 
     ``ints`` is a dense tuple of integers, lowest degree first, that is
     primitive: their gcd is 1, the last entry is positive and there are no
-    trailing zeros.  ``cont`` is a nonzero rational carrying the sign.  The
-    zero polynomial is ``ints == ()`` with ``cont == 1``.  The form is unique,
-    so equality and hashing are structural.
+    trailing zeros.  The content ``num/den`` is a pair of coprime Python ints
+    with ``den > 0``; ``num`` is nonzero and carries the sign.  The zero
+    polynomial is ``ints == ()`` with content 1/1.  The form is unique, so
+    equality and hashing are structural.
     """
 
-    __slots__ = ("ints", "cont")
+    __slots__ = ("ints", "num", "den")
 
     def __init__(self, coeffs: Optional[dict[int, Fraction]] = None):
         fracs: dict[int, Fraction] = {}
@@ -110,19 +123,24 @@ class PolyC:
         ints = [0] * (max(fracs, default=-1) + 1)
         for e, v in fracs.items():
             ints[e] = v.numerator * (den // v.denominator)
-        self.ints, self.cont = _primitive(ints, 1, den)
+        self.ints, self.num, self.den = _primitive(ints, 1, den)
 
     @staticmethod
-    def _of(ints: tuple[int, ...], cont: Fraction) -> "PolyC":
-        """Wrap an already-canonical (primitive tuple, nonzero content) pair unchecked."""
+    def _of(ints: tuple[int, ...], num: int, den: int) -> "PolyC":
+        """Wrap an already-canonical (primitive tuple, reduced nonzero content) unchecked."""
         p = object.__new__(PolyC)
-        p.ints, p.cont = ints, cont
+        p.ints, p.num, p.den = ints, num, den
         return p
+
+    @property
+    def cont(self) -> Fraction:
+        """The content ``num/den`` as a Fraction."""
+        return Fraction(self.num, self.den)
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
         """The nonzero rational coefficients ``{exponent: value}``, as a fresh dict."""
-        return {e: self.cont * x for e, x in enumerate(self.ints) if x}
+        return {e: Fraction(self.num * x, self.den) for e, x in enumerate(self.ints) if x}
 
     # -- constructors
     @staticmethod
@@ -131,8 +149,8 @@ class PolyC:
 
     @staticmethod
     def const(v) -> "PolyC":
-        v = Fraction(v)
-        return PolyC._of((1,), v) if v else _ZERO
+        num, den = (v, 1) if isinstance(v, int) else Fraction(v).as_integer_ratio()
+        return PolyC._of((1,), num, den) if num else _ZERO
 
     @staticmethod
     def c(power: int = 1) -> "PolyC":
@@ -147,13 +165,14 @@ class PolyC:
         return len(self.ints) - 1
 
     def leading(self) -> Fraction:
-        return self.cont * self.ints[-1] if self.ints else Fraction(0)
+        return Fraction(self.num * self.ints[-1], self.den) if self.ints else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyC) and self.ints == other.ints and self.cont == other.cont
+        return (isinstance(other, PolyC) and self.ints == other.ints
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.cont))
+        return hash((self.ints, self.num, self.den))
 
     # -- arithmetic
     def __add__(self, other: "PolyC") -> "PolyC":
@@ -162,9 +181,9 @@ class PolyC:
             return self
         if not a:
             return other
-        # over the common denominator lcm(qa, qb), with the multipliers' gcd h factored out
-        pa, qa = self.cont.numerator, self.cont.denominator
-        pb, qb = other.cont.numerator, other.cont.denominator
+        # over the common denominator lcm(qa, qb), with the multipliers' gcd h factored out;
+        # h is coprime to the lcm, as _primitive requires
+        pa, qa, pb, qb = self.num, self.den, other.num, other.den
         g = math.gcd(qa, qb)
         fa, fb = pa * (qb // g), pb * (qa // g)
         h = math.gcd(fa, fb)
@@ -177,30 +196,32 @@ class PolyC:
         return PolyC._of(*_primitive(ints, h, qa // g * qb))
 
     def __neg__(self) -> "PolyC":
-        return PolyC._of(self.ints, -self.cont) if self.ints else self
+        return PolyC._of(self.ints, -self.num, self.den) if self.ints else self
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + (-other)
 
     def __mul__(self, other) -> "PolyC":
         if isinstance(other, (int, Fraction)):
-            return PolyC._of(self.ints, self.cont * other) if other and self.ints else _ZERO
+            if not other or not self.ints:
+                return _ZERO
+            return PolyC._of(self.ints, *_ratio_mul(self.num, self.den, *other.as_integer_ratio()))
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
-        cont = self.cont * other.cont
+        num, den = _ratio_mul(self.num, self.den, other.num, other.den)
         if len(a) < len(b):
             a, b = b, a
         if b[-1] == 1 and not any(b[:-1]):
             # a one-term factor c^e shifts exponents
-            return PolyC._of((0,) * (len(b) - 1) + a, cont)
+            return PolyC._of((0,) * (len(b) - 1) + a, num, den)
         # Gauss's lemma: a product of primitive polynomials is primitive
         out = [0] * (len(a) + len(b) - 1)
         for i, y in enumerate(b):
             if y:
                 for j, x in enumerate(a, i):
                     out[j] += x * y
-        return PolyC._of(tuple(out), cont)
+        return PolyC._of(tuple(out), num, den)
 
     __rmul__ = __mul__
 
@@ -245,10 +266,10 @@ class PolyC:
 
     # -- rendering
     def render(self) -> str:
-        """Canonical text, e.g. ``8/5*c^2 - 3/5``; each coefficient is ``cont * ints[e]``."""
+        """Canonical text, e.g. ``8/5*c^2 - 3/5``; each coefficient is ``num/den * ints[e]``."""
         if not self.ints:
             return "0"
-        p, q = self.cont.numerator, self.cont.denominator
+        p, q = self.num, self.den
         terms = []
         for e in range(len(self.ints) - 1, -1, -1):
             x = self.ints[e]
@@ -267,11 +288,11 @@ class PolyC:
     def render_ratio(self) -> str:
         """Common-denominator display, e.g. ``(8*c^2 - 3)/5``.
 
-        The integers are coprime, so the denominator of ``cont`` is the lcm of
-        the coefficients' denominators.
+        The integers are coprime, so ``den`` is the lcm of the coefficients'
+        denominators.
         """
-        den = self.cont.denominator
-        text = PolyC._of(self.ints, Fraction(self.cont.numerator)).render()
+        den = self.den
+        text = PolyC._of(self.ints, self.num, 1).render()
         if den == 1:
             return text
         if len(self.ints) - self.ints.count(0) > 1:
@@ -282,7 +303,7 @@ class PolyC:
         return f"PolyC({self.render()})"
 
 
-_ZERO = PolyC._of((), _ONE)
+_ZERO = PolyC._of((), 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def rescaling_check(
     Returns one report entry per (l, j, k); failures are entries, not errors.
     Each (l, j) sector chain is walked once up to k_max.
     """
+    if k_max < -2 * r:
+        raise ValueError(f"k_max {k_max} below -2r = {-2 * r}")
     if l_range is None:
         l_range = range(1, m)
     if j_range is None:
@@ -197,6 +199,8 @@ class FamilyTable:
 
 def family_table(spec: FamilySpec, k_max: int) -> FamilyTable:
     """All family values for -2r <= k <= k_max."""
+    if k_max < -2 * spec.r:
+        raise ValueError(f"k_max {k_max} below -2r = {-2 * spec.r}")
     return FamilyTable(
         spec, {k: eval_family(spec, k) for k in range(-2 * spec.r, k_max + 1)}
     )

@@ -362,8 +362,12 @@ def lie_axiom_check(
     the sl2 Jacobi identity plus ring associativity/commutativity, and the
     central part equals kappa([x,y],z) times the cyclic cocycle sum
     tau(fg,h) + tau(gh,f) + tau(hf,g); all four ingredients are verified
-    exhaustively over the grid.
+    exhaustively over the grid.  Each grid element is built once, and the
+    bracket of each ordered grid pair is computed once and reused as the
+    inner bracket of the direct Jacobi sums.
     """
+    if exp_bound < 0 or direct_exp_bound < 0:
+        raise ValueError("exponent bounds must be >= 0")
     cache = TauCache(ring_table(params))
     report = {
         "antisymmetry_failures": [],
@@ -376,39 +380,32 @@ def lie_axiom_check(
     }
 
     elems = list(_grid_elements(params, exp_bound))
-
-    def mk(ge: tuple) -> UCEElem:
-        g, i, l = ge
-        return UCEElem(CurrentElem.monomial(params, g, i, l))
+    grid = {e: UCEElem(CurrentElem.monomial(params, *e)) for e in elems}
+    brackets: dict[tuple, UCEElem] = {}  # (a, b) -> [a, b] over grid pairs
 
     # antisymmetry on unordered pairs (includes (a, a))
     n_pairs = 0
     for idx, ea in enumerate(elems):
-        A = mk(ea)
         for eb in elems[idx:]:
-            B = mk(eb)
             n_pairs += 1
-            ab = uce_bracket_oracle(A, B, cache)
-            ba = uce_bracket_oracle(B, A, cache)
+            ab = brackets[ea, eb] = uce_bracket_oracle(grid[ea], grid[eb], cache)
+            ba = brackets[eb, ea] = (
+                ab if ea == eb else uce_bracket_oracle(grid[eb], grid[ea], cache)
+            )
             if not (ab + ba).is_zero():
                 report["antisymmetry_failures"].append({"a": ea, "b": eb})
     report["counts"]["antisymmetry_pairs"] = n_pairs
 
-    # direct Jacobi on the subgrid
+    # direct Jacobi on the subgrid; every outer bracket is computed
     sub = [e for e in elems if abs(e[1]) <= direct_exp_bound]
     n_direct = 0
-    for ia in range(len(sub)):
-        for ib in range(ia, len(sub)):
-            for ic in range(ib, len(sub)):
-                A, B, C = mk(sub[ia]), mk(sub[ib]), mk(sub[ic])
-                n_direct += 1
-                s = uce_bracket_oracle(uce_bracket_oracle(A, B, cache), C, cache)
-                s = s + uce_bracket_oracle(uce_bracket_oracle(B, C, cache), A, cache)
-                s = s + uce_bracket_oracle(uce_bracket_oracle(C, A, cache), B, cache)
-                if not s.is_zero():
-                    report["jacobi_direct_failures"].append(
-                        {"a": sub[ia], "b": sub[ib], "c": sub[ic]}
-                    )
+    for a, b, c in itertools.combinations_with_replacement(sub, 3):
+        n_direct += 1
+        s = uce_bracket_oracle(brackets[a, b], grid[c], cache)
+        s = s + uce_bracket_oracle(brackets[b, c], grid[a], cache)
+        s = s + uce_bracket_oracle(brackets[c, a], grid[b], cache)
+        if not s.is_zero():
+            report["jacobi_direct_failures"].append({"a": a, "b": b, "c": c})
     report["counts"]["jacobi_direct_triples"] = n_direct
 
     # sl2 Jacobi and Killing invariance over all generator triples
@@ -476,6 +473,8 @@ def formula_vs_oracle(params: RingParams, exp_bound: int = 3) -> list[dict]:
     monomial pairs t^i u^l1, t^j u^l2 with |i|, |j| <= exp_bound and
     (l1, l2) != (0, 0).  Emits both central vectors; asserts nothing.
     """
+    if exp_bound < 0:
+        raise ValueError("exponent bound must be >= 0")
     cache = TauCache(ring_table(params))
     out = []
     m = params.m

@@ -150,6 +150,12 @@ def test_main_entry():
     ["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "k*u", "--y", "f", "--b", "t^2*u"],
     ["kahler-reduce", "--m", "2", "--r", "2", "--dt", "c^1000000000*t^-1"],
     ["ope", "--m", "2", "--e", "beta[0]", "--f", "gamma[0]", "--extra-orders", "-1"],
+    ["families", "--m", "3", "--r", "2", "--j", "1", "--l", "0"],
+    ["families", "--m", "3", "--r", "2", "--j", "1", "--l", "5"],
+    ["families", "--m", "3", "--r", "2", "--j", "1", "--kmax", "-5"],
+    ["rescaling", "--m", "3", "--r", "2", "--kmax", "-5"],
+    ["bracket-audit", "--m", "3", "--r", "2", "--expbound", "-1"],
+    ["critical-levels", "--mmax", "1"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secalg.coeffs import (
@@ -202,11 +202,13 @@ def _symc(p):
 
 def _assert_canonical(p):
     assert type(p.ints) is tuple and all(type(x) is int for x in p.ints)
-    assert isinstance(p.cont, F) and p.cont != 0
+    assert type(p.num) is int and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.num, p.den) == 1 and p.num != 0
+    assert isinstance(p.cont, F) and p.cont == F(p.num, p.den)
     if p.ints:
         assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0
     else:
-        assert p.cont == 1
+        assert (p.num, p.den) == (1, 1)
 
 
 def _fraction_dict_render(coeffs):
@@ -246,12 +248,20 @@ def _fraction_dict_render_ratio(coeffs):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(a=_polycs, b=_polycs, q=_qs)
-def test_polyc_matches_sympy(a, b, q):
-    """Zero, constants, one-term values and negative leading coefficients alike."""
+@given(a=_polycs, b=_polycs, q=_qs, n=st.integers(-12, 12))
+@example(a=PolyC({0: F(5, 6)}), b=PolyC(), q=F(1), n=0)
+@example(a=PolyC({2: F(1, 4), 0: F(5, 6)}), b=PolyC.c(), q=F(-2, 3), n=-12)
+@example(a=PolyC({1: F(7, 9)}), b=PolyC({0: F(1, 3)}), q=F(9, 14), n=6)
+def test_polyc_matches_sympy(a, b, q, n):
+    """Zero, constants, one-term values and negative leading coefficients alike.
+
+    The integer scalar ``n`` is often 0 or shares factors with the content's
+    denominator, so the content must be reduced after scaling.
+    """
     sa, sb = _symc(a), _symc(b)
     results = {"add": (a + b, sa + sb), "sub": (a - b, sa - sb), "mul": (a * b, sa * sb),
                "scale": (a.scale(q), sa * q), "neg": (-a, -sa),
+               "mul_int": (a * n, sa * n), "rmul_int": (n * a, sa * n),
                "gcd": (PolyC.gcd(a, b), sa.gcd(sb).monic())}
     if not b.is_zero():
         (quo, rem), (squo, srem) = a.divmod(b), sa.div(sb)

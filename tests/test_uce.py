@@ -1,5 +1,10 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
+from secalg import uce
 from secalg.coeffs import PolyC
 from secalg.kahler import DiffClass, ring_table
 from secalg.ring import RingElem, RingParams, p_laurent
@@ -109,6 +114,62 @@ def test_lie_axioms_small_grid():
     assert rep["ok"], {k: v for k, v in rep.items() if v and k != "counts"}
     assert rep["counts"]["antisymmetry_pairs"] > 0
     assert rep["counts"]["jacobi_direct_triples"] > 0
+
+
+def _naive_pair_checks(params, exp_bound, direct_exp_bound):
+    """Antisymmetry and direct Jacobi witnesses with every bracket built afresh."""
+    elems = [(g, i, l) for g in ("e", "h", "f") for l in range(params.m)
+             for i in range(-exp_bound, exp_bound + 1)]
+    anti = [{"a": a, "b": b} for ia, a in enumerate(elems) for b in elems[ia:]
+            if not (uce_bracket_oracle(cur(*a, params), cur(*b, params))
+                    + uce_bracket_oracle(cur(*b, params), cur(*a, params))).is_zero()]
+    sub = [e for e in elems if abs(e[1]) <= direct_exp_bound]
+    jac = []
+    for a, b, c in itertools.combinations_with_replacement(sub, 3):
+        A, B, C = cur(*a, params), cur(*b, params), cur(*c, params)
+        s = uce_bracket_oracle(uce_bracket_oracle(A, B), C)
+        s = s + uce_bracket_oracle(uce_bracket_oracle(B, C), A)
+        s = s + uce_bracket_oracle(uce_bracket_oracle(C, A), B)
+        if not s.is_zero():
+            jac.append({"a": a, "b": b, "c": c})
+    return anti, jac
+
+
+def _digest(rep):
+    return hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+
+
+def test_lie_check_bracket_reuse_hides_no_failure(monkeypatch):
+    """A wrong [h, e] shows up in full, though inner brackets are reused."""
+    monkeypatch.setitem(uce._BRACKET, ("h", "e"), (("e", 3),))
+    rep = lie_axiom_check(P32, exp_bound=1, direct_exp_bound=1)
+    assert not rep["ok"]
+    assert len(rep["antisymmetry_failures"]) == 81
+    assert len(rep["jacobi_direct_failures"]) == 405
+    anti, jac = _naive_pair_checks(P32, 1, 1)
+    assert rep["antisymmetry_failures"] == anti and rep["jacobi_direct_failures"] == jac
+    # the report of the version that built every bracket afresh
+    assert _digest(rep) == "2c3587120cc8b50795a047ebb63c5d4f559956047d0593abff3b938053d2c015"
+
+
+@pytest.mark.parametrize("m,r,digest", [
+    (2, 2, "a7bf8505163abe09c4535dfcf3efcf00b1fb4499b2246a6cc4c4812e59282778"),
+    (3, 3, "ccf704efb33ca317134cb798eeed63788841e1b00fc7657e1980d9390542dcb0"),
+])
+def test_lie_check_report_unchanged(m, r, digest):
+    rep = lie_axiom_check(RingParams(m, r), exp_bound=1, direct_exp_bound=1)
+    assert rep["ok"] and _digest(rep) == digest
+
+
+@pytest.mark.parametrize("check,kw", [
+    (lie_axiom_check, {"exp_bound": -1}),
+    (lie_axiom_check, {"exp_bound": 1, "direct_exp_bound": -1}),
+    (formula_vs_oracle, {"exp_bound": -1}),
+])
+def test_empty_grids_are_rejected(check, kw):
+    """An empty grid checks nothing, so it must not report success."""
+    with pytest.raises(ValueError):
+        check(P32, **kw)
 
 
 @pytest.mark.parametrize("m,r", [(2, 2), (3, 2), (3, 3)])
