@@ -55,6 +55,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
+MAX_NESTING = 100  # parentheses, signs, D( and no( around an atom, counted together
 
 
 def _tokenize(src: str):
@@ -93,6 +94,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -111,6 +113,15 @@ class _Parser:
     def fail(self, msg: str):
         t = self.peek()
         raise ParseError(msg + f", found {t[1]!r}", t[2])
+
+    def nested(self, rule, *args):
+        """rule(*args) one nesting level deeper; a ParseError ends the parse."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"input nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        val = rule(*args)
+        self.depth -= 1
+        return val
 
     # -- coefficient expressions ------------------------------------------
     def coef_expr(self) -> CoeffK:
@@ -162,13 +173,13 @@ class _Parser:
         t = self.peek()
         if t[0] == "-":
             self.next()
-            return CoeffK.zero() - self.coef_power()
+            return CoeffK.zero() - self.nested(self.coef_power)
         if t[0] == "int":
             self.next()
             return CoeffK.from_int(int(t[1]))
         if t[0] == "(":
             self.next()
-            val = self.coef_expr()
+            val = self.nested(self.coef_expr)
             self.expect(")")
             return val
         if t[0] == "name":
@@ -255,7 +266,7 @@ class _Parser:
         if t[0] == "name" and t[1] == "no":
             self.next()
             self.expect("(")
-            inner = self.field_term(m)
+            inner = self.nested(self.field_term, m)
             self.expect(")")
             return inner
         if t[0] == "name" and t[1] == "exp":
@@ -271,7 +282,7 @@ class _Parser:
         if t[0] == "name" and t[1] == "D":
             self.next()
             self.expect("(")
-            inner = self.field_item(m)
+            inner = self.nested(self.field_item, m)
             self.expect(",")
             order = int(self.expect("int")[1])
             self.expect(")")
@@ -359,9 +370,12 @@ def _parse_k(text: Optional[str]) -> Optional[Fraction]:
     if text in (None, "symbolic"):
         return None
     try:
-        return Fraction(text)
+        k = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"level --k {text} has a zero denominator") from None
+    if k == 0:
+        raise ValueError("level --k 0: the operators divide by k")
+    return k
 
 
 def run_command(cmd: Command, out=None) -> int:

@@ -145,6 +145,8 @@ def rescaling_check(
     """
     if k_max < -2 * r:
         raise ValueError(f"k_max {k_max} below -2r = {-2 * r}")
+    if m < 2:
+        raise ValueError(f"m {m} below 2: there is no sector to check")
     if l_range is None:
         l_range = range(1, m)
     if j_range is None:

@@ -3,7 +3,11 @@ obstruction program.
 
 ``build_operators`` transcribes the printed operators exactly (momentum
 alpha = 1/s, coefficients k+2, (k+2)/k, s/2, 1/s as printed), reading the
-displayed triple products under the configured nesting convention.
+displayed triple products under the configured nesting convention; sector
+l >= 1 is sector 1 renamed, so it copies templates built once per process.
+The obstruction checks depend on their sectors only through their orbit
+under ``canonical_sectors``: an ``OperatorSet`` makes and renders each check
+once per orbit and hands every cell a copy relabeled to its own sectors.
 
 ``calibrate_conventions`` enumerates the four convention configurations and
 tests the three even-sector OPE identities
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -59,6 +64,7 @@ class OperatorSet:
     alpha: CoeffK
     f_parts: dict  # sector -> {part name -> FieldExpr}, for witness reports
     _opes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, name: str, sector: int) -> FieldExpr:
         return self.operators[(name, sector)]
@@ -75,16 +81,44 @@ class OperatorSet:
             res = self._opes[key] = wick_ope(*key)
         return res.renamed({v: l for l, v in sigma.items()})
 
+    def orbit_report(self, build, sectors: tuple, *rest) -> dict:
+        """``build(self, *sectors, *rest)`` made once per orbit of the sectors
+        (each in 1..m-1), in the labels ``canonical_sectors`` gives them; each
+        call gets a fresh copy relabeled back."""
+        if not all(1 <= l <= self.m - 1 for l in sectors):
+            raise ValueError(f"sectors {sectors} outside 1..m-1 = 1..{self.m - 1}")
+        sigma = canonical_sectors(*(self.op("f", l) for l in sectors))
+        canon = [sigma[l] for l in sectors]
+        key = (build, *canon, repr(rest))  # repr keeps k = 0.5 apart from k = 1/2
+        if key not in self._reports:
+            self._reports[key] = build(self, *canon, *rest)
+        return _relabeled(self._reports[key], {v: l for l, v in sigma.items()})
+
+
+def _relabeled(x, inv: dict):
+    """A fresh copy of report x with the sectors under the keys l, l1, l2 and
+    sectors, and the [n] of each rendered generator, mapped by inv.  The
+    canonical renaming is monotone and fixes 0, so rendered orders hold."""
+    if isinstance(x, dict):
+        return {key: _relabeled(v, inv) if key not in ("l", "l1", "l2", "sectors")
+                else [inv[l] for l in v] if key == "sectors" else inv[v]
+                for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(_relabeled(v, inv) for v in x)
+    if isinstance(x, str):
+        return re.sub(r"\b(beta|gamma|b)\[(\d+)\]",
+                      lambda mo: f"{mo[1]}[{inv[int(mo[2])]}]", x)
+    return x
+
 
 def _gen(kind: str, sector: int, deriv: int = 0) -> FieldExpr:
     return FieldExpr.generator(kind, sector, deriv)
 
 
-def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
-    """The printed operators for all sectors of the given m."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    one = CoeffK.one()
+@functools.cache
+def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
+    """The operators and parts of f in sectors 0 and 1, built once per process
+    and configuration; ``build_operators`` hands out renamed copies."""
     s = CoeffK.s()
     k = CoeffK.k()
     alpha = CoeffK.alpha()  # 1/s
@@ -104,33 +138,42 @@ def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
     ops[("f", 0)] = cubic0 + dgamma0 + bgamma0
     f_parts[0] = {"cubic": cubic0, "dgamma": dgamma0, "bgamma": bgamma0}
 
-    exp_plus = FieldExpr.exponential(alpha)
+    # sector 1
     exp_minus = FieldExpr.exponential(CoeffK.zero() - alpha)
-    for l in range(1, m):
-        ops[("e", l)] = FieldExpr.generator("beta", l) * exp_plus
-        ops[("h", l)] = (
-            nested_product([FieldGen("beta", l), FieldGen("gamma", 0)], conventions)
-            .scale(CoeffK.from_int(-1))
-            + nested_product([FieldGen("beta", 0), FieldGen("gamma", l)], conventions)
-            .scale(CoeffK.from_int(-1))
-            + _gen("heis", l).scale(s * Fraction(1, 2))
-        )
-        t1 = nested_product(
-            [FieldGen("beta", 0), FieldGen("gamma", l), FieldGen("gamma", 0)],
-            conventions,
-        ).scale(CoeffK.from_int(-1)) * exp_minus
-        t2 = _gen("gamma", l, deriv=1).scale((k + CoeffK.from_int(2)) / k) * exp_minus
-        t3 = (
-            FieldExpr.generator("heis", l) * FieldExpr.generator("gamma", l)
-        ).scale(s * Fraction(1, 2)) * exp_minus
-        t4 = (FieldExpr.generator("heis", 0) * FieldExpr.generator("gamma", l)).scale(
-            alpha
-        )
-        ops[("f", l)] = t1 + t2 + t3 + t4
-        f_parts[l] = {"T1": t1, "T2": t2, "T3": t3, "T4": t4}
+    ops[("e", 1)] = FieldExpr.generator("beta", 1) * FieldExpr.exponential(alpha)
+    ops[("h", 1)] = (
+        nested_product([FieldGen("beta", 1), FieldGen("gamma", 0)], conventions)
+        .scale(CoeffK.from_int(-1))
+        + nested_product([FieldGen("beta", 0), FieldGen("gamma", 1)], conventions)
+        .scale(CoeffK.from_int(-1))
+        + _gen("heis", 1).scale(s * Fraction(1, 2))
+    )
+    t1 = nested_product(
+        [FieldGen("beta", 0), FieldGen("gamma", 1), FieldGen("gamma", 0)],
+        conventions,
+    ).scale(CoeffK.from_int(-1)) * exp_minus
+    t2 = _gen("gamma", 1, deriv=1).scale((k + CoeffK.from_int(2)) / k) * exp_minus
+    t3 = (
+        FieldExpr.generator("heis", 1) * FieldExpr.generator("gamma", 1)
+    ).scale(s * Fraction(1, 2)) * exp_minus
+    t4 = (FieldExpr.generator("heis", 0) * FieldExpr.generator("gamma", 1)).scale(alpha)
+    ops[("f", 1)] = t1 + t2 + t3 + t4
+    f_parts[1] = {"T1": t1, "T2": t2, "T3": t3, "T4": t4}
+    return ops, f_parts
 
-    return OperatorSet(m=m, conventions=conventions, operators=ops, alpha=alpha,
-                       f_parts=f_parts)
+
+def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
+    """The printed operators for all sectors of the given m: fresh copies of
+    the sector templates, with sector 1 renamed to each l >= 1."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    ops, parts = _sector_templates(conventions)  # {0: 0, 1: 0} copies sector 0
+    return OperatorSet(
+        m=m, conventions=conventions, alpha=CoeffK.alpha(),
+        operators={(name, l): ops[name, min(l, 1)].renamed({0: 0, 1: l})
+                   for l in range(m) for name in ("e", "h", "f")},
+        f_parts={l: {part: fe.renamed({0: 0, 1: l}) for part, fe in parts[min(l, 1)].items()}
+                 for l in range(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -284,46 +327,51 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
 
     Also checks sector orthogonality: the ghost part of h0 produces no pole
     against pure sector-l generators.  Failures are report entries carrying
-    the computed first-order pole and the exact defect.
+    the computed first-order pole and the exact defect.  Entries are made
+    once per sector orbit.
     """
-    conv = ops.conventions
-    h0 = ops.op("h", 0)
-    ghost_part = nested_product(
-        [FieldGen("beta", 0), FieldGen("gamma", 0)], conv
-    ).scale(CoeffK.from_int(-2))
-    report = {"m": ops.m, "conventions": asdict(conv), "entries": [], "ok": True}
-    two = CoeffK.from_int(2)
+    report = {"m": ops.m, "conventions": asdict(ops.conventions), "entries": [], "ok": True}
     for l in range(1, ops.m):
-        e_l, f_l = ops.op("e", l), ops.op("f", l)
-        ce = scalar_ratio(ops.ope(h0, e_l).zero_sector_pole(1), e_l)
-        pole1 = ops.ope(h0, f_l).zero_sector_pole(1)
-        cf = scalar_ratio(pole1, f_l)
-        charged_parts = (
-            ops.f_parts[l]["T1"] + ops.f_parts[l]["T2"] + ops.f_parts[l]["T3"]
-        )
-        entry = {
-            "l": l,
-            "e_charge": ce.render() if ce is not None else None,
-            "f_charge": cf.render() if cf is not None else None,
-            "e_ok": ce == two,
-            "f_ok": cf == CoeffK.from_int(-2),
-            "f_first_order_pole": pole1.render(),
-            "f_pole_equals_minus2_exponential_terms": pole1
-            == charged_parts.scale(CoeffK.from_int(-2)),
-            "f_zero_charge_term_dropped": (pole1 - charged_parts.scale(
-                CoeffK.from_int(-2))).is_zero()
-            and not ops.f_parts[l]["T4"].is_zero(),
-        }
-        # orthogonality of the h0 ghost bilinear against sector-l generators
-        orth = []
-        for kind in ("beta", "gamma", "heis"):
-            res = ops.ope(ghost_part, FieldExpr.generator(kind, l))
-            orth.append(res.is_trivial())
-        entry["ghost_part_orthogonal"] = all(orth)
+        entry = ops.orbit_report(_charge_entry, (l,))
         report["entries"].append(entry)
         if not (entry["e_ok"] and entry["f_ok"] and entry["ghost_part_orthogonal"]):
             report["ok"] = False
     return report
+
+
+def _charge_entry(ops: OperatorSet, l: int) -> dict:
+    h0 = ops.op("h", 0)
+    ghost_part = nested_product(
+        [FieldGen("beta", 0), FieldGen("gamma", 0)], ops.conventions
+    ).scale(CoeffK.from_int(-2))
+    two = CoeffK.from_int(2)
+    e_l, f_l = ops.op("e", l), ops.op("f", l)
+    ce = scalar_ratio(ops.ope(h0, e_l).zero_sector_pole(1), e_l)
+    pole1 = ops.ope(h0, f_l).zero_sector_pole(1)
+    cf = scalar_ratio(pole1, f_l)
+    charged_parts = (
+        ops.f_parts[l]["T1"] + ops.f_parts[l]["T2"] + ops.f_parts[l]["T3"]
+    )
+    entry = {
+        "l": l,
+        "e_charge": ce.render() if ce is not None else None,
+        "f_charge": cf.render() if cf is not None else None,
+        "e_ok": ce == two,
+        "f_ok": cf == CoeffK.from_int(-2),
+        "f_first_order_pole": pole1.render(),
+        "f_pole_equals_minus2_exponential_terms": pole1
+        == charged_parts.scale(CoeffK.from_int(-2)),
+        "f_zero_charge_term_dropped": (pole1 - charged_parts.scale(
+            CoeffK.from_int(-2))).is_zero()
+        and not ops.f_parts[l]["T4"].is_zero(),
+    }
+    # orthogonality of the h0 ghost bilinear against sector-l generators
+    orth = []
+    for kind in ("beta", "gamma", "heis"):
+        res = ops.ope(ghost_part, FieldExpr.generator(kind, l))
+        orth.append(res.is_trivial())
+    entry["ghost_part_orthogonal"] = all(orth)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +386,12 @@ def charge_residue_check(ops: OperatorSet, l: int) -> dict:
     the single exponential-bearing term reported in the worked example, and
     audits the ghost-degree combinatorics: every zero-exponential monomial
     of f^(l) with ghost charge -2 must contain one more gamma0 than beta0.
+    The report is made once per sector orbit.
     """
-    if not 1 <= l <= ops.m - 1:
-        raise ValueError("l out of range")
+    return ops.orbit_report(_charge_residue_report, (l,))
+
+
+def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
     conv = ops.conventions
     e0 = ops.op("e", 0)
     f_l = ops.op("f", l)
@@ -429,9 +480,14 @@ def branch_cut_check(
     records whether the zero-charge tail of f^(l2) contributes singular
     terms (the stated argument claims it does not; the computed result
     decides).  Classification is by ``is_laurent``, optionally at k = k_val.
+    The report is made once per sector orbit and k_val.
     """
-    if not (1 <= l1 <= ops.m - 1 and 1 <= l2 <= ops.m - 1):
-        raise ValueError("sectors must be >= 1")
+    return ops.orbit_report(_branch_cut_report, (l1, l2), k_val)
+
+
+def _branch_cut_report(
+    ops: OperatorSet, l1: int, l2: int, k_val: Optional[Fraction]
+) -> dict:
     conv = ops.conventions
     minus_alpha_sq = CoeffK.zero() - (CoeffK.one() / CoeffK.k())
     res = ops.ope(ops.op("e", l1), ops.op("f", l2), extra_orders=1)

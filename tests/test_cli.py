@@ -4,6 +4,7 @@ import json
 import pytest
 
 from secalg.cli import (
+    MAX_NESTING,
     Command,
     ParseError,
     emit_report,
@@ -13,6 +14,7 @@ from secalg.cli import (
     parse_ring_elem,
     run_command,
 )
+from secalg.coeffs import CoeffK
 from secalg.ope import ConventionConfig, FieldExpr
 from secalg.ring import RingParams
 from secalg.wakimoto import build_operators
@@ -156,8 +158,30 @@ def test_main_entry():
     ["rescaling", "--m", "3", "--r", "2", "--kmax", "-5"],
     ["bracket-audit", "--m", "3", "--r", "2", "--expbound", "-1"],
     ["critical-levels", "--mmax", "1"],
+    ["rescaling", "--m", "1", "--r", "2"],
+    ["rescaling", "--m", "0", "--r", "2"],
+    ["ope", "--m", "3", "--e", "beta[1]*exp(1/s,phi0)", "--f", "gamma[1]", "--k", "0"],
+    ["obstructions", "--m", "3", "--k", "0"],
+    ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(" * 300 + "t" + ")" * 300],
+    ["ope", "--m", "3", "--e", "exp(" + "-" * 2000 + "1/s,phi0)", "--f", "gamma[1]"],
+    ["ope", "--m", "3", "--e", "no(" * 300 + "beta[1]" + ")" * 300, "--f", "gamma[1]"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_parser_nesting_bound():
+    """MAX_NESTING wrappers around an atom parse; one more is a ParseError."""
+    n = MAX_NESTING
+    assert parse_coef("(" * n + "1" + ")" * n) == CoeffK.one()
+    assert parse_coef("-" * n + "1") == CoeffK.from_int((-1) ** n)
+    assert parse_field_expr("D(" * n + "beta[1]" + ",0)" * n, 2) == FieldExpr.generator("beta", 1)
+    n += 1
+    for deeper in ("(" * n + "1" + ")" * n, "-" * n + "1"):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+            parse_coef(deeper)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+        parse_field_expr("no(" * n + "beta[1]" + ")" * n, 2)

@@ -288,3 +288,72 @@ def test_branch_cut_check_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert all(got == want for got in results)
+
+
+def _direct(m):
+    """An operator set whose checks run ``wick_ope`` on each cell's own
+    operators, with no memo; the unmemoized report builders run on it at
+    the cell's own sector labels."""
+    ops = build_operators(m, CONV)
+    ops.ope = lambda E, Fx, extra_orders=0: wick_ope(E, Fx, CONV, extra_orders)
+    return ops
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_orbit_reports_match_direct_computation(m):
+    ops, direct = build_operators(m, CONV), _direct(m)  # ops is shared by all k
+    entries = verify_charge_relations(ops)["entries"]
+    assert entries == [wakimoto._charge_entry(direct, l) for l in range(1, m)]
+    for k_val in (None, F(1, 2), F(2, 3), F(-1)):
+        rep = obstruction_report(m, k_val)
+        for l in range(1, m):
+            want = wakimoto._charge_residue_report(direct, l)
+            assert charge_residue_check(ops, l) == want
+            assert rep.cells[(0, l)]["witness"] == {
+                "residue": want["residue_e0_fl"],
+                "exponential_momentum_witnesses": want["exponential_momentum_witnesses"],
+                "missing_terms": want["missing_terms"],
+            }
+            assert rep.cells[(l, 0)]["witness"] == {
+                "residue": want["residue_el_f0"],
+                "expected_worked_example": want["expected_el_f0"],
+                "matches_worked_example": want["el_f0_residue_matches_expected"],
+            }
+            assert [rep.cells[c]["status"] == "charge_residue_obstructed"
+                    for c in ((0, l), (l, 0))] == [want["residue_differs_from_h_l"],
+                                                   want["el_f0_residue_differs_from_h_l"]]
+            for l2 in range(1, m):
+                want = wakimoto._branch_cut_report(direct, l, l2, k_val)
+                assert branch_cut_check(ops, l, l2, k_val) == want
+                assert rep.cells[(l, l2)]["status"] == want["classification"]
+                assert rep.cells[(l, l2)]["witness"] == {
+                    key: want[key] for key in
+                    ("epsilon_values", "zero_charge_tail_singular_terms", "leading")
+                }
+    # an equal level of another type is another report: its "k" reads as given
+    assert branch_cut_check(ops, 1, 1, 0.5)["k"] == "0.5"
+
+
+def test_returned_reports_do_not_alter_the_memo():
+    ops = build_operators(5, CONV)
+    for check in (lambda: branch_cut_check(ops, 2, 4, F(1, 2)),
+                  lambda: charge_residue_check(ops, 3),
+                  lambda: verify_charge_relations(ops),
+                  lambda: obstruction_report(4).to_json_dict()):
+        first = check()
+        want = copy.deepcopy(first)
+        stack = [first]
+        while stack:  # empty every container of the returned report
+            x = stack.pop()
+            if isinstance(x, (dict, list)):
+                stack.extend(x.values() if isinstance(x, dict) else x)
+                x.clear()
+        assert check() == want
+
+    def fields(ops):
+        return [*ops.operators.values(), *(f for p in ops.f_parts.values() for f in p.values())]
+
+    want = [fe.render() for fe in fields(build_operators(4, CONV))]
+    for fe in fields(build_operators(4, CONV)):
+        fe.terms.clear()
+    assert [fe.render() for fe in fields(build_operators(4, CONV))] == want
