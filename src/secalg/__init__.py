@@ -6,7 +6,7 @@ products, entirely in exact rational-function arithmetic, and mechanically
 confirms or flags each identity it checks.
 """
 
-from .coeffs import CoeffK, PolyC, Rat, field_ops, is_integer_constant, specialize
+from .coeffs import CoeffK, PolyC, field_ops, is_integer_constant, specialize
 from .families import FamilySpec, FamilyTable, eval_family, family_table, rescaling_check
 from .kahler import (
     DiffClass,
@@ -21,7 +21,6 @@ from .kahler import (
 )
 from .ope import (
     ConventionConfig,
-    ExpFactor,
     FieldExpr,
     FieldGen,
     NOMono,
@@ -30,7 +29,6 @@ from .ope import (
     contract_exp,
     contract_pair,
     is_laurent,
-    merge_exponentials,
     taylor_shift,
     wick_ope,
 )

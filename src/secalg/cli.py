@@ -336,21 +336,6 @@ def parse_field_expr(src: str, m: int) -> FieldExpr:
 # Commands
 # ---------------------------------------------------------------------------
 
-COMMANDS = (
-    "families",
-    "rescaling",
-    "kahler-reduce",
-    "dim",
-    "bracket",
-    "bracket-audit",
-    "ope",
-    "charges",
-    "obstructions",
-    "critical-levels",
-    "calibrate",
-)
-
-
 @dataclass
 class Command:
     name: str

@@ -40,8 +40,6 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-Rat = Fraction  # arbitrary-precision rational: gcd-reduced, positive denominator
-
 
 class SpecializationError(ValueError):
     """Raised when a substitution would leave the rational field."""

@@ -135,9 +135,7 @@ def sector_recurrence_value(m: int, r: int, l: int, j: int, k: int) -> PolyC:
     return _walk(_initial_values(r, j), k, r, _sector_triple(m, r, l))
 
 
-def rescaling_check(
-    m: int, r: int, l_range=None, j_range=None, k_max: int = 20
-) -> list[dict]:
+def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
     """Exact equality of the sector-l recurrence and the m' = m/l family.
 
     Returns one report entry per (l, j, k); failures are entries, not errors.
@@ -147,13 +145,9 @@ def rescaling_check(
         raise ValueError(f"k_max {k_max} below -2r = {-2 * r}")
     if m < 2:
         raise ValueError(f"m {m} below 2: there is no sector to check")
-    if l_range is None:
-        l_range = range(1, m)
-    if j_range is None:
-        j_range = range(1, 2 * r + 1)
     out = []
-    for l in l_range:
-        for j in j_range:
+    for l in range(1, m):
+        for j in range(1, 2 * r + 1):
             spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
             triple = _sector_triple(m, r, l)
             sector = _initial_values(r, j)

@@ -372,17 +372,9 @@ def ring_table(params: RingParams) -> ReductionTable:
         return table
 
 
-def reduce_oracle(f: DiffForm, window: Optional[ReductionWindow] = None) -> DiffClass:
-    """Reduce the class of f to the basis by exact elimination.
-
-    A given ``window`` must cover the input exponents with one to spare on
-    each side, else ``WindowError``; the class does not depend on it.
-    """
-    terms = eliminate_du(f)
-    exps = [n - 1 for (n, _l, _v) in terms]
-    if window is not None and exps and (window.lo > min(exps) - 1 or window.hi < max(exps) + 1):
-        raise WindowError("window does not cover the input exponents")
-    return ring_table(f.params).reduce_terms(terms)
+def reduce_oracle(f: DiffForm) -> DiffClass:
+    """Reduce the class of f to the basis by exact elimination."""
+    return ring_table(f.params).reduce_terms(eliminate_du(f))
 
 
 def reduce_monomial_class(params: RingParams, t_exp: int, sector: int) -> DiffClass:

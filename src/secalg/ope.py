@@ -3,7 +3,8 @@
 Fields: one bosonic beta/gamma ghost pair and one Heisenberg field b per
 sector, plus a single sector-0 exponential exp(a*phi0) carrying momentum a
 (phi0 is the scalar with b0 = 2*d(phi0)).  A normally ordered monomial is a
-coefficient, a canonically sorted factor list, and one momentum.
+coefficient, a canonically sorted factor list, and one momentum (a
+``CoeffK``; momentum 0 means no exponential).
 
 Contraction rules (z first, w second):
 
@@ -11,7 +12,7 @@ Contraction rules (z first, w second):
     gamma_l(z) beta_l(w)    ->  sigma_rev/(z-w)        (convention parameter)
     b_l(z)     b_l(w)       ->  2/(z-w)^2
     b_0(z or w) vs exp(a*phi0) at the other point -> 2a/(z-w), exp survives
-    exp(a, z) exp(b, w)     ->  (z-w)^(a*b) * merged exponential at w
+    exp(a, z) exp(b, w)     ->  (z-w)^(a*b) * exp(a+b) at w
 
 Derivatives dress propagators with the exact d/dz, d/dw factors.  A nested
 normal ordering written :(AB)C: differs from the flat Fock ordering by
@@ -84,16 +85,6 @@ class FieldGen:
         name = {"beta": "beta", "gamma": "gamma", "heis": "b"}[self.kind]
         body = f"{name}[{self.sector}]"
         return body if self.deriv == 0 else f"D({body},{self.deriv})"
-
-
-@dataclass(frozen=True)
-class ExpFactor:
-    """Sector-0 exponential with the given momentum; momentum 0 means absent."""
-
-    momentum: CoeffK
-
-    def is_absent(self) -> bool:
-        return self.momentum.is_zero()
 
 
 class NOMono:
@@ -364,23 +355,19 @@ def contract_pair(a: FieldGen, b: FieldGen, conv: ConventionConfig):
     return order, coef
 
 
-def contract_exp(g: FieldGen, e: ExpFactor, heis_at: str = "z"):
-    """Sector-0 Heisenberg against the exponential: 2a/(z-w), either order.
+def contract_exp(g: FieldGen, momentum: CoeffK, heis_at: str = "z"):
+    """Sector-0 Heisenberg against exp(momentum*phi0): 2a/(z-w), either order.
 
     The exponential survives the contraction (it is an eigen-operator of the
-    Heisenberg current); only the b-generator is consumed.
+    Heisenberg current); only the b-generator is consumed.  Momentum 0 means
+    there is no exponential.
     """
-    if g.kind != "heis" or g.sector != 0 or e.is_absent():
+    if g.kind != "heis" or g.sector != 0 or momentum.is_zero():
         return None
-    two_a = CoeffK.from_int(2) * e.momentum
+    two_a = CoeffK.from_int(2) * momentum
     if heis_at == "z":
         return _dress(1, two_a, g.deriv, 0)
     return _dress(1, two_a, 0, g.deriv)
-
-
-def merge_exponentials(e1: ExpFactor, e2: ExpFactor) -> tuple[CoeffK, ExpFactor]:
-    """Exponent contribution a*b and the merged exponential at w."""
-    return e1.momentum * e2.momentum, ExpFactor(e1.momentum + e2.momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +505,6 @@ class OPEResult:
         for k in [k for k, sec in self.sectors.items() if not sec.poles]:
             del self.sectors[k]
 
-    def renamed(self, sigma: dict) -> "OPEResult":
-        """A fresh result with every field's sectors renamed by sigma."""
-        return OPEResult(
-            OPESector(sec.epsilon, {d: fe.renamed(sigma) for d, fe in sec.poles.items()})
-            for sec in self.sectors.values()
-        )
-
     def sector_list(self) -> list[OPESector]:
         return [self.sectors[k] for k in sorted(self.sectors, key=repr)]
 
@@ -600,7 +580,7 @@ def wick_ope(
     for mE in E.terms.values():
         for mF in F.terms.values():
             a, b = mE.momentum, mF.momentum
-            eps, merged = merge_exponentials(ExpFactor(a), ExpFactor(b))
+            eps = a * b  # the prefactor (z-w)^(a*b)
             zf = list(mE.factors)
             wf = list(mF.factors)
 
@@ -612,13 +592,13 @@ def wick_ope(
                     pr = contract_pair(g, h, conv)
                     if pr is not None:
                         opts.append(("w", jdx, pr))
-                pe = contract_exp(g, ExpFactor(b), heis_at="z")
+                pe = contract_exp(g, b, heis_at="z")
                 if pe is not None:
                     opts.append(("exp", None, pe))
                 z_opts.append(opts)
 
             w_exp_candidates = [
-                (jdx, contract_exp(h, ExpFactor(a), heis_at="w"))
+                (jdx, contract_exp(h, a, heis_at="w"))
                 for jdx, h in enumerate(wf)
             ]
             w_exp_candidates = [(j, pr) for j, pr in w_exp_candidates if pr is not None]

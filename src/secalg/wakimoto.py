@@ -41,7 +41,6 @@ from .ope import (
     FieldExpr,
     FieldGen,
     NOMono,
-    OPEResult,
     canonical_sectors,
     is_laurent,
     nested_product,
@@ -63,23 +62,10 @@ class OperatorSet:
     operators: dict  # (name, sector) -> FieldExpr
     alpha: CoeffK
     f_parts: dict  # sector -> {part name -> FieldExpr}, for witness reports
-    _opes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, name: str, sector: int) -> FieldExpr:
         return self.operators[(name, sector)]
-
-    def ope(self, E: FieldExpr, F: FieldExpr, extra_orders: int = 0) -> OPEResult:
-        """``wick_ope`` under these conventions, expanded once per pair of
-        ``canonical_sectors`` in this set; each call gets a fresh copy
-        renamed back to its own sectors.
-        """
-        sigma = canonical_sectors(E, F)
-        key = (E.renamed(sigma), F.renamed(sigma), self.conventions, extra_orders)
-        res = self._opes.get(key)
-        if res is None:
-            res = self._opes[key] = wick_ope(*key)
-        return res.renamed({v: l for l, v in sigma.items()})
 
     def orbit_report(self, build, sectors: tuple, *rest) -> dict:
         """``build(self, *sectors, *rest)`` made once per orbit of the sectors
@@ -105,7 +91,7 @@ def _relabeled(x, inv: dict):
                 for key, v in x.items()}
     if isinstance(x, (list, tuple)):
         return type(x)(_relabeled(v, inv) for v in x)
-    if isinstance(x, str):
+    if isinstance(x, str) and "[" in x:
         return re.sub(r"\b(beta|gamma|b)\[(\d+)\]",
                       lambda mo: f"{mo[1]}[{inv[int(mo[2])]}]", x)
     return x
@@ -340,14 +326,15 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
 
 
 def _charge_entry(ops: OperatorSet, l: int) -> dict:
+    conv = ops.conventions
     h0 = ops.op("h", 0)
     ghost_part = nested_product(
-        [FieldGen("beta", 0), FieldGen("gamma", 0)], ops.conventions
+        [FieldGen("beta", 0), FieldGen("gamma", 0)], conv
     ).scale(CoeffK.from_int(-2))
     two = CoeffK.from_int(2)
     e_l, f_l = ops.op("e", l), ops.op("f", l)
-    ce = scalar_ratio(ops.ope(h0, e_l).zero_sector_pole(1), e_l)
-    pole1 = ops.ope(h0, f_l).zero_sector_pole(1)
+    ce = scalar_ratio(wick_ope(h0, e_l, conv).zero_sector_pole(1), e_l)
+    pole1 = wick_ope(h0, f_l, conv).zero_sector_pole(1)
     cf = scalar_ratio(pole1, f_l)
     charged_parts = (
         ops.f_parts[l]["T1"] + ops.f_parts[l]["T2"] + ops.f_parts[l]["T3"]
@@ -368,7 +355,7 @@ def _charge_entry(ops: OperatorSet, l: int) -> dict:
     # orthogonality of the h0 ghost bilinear against sector-l generators
     orth = []
     for kind in ("beta", "gamma", "heis"):
-        res = ops.ope(ghost_part, FieldExpr.generator(kind, l))
+        res = wick_ope(ghost_part, FieldExpr.generator(kind, l), conv)
         orth.append(res.is_trivial())
     entry["ghost_part_orthogonal"] = all(orth)
     return entry
@@ -397,7 +384,7 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
     f_l = ops.op("f", l)
     h_l = ops.op("h", l)
 
-    res_0l = ops.ope(e0, f_l)
+    res_0l = wick_ope(e0, f_l, conv)
     residue_0l = res_0l.zero_sector_pole(1)
     exp_witnesses = [
         mo.render() for mo in residue_0l.monomials() if not mo.momentum.is_zero()
@@ -417,7 +404,7 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
             missing.append(name)
 
     # reversed pair: e^(l)(z) f0(w)
-    res_l0 = ops.ope(ops.op("e", l), ops.op("f", 0))
+    res_l0 = wick_ope(ops.op("e", l), ops.op("f", 0), conv)
     residue_l0 = res_l0.zero_sector_pole(1)
     expected_l0 = (
         FieldExpr.generator("beta", l)
@@ -490,7 +477,7 @@ def _branch_cut_report(
 ) -> dict:
     conv = ops.conventions
     minus_alpha_sq = CoeffK.zero() - (CoeffK.one() / CoeffK.k())
-    res = ops.ope(ops.op("e", l1), ops.op("f", l2), extra_orders=1)
+    res = wick_ope(ops.op("e", l1), ops.op("f", l2), conv, extra_orders=1)
 
     eps_values = [sec.epsilon for sec in res.sector_list()]
     frac = [e for e in eps_values if not e.is_zero()]

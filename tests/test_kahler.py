@@ -114,12 +114,6 @@ def test_basis_dims():
     assert basis_dim(RingParams(3, 3)) == 13
 
 
-def test_window_invariant_checked():
-    with pytest.raises(Exception):
-        reduce_oracle(dt_form(P32, mono(P32, 1, 40, 1)),
-                      ReductionWindow(-5, 5))
-
-
 def test_stated_recurrence_vs_oracle():
     """Theorem check: the stated three-term recurrence coefficients
     (mn, 2c(mn+rl), mn+2rl) annihilate oracle classes only at n = 0; the

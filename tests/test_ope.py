@@ -9,7 +9,6 @@ from secalg.coeffs import CoeffK
 from secalg.ope import (
     ALL_CONFIGS,
     ConventionConfig,
-    ExpFactor,
     FieldExpr,
     FieldGen,
     NOMono,
@@ -17,12 +16,10 @@ from secalg.ope import (
     contract_exp,
     contract_pair,
     is_laurent,
-    merge_exponentials,
     nested_product,
     taylor_shift,
     wick_ope,
 )
-from secalg.wakimoto import build_operators
 
 CONV = ConventionConfig(sigma_rev=-1, nesting="right")
 ALPHA = CoeffK.alpha()
@@ -47,23 +44,25 @@ def test_contract_pair_examples():
 
 
 def test_contract_exp_examples():
-    e = ExpFactor(ALPHA)
-    assert contract_exp(gen("heis", 0), e, "z") == (1, CoeffK.from_int(2) * ALPHA)
-    assert contract_exp(gen("heis", 0), e, "w") == (1, CoeffK.from_int(2) * ALPHA)
-    assert contract_exp(gen("heis", 1), e, "z") is None
-    assert contract_exp(gen("beta", 0), e, "z") is None
-    assert contract_exp(gen("heis", 0), ExpFactor(CoeffK.zero()), "z") is None
+    assert contract_exp(gen("heis", 0), ALPHA, "z") == (1, CoeffK.from_int(2) * ALPHA)
+    assert contract_exp(gen("heis", 0), ALPHA, "w") == (1, CoeffK.from_int(2) * ALPHA)
+    assert contract_exp(gen("heis", 1), ALPHA, "z") is None
+    assert contract_exp(gen("beta", 0), ALPHA, "z") is None
+    assert contract_exp(gen("heis", 0), CoeffK.zero(), "z") is None
 
 
-def test_merge_exponentials_examples():
-    minus_alpha_sq = CoeffK.zero() - CoeffK.one() / CoeffK.k()
-    expo, merged = merge_exponentials(ExpFactor(ALPHA), ExpFactor(CoeffK.zero() - ALPHA))
-    assert expo == minus_alpha_sq and merged.momentum.is_zero()
-    expo, merged = merge_exponentials(ExpFactor(ALPHA), ExpFactor(CoeffK.zero()))
-    assert expo.is_zero()
-    expo, merged = merge_exponentials(ExpFactor(ALPHA), ExpFactor(ALPHA))
-    assert expo == CoeffK.one() / CoeffK.k()
-    assert merged.momentum == CoeffK.from_int(2) * ALPHA
+@pytest.mark.parametrize("b, eps", [
+    pytest.param(CoeffK.zero() - ALPHA, CoeffK.zero() - CoeffK.one() / CoeffK.k(),
+                 id="minus_alpha"),
+    pytest.param(CoeffK.zero(), CoeffK.zero(), id="zero"),
+    pytest.param(ALPHA, CoeffK.one() / CoeffK.k(), id="alpha"),
+])
+def test_wick_exponential_pair(b, eps):
+    """exp(a, z) exp(b, w) = (z-w)^(a*b) exp(a+b, w), with no pole beyond it."""
+    res = wick_ope(FieldExpr.exponential(ALPHA), FieldExpr.exponential(b), CONV,
+                   extra_orders=1)
+    assert res.single().epsilon == eps == ALPHA * b
+    assert res.single().poles == {0: FieldExpr.exponential(ALPHA + b)}
 
 
 def test_taylor_shift_examples():
@@ -266,9 +265,11 @@ def _sectors(fe_):
     return {g.sector for mo in fe_.terms.values() for g in mo.factors}
 
 
-def _poles(res):
-    """Every nonzero (epsilon, order) coefficient, for exact comparison."""
-    return {(k, d): fld for k, sec in res.sectors.items() for d, fld in sec.poles.items()}
+def _poles(res, sigma=None):
+    """Every nonzero (epsilon, order) coefficient, for exact comparison; with
+    sigma, each field renamed by it."""
+    return {(k, d): fld if sigma is None else fld.renamed(sigma)
+            for k, sec in res.sectors.items() for d, fld in sec.poles.items()}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -277,15 +278,6 @@ def test_wick_commutes_with_sector_renaming(E, Fx, sigma):
     sE, sF = E.renamed(sigma), Fx.renamed(sigma)
     assert _sectors(sE) == {sigma[l] for l in _sectors(E)}
     for conv in ALL_CONFIGS:
-        ops = build_operators(2, conv)
         for extra in (0, 1):
             want = wick_ope(E, Fx, conv, extra)
-            assert _poles(wick_ope(sE, sF, conv, extra)) == _poles(want.renamed(sigma))
-            # the per-operator-set memo: a miss, a renamed hit, and a hit after
-            # a caller mutated the result it was handed
-            got = ops.ope(E, Fx, extra)
-            assert _poles(got) == _poles(want)
-            assert _poles(ops.ope(sE, sF, extra)) == _poles(want.renamed(sigma))
-            for sec in got.sectors.values():
-                sec.poles.clear()
-            assert _poles(ops.ope(E, Fx, extra)) == _poles(want)
+            assert _poles(wick_ope(sE, sF, conv, extra)) == _poles(want, sigma)

@@ -291,12 +291,9 @@ def test_branch_cut_check_shared_across_threads():
 
 
 def _direct(m):
-    """An operator set whose checks run ``wick_ope`` on each cell's own
-    operators, with no memo; the unmemoized report builders run on it at
-    the cell's own sector labels."""
-    ops = build_operators(m, CONV)
-    ops.ope = lambda E, Fx, extra_orders=0: wick_ope(E, Fx, CONV, extra_orders)
-    return ops
+    """An operator set for the unmemoized report builders, run on it at the
+    cell's own sector labels."""
+    return build_operators(m, CONV)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
