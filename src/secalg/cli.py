@@ -18,6 +18,7 @@ Grammar (shared tokens; byte offsets reported on error):
                    item := coefficient | gen | "no(" term ")"
                    | "exp(" coef "," "phi0" ")" | "D(" factor "," int ")",
                    gen := ("beta"|"gamma"|"b") "[" int "]"
+    --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ Taylor-shifts surviving z-factors to w to the order needed for every kept
 singular coefficient, and returns a generalized Laurent result: finitely
 many sectors, each a fractional prefactor exponent epsilon with an integer
 pole-order map (coefficient of (z-w)^(epsilon - d) at order d).  Ordinary
-OPEs have the single sector epsilon = 0.
+OPEs have the single sector epsilon = 0.  A Taylor shift is
+A(z) = sum_n (z-w)^n/n! * d^n A(w), with every d^n/n! taken through
+``FieldExpr.derivative``, the one place that knows the derivative rule.
 
 Everything is immutable and pure; conventions are explicit arguments.
 """
@@ -39,6 +41,7 @@ from typing import Iterable, Optional
 from .coeffs import CoeffK, is_integer_constant, specialize
 
 KINDS = ("beta", "gamma", "heis")
+MAX_EXTRA_ORDERS = 20  # wick_ope refuses more orders below the poles than this
 _KIND_RANK = {"beta": 0, "gamma": 1, "heis": 2}
 
 
@@ -286,33 +289,10 @@ def nested_product(factors: list[FieldGen], conv: ConventionConfig) -> FieldExpr
                     continue
                 q, coef = pr
                 others = mo.factors[:idx] + mo.factors[idx + 1 :]
-                if q > 0:
-                    for derived, dcoef in _taylor_coeff_of_product(others, q):
-                        flat.append(
-                            NOMono(mo.coef * coef * dcoef, derived, mo.momentum)
-                        )
+                shifted = taylor_shift(NOMono(mo.coef * coef, others, mo.momentum), q)
+                flat.extend(shifted[q].terms.values())
         acc = FieldExpr(flat)
     return acc
-
-
-def _taylor_coeff_of_product(
-    factors: tuple, n: int
-) -> list[tuple[tuple, Fraction]]:
-    """Distributions of n derivatives over the factors with 1/n_i! weights."""
-    if n == 0:
-        return [(factors, Fraction(1))]
-    if not factors:
-        return []
-    out = []
-    head, tail = factors[0], factors[1:]
-    fact = 1
-    for n_head in range(n + 1):
-        if n_head:
-            fact *= n_head
-        bumped = FieldGen(head.kind, head.sector, head.deriv + n_head)
-        for rest, coef in _taylor_coeff_of_product(tail, n - n_head):
-            out.append(((bumped,) + rest, coef * Fraction(1, fact)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,87 +355,19 @@ def contract_exp(g: FieldGen, momentum: CoeffK, heis_at: str = "z"):
 # ---------------------------------------------------------------------------
 
 
-def _factor_shift(g: FieldGen, max_order: int) -> list[tuple[int, FieldGen, Fraction]]:
-    """g(z) = sum_n (z-w)^n/n! * d^n g(w)."""
-    out = []
-    fact = 1
-    for n in range(max_order + 1):
-        if n:
-            fact *= n
-        out.append((n, FieldGen(g.kind, g.sector, g.deriv + n), Fraction(1, fact)))
-    return out
-
-
-def _exp_corrections(momentum: CoeffK, max_order: int) -> list[tuple[int, tuple, CoeffK]]:
-    """Re-expansion corrections of :exp(a phi0(z)): around w.
-
-    Returns (n, extra_factors, coef) with the momentum itself handled by the
-    caller (it moves to w).  Corrections are products of derivative fields
-    d^p phi0 = (1/2) d^(p-1) b0, one term per multiset of positive parts.
-    """
-    out: list[tuple[int, tuple, CoeffK]] = [(0, (), CoeffK.one())]
-    if momentum.is_zero() or max_order == 0:
-        return out
-
-    def parts_of(n: int, max_part: int):
-        if n == 0:
-            yield []
-            return
-        for p in range(min(n, max_part), 0, -1):
-            for rest in parts_of(n - p, p):
-                yield [p] + rest
-
-    for n in range(1, max_order + 1):
-        for partition in parts_of(n, n):
-            coef = CoeffK.one()
-            factors = []
-            counts: dict[int, int] = {}
-            for p in partition:
-                counts[p] = counts.get(p, 0) + 1
-            for p, mult in counts.items():
-                fact_p = 1
-                for i in range(2, p + 1):
-                    fact_p *= i
-                single = momentum * Fraction(1, 2 * fact_p)
-                term = CoeffK.one()
-                for _ in range(mult):
-                    term = term * single
-                denom = 1
-                for i in range(2, mult + 1):
-                    denom *= i
-                coef = coef * term * Fraction(1, denom)
-                factors.extend([FieldGen("heis", 0, p - 1)] * mult)
-            out.append((n, tuple(factors), coef))
-    return out
-
-
 def taylor_shift(mono: NOMono, order: int) -> dict[int, FieldExpr]:
     """Re-expand a z-located monomial at w, graded by the displacement power.
 
-    Returns {n: coefficient of (z-w)^n}, n = 0..order.
+    Returns {n: d^n(mono)/n!}, the coefficient of (z-w)^n, for n = 0..order.
+    Each step is one ``FieldExpr.derivative``, so the exponential's
+    corrections come from its rule d exp(a phi0) = (a/2) b0 exp.
     """
     if order < 0:
         raise ValueError("Taylor order must be non-negative")
-    graded: dict[int, list[NOMono]] = {n: [] for n in range(order + 1)}
-    factor_options = [_factor_shift(g, order) for g in mono.factors]
-    exp_options = _exp_corrections(mono.momentum, order)
-    for combo in itertools.product(*factor_options):
-        n_f = sum(n for n, _g, _c in combo)
-        if n_f > order:
-            continue
-        coef_f = mono.coef
-        gens = []
-        for n, g, cfrac in combo:
-            coef_f = coef_f * cfrac
-            gens.append(g)
-        for n_e, extra, coef_e in exp_options:
-            n = n_f + n_e
-            if n > order:
-                continue
-            graded[n].append(
-                NOMono(coef_f * coef_e, tuple(gens) + tuple(extra), mono.momentum)
-            )
-    return {n: FieldExpr(monos) for n, monos in graded.items()}
+    shifted = {0: FieldExpr([mono])}
+    for n in range(1, order + 1):
+        shifted[n] = shifted[n - 1].derivative().scale(CoeffK.from_rat(Fraction(1, n)))
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +400,17 @@ class OPEResult:
     """
 
     def __init__(self, sectors: Iterable[OPESector] = ()):
+        """One sector per epsilon; zero poles and empty sectors are dropped."""
         self.sectors: dict = {}
+        seen = set()
         for sec in sectors:
-            poles = {d: fe for d, fe in sec.poles.items() if not fe.is_zero()}
-            if not poles:
-                continue
             k = sec.epsilon.key()
-            if k in self.sectors:
-                merged = self.sectors[k].poles
-                for d, fe in poles.items():
-                    merged[d] = merged.get(d, FieldExpr.zero()) + fe
-                    if merged[d].is_zero():
-                        del merged[d]
-            else:
-                self.sectors[k] = OPESector(sec.epsilon, dict(poles))
-        for k in [k for k, sec in self.sectors.items() if not sec.poles]:
-            del self.sectors[k]
+            if k in seen:
+                raise ValueError(f"two sectors with epsilon {sec.epsilon.render()}")
+            seen.add(k)
+            poles = {d: fe for d, fe in sec.poles.items() if not fe.is_zero()}
+            if poles:
+                self.sectors[k] = OPESector(sec.epsilon, poles)
 
     def sector_list(self) -> list[OPESector]:
         return [self.sectors[k] for k in sorted(self.sectors, key=repr)]
@@ -563,24 +470,21 @@ def wick_ope(
     exponentials have unlimited contraction capacity and always survive).
     Surviving z-content is Taylor-shifted to w so that every kept order is
     exact.  Orders d >= 1 - extra_orders are kept per sector; the default
-    keeps exactly the singular orders.
+    keeps exactly the singular orders, and extra_orders above
+    ``MAX_EXTRA_ORDERS`` is refused.
     """
     if extra_orders < 0:
         raise ValueError("extra_orders must be non-negative")
-    sectors: dict = {}
-
-    def emit(eps: CoeffK, d: int, monos: list[NOMono]):
-        k = eps.key()
-        sec = sectors.get(k)
-        if sec is None:
-            sec = sectors[k] = OPESector(eps, {})
-        sec.poles[d] = sec.poles.get(d, FieldExpr.zero()) + FieldExpr(monos)
-
+    if extra_orders > MAX_EXTRA_ORDERS:
+        raise ValueError(f"extra_orders {extra_orders} above the bound {MAX_EXTRA_ORDERS}")
+    sectors: dict = {}  # epsilon key -> (epsilon, {d: monomials of that pole})
     d_min = 1 - extra_orders
     for mE in E.terms.values():
         for mF in F.terms.values():
             a, b = mE.momentum, mF.momentum
             eps = a * b  # the prefactor (z-w)^(a*b)
+            poles = sectors.setdefault(eps.key(), (eps, {}))[1]
+            merged = a + b  # the momentum at w
             zf = list(mE.factors)
             wf = list(mF.factors)
 
@@ -640,22 +544,17 @@ def wick_ope(
                     n_max = D - d_min
                     if n_max < 0:
                         continue
-                    surv_w = [h for jdx, h in enumerate(wf) if jdx not in used2]
-                    shifted = taylor_shift(
-                        NOMono(coef, surv_z, a), n_max
-                    )
-                    for n, fe in shifted.items():
-                        d = D - n
-                        if d < d_min:
-                            continue
-                        monos = [
-                            NOMono(mo.coef, mo.factors + tuple(surv_w), mo.momentum + b)
+                    surv_w = tuple(h for jdx, h in enumerate(wf) if jdx not in used2)
+                    for n, fe in taylor_shift(NOMono(coef, surv_z, a), n_max).items():
+                        poles.setdefault(D - n, []).extend(
+                            NOMono(mo.coef, mo.factors + surv_w, merged)
                             for mo in fe.terms.values()
-                        ]
-                        if monos:
-                            emit(eps, d, monos)
+                        )
 
-    return OPEResult(sectors.values())
+    return OPEResult(
+        OPESector(eps, {d: FieldExpr(monos) for d, monos in poles.items()})
+        for eps, poles in sectors.values()
+    )
 
 
 # ---------------------------------------------------------------------------

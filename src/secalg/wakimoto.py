@@ -42,6 +42,7 @@ from .ope import (
     FieldGen,
     NOMono,
     canonical_sectors,
+    charge_of,
     is_laurent,
     nested_product,
     scalar_ratio,
@@ -333,7 +334,7 @@ def _charge_entry(ops: OperatorSet, l: int) -> dict:
     ).scale(CoeffK.from_int(-2))
     two = CoeffK.from_int(2)
     e_l, f_l = ops.op("e", l), ops.op("f", l)
-    ce = scalar_ratio(wick_ope(h0, e_l, conv).zero_sector_pole(1), e_l)
+    ce = charge_of(h0, e_l, conv)
     pole1 = wick_ope(h0, f_l, conv).zero_sector_pole(1)
     cf = scalar_ratio(pole1, f_l)
     charged_parts = (

@@ -152,6 +152,10 @@ def test_main_entry():
     ["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "k*u", "--y", "f", "--b", "t^2*u"],
     ["kahler-reduce", "--m", "2", "--r", "2", "--dt", "c^1000000000*t^-1"],
     ["ope", "--m", "2", "--e", "beta[0]", "--f", "gamma[0]", "--extra-orders", "-1"],
+    # refused before any expansion: neither value is ever run
+    ["ope", "--m", "2", "--e", "beta[0]", "--f", "gamma[0]", "--extra-orders", "21"],
+    ["ope", "--m", "3", "--e", "exp(1/s,phi0)", "--f", "exp(1/s,phi0)",
+     "--extra-orders", "100000000"],
     ["families", "--m", "3", "--r", "2", "--j", "1", "--l", "0"],
     ["families", "--m", "3", "--r", "2", "--j", "1", "--l", "5"],
     ["families", "--m", "3", "--r", "2", "--j", "1", "--kmax", "-5"],

@@ -76,6 +76,39 @@ def test_taylor_shift_examples():
     assert sh[2] == fe("gamma", 0, 2).scale(CoeffK.from_rat(F(1, 2)))
 
 
+def test_taylor_shift_repeated_factor():
+    sh = taylor_shift(NOMono(CoeffK.one(), [gen("beta", 1), gen("beta", 1)]), 2)
+    assert sh[2] == fe("beta", 1, 1) * fe("beta", 1, 1) + fe("beta", 1) * fe("beta", 1, 2)
+
+
+def test_taylor_shift_exponential_matches_sympy_series():
+    """exp(a phi0(z)) = exp(a sum_p (z-w)^p/p! d^p phi0(w)) exp(a phi0(w)).
+
+    sympy expands the series in x = z-w with y_p standing for d^p phi0 =
+    (1/2) D(b[0], p-1); every coefficient must match the Taylor shift.
+    """
+    sp = pytest.importorskip("sympy")
+    order = 6
+    x, A = sp.symbols("x A")
+    ys = sp.symbols(f"y1:{order + 1}")
+    series = sp.exp(A * sum(y * x**p / sp.factorial(p) for p, y in enumerate(ys, 1)))
+    series = sp.expand(sp.series(series, x, 0, order + 1).removeO())
+    a = CoeffK.from_rat(F(3, 2)) / CoeffK.s() + CoeffK.c()
+    shifted = taylor_shift(NOMono(CoeffK.one(), [], a), order)
+    for n in range(order + 1):
+        monos = []
+        for powers, q in sp.Poly(series.coeff(x, n), A, *ys).terms():
+            coef = CoeffK.from_rat(F(int(q.p), int(q.q)))
+            for _ in range(powers[0]):
+                coef = coef * a
+            factors = []
+            for p, e in enumerate(powers[1:], 1):
+                coef = coef * CoeffK.from_rat(F(1, 2**e))
+                factors += [gen("heis", 0, p - 1)] * e
+            monos.append(NOMono(coef, factors, a))
+        assert shifted[n] == FieldExpr(monos), n
+
+
 def test_wick_basic_and_sector_locality():
     res = wick_ope(fe("beta", 0), fe("gamma", 0), CONV)
     sec = res.single()
@@ -228,6 +261,14 @@ def test_is_laurent_cases():
     assert is_laurent(res, F(-1)) == ("regular",)
     plain = OPEResult([OPESector(CoeffK.zero(), {1: FieldExpr.const(CoeffK.one())})])
     assert is_laurent(plain) == ("laurent",)
+
+
+def test_ope_result_refuses_repeated_epsilon():
+    from secalg.ope import OPEResult, OPESector
+
+    one = {1: FieldExpr.const(CoeffK.one())}
+    with pytest.raises(ValueError, match="two sectors"):
+        OPEResult([OPESector(CoeffK.zero(), one), OPESector(CoeffK.zero(), one)])
 
 
 def test_sector_locality():

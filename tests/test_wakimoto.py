@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import secalg.ope as ope
 import secalg.wakimoto as wakimoto
 from secalg.cli import main
 from secalg.coeffs import CoeffK
@@ -223,6 +224,14 @@ def test_obstruction_report_specialized():
      "1a2e4c41d0f86740d73ff9c4798546faaa2ebfa885ee920159d028420f74dda8"),
     (["charges", "--m", "8"], 1,
      "18e2abef10ff9b0afed673fc51b93d246bba5aae1e9fdf0e2e569c2c873779a5"),
+    # Taylor shifts at high order: eleven factors shifted to the third order,
+    # and exponentials on both sides at three extra orders
+    (["ope", "--m", "3", "--e", "no(gamma[2]*gamma[2]*gamma[2]*gamma[2]*gamma[2]*beta[0]*"
+      "beta[0]*beta[0]*beta[0]*beta[0]*b[1])", "--f", "D(b[1],3)"], 0,
+     "d95d0d9f586a0366548786d684dbe3bd0568c7d33351c81feb23141f04c4072c"),
+    (["ope", "--m", "3", "--e", "no(D(beta[1],2)*exp(2/s,phi0)*b[0])",
+      "--f", "no(gamma[1]*D(b[0],1)*exp(-1/s,phi0))", "--extra-orders", "3"], 0,
+     "b0bd85730dd95a4f6b5dda96230144ee748c277c5f691c9a1ccfb3f9155968b5"),
 ])
 def test_free_field_output_pinned(argv, status, digest, capsys):
     assert main(argv) == status
@@ -231,7 +240,11 @@ def test_free_field_output_pinned(argv, status, digest, capsys):
 
 @pytest.fixture
 def wick_calls(monkeypatch):
-    """Count the Wick expansions the obstruction program runs."""
+    """Count the Wick expansions the obstruction program runs.
+
+    Both bindings are counted: the program calls ``wick_ope`` directly and
+    through ``charge_of``.
+    """
     working_config()  # the calibration OPEs are computed once per process
     calls = []
 
@@ -240,6 +253,7 @@ def wick_calls(monkeypatch):
         return wick_ope(*args, **kwargs)
 
     monkeypatch.setattr(wakimoto, "wick_ope", counted)
+    monkeypatch.setattr(ope, "wick_ope", counted)
     return calls
 
 
