@@ -19,8 +19,9 @@ normal ordering written :(AB)C: differs from the flat Fock ordering by
 derivative corrections; the ``nesting`` convention parameter selects how
 displayed triple products are read (see ``nested_product``).
 
-``wick_ope`` sums over all cross-contraction subsets (no self contractions),
-Taylor-shifts surviving z-factors to w to the order needed for every kept
+``wick_ope`` sums over the cross contractions (no self contractions) in one
+walk over the factors that merges like partial contractions, Taylor-shifts
+each surviving z-content to w once, to the order needed for every kept
 singular coefficient, and returns a generalized Laurent result: finitely
 many sectors, each a fractional prefactor exponent epsilon with an integer
 pole-order map (coefficient of (z-w)^(epsilon - d) at order d).  Ordinary
@@ -33,12 +34,11 @@ Everything is immutable and pure; conventions are explicit arguments.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .coeffs import CoeffK, is_integer_constant, specialize
+from .coeffs import CoeffK, is_integer_constant, sparse_add, specialize
 
 KINDS = ("beta", "gamma", "heis")
 MAX_EXTRA_ORDERS = 20  # wick_ope refuses more orders below the poles than this
@@ -465,12 +465,16 @@ def wick_ope(
 ) -> OPEResult:
     """Generalized Wick OPE of E(z) F(w).
 
-    Sums over all cross-contraction subsets between z-factors and w-factors
-    (and between sector-0 Heisenberg factors and the opposite exponential;
-    exponentials have unlimited contraction capacity and always survive).
-    Surviving z-content is Taylor-shifted to w so that every kept order is
-    exact.  Orders d >= 1 - extra_orders are kept per sector; the default
-    keeps exactly the singular orders, and extra_orders above
+    Per pair of monomials, one walk over the factors builds the partial
+    contractions, like ones merged: a state is (free w-factors, surviving
+    z-factors, pole order D) with a summed coefficient.  Each w-factor
+    stays free or meets the z-exponential; then each z-factor survives,
+    meets the w-exponential or takes one free w-factor.  Exponentials have
+    unlimited capacity and always survive.  The w-factors go first so that
+    a repeated factor is not counted twice against the z-exponential.  Each
+    final state's z-content is Taylor-shifted to w once, so that every kept
+    order is exact.  Orders d >= 1 - extra_orders are kept per sector; the
+    default keeps exactly the singular orders, and extra_orders above
     ``MAX_EXTRA_ORDERS`` is refused.
     """
     if extra_orders < 0:
@@ -485,71 +489,39 @@ def wick_ope(
             eps = a * b  # the prefactor (z-w)^(a*b)
             poles = sectors.setdefault(eps.key(), (eps, {}))[1]
             merged = a + b  # the momentum at w
-            zf = list(mE.factors)
-            wf = list(mF.factors)
-
-            # options per z-factor: uncontracted / w-factor j / w-exponential
-            z_opts = []
-            for g in zf:
-                opts: list = [None]
-                for jdx, h in enumerate(wf):
-                    pr = contract_pair(g, h, conv)
-                    if pr is not None:
-                        opts.append(("w", jdx, pr))
+            # (free w-factors, surviving z-factors, D) -> coefficient; both
+            # tuples are subsequences of sorted factor lists, so like states meet
+            states = {((), (), 0): mE.coef * mF.coef}
+            for h in mF.factors:
+                pe = contract_exp(h, a, heis_at="w")
+                nxt: dict = {}
+                for (wf, zf, D), coef in states.items():
+                    sparse_add(nxt, (wf + (h,), zf, D), coef)
+                    if pe is not None:
+                        sparse_add(nxt, (wf, zf, D + pe[0]), coef * pe[1])
+                states = nxt
+            for g in mE.factors:
                 pe = contract_exp(g, b, heis_at="z")
-                if pe is not None:
-                    opts.append(("exp", None, pe))
-                z_opts.append(opts)
-
-            w_exp_candidates = [
-                (jdx, contract_exp(h, a, heis_at="w"))
-                for jdx, h in enumerate(wf)
-            ]
-            w_exp_candidates = [(j, pr) for j, pr in w_exp_candidates if pr is not None]
-
-            for choice in itertools.product(*z_opts):
-                used_w = set()
-                ok = True
-                base_order = 0
-                base_coef = mE.coef * mF.coef
-                surv_z = []
-                for g, opt in zip(zf, choice):
-                    if opt is None:
-                        surv_z.append(g)
-                        continue
-                    tag, jdx, (order, coef) = opt
-                    if tag == "w":
-                        if jdx in used_w:
-                            ok = False
-                            break
-                        used_w.add(jdx)
-                    base_order += order
-                    base_coef = base_coef * coef
-                if not ok:
+                pairs = {h: contract_pair(g, h, conv) for h in mF.factors}
+                nxt = {}
+                for (wf, zf, D), coef in states.items():
+                    sparse_add(nxt, (wf, zf + (g,), D), coef)
+                    if pe is not None:
+                        sparse_add(nxt, (wf, zf, D + pe[0]), coef * pe[1])
+                    for j, h in enumerate(wf):
+                        pr = pairs[h]
+                        if pr is not None:
+                            sparse_add(nxt, (wf[:j] + wf[j + 1:], zf, D + pr[0]), coef * pr[1])
+                states = nxt
+            for (wf, zf, D), coef in states.items():
+                n_max = D - d_min
+                if n_max < 0:
                     continue
-                free_w_exp = [(j, pr) for j, pr in w_exp_candidates if j not in used_w]
-                for subset in itertools.chain.from_iterable(
-                    itertools.combinations(free_w_exp, rr)
-                    for rr in range(len(free_w_exp) + 1)
-                ):
-                    D = base_order
-                    coef = base_coef
-                    used2 = set(used_w)
-                    for j, (order, pcoef) in subset:
-                        used2.add(j)
-                        D += order
-                        coef = coef * pcoef
-                    if coef.is_zero():
-                        continue
-                    n_max = D - d_min
-                    if n_max < 0:
-                        continue
-                    surv_w = tuple(h for jdx, h in enumerate(wf) if jdx not in used2)
-                    for n, fe in taylor_shift(NOMono(coef, surv_z, a), n_max).items():
-                        poles.setdefault(D - n, []).extend(
-                            NOMono(mo.coef, mo.factors + surv_w, merged)
-                            for mo in fe.terms.values()
-                        )
+                for n, fe in taylor_shift(NOMono(coef, zf, a), n_max).items():
+                    poles.setdefault(D - n, []).extend(
+                        NOMono(mo.coef, mo.factors + wf, merged)
+                        for mo in fe.terms.values()
+                    )
 
     return OPEResult(
         OPESector(eps, {d: FieldExpr(monos) for d, monos in poles.items()})

@@ -106,10 +106,6 @@ class RingElem:
             elem = RingElem(params, {u_exp: elem.sectors.get(0, {})})
         return elem
 
-    @staticmethod
-    def one(params: RingParams) -> "RingElem":
-        return RingElem.monomial(params, PolyC.const(1), 0, 0)
-
     def is_zero(self) -> bool:
         return not self.sectors
 

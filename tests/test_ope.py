@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secalg.coeffs import CoeffK
@@ -12,6 +13,8 @@ from secalg.ope import (
     FieldExpr,
     FieldGen,
     NOMono,
+    OPEResult,
+    OPESector,
     charge_of,
     contract_exp,
     contract_pair,
@@ -322,3 +325,84 @@ def test_wick_commutes_with_sector_renaming(E, Fx, sigma):
         for extra in (0, 1):
             want = wick_ope(E, Fx, conv, extra)
             assert _poles(wick_ope(sE, sF, conv, extra)) == _poles(want, sigma)
+
+
+def _wick_reference(E, Fx, conv, extra_orders=0):
+    """The Wick sum by brute force: every assignment of each z-factor (left
+    alone, one contractible w-factor or the w-exponential), those reusing a
+    w-factor rejected, then every subset of the free w-factors that can meet
+    the z-exponential; each survivor is Taylor-shifted on its own."""
+    sectors = {}
+    d_min = 1 - extra_orders
+    for mE in E.terms.values():
+        for mF in Fx.terms.values():
+            a, b = mE.momentum, mF.momentum
+            eps = a * b
+            poles = sectors.setdefault(eps.key(), (eps, {}))[1]
+            merged = a + b
+            zf, wf = list(mE.factors), list(mF.factors)
+            z_opts = []
+            for g in zf:
+                opts = [None]
+                for jdx, h in enumerate(wf):
+                    pr = contract_pair(g, h, conv)
+                    if pr is not None:
+                        opts.append(("w", jdx, pr))
+                pe = contract_exp(g, b, heis_at="z")
+                if pe is not None:
+                    opts.append(("exp", None, pe))
+                z_opts.append(opts)
+            w_exp = [(j, contract_exp(h, a, heis_at="w")) for j, h in enumerate(wf)]
+            w_exp = [(j, pr) for j, pr in w_exp if pr is not None]
+            for choice in itertools.product(*z_opts):
+                used_w = [opt[1] for opt in choice if opt is not None and opt[0] == "w"]
+                if len(set(used_w)) < len(used_w):
+                    continue
+                order = sum(opt[2][0] for opt in choice if opt is not None)
+                coef = mE.coef * mF.coef
+                for opt in choice:
+                    if opt is not None:
+                        coef = coef * opt[2][1]
+                surv_z = [g for g, opt in zip(zf, choice) if opt is None]
+                free = [(j, pr) for j, pr in w_exp if j not in used_w]
+                for subset in itertools.chain.from_iterable(
+                        itertools.combinations(free, r) for r in range(len(free) + 1)):
+                    D, c = order, coef
+                    used = set(used_w)
+                    for j, (q, pc) in subset:
+                        used.add(j)
+                        D, c = D + q, c * pc
+                    if D < d_min:
+                        continue
+                    surv_w = tuple(h for j, h in enumerate(wf) if j not in used)
+                    for n, fld in taylor_shift(NOMono(c, surv_z, a), D - d_min).items():
+                        poles.setdefault(D - n, []).extend(
+                            NOMono(mo.coef, mo.factors + surv_w, merged)
+                            for mo in fld.terms.values())
+    return OPEResult(
+        OPESector(eps, {d: FieldExpr(monos) for d, monos in poles.items()})
+        for eps, poles in sectors.values())
+
+
+_ref_monos = st.builds(
+    NOMono,
+    st.builds(lambda n, d: CoeffK.from_rat(F(n, d)),
+              st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+    st.lists(st.builds(gen, st.sampled_from(("beta", "gamma", "heis")),
+                       st.integers(0, 1), st.integers(0, 1)), max_size=3),
+    st.sampled_from((CoeffK.zero(), ALPHA, CoeffK.zero() - ALPHA, CoeffK.c())),
+)
+_ref_exprs = st.lists(_ref_monos, min_size=1, max_size=2).map(FieldExpr)
+_B0 = gen("heis", 0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(E=_ref_exprs, Fx=_ref_exprs)
+# repeated b[0] factors on both sides, each side carrying an exponential
+@example(E=FieldExpr([NOMono(CoeffK.one(), [_B0, _B0, gen("beta", 1)], ALPHA)]),
+         Fx=FieldExpr([NOMono(CoeffK.one(), [_B0, _B0, gen("gamma", 1)], CoeffK.c())]))
+def test_wick_matches_reference_enumeration(E, Fx):
+    for conv in ALL_CONFIGS:
+        for extra in (0, 1):
+            assert _poles(wick_ope(E, Fx, conv, extra)) == _poles(
+                _wick_reference(E, Fx, conv, extra))

@@ -232,6 +232,14 @@ def test_obstruction_report_specialized():
     (["ope", "--m", "3", "--e", "no(D(beta[1],2)*exp(2/s,phi0)*b[0])",
       "--f", "no(gamma[1]*D(b[0],1)*exp(-1/s,phi0))", "--extra-orders", "3"], 0,
      "b0bd85730dd95a4f6b5dda96230144ee748c277c5f691c9a1ccfb3f9155968b5"),
+    # many contractions: six beta against six gamma, and repeated b[0]
+    # factors on both sides meeting both exponentials
+    (["ope", "--m", "2", "--e", "no(beta[1]*beta[1]*beta[1]*beta[1]*beta[1]*beta[1])",
+      "--f", "no(gamma[1]*gamma[1]*gamma[1]*gamma[1]*gamma[1]*gamma[1])"], 0,
+     "04f1bbfc458f9e70b6ec2d03d82f3b4ca1260d08e017cb7190c732aa96b6cbb2"),
+    (["ope", "--m", "3", "--e", "no(b[0]*b[0]*beta[2]*exp(1/s,phi0))",
+      "--f", "no(b[0]*gamma[2]*gamma[2]*b[0]*exp(c,phi0))", "--extra-orders", "2"], 0,
+     "cbed78a643a00e06b4f81848a0007dd95dc318439484a0aad62d49497c9ec3fa"),
 ])
 def test_free_field_output_pinned(argv, status, digest, capsys):
     assert main(argv) == status
