@@ -9,7 +9,8 @@ Three layers, all exact over Q (Python integers and ``fractions.Fraction``):
   of two integer contents (denominator 1) takes no gcd.  By Gauss's lemma a
   product of primitive polynomials is primitive, so a product convolves
   integers with no gcd, and a sum takes one integer gcd rather than one per
-  coefficient.  The algebra side (ring, Kahler reduction, cocycle, bracket,
+  coefficient; ``c_lincomb`` takes a step of the family recurrence in one
+  such pass.  The algebra side (ring, Kahler reduction, cocycle, bracket,
   families) lives in Q[c]: p(t) is in Z[c][t] and every relation pivot is a
   nonzero rational.
 * ``Poly2``   -- sparse bivariate polynomials in ``c`` and ``s`` with
@@ -76,6 +77,12 @@ def _ratio_mul(pa: int, qa: int, pb: int, qb: int) -> tuple[int, int]:
     return (pa // g) * (pb // h), (qa // h) * (qb // g)
 
 
+def _over_lcm(pa: int, qa: int, pb: int, qb: int) -> tuple[int, int, int]:
+    """``(fa, fb, d)`` with ``pa/qa = fa/d``, ``pb/qb = fb/d`` and ``d = lcm(qa, qb)``."""
+    g = math.gcd(qa, qb)
+    return pa * (qb // g), pb * (qa // g), qa // g * qb
+
+
 def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], int, int]:
     """``num/den * ints`` as (primitive part, content numerator, content denominator).
 
@@ -87,7 +94,8 @@ def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], in
         ints.pop()
     if not ints:
         return (), 1, 1
-    g = math.gcd(*ints)
+    # leading coefficient first: low-order ones (of family values) share large factors
+    g = math.gcd(ints[-1], *ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
@@ -181,9 +189,7 @@ class PolyC:
             return other
         # over the common denominator lcm(qa, qb), with the multipliers' gcd h factored out;
         # h is coprime to the lcm, as _primitive requires
-        pa, qa, pb, qb = self.num, self.den, other.num, other.den
-        g = math.gcd(qa, qb)
-        fa, fb = pa * (qb // g), pb * (qa // g)
+        fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
         h = math.gcd(fa, fb)
         fa, fb = fa // h, fb // h
         if len(a) < len(b):
@@ -191,7 +197,17 @@ class PolyC:
         ints = [fa * x for x in a]
         for i, y in enumerate(b):
             ints[i] += fb * y
-        return PolyC._of(*_primitive(ints, h, qa // g * qb))
+        return PolyC._of(*_primitive(ints, h, den))
+
+    def c_lincomb(self, s: int, other: "PolyC", t: int, lead: int) -> "PolyC":
+        """``(s * c * self + t * other) / lead`` for integers s, t and lead > 0: one integer
+        pass over both primitive tuples and one canonical form, with no intermediate PolyC."""
+        fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
+        fa, fb, a, b = s * fa, t * fb, self.ints, other.ints
+        ints = [0] + [fa * x for x in a] + [0] * (len(b) - len(a) - 1)
+        for i, y in enumerate(b):
+            ints[i] += fb * y
+        return PolyC._of(*_primitive(ints, 1, den * lead))
 
     def __neg__(self) -> "PolyC":
         return PolyC._of(self.ints, -self.num, self.den) if self.ints else self

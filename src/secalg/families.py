@@ -8,9 +8,12 @@ is the unique sequence of polynomials in c with
 
 The sequence exists and is unique because the recurrence couples only one
 residue class of k mod r at a time and the leading coefficient m'k + 2r is
-positive for every k >= 0.  The sector-l families at integer m coincide with
-the sector-1 families at the rational parameter m/l (rescaling identity);
-``rescaling_check`` verifies this by running both recurrences independently.
+positive for every k >= 0.  The recurrence is homogeneous in its three
+coefficients, so for m' = p/q it runs on the integer triple
+(pk + 2rq, pk + rq, pk), the rational one times q.  The sector-l families at
+integer m coincide with the sector-1 families at the rational parameter m/l
+(rescaling identity); ``rescaling_check`` verifies this by running both
+recurrences independently, each from its own integer triple.
 
 The recurrence (not any closed form, and not the Kahler oracle) is the
 normative definition here; agreement with oracle-reduced classes is a
@@ -67,11 +70,12 @@ def _initial_values(r: int, j: int) -> dict[int, PolyC]:
 def _walk(values: dict[int, PolyC], k: int, r: int, triple) -> PolyC:
     """P_k from the memo ``values``, extending k's residue class mod r forward.
 
-    ``triple(kk)`` gives the coefficients (lead, mid, low) of the instance
-    lead * P_kk = 2c * mid * P_(kk-r) - low * P_(kk-2r).  The walk starts at
-    the last stored index of the class and stores every value it computes.
-    The recurrence is homogeneous, so once two consecutive values vanish the
-    class stays zero and the walk stops.
+    ``triple(kk)`` gives the integer coefficients (lead, mid, low) of the
+    instance lead * P_kk = 2c * mid * P_(kk-r) - low * P_(kk-2r).  The walk
+    starts at the last stored index of the class and stores every value it
+    computes, each in one fused integer step (``PolyC.c_lincomb``) made
+    canonical once.  The recurrence is homogeneous, so once two consecutive
+    values vanish the class stays zero and the walk stops.
     """
     if k < -2 * r:
         raise ValueError(f"family index {k} below -2r")
@@ -81,21 +85,20 @@ def _walk(values: dict[int, PolyC], k: int, r: int, triple) -> PolyC:
     if top == k:
         return values[k]
     older, newer = values[top - r], values[top]
-    c = PolyC.c()
     for kk in range(top + r, k + 1, r):
         if older.is_zero() and newer.is_zero():
             return newer
         lead, mid, low = triple(kk)
         assert lead > 0
-        val = (newer * (2 * mid) * c - older * low).scale(Fraction(1) / lead)
-        older, newer = newer, val
-        values[kk] = val
+        older, newer = newer, newer.c_lincomb(2 * mid, older, -low, lead)
+        values[kk] = newer
     return newer
 
 
 def _family_triple(spec: FamilySpec):
-    mp, r = spec.m_prime, spec.r
-    return lambda k: (mp * k + 2 * r, mp * k + r, mp * k)
+    """Integer coefficients (pk + 2rq, pk + rq, pk) for m' = p/q: the rational triple times q."""
+    p, q, r = spec.m_prime.numerator, spec.m_prime.denominator, spec.r
+    return lambda k: (p * k + 2 * r * q, p * k + r * q, p * k)
 
 
 #: Per-spec memos of family values (confined; no cross-spec sharing).
@@ -120,10 +123,10 @@ def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
 
 
 def _sector_triple(m: int, r: int, l: int):
-    """Sector-l coefficients (mk+2rl, mk+rl, mk), not divided through by l."""
+    """Sector-l integer coefficients (mk+2rl, mk+rl, mk), not divided through by l."""
     if not 1 <= l <= m - 1:
         raise ValueError("sector l must lie in 1..m-1")
-    return lambda k: (Fraction(m * k + 2 * r * l), m * k + r * l, m * k)
+    return lambda k: (m * k + 2 * r * l, m * k + r * l, m * k)
 
 
 def sector_recurrence_value(m: int, r: int, l: int, j: int, k: int) -> PolyC:

@@ -230,24 +230,12 @@ def _config_diagnostics(conv: ConventionConfig) -> dict:
     }
 
 
-def calibrate_conventions(strict: bool = True) -> CalibrationResult:
-    """Test all four configurations against the even-sector identities.
-
-    With ``strict`` (the default) a unique fully-passing
-    configuration is required: zero passing configurations raise
-    ``CalibrationError('no calibration')`` and several raise
-    ``CalibrationError('ambiguous calibration')``, both carrying the full
-    diagnostics.  ``strict=False`` returns the diagnostics unconditionally,
-    choosing the unique full match if one exists, else the unique
-    residue-level match (each identity holding at first order).
-    """
-    diags = [copy.deepcopy(_config_diagnostics(conv)) for conv in ALL_CONFIGS]
-    passing = [
-        conv for conv, d in zip(ALL_CONFIGS, diags) if d["full_match"]
-    ]
-    residue_passing = [
-        conv for conv, d in zip(ALL_CONFIGS, diags) if d["residue_match"]
-    ]
+@functools.cache
+def _calibration_choice() -> tuple[tuple, tuple, Optional[ConventionConfig]]:
+    """(passing, residue_passing, chosen) read off the shared diagnostics; once per process."""
+    diags = [_config_diagnostics(conv) for conv in ALL_CONFIGS]
+    passing = tuple(conv for conv, d in zip(ALL_CONFIGS, diags) if d["full_match"])
+    residue_passing = tuple(conv for conv, d in zip(ALL_CONFIGS, diags) if d["residue_match"])
     chosen: Optional[ConventionConfig] = None
     if len(passing) == 1:
         chosen = passing[0]
@@ -260,10 +248,25 @@ def calibrate_conventions(strict: bool = True) -> CalibrationResult:
             flat = [c for c in residue_passing if c.nesting == "right"]
             if len(flat) == 1:
                 chosen = flat[0]
+    return passing, residue_passing, chosen
+
+
+def calibrate_conventions(strict: bool = True) -> CalibrationResult:
+    """Test all four configurations against the even-sector identities.
+
+    With ``strict`` (the default) a unique fully-passing
+    configuration is required: zero passing configurations raise
+    ``CalibrationError('no calibration')`` and several raise
+    ``CalibrationError('ambiguous calibration')``, both carrying the full
+    diagnostics.  ``strict=False`` returns the diagnostics unconditionally,
+    choosing the unique full match if one exists, else the unique
+    residue-level match (each identity holding at first order).
+    """
+    passing, residue_passing, chosen = _calibration_choice()
     result = CalibrationResult(
-        per_config=diags,
-        passing=passing,
-        residue_passing=residue_passing,
+        per_config=[copy.deepcopy(_config_diagnostics(conv)) for conv in ALL_CONFIGS],
+        passing=list(passing),
+        residue_passing=list(residue_passing),
         chosen=chosen,
     )
     if strict:
@@ -282,16 +285,17 @@ def working_config() -> tuple[ConventionConfig, dict]:
     (residues), recording that calibration status.  Raises if neither is
     unique -- downstream checks never run against an unselected convention.
     """
-    result = calibrate_conventions(strict=False)
-    if result.chosen is None:
-        raise CalibrationError("no usable convention configuration", result)
+    passing, residue_passing, chosen = _calibration_choice()
+    if chosen is None:
+        raise CalibrationError("no usable convention configuration",
+                               calibrate_conventions(strict=False))
     status = {
-        "full_calibration": [asdict(c) for c in result.passing],
-        "residue_calibration": [asdict(c) for c in result.residue_passing],
-        "chosen": asdict(result.chosen),
-        "mode": "full" if result.passing else "residue",
+        "full_calibration": [asdict(c) for c in passing],
+        "residue_calibration": [asdict(c) for c in residue_passing],
+        "chosen": asdict(chosen),
+        "mode": "full" if passing else "residue",
     }
-    return result.chosen, status
+    return chosen, status
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+from secalg import families
 from secalg.cli import (
     MAX_NESTING,
     Command,
@@ -92,6 +94,45 @@ def test_rescaling_command():
     status, out = run("rescaling", m=3, r=2, kmax=8)
     assert status == 0
     assert json.loads(out)["failures"] == []
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["families", "--m", "3", "--r", "3", "--j", "1", "--l", "1", "--kmax", "600"],
+     "59a17549349e8fd8c9d4b749fe648b40190daa46605e6b4fda82a168fbec71d6"),
+    (["rescaling", "--m", "3", "--r", "2", "--kmax", "120"],
+     "b9d9ec30cfcffb97d2ca57d24a40bd4f3c6bfd7300006ad543a0aa71b120d731"),
+    (["rescaling", "--m", "5", "--r", "3", "--kmax", "40"],
+     "92b0727891797ebbb119974c33166766d64f960e141cb42063d741389e1681bb"),
+], ids=["families-3-3-j1-l1-600", "rescaling-3-2-120", "rescaling-5-3-40"])
+def test_family_commands_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_rescaling_without_families_checks_nothing(r, capsys):
+    assert main(["rescaling", "--m", "3", "--r", str(r), "--kmax", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "checked": 0, "failures": [], "k_max": 5, "m": 3, "r": r}
+
+
+def test_rescaling_failures_match_the_check(monkeypatch):
+    """A wrong sector lead for l = 1: the CLI prints exactly the check's failures."""
+    triple = families._sector_triple
+
+    def wrong(m, r, l):
+        right = triple(m, r, l)
+        if l != 1:
+            return right
+        return lambda k: (right(k)[0] + 1, *right(k)[1:])
+
+    monkeypatch.setattr(families, "_sector_triple", wrong)
+    status, out = run("rescaling", m=3, r=2, kmax=12)
+    rep = families.rescaling_check(3, 2, k_max=12)
+    doc = json.loads(out)
+    assert status == 1
+    assert doc["failures"] == [e for e in rep if not e["equal"]] != []
+    assert doc["checked"] == len(rep)
 
 
 def test_kahler_reduce_command():

@@ -262,7 +262,9 @@ def test_polyc_matches_sympy(a, b, q, n):
     results = {"add": (a + b, sa + sb), "sub": (a - b, sa - sb), "mul": (a * b, sa * sb),
                "scale": (a.scale(q), sa * q), "neg": (-a, -sa),
                "mul_int": (a * n, sa * n), "rmul_int": (n * a, sa * n),
-               "gcd": (PolyC.gcd(a, b), sa.gcd(sb).monic())}
+               "gcd": (PolyC.gcd(a, b), sa.gcd(sb).monic()),
+               "c_lincomb": (a.c_lincomb(n, b, 3 - n, abs(n) + 1),
+                             (sa * _symc(PolyC.c()) * n + sb * (3 - n)) * F(1, abs(n) + 1))}
     if not b.is_zero():
         (quo, rem), (squo, srem) = a.divmod(b), sa.div(sb)
         results.update(quo=(quo, squo), rem=(rem, srem))

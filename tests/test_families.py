@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secalg import families
 from secalg.coeffs import PolyC
@@ -166,3 +168,39 @@ def test_rescaling_report_order_and_renders_pinned():
         (l, j, k) for l in range(1, 4) for j in range(1, 5) for k in range(-4, 21)]
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
     assert digest == "554b5111006f6fb265e0c2c87718976c43030c98c2861c1545dc14424599913a"
+
+
+def _fraction_recurrence(triple, r, j, k_max):
+    """lead*P_k = 2c*mid*P_(k-r) - low*P_(k-2r) in plain Fractions, as {k: {exp: coef}}."""
+    P = {-s: ({0: F(1)} if s == j else {}) for s in range(1, 2 * r + 1)}
+    for k in range(k_max + 1):
+        lead, mid, low = triple(k)
+        val = {}
+        for e, v in P[k - r].items():
+            val[e + 1] = val.get(e + 1, F(0)) + 2 * mid * v / lead
+        for e, v in P[k - 2 * r].items():
+            val[e] = val.get(e, F(0)) - low * v / lead
+        P[k] = {e: v for e, v in val.items() if v}
+    return P
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ml=st.integers(1, 6).flatmap(lambda l: st.tuples(st.integers(l + 1, 7), st.just(l))),
+       r=st.integers(2, 4), k=st.integers(0, 60))
+@example(ml=(4, 2), r=2, k=41)
+@example(ml=(6, 4), r=3, k=60)
+def test_integer_triples_match_fraction_recurrence(ml, r, k):
+    """Both walks run on integer triples; the values are those of the rational recurrences.
+
+    m' = m/l is drawn unreduced (4/2, 6/4, ...) with denominator l in 1..6.
+    """
+    m, l = ml
+    mp = F(m, l)
+    for j in range(1, 2 * r + 1):
+        spec = FamilySpec(l=l, j=j, m_prime=mp, r=r)
+        families._memos.pop(spec, None)
+        fam = _fraction_recurrence(lambda kk: (mp * kk + 2 * r, mp * kk + r, mp * kk), r, j, k)
+        sec = _fraction_recurrence(
+            lambda kk: (F(m * kk + 2 * r * l), m * kk + r * l, m * kk), r, j, k)
+        assert eval_family(spec, k).coeffs == fam[k], (j, k)
+        assert sector_recurrence_value(m, r, l, j, k).coeffs == sec[k], (j, k)

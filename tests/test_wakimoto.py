@@ -97,6 +97,20 @@ def test_calibration_cache_is_isolated():
         calibrate_conventions(strict=True)
 
 
+def test_working_config_copies_no_diagnostics(monkeypatch):
+    first = working_config()
+    deepcopy = copy.deepcopy
+
+    def no_dicts(x, memo=None):
+        # dataclasses.asdict deep-copies each field value; the diagnostics are dicts
+        if isinstance(x, dict):
+            raise AssertionError("working_config deep-copied the diagnostics")
+        return deepcopy(x, memo)
+
+    monkeypatch.setattr(wakimoto.copy, "deepcopy", no_dicts)
+    assert working_config() == first
+
+
 def test_charge_relations_e_side_and_t4_dropout():
     for m in (2, 3, 4):
         ops = build_operators(m, CONV)
