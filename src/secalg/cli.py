@@ -7,17 +7,19 @@ the exit status is nonzero exactly when an asserted check fails.
 Grammar (shared tokens; byte offsets reported on error):
 
     coefficient := rational | "c" | "s" | "k" | "(" coef ")"
-                   combined with "+", "-", "*", "/", and "^" int
+                   combined with "+", "-", "*", "/", and "^" int; c-degree
+                   at most coeffs.MAX_C_DEGREE (100000), else exit 2
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
-                   (no s, no k, no denominator in c, c-degree at most
-                   coeffs.MAX_C_DEGREE), else exit 2
+                   (no s, no k, no denominator in c), else exit 2
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
                    | "exp(" coef "," "phi0" ")" | "D(" factor "," int ")",
-                   gen := ("beta"|"gamma"|"b") "[" int "]"
+                   gen := ("beta"|"gamma"|"b") "[" int "]"; the orders of
+                   nested D( add up to at most MAX_DERIV_ORDER (20), else
+                   exit 2
     --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2
 """
 
@@ -57,6 +59,7 @@ class ParseError(ValueError):
 
 _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
 MAX_NESTING = 100  # parentheses, signs, D( and no( around an atom, counted together
+MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow like partition numbers
 
 
 def _tokenize(src: str):
@@ -96,6 +99,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.depth = 0
+        self.order = 0  # the largest D( order sum inside the item being parsed
 
     def peek(self):
         return self.toks[self.pos]
@@ -283,10 +287,15 @@ class _Parser:
         if t[0] == "name" and t[1] == "D":
             self.next()
             self.expect("(")
+            outer, self.order = self.order, 0
             inner = self.nested(self.field_item, m)
             self.expect(",")
-            order = int(self.expect("int")[1])
+            ot = self.expect("int")
+            order = int(ot[1])
+            if self.order + order > MAX_DERIV_ORDER:
+                raise ParseError(f"derivative order {self.order + order} above {MAX_DERIV_ORDER}", ot[2])
             self.expect(")")
+            self.order = max(outer, self.order + order)
             for _ in range(order):
                 inner = inner.derivative()
             return inner

@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic.
 
-Three layers, all exact over Q (Python integers and ``fractions.Fraction``):
+Three layers, all exact over Q (Python integers; ``fractions.Fraction`` only
+at the edges, for scalars and for reading coefficients out):
 
 * ``PolyC``   -- univariate polynomials in the curve parameter ``c``, each a
   rational content times a primitive integer polynomial (von zur Gathen and
@@ -10,11 +11,15 @@ Three layers, all exact over Q (Python integers and ``fractions.Fraction``):
   product of primitive polynomials is primitive, so a product convolves
   integers with no gcd, and a sum takes one integer gcd rather than one per
   coefficient; ``c_lincomb`` takes a step of the family recurrence in one
-  such pass.  The algebra side (ring, Kahler reduction, cocycle, bracket,
-  families) lives in Q[c]: p(t) is in Z[c][t] and every relation pivot is a
-  nonzero rational.
-* ``Poly2``   -- sparse bivariate polynomials in ``c`` and ``s`` with
-  ``Fraction`` coefficients.
+  such pass.  Division, exact division and the gcd share one integer
+  pseudo-division on the primitive tuples, which scales the remainder only
+  when the divisor's leading coefficient does not divide it; the gcd is a
+  primitive PRS (Collins 1967; Brown and Traub 1971).  The algebra side
+  (ring, Kahler reduction, cocycle, bracket, families) lives in Q[c]: p(t)
+  is in Z[c][t] and every relation pivot is a nonzero rational.
+* ``Poly2``   -- polynomials in ``c`` and ``s``, stored as ``{s exponent:
+  PolyC}``, so that every polynomial in ``c`` has the one representation and
+  all their arithmetic is ``PolyC``'s integer arithmetic.
 * ``CoeffK``  -- the coefficient field Frac(Q[c, s]), stored as a canonical
   reduced fraction of two ``Poly2`` values.  It serves the free-field side
   (OPEs, Wakimoto operators) and the CLI coefficient parser; ``as_polyc`` is
@@ -26,10 +31,12 @@ specialization.  Canonical form: gcd-reduced fraction whose denominator has
 leading coefficient 1 under graded-lex order with ``c < s``.  Equality of
 canonical forms is structural, so it is decidable and unique.
 
-Every denominator the free-field side builds is a monomial ``c^a s^b``.  A
-gcd with a one-term argument is the monomial of the least exponents, and
-division by one term shifts exponents, so those skip the primitive PRS; only
-other denominators (the parser accepts e.g. ``1/(c-1)``) run it.
+The gcd of two ``Poly2`` values is the gcd of their contents in ``c`` (the
+``PolyC`` gcd of their s-coefficients) times a primitive PRS in ``s`` over
+Q[c].  Every denominator the free-field side builds is a monomial
+``c^a s^b``, and the parser's (e.g. ``1/(c-1)``) are free of ``s``: with one
+s-exponent on either side the PRS is skipped, and division by such a divisor
+is one exact ``PolyC`` division per s-coefficient.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -44,10 +51,6 @@ from typing import Optional
 
 class SpecializationError(ValueError):
     """Raised when a substitution would leave the rational field."""
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def rat_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -65,8 +68,14 @@ def rat_sqrt(q: Fraction) -> Optional[Fraction]:
 # Univariate polynomials in c
 # ---------------------------------------------------------------------------
 
-#: PolyC stores every coefficient up to its degree, so outside input is held to this degree.
+#: PolyC stores every coefficient up to its degree, so degrees are held to this bound.
 MAX_C_DEGREE = 100_000
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """``num/den`` (den nonzero) in lowest terms with a positive denominator."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 def _ratio_mul(pa: int, qa: int, pb: int, qb: int) -> tuple[int, int]:
@@ -102,6 +111,35 @@ def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], in
         ints = [x // g for x in ints]
         num, den = _ratio_mul(num, den, g, 1)
     return tuple(ints), num, den
+
+
+def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of tuples (lowest degree first, ``b`` nonempty with ``b[-1] > 0``).
+
+    Returns lists ``q``, ``r`` and an integer ``f > 0`` with ``f * a == q * b + r``
+    and ``len(r) < len(b)``.  The remainder is scaled only when ``b[-1]`` does not
+    divide its leading coefficient, so ``r`` is zero with ``f == 1`` whenever
+    ``b`` divides ``a`` over Z -- and, by Gauss's lemma, whenever primitive ``b``
+    divides primitive ``a`` over Q.
+    """
+    m, lb = len(b) - 1, b[-1]
+    if lb == 1 and not any(b[:-1]):
+        return list(a[m:]), list(a[:m]), 1  # a one-term divisor c^m shifts exponents
+    r, q, f = list(a), [0] * max(len(a) - m, 0), 1
+    for i in range(len(a) - 1, m - 1, -1):
+        x = r[i]
+        if not x:
+            continue
+        h = lb // math.gcd(x, lb)
+        if h != 1:
+            r = [y * h for y in r[:i + 1]]
+            q = [y * h for y in q]
+            f, x = f * h, x * h
+        t = x // lb
+        q[i - m] = t
+        for j in range(m):
+            r[i - m + j] -= t * b[j]
+    return q, r[:m], f
 
 
 class PolyC:
@@ -173,6 +211,14 @@ class PolyC:
     def leading(self) -> Fraction:
         return Fraction(self.num * self.ints[-1], self.den) if self.ints else Fraction(0)
 
+    def at(self, x: Fraction) -> Fraction:
+        """The value at ``c = x``, by an integer Horner pass over ``x``'s numerator and denominator."""
+        n, d = x.numerator, x.denominator
+        acc, dp = 0, 1
+        for a in reversed(self.ints):
+            acc, dp = acc * n + a * dp, dp * d
+        return Fraction(self.num * acc, self.den * (dp // d)) if acc else Fraction(0)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyC) and self.ints == other.ints
                 and self.num == other.num and self.den == other.den)
@@ -223,6 +269,8 @@ class PolyC:
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
+        if len(a) + len(b) - 2 > MAX_C_DEGREE:
+            raise ValueError(f"c degree {len(a) + len(b) - 2} above {MAX_C_DEGREE}")
         num, den = _ratio_mul(self.num, self.den, other.num, other.den)
         if len(a) < len(b):
             a, b = b, a
@@ -243,40 +291,31 @@ class PolyC:
         return self * Fraction(q)
 
     def divmod(self, other: "PolyC") -> tuple["PolyC", "PolyC"]:
-        if other.is_zero():
+        if not other.ints:
             raise ZeroDivisionError("PolyC division by zero")
-        rem = self.coeffs
-        quo: dict[int, Fraction] = {}
-        dob, lob, ocoeffs = other.degree(), other.leading(), other.coeffs
-        while rem and max(rem) >= dob:
-            e = max(rem)
-            f = rem[e] / lob
-            quo[e - dob] = f
-            for eo, vo in ocoeffs.items():
-                ee = e - dob + eo
-                w = rem.get(ee, Fraction(0)) - f * vo
-                if w:
-                    rem[ee] = w
-                else:
-                    rem.pop(ee, None)
-        return PolyC(quo), PolyC(rem)
+        q, r, f = _pdiv(self.ints, other.ints)
+        # self = num/den * a and other = onum/oden * b, with f * a = q * b + r
+        quo = _primitive(q, *_reduced(self.num * other.den, self.den * other.num * f))
+        return PolyC._of(*quo), PolyC._of(*_primitive(r, *_reduced(self.num, self.den * f)))
 
     def divexact(self, other: "PolyC") -> "PolyC":
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        if not other.ints:
+            raise ZeroDivisionError("PolyC division by zero")
+        q, r, _f = _pdiv(self.ints, other.ints)
+        if any(r):
             raise ArithmeticError("inexact PolyC division")
-        return q
-
-    def monic(self) -> "PolyC":
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading())
+        # Gauss's lemma: the quotient of primitive tuples is a primitive tuple
+        return PolyC._of(tuple(q), *_reduced(self.num * other.den, self.den * other.num)) if q else _ZERO
 
     @staticmethod
     def gcd(a: "PolyC", b: "PolyC") -> "PolyC":
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        """Monic gcd (zero for two zeros), by a primitive PRS on the integer tuples."""
+        x, y = a.ints, b.ints
+        if len(x) < len(y):
+            x, y = y, x
+        while y:
+            x, y = y, _primitive(_pdiv(x, y)[1], 1, 1)[0]
+        return PolyC._of(x, 1, x[-1]) if x else _ZERO
 
     # -- rendering
     def render(self) -> str:
@@ -318,6 +357,7 @@ class PolyC:
 
 
 _ZERO = PolyC._of((), 1, 1)
+_ONE = PolyC._of((1,), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,272 +365,210 @@ _ZERO = PolyC._of((), 1, 1)
 # ---------------------------------------------------------------------------
 
 
-def _grlex_key(mono: tuple[int, int]) -> tuple[int, int]:
-    ec, es = mono
-    return (ec + es, es)  # total degree, then s-exponent (c < s)
+def _content(polys) -> PolyC:
+    """The monic gcd of the PolyC values ``polys``, lowest degree first; it stops at a constant."""
+    g = _ZERO
+    for p in sorted(polys, key=PolyC.degree):
+        g = PolyC.gcd(g, p)
+        if len(g.ints) == 1:
+            break
+    return g
 
 
 class Poly2:
-    """Sparse polynomial in ``c`` and ``s``; monomials keyed ``(ec, es)``."""
+    """Polynomial in ``c`` and ``s``, stored as ``by_s = {s exponent: PolyC}`` with no zero value."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("by_s",)
 
     def __init__(self, coeffs: Optional[dict[tuple[int, int], Fraction]] = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for m, v in coeffs.items():
-                v = Fraction(v)
-                if v != 0:
-                    if m[0] < 0 or m[1] < 0:
-                        raise ValueError("Poly2 exponents must be non-negative")
-                    clean[m] = v
-        self.coeffs = clean
+        """From rational coefficients ``{(ec, es): value}``; exponents must not be negative."""
+        groups: dict[int, dict[int, Fraction]] = {}
+        for (ec, es), v in (coeffs or {}).items():
+            if v:
+                if ec < 0 or es < 0:
+                    raise ValueError("Poly2 exponents must be non-negative")
+                groups.setdefault(es, {})[ec] = v
+        self.by_s = {es: PolyC(d) for es, d in groups.items()}
 
     @staticmethod
-    def _of(clean: dict[tuple[int, int], Fraction]) -> "Poly2":
-        """Wrap an already-clean dict (nonzero Fractions, exponents >= 0) unchecked."""
+    def _of(by_s: dict[int, PolyC]) -> "Poly2":
+        """Wrap an already-clean dict (nonzero PolyC values, exponents >= 0) unchecked."""
         p = object.__new__(Poly2)
-        p.coeffs = clean
+        p.by_s = by_s
         return p
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero rational coefficients ``{(ec, es): value}``, as a fresh dict in (es, ec) order."""
+        return {(ec, es): v for es in sorted(self.by_s) for ec, v in self.by_s[es].coeffs.items()}
 
     @staticmethod
     def zero() -> "Poly2":
-        return Poly2()
+        return Poly2._of({})
 
     @staticmethod
     def const(v) -> "Poly2":
-        return Poly2({(0, 0): Fraction(v)})
+        p = PolyC.const(v)
+        return Poly2._of({0: p} if p.ints else {})
 
     @staticmethod
     def var_c() -> "Poly2":
-        return Poly2({(1, 0): Fraction(1)})
+        return Poly2._of({0: PolyC.c()})
 
     @staticmethod
     def var_s(power: int = 1) -> "Poly2":
-        return Poly2({(0, power): Fraction(1)})
-
-    @staticmethod
-    def from_polyc(p: PolyC) -> "Poly2":
-        return Poly2({(e, 0): v for e, v in p.coeffs.items()})
+        return Poly2({(0, power): 1})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.by_s
 
     def is_const(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {(0, 0)}
+        return not self.by_s or (len(self.by_s) == 1 and len(self.by_s.get(0, _ZERO).ints) == 1)
 
     def const_value(self) -> Fraction:
-        if not self.coeffs:
+        if not self.by_s:
             return Fraction(0)
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.coeffs[(0, 0)]
-
-    def leading_mono(self) -> tuple[int, int]:
-        return max(self.coeffs, key=_grlex_key)
+        return self.by_s[0].cont
 
     def leading_coeff(self) -> Fraction:
-        return self.coeffs[self.leading_mono()] if self.coeffs else Fraction(0)
+        """The coefficient of the leading monomial in graded-lex order with c < s (0 for zero)."""
+        b = self.by_s
+        if len(b) < 2:
+            return next(iter(b.values()), _ZERO).leading()
+        return b[max(b, key=lambda es: (len(b[es].ints) + es, es))].leading()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.coeffs == other.coeffs
+        return isinstance(other, Poly2) and self.by_s == other.by_s
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash(frozenset(self.by_s.items()))
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            w = out.get(m, Fraction(0)) + v
-            if w:
-                out[m] = w
-            else:
-                out.pop(m, None)
+        out = dict(self.by_s)
+        for es, p in other.by_s.items():
+            sparse_add(out, es, p)
         return Poly2._of(out)
 
     def __neg__(self) -> "Poly2":
-        return Poly2._of({m: -v for m, v in self.coeffs.items()})
+        return Poly2._of({es: -p for es, p in self.by_s.items()})
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Poly2._of({m: v * q for m, v in self.coeffs.items()} if q else {})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (c1, s1), v1 in self.coeffs.items():
-            for (c2, s2), v2 in other.coeffs.items():
-                m = (c1 + c2, s1 + s2)
-                w = out.get(m, Fraction(0)) + v1 * v2
-                if w:
-                    out[m] = w
-                else:
-                    out.pop(m, None)
+            return Poly2._of({es: p * other for es, p in self.by_s.items()} if other else {})
+        a, b = (other, self) if len(self.by_s) == 1 else (self, other)
+        if len(b.by_s) == 1:
+            # one s-exponent: no two products meet, and Q[c] has no zero divisors
+            [(e2, p2)] = b.by_s.items()
+            return Poly2._of({e1 + e2: p1 * p2 for e1, p1 in a.by_s.items()})
+        out: dict[int, PolyC] = {}
+        for e1, p1 in self.by_s.items():
+            for e2, p2 in other.by_s.items():
+                sparse_add(out, e1 + e2, p1 * p2)
         return Poly2._of(out)
 
     __rmul__ = __mul__
 
-    def scale(self, q) -> "Poly2":
-        return self * Fraction(q)
-
-    # -- structure as a polynomial in s over Q[c]
-    def s_coeffs(self) -> dict[int, PolyC]:
-        tmp: dict[int, dict[int, Fraction]] = {}
-        for (ec, es), v in self.coeffs.items():
-            tmp.setdefault(es, {})[ec] = v
-        return {es: PolyC(d) for es, d in tmp.items()}
-
-    @staticmethod
-    def from_s_coeffs(sc: dict[int, PolyC]) -> "Poly2":
-        out: dict[tuple[int, int], Fraction] = {}
-        for es, p in sc.items():
-            for ec, v in p.coeffs.items():
-                out[(ec, es)] = v
-        return Poly2(out)
-
-    def divexact_polyc(self, d: PolyC) -> "Poly2":
-        sc = self.s_coeffs()
-        return Poly2.from_s_coeffs({es: p.divexact(d) for es, p in sc.items()})
-
     def divexact(self, other: "Poly2") -> "Poly2":
-        """Exact multivariate division (raises if not divisible)."""
-        if other.is_zero():
-            raise ZeroDivisionError("Poly2 division by zero")
-        if len(other.coeffs) == 1:
-            # a monomial divisor: shift exponents, no remainder loop
-            [((dc, ds), dv)] = other.coeffs.items()
-            quo = {}
-            for (ec, es), v in self.coeffs.items():
-                if ec < dc or es < ds:
-                    raise ArithmeticError("inexact Poly2 division")
-                quo[(ec - dc, es - ds)] = v / dv
-            return Poly2._of(quo)
-        rem = Poly2(dict(self.coeffs))
-        quo: dict[tuple[int, int], Fraction] = {}
-        lm, lc = other.leading_mono(), other.leading_coeff()
-        while not rem.is_zero():
-            rm, rv = rem.leading_mono(), rem.leading_coeff()
-            dm = (rm[0] - lm[0], rm[1] - lm[1])
-            if dm[0] < 0 or dm[1] < 0:
-                raise ArithmeticError("inexact Poly2 division")
-            f = rv / lc
-            quo[dm] = f
-            rem = rem - Poly2({dm: f}) * other
-        return Poly2(quo)
+        """Exact division (raises ArithmeticError if ``other`` does not divide ``self``).
 
-    def content_c(self) -> PolyC:
-        """Monic gcd in Q[c] of the s-coefficients (1 for the zero poly)."""
-        g = PolyC()
-        for p in self.s_coeffs().values():
-            g = PolyC.gcd(g, p)
-            if g.degree() == 0:
-                break
-        return g if not g.is_zero() else PolyC.const(1)
+        Long division in ``s``: each quotient coefficient is an exact PolyC
+        division by ``other``'s leading s-coefficient.
+        """
+        if not other.by_s:
+            raise ZeroDivisionError("Poly2 division by zero")
+        ds = max(other.by_s)
+        lead = other.by_s[ds]
+        if len(other.by_s) == 1:
+            if self.by_s and min(self.by_s) < ds:
+                raise ArithmeticError("inexact Poly2 division")
+            return Poly2._of({es - ds: p.divexact(lead) for es, p in self.by_s.items()})
+        rem, quo = dict(self.by_s), {}
+        while rem:
+            es = max(rem)
+            if es < ds:
+                raise ArithmeticError("inexact Poly2 division")
+            q = quo[es - ds] = rem[es].divexact(lead)
+            for eo, p in other.by_s.items():
+                sparse_add(rem, es - ds + eo, -(q * p))
+        return Poly2._of(quo)
 
     @staticmethod
     def gcd(a: "Poly2", b: "Poly2") -> "Poly2":
-        """gcd in Q[c, s], unit-normalized monic.
+        """gcd in Q[c, s], normalized to graded-lex leading coefficient 1.
 
-        If either argument is a single term ``v c^i s^j`` the gcd is the
-        monomial ``c^min(ec) s^min(es)`` over the terms of both (the divisors
-        of a monomial in the UFD Q[c, s] are monomials); otherwise a
-        primitive-PRS on s over Q[c].
+        If either argument has a single s-exponent, ``s^j p(c)`` is a product
+        of coprime factors, so the gcd is a power of s times the gcd of the
+        contents in c.  Otherwise it is the gcd of the contents in c times that
+        of the primitive parts, found by a primitive PRS in s over Q[c] whose
+        pseudo-remainders drop their content in c.
         """
-        if a.is_zero():
-            return b * (1 / b.leading_coeff()) if not b.is_zero() else Poly2()
-        if b.is_zero():
-            return a * (1 / a.leading_coeff())
-        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-            monos = [*a.coeffs, *b.coeffs]
-            return Poly2._of({(min(ec for ec, _ in monos), min(es for _, es in monos)):
-                              Fraction(1)})
-        ca, cb = a.content_c(), b.content_c()
-        pa, pb = a.divexact_polyc(ca), b.divexact_polyc(cb)
-        cg = PolyC.gcd(ca, cb)
-        A, B = pa.s_coeffs(), pb.s_coeffs()
-
-        def sdeg(P):
-            return max(P, default=-1)
-
-        if sdeg(A) < sdeg(B):
+        if not a.by_s or not b.by_s:
+            g = a if a.by_s else b
+            return g * (1 / g.leading_coeff()) if g.by_s else g
+        if len(a.by_s) == 1 or len(b.by_s) == 1:
+            return Poly2._of({min(*a.by_s, *b.by_s): _content([*a.by_s.values(), *b.by_s.values()])})
+        ca, cb = _content(a.by_s.values()), _content(b.by_s.values())
+        A = {es: p.divexact(ca) for es, p in a.by_s.items()}
+        B = {es: p.divexact(cb) for es, p in b.by_s.items()}
+        if max(A) < max(B):
             A, B = B, A
-        while True:
-            if not B:
-                G = Poly2.from_s_coeffs(A)
-                gc = G.content_c()
-                G = G.divexact_polyc(gc)
-                break
-            da, db = sdeg(A), sdeg(B)
-            if db == 0:
-                # primitive degree-0 in s: gcd of primitive parts is a unit
-                G = Poly2.const(1)
-                break
-            # pseudo-remainder of A by B in (Q[c])[s]
-            lb = B[db]
-            R = dict(A)
-            for _ in range(da - db + 1):
-                dr = sdeg(R)
-                if dr < db:
-                    break
-                lr = R[dr]
-                R = {e: p * lb for e, p in R.items()}
-                for eb, pb2 in B.items():
-                    ee = dr - db + eb
-                    q = R.get(ee, PolyC()) - lr * pb2
-                    if q.is_zero():
-                        R.pop(ee, None)
-                    else:
-                        R[ee] = q
-                R = {e: p for e, p in R.items() if not p.is_zero()}
-            if sdeg(R) >= db:
-                raise ArithmeticError("pseudo-division failed to reduce degree")
-            Rp = Poly2.from_s_coeffs(R)
-            if Rp.is_zero():
-                A, B = B, {}
-            else:
-                Rp = Rp.divexact_polyc(Rp.content_c())
-                A, B = B, Rp.s_coeffs()
-        G = G * Poly2.from_polyc(cg)
-        if G.is_zero():
-            return Poly2.const(1)
+        while B and max(B):
+            R = _prem_s(A, B)
+            if R:
+                # drop the content in c, and the rational scale with it, so that neither grows
+                g = _content(R.values()) * R[max(R)].leading()
+                R = {es: p.divexact(g) for es, p in R.items()}
+            A, B = B, R
+        G = Poly2._of(A if not B else {0: _ONE}) * Poly2._of({0: PolyC.gcd(ca, cb)})
         return G * (1 / G.leading_coeff())
 
     # -- rendering
-    @staticmethod
-    def _mono_text(ec: int, es: int, coef: Fraction, k_style: bool) -> str:
-        factors = []
-        mag = abs(coef)
-        if ec:
-            factors.append("c" if ec == 1 else f"c^{ec}")
-        if es:
-            if k_style:
-                kk, rr = divmod(es, 2)
-                if kk:
-                    factors.append("k" if kk == 1 else f"k^{kk}")
-                if rr:
-                    factors.append("s")
-            else:
-                factors.append("s" if es == 1 else f"s^{es}")
-        if not factors:
-            return _frac_str(mag)
-        body = "*".join(factors)
-        return body if mag == 1 else f"{_frac_str(mag)}*{body}"
+    def n_terms(self) -> int:
+        return sum(len(p.ints) - p.ints.count(0) for p in self.by_s.values())
 
     def render(self, k_style: bool = False) -> str:
-        if not self.coeffs:
+        """Terms in descending graded-lex order, e.g. ``2/3*c*s - s^2 + 1`` (``k*s`` for s^3 in k style)."""
+        terms = sorted(((ec + es, es, ec, p.num * x, p.den) for es, p in self.by_s.items()
+                        for ec, x in enumerate(p.ints) if x), reverse=True)
+        if not terms:
             return "0"
-        monos = sorted(self.coeffs, key=_grlex_key, reverse=True)
-        first = monos[0]
-        v0 = self.coeffs[first]
-        text = ("-" if v0 < 0 else "") + self._mono_text(first[0], first[1], v0, k_style)
-        for m in monos[1:]:
-            v = self.coeffs[m]
-            text += f" {'-' if v < 0 else '+'} {self._mono_text(m[0], m[1], v, k_style)}"
-        return text
+        parts = []
+        for _deg, es, ec, n, d in terms:
+            g = math.gcd(n, d)
+            mag = f"{abs(n) // g}" if d == g else f"{abs(n) // g}/{d // g}"
+            factors = ["c" if ec == 1 else f"c^{ec}"] if ec else []
+            if es and k_style:
+                kk, rr = divmod(es, 2)
+                factors += (["k" if kk == 1 else f"k^{kk}"] if kk else []) + (["s"] if rr else [])
+            elif es:
+                factors.append("s" if es == 1 else f"s^{es}")
+            if factors:
+                mag = "*".join(factors) if mag == "1" else "*".join([mag, *factors])
+            parts.append(f"{'-' if n < 0 else '+'} {mag}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Poly2({self.render()})"
+
+
+def _prem_s(A: dict[int, PolyC], B: dict[int, PolyC]) -> dict[int, PolyC]:
+    """The pseudo-remainder in s of ``A`` by ``B`` over Q[c], as ``{s exponent: PolyC}``."""
+    db = max(B)
+    lb = B[db]
+    R = dict(A)
+    while R and (dr := max(R)) >= db:
+        lr = R.pop(dr)
+        R = {es: p * lb for es, p in R.items()}
+        for eb, p in B.items():
+            if eb != db:
+                sparse_add(R, dr - db + eb, -(lr * p))
+    return R
 
 
 _P2_ONE = Poly2.const(1)
@@ -627,7 +605,7 @@ class CoeffK:
             self.num, self.den = num * (1 / den.const_value()), _P2_ONE
             return
         g = Poly2.gcd(num, den)
-        if not (g.is_const() and g.const_value() == 1):
+        if g != _P2_ONE:
             num, den = num.divexact(g), den.divexact(g)
         lc = den.leading_coeff()
         if lc != 1:
@@ -687,7 +665,13 @@ class CoeffK:
 
     def key(self):
         """Hashable canonical key (usable as a dict key for like-term merging)."""
-        return (frozenset(self.num.coeffs.items()), frozenset(self.den.coeffs.items()))
+        return (self.num, self.den)
+
+    @staticmethod
+    def key_order(key):
+        """A total order on keys: the terms ``((ec, es), value)`` sorted, numerator first."""
+        num, den = key
+        return sorted(num.coeffs.items()), sorted(den.coeffs.items())
 
     # -- field arithmetic
     def __add__(self, other: "CoeffK") -> "CoeffK":
@@ -743,8 +727,9 @@ class CoeffK:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- constants
@@ -759,9 +744,9 @@ class CoeffK:
             return self.num.render(k_style)
         ns = self.num.render(k_style)
         ds = self.den.render(k_style)
-        if len(self.num.coeffs) > 1:
+        if self.num.n_terms() > 1:
             ns = f"({ns})"
-        if len(self.den.coeffs) > 1:
+        if self.den.n_terms() > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -773,8 +758,8 @@ def as_polyc(x: PolyC | CoeffK) -> PolyC:
     """A ring coefficient in Q[c]: a PolyC as is, or a CoeffK with no s and denominator 1."""
     if isinstance(x, PolyC):
         return x
-    if x.den == _P2_ONE and not any(es for (_ec, es) in x.num.coeffs):
-        return PolyC({ec: v for (ec, _es), v in x.num.coeffs.items()})
+    if x.den == _P2_ONE and set(x.num.by_s) <= {0}:
+        return x.num.by_s.get(0, _ZERO)
     raise ValueError(f"ring coefficient {x.render(k_style=True)} is not a polynomial in c")
 
 
@@ -819,10 +804,7 @@ def specialize(
     s_sqrt: Optional[Fraction] = None
     if k_val is not None:
         k_val = Fraction(k_val)
-        has_odd = any(
-            es % 2 for (_ec, es) in list(x.num.coeffs) + list(x.den.coeffs)
-        )
-        if has_odd:
+        if any(es % 2 for es in (*x.num.by_s, *x.den.by_s)):
             s_sqrt = rat_sqrt(k_val)
             if s_sqrt is None:
                 raise SpecializationError(
@@ -833,25 +815,15 @@ def specialize(
         c_val = Fraction(c_val)
 
     def sub_poly(p: Poly2) -> Poly2:
-        out = Poly2.zero()
-        for (ec, es), v in p.coeffs.items():
-            term = Poly2.const(v)
-            if c_val is None:
-                if ec:
-                    term = term * Poly2({(ec, 0): Fraction(1)})
-            else:
-                term = term * (c_val**ec)
+        out: dict[int, PolyC] = {}
+        for es, q in p.by_s.items():
+            if c_val is not None:
+                q = PolyC.const(q.at(c_val))
             if k_val is None:
-                if es:
-                    term = term * Poly2({(0, es): Fraction(1)})
+                sparse_add(out, es, q)
             else:
-                q, rem = divmod(es, 2)
-                factor = k_val**q
-                if rem:
-                    factor *= s_sqrt
-                term = term * factor
-            out = out + term
-        return out
+                sparse_add(out, 0, q * (k_val ** (es // 2) * (s_sqrt if es % 2 else 1)))
+        return Poly2._of(out)
 
     den = sub_poly(x.den)
     if den.is_zero():

@@ -259,7 +259,7 @@ def canonical_sectors(*exprs: FieldExpr) -> dict:
 
 def _term_sort_key(key):
     factors, mom = key
-    return (len(factors), tuple(g.sort_key() for g in factors), sorted(mom[0]) or [], sorted(mom[1]) or [])
+    return (len(factors), tuple(g.sort_key() for g in factors), CoeffK.key_order(mom))
 
 
 def nested_product(factors: list[FieldGen], conv: ConventionConfig) -> FieldExpr:
@@ -390,6 +390,12 @@ class OPESector:
         }
 
 
+def _sector_sort_key(sec: OPESector) -> str:
+    """Sectors are listed in the order of the text of their exponents' term sets."""
+    eps = sec.epsilon
+    return repr((frozenset(eps.num.coeffs.items()), frozenset(eps.den.coeffs.items())))
+
+
 class OPEResult:
     """Finitely many epsilon-sectors, each with an integer pole-order map.
 
@@ -413,7 +419,7 @@ class OPEResult:
                 self.sectors[k] = OPESector(sec.epsilon, poles)
 
     def sector_list(self) -> list[OPESector]:
-        return [self.sectors[k] for k in sorted(self.sectors, key=repr)]
+        return sorted(self.sectors.values(), key=_sector_sort_key)
 
     def is_trivial(self) -> bool:
         return not self.sectors

@@ -6,6 +6,7 @@ import pytest
 
 from secalg import families
 from secalg.cli import (
+    MAX_DERIV_ORDER,
     MAX_NESTING,
     Command,
     ParseError,
@@ -210,12 +211,29 @@ def test_main_entry():
     ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(" * 300 + "t" + ")" * 300],
     ["ope", "--m", "3", "--e", "exp(" + "-" * 2000 + "1/s,phi0)", "--f", "gamma[1]"],
     ["ope", "--m", "3", "--e", "no(" * 300 + "beta[1]" + ")" * 300, "--f", "gamma[1]"],
+    # derivative orders above MAX_DERIV_ORDER, nested ones added up: refused before any work
+    ["ope", "--m", "3", "--e", "D(beta[1],2000)", "--f", "gamma[1]"],
+    ["ope", "--m", "3", "--e", "D(beta[1],100000000)", "--f", "gamma[1]"],
+    ["ope", "--m", "3", "--e", "no(D(b[0],200)*exp(1,phi0))", "--f", "exp(1,phi0)"],
+    ["ope", "--m", "3", "--e", "D(no(D(beta[1],15)*b[0]),6)", "--f", "gamma[1]"],
+    # a c-degree above MAX_C_DEGREE
+    ["ope", "--m", "3", "--e", "exp(c^1000000000,phi0)", "--f", "exp(1,phi0)"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_derivative_order_bound():
+    """Orders up to MAX_DERIV_ORDER parse, nested ones added up; one more is a ParseError."""
+    assert MAX_DERIV_ORDER == 20
+    assert main(["ope", "--m", "3", "--e", "D(beta[1],20)", "--f", "gamma[1]"]) == 0
+    assert parse_field_expr("D(D(beta[1],15),5)", 2) == parse_field_expr("D(beta[1],20)", 2)
+    assert not parse_field_expr("no(D(beta[1],20)*D(b[0],20))", 2).is_zero()
+    with pytest.raises(ParseError, match=f"derivative order 21 above {MAX_DERIV_ORDER}"):
+        parse_field_expr("D(no(b[0]*D(D(beta[1],15),5)),1)", 2)
 
 
 def test_parser_nesting_bound():

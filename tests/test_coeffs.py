@@ -162,10 +162,19 @@ def _sym(p):
                                 _S, _C, domain=sympy.QQ)
 
 
+_CS = Poly2({(1, 0): 1, (0, 1): 1})  # c + s
+_CM1 = Poly2({(1, 0): 1, (0, 0): -1})  # c - 1
+_S2P1 = Poly2({(0, 2): 1, (0, 0): 1})  # s^2 + 1
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(num=_poly2s(0, 4), den=_poly2s(1, 3))
+@example(num=_CS * _CM1, den=_CS * _S2P1)
+@example(num=_CS * _CM1 * F(10**30, 7), den=_CS * _S2P1 * F(3, 2 * 10**25))
+@example(num=_CS * _CS * _CM1 * F(-5, 12), den=_CS * _CM1 * _CM1 * _S2P1 * F(9, 4))
 def test_canonical_form_matches_sympy(num, den):
-    """Monomial (one-term) and non-monomial denominators alike."""
+    """Monomial (one-term) and non-monomial denominators alike; the examples share
+    a factor in both c and s, so the PRS path must find a non-unit gcd."""
     x = CoeffK(num, den)
     n, d, n_out, d_out = _sym(num), _sym(den), _sym(x.num), _sym(x.den)
     assert n_out * d == n * d_out
@@ -252,6 +261,9 @@ def _fraction_dict_render_ratio(coeffs):
 @example(a=PolyC({0: F(5, 6)}), b=PolyC(), q=F(1), n=0)
 @example(a=PolyC({2: F(1, 4), 0: F(5, 6)}), b=PolyC.c(), q=F(-2, 3), n=-12)
 @example(a=PolyC({1: F(7, 9)}), b=PolyC({0: F(1, 3)}), q=F(9, 14), n=6)
+# (c - 1)(c + 2) * 5/6 and (c - 1)(3c + 1) * -7/4: a common factor and non-primitive contents
+@example(a=PolyC({2: F(5, 6), 1: F(5, 6), 0: F(-5, 3)}),
+         b=PolyC({2: F(-21, 4), 1: F(7, 2), 0: F(7, 4)}), q=F(9, 14), n=4)
 def test_polyc_matches_sympy(a, b, q, n):
     """Zero, constants, one-term values and negative leading coefficients alike.
 

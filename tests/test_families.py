@@ -204,3 +204,26 @@ def test_integer_triples_match_fraction_recurrence(ml, r, k):
             lambda kk: (F(m * kk + 2 * r * l), m * kk + r * l, m * kk), r, j, k)
         assert eval_family(spec, k).coeffs == fam[k], (j, k)
         assert sector_recurrence_value(m, r, l, j, k).coeffs == sec[k], (j, k)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ml=st.integers(1, 6).flatmap(lambda l: st.tuples(st.integers(l + 1, 7), st.just(l))),
+       r=st.integers(2, 4), k=st.integers(0, 60))
+def test_casoratian_is_free_of_c(ml, r, k):
+    """Families j and j + r (1 <= j <= r) solve one recurrence in one residue class.
+
+    So their Casoratian W_k = P^(j)_k P^(j+r)_(k-r) - P^(j)_(k-r) P^(j+r)_k
+    obeys W_k = m'k/(m'k + 2r) W_(k-r) with W_(-j) = 1 (Abel's identity for
+    difference equations): a constant, checked on the walk's values at every
+    index of the class up to k, never through its step.
+    """
+    m, l = ml
+    mp = F(m, l)
+    for j in range(1, r + 1):
+        a, b = FamilySpec(l=l, j=j, m_prime=mp, r=r), FamilySpec(l=l, j=j + r, m_prime=mp, r=r)
+        w = F(1)
+        for kk in range(r - j, k + 1, r):
+            w *= mp * kk / (mp * kk + 2 * r)
+            cas = (eval_family(a, kk) * eval_family(b, kk - r)
+                   - eval_family(a, kk - r) * eval_family(b, kk))
+            assert cas == PolyC.const(w), (j, kk)

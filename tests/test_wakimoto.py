@@ -254,6 +254,10 @@ def test_obstruction_report_specialized():
     (["ope", "--m", "3", "--e", "no(b[0]*b[0]*beta[2]*exp(1/s,phi0))",
       "--f", "no(b[0]*gamma[2]*gamma[2]*b[0]*exp(c,phi0))", "--extra-orders", "2"], 0,
      "cbed78a643a00e06b4f81848a0007dd95dc318439484a0aad62d49497c9ec3fa"),
+    # a general denominator on both sides of the merges: momenta 1/(c-1) and s
+    (["ope", "--m", "3", "--e", "no(D(b[0],2)*b[1]*gamma[2]*exp(1/(c-1),phi0))",
+      "--f", "no(b[0]*b[1]*beta[2]*exp(s,phi0))", "--extra-orders", "1"], 0,
+     "ec842424b27f64da82ba1749e2a06b99e17e8f34997839bb2e447610ce61455f"),
 ])
 def test_free_field_output_pinned(argv, status, digest, capsys):
     assert main(argv) == status
