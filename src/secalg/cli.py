@@ -8,11 +8,12 @@ Grammar (shared tokens; byte offsets reported on error):
 
     coefficient := rational | "c" | "s" | "k" | "(" coef ")"
                    combined with "+", "-", "*", "/", and "^" int; c-degree
-                   at most coeffs.MAX_C_DEGREE (100000), else exit 2
+                   span at most coeffs.MAX_C_DEGREE (100000), else exit 2
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
-                   (no s, no k, no denominator in c), else exit 2
+                   (no s, no k, no denominator in c, c-degree at most
+                   coeffs.MAX_C_DEGREE), else exit 2
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
@@ -20,7 +21,8 @@ Grammar (shared tokens; byte offsets reported on error):
                    gen := ("beta"|"gamma"|"b") "[" int "]"; the orders of
                    nested D( add up to at most MAX_DERIV_ORDER (20), else
                    exit 2
-    --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2
+    --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2; so is
+                   a Taylor shift above ope.MAX_SHIFT_ORDER (24) in an ope
 """
 
 from __future__ import annotations

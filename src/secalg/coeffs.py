@@ -4,19 +4,20 @@ Three layers, all exact over Q (Python integers; ``fractions.Fraction`` only
 at the edges, for scalars and for reading coefficients out):
 
 * ``PolyC``   -- univariate polynomials in the curve parameter ``c``, each a
-  rational content times a primitive integer polynomial (von zur Gathen and
-  Gerhard, *Modern Computer Algebra*, ch. 6).  The content is a reduced pair
-  of Python ints, so content arithmetic builds no ``Fraction``, and a product
-  of two integer contents (denominator 1) takes no gcd.  By Gauss's lemma a
-  product of primitive polynomials is primitive, so a product convolves
-  integers with no gcd, and a sum takes one integer gcd rather than one per
-  coefficient; ``c_lincomb`` takes a step of the family recurrence in one
-  such pass.  Division, exact division and the gcd share one integer
-  pseudo-division on the primitive tuples, which scales the remainder only
-  when the divisor's leading coefficient does not divide it; the gcd is a
-  primitive PRS (Collins 1967; Brown and Traub 1971).  The algebra side
-  (ring, Kahler reduction, cocycle, bracket, families) lives in Q[c]: p(t)
-  is in Z[c][t] and every relation pivot is a nonzero rational.
+  rational content times a power of ``c`` (one integer, at any exponent)
+  times a primitive integer polynomial with nonzero constant term (von zur
+  Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).  The content is a
+  reduced pair of Python ints, so content arithmetic builds no ``Fraction``,
+  and a product of two integer contents (denominator 1) takes no gcd.  By
+  Gauss's lemma a product of primitive polynomials is primitive, so a
+  product convolves integers with no gcd, and a sum takes one integer gcd
+  rather than one per coefficient; ``c_lincomb`` takes a step of the family
+  recurrence in one such pass.  Division, exact division and the gcd share
+  one integer pseudo-division on the primitive tuples, which scales the
+  remainder only when the divisor's leading coefficient does not divide it;
+  the gcd is a primitive PRS (Collins 1967; Brown and Traub 1971).  The
+  algebra side (ring, Kahler reduction, cocycle, bracket, families) lives in
+  Q[c]: p(t) is in Z[c][t] and every relation pivot is a nonzero rational.
 * ``Poly2``   -- polynomials in ``c`` and ``s``, stored as ``{s exponent:
   PolyC}``, so that every polynomial in ``c`` has the one representation and
   all their arithmetic is ``PolyC``'s integer arithmetic.
@@ -36,7 +37,8 @@ The gcd of two ``Poly2`` values is the gcd of their contents in ``c`` (the
 Q[c].  Every denominator the free-field side builds is a monomial
 ``c^a s^b``, and the parser's (e.g. ``1/(c-1)``) are free of ``s``: with one
 s-exponent on either side the PRS is skipped, and division by such a divisor
-is one exact ``PolyC`` division per s-coefficient.
+is one exact ``PolyC`` division per s-coefficient, which for a monomial only
+subtracts exponents.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.
@@ -68,7 +70,7 @@ def rat_sqrt(q: Fraction) -> Optional[Fraction]:
 # Univariate polynomials in c
 # ---------------------------------------------------------------------------
 
-#: PolyC stores every coefficient up to its degree, so degrees are held to this bound.
+#: PolyC stores every coefficient from its lowest power of c to its highest: that span is bounded.
 MAX_C_DEGREE = 100_000
 
 
@@ -92,17 +94,20 @@ def _over_lcm(pa: int, qa: int, pb: int, qb: int) -> tuple[int, int, int]:
     return pa * (qb // g), pb * (qa // g), qa // g * qb
 
 
-def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], int, int]:
-    """``num/den * ints`` as (primitive part, content numerator, content denominator).
+def _primitive(ints: list[int], num: int, den: int, val: int = 0) -> tuple[tuple[int, ...], int, int, int]:
+    """``num/den * c^val * ints`` as (primitive part, content numerator, content denominator, valuation).
 
-    ``num/den`` must be in lowest terms.  Trailing zeros are dropped, and the
-    gcd of the integers and the sign of the last one move into the content, so
-    the integer tuple is primitive.
+    ``num/den`` must be in lowest terms.  Trailing zeros are dropped, leading
+    ones move into the valuation, and the gcd of the integers and the sign of
+    the last one move into the content, so the integer tuple is primitive.
     """
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return (), 1, 1
+        return (), 1, 1, 0
+    if not ints[0]:
+        z = next(i for i, x in enumerate(ints) if x)
+        ints, val = ints[z:], val + z
     # leading coefficient first: low-order ones (of family values) share large factors
     g = math.gcd(ints[-1], *ints)
     if ints[-1] < 0:
@@ -110,7 +115,20 @@ def _primitive(ints: list[int], num: int, den: int) -> tuple[tuple[int, ...], in
     if g != 1:
         ints = [x // g for x in ints]
         num, den = _ratio_mul(num, den, g, 1)
-    return tuple(ints), num, den
+    return tuple(ints), num, den, val
+
+
+def _axpy(fa: int, a: tuple, va: int, fb: int, b: tuple, vb: int, num: int, den: int) -> "PolyC":
+    """``num/den * (fa * c^va * a + fb * c^vb * b)`` made canonical: one integer pass."""
+    if va > vb:
+        fa, a, va, fb, b, vb = fb, b, vb, fa, a, va
+    n = max(len(a), vb - va + len(b))
+    if n > MAX_C_DEGREE + 1:
+        raise ValueError(f"c degree span {n - 1} above {MAX_C_DEGREE}")
+    ints = [fa * x for x in a] + [0] * (n - len(a))
+    for i, y in enumerate(b, vb - va):
+        ints[i] += fb * y
+    return PolyC._of(*_primitive(ints, num, den, va))
 
 
 def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int], int]:
@@ -122,9 +140,9 @@ def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int],
     ``b`` divides ``a`` over Z -- and, by Gauss's lemma, whenever primitive ``b``
     divides primitive ``a`` over Q.
     """
+    if b == (1,):
+        return list(a), [], 1
     m, lb = len(b) - 1, b[-1]
-    if lb == 1 and not any(b[:-1]):
-        return list(a[m:]), list(a[:m]), 1  # a one-term divisor c^m shifts exponents
     r, q, f = list(a), [0] * max(len(a) - m, 0), 1
     for i in range(len(a) - 1, m - 1, -1):
         x = r[i]
@@ -143,37 +161,35 @@ def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int],
 
 
 class PolyC:
-    """Polynomial in ``c`` over Q, stored as ``num/den * sum(ints[e] * c^e)``.
+    """Polynomial in ``c`` over Q, stored as ``num/den * c^val * sum(ints[i] * c^i)``.
 
     ``ints`` is a dense tuple of integers, lowest degree first, that is
-    primitive: their gcd is 1, the last entry is positive and there are no
-    trailing zeros.  The content ``num/den`` is a pair of coprime Python ints
-    with ``den > 0``; ``num`` is nonzero and carries the sign.  The zero
-    polynomial is ``ints == ()`` with content 1/1.  The form is unique, so
-    equality and hashing are structural.
+    primitive: their gcd is 1, the first entry is nonzero, the last is
+    positive.  ``val`` is the lowest power of c, so ``c^e`` is ``ints == (1,)``
+    at any e.  The content ``num/den`` is a pair of coprime Python ints with
+    ``den > 0``; ``num`` is nonzero and carries the sign.  Zero is ``ints ==
+    ()`` with ``val`` 0 and content 1/1.  The form is unique, so equality and
+    hashing are structural.
     """
 
-    __slots__ = ("ints", "num", "den")
+    __slots__ = ("ints", "num", "den", "val")
 
     def __init__(self, coeffs: Optional[dict[int, Fraction]] = None):
-        fracs: dict[int, Fraction] = {}
-        for e, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                if not 0 <= e <= MAX_C_DEGREE:
-                    raise ValueError(f"c exponent {e} outside 0..{MAX_C_DEGREE}")
-                fracs[e] = v
+        fracs = {e: Fraction(v) for e, v in (coeffs or {}).items() if v}
+        lo, hi = min(fracs, default=0), max(fracs, default=-1)
+        if lo < 0 or hi - lo > MAX_C_DEGREE:
+            raise ValueError(f"c exponents {lo}..{hi}: negative, or spanning more than {MAX_C_DEGREE}")
         den = math.lcm(*(v.denominator for v in fracs.values()))
-        ints = [0] * (max(fracs, default=-1) + 1)
+        ints = [0] * (hi - lo + 1)
         for e, v in fracs.items():
-            ints[e] = v.numerator * (den // v.denominator)
-        self.ints, self.num, self.den = _primitive(ints, 1, den)
+            ints[e - lo] = v.numerator * (den // v.denominator)
+        self.ints, self.num, self.den, self.val = _primitive(ints, 1, den, lo)
 
     @staticmethod
-    def _of(ints: tuple[int, ...], num: int, den: int) -> "PolyC":
-        """Wrap an already-canonical (primitive tuple, reduced nonzero content) unchecked."""
+    def _of(ints: tuple[int, ...], num: int, den: int, val: int = 0) -> "PolyC":
+        """Wrap an already-canonical (primitive tuple, reduced nonzero content, valuation) unchecked."""
         p = object.__new__(PolyC)
-        p.ints, p.num, p.den = ints, num, den
+        p.ints, p.num, p.den, p.val = ints, num, den, val
         return p
 
     @property
@@ -184,7 +200,7 @@ class PolyC:
     @property
     def coeffs(self) -> dict[int, Fraction]:
         """The nonzero rational coefficients ``{exponent: value}``, as a fresh dict."""
-        return {e: Fraction(self.num * x, self.den) for e, x in enumerate(self.ints) if x}
+        return {e: Fraction(self.num * x, self.den) for e, x in enumerate(self.ints, self.val) if x}
 
     # -- constructors
     @staticmethod
@@ -206,7 +222,7 @@ class PolyC:
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.ints) - 1
+        return len(self.ints) - 1 + self.val
 
     def leading(self) -> Fraction:
         return Fraction(self.num * self.ints[-1], self.den) if self.ints else Fraction(0)
@@ -217,14 +233,14 @@ class PolyC:
         acc, dp = 0, 1
         for a in reversed(self.ints):
             acc, dp = acc * n + a * dp, dp * d
-        return Fraction(self.num * acc, self.den * (dp // d)) if acc else Fraction(0)
+        return Fraction(self.num * acc, self.den * (dp // d)) * x ** self.val if acc else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyC) and self.ints == other.ints
+        return (isinstance(other, PolyC) and self.ints == other.ints and self.val == other.val
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.num, self.den))
+        return hash((self.ints, self.val, self.num, self.den))
 
     # -- arithmetic
     def __add__(self, other: "PolyC") -> "PolyC":
@@ -237,26 +253,16 @@ class PolyC:
         # h is coprime to the lcm, as _primitive requires
         fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
         h = math.gcd(fa, fb)
-        fa, fb = fa // h, fb // h
-        if len(a) < len(b):
-            a, b, fa, fb = b, a, fb, fa
-        ints = [fa * x for x in a]
-        for i, y in enumerate(b):
-            ints[i] += fb * y
-        return PolyC._of(*_primitive(ints, h, den))
+        return _axpy(fa // h, a, self.val, fb // h, b, other.val, h, den)
 
     def c_lincomb(self, s: int, other: "PolyC", t: int, lead: int) -> "PolyC":
         """``(s * c * self + t * other) / lead`` for integers s, t and lead > 0: one integer
         pass over both primitive tuples and one canonical form, with no intermediate PolyC."""
         fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
-        fa, fb, a, b = s * fa, t * fb, self.ints, other.ints
-        ints = [0] + [fa * x for x in a] + [0] * (len(b) - len(a) - 1)
-        for i, y in enumerate(b):
-            ints[i] += fb * y
-        return PolyC._of(*_primitive(ints, 1, den * lead))
+        return _axpy(s * fa, self.ints, self.val + 1, t * fb, other.ints, other.val, 1, den * lead)
 
     def __neg__(self) -> "PolyC":
-        return PolyC._of(self.ints, -self.num, self.den) if self.ints else self
+        return PolyC._of(self.ints, -self.num, self.den, self.val) if self.ints else self
 
     def __sub__(self, other: "PolyC") -> "PolyC":
         return self + (-other)
@@ -265,25 +271,25 @@ class PolyC:
         if isinstance(other, (int, Fraction)):
             if not other or not self.ints:
                 return _ZERO
-            return PolyC._of(self.ints, *_ratio_mul(self.num, self.den, *other.as_integer_ratio()))
+            return PolyC._of(self.ints, *_ratio_mul(self.num, self.den, *other.as_integer_ratio()), self.val)
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
         if len(a) + len(b) - 2 > MAX_C_DEGREE:
-            raise ValueError(f"c degree {len(a) + len(b) - 2} above {MAX_C_DEGREE}")
+            raise ValueError(f"c degree span {len(a) + len(b) - 2} above {MAX_C_DEGREE}")
         num, den = _ratio_mul(self.num, self.den, other.num, other.den)
+        val = self.val + other.val
         if len(a) < len(b):
             a, b = b, a
-        if b[-1] == 1 and not any(b[:-1]):
-            # a one-term factor c^e shifts exponents
-            return PolyC._of((0,) * (len(b) - 1) + a, num, den)
-        # Gauss's lemma: a product of primitive polynomials is primitive
+        if b == (1,):
+            return PolyC._of(a, num, den, val)  # a one-term factor c^e only adds to the valuation
+        # Gauss's lemma: a product of primitive polynomials is primitive, with first entry a[0] * b[0]
         out = [0] * (len(a) + len(b) - 1)
         for i, y in enumerate(b):
             if y:
                 for j, x in enumerate(a, i):
                     out[j] += x * y
-        return PolyC._of(tuple(out), num, den)
+        return PolyC._of(tuple(out), num, den, val)
 
     __rmul__ = __mul__
 
@@ -293,7 +299,9 @@ class PolyC:
     def divmod(self, other: "PolyC") -> tuple["PolyC", "PolyC"]:
         if not other.ints:
             raise ZeroDivisionError("PolyC division by zero")
-        q, r, f = _pdiv(self.ints, other.ints)
+        if max(self.degree(), other.degree()) > MAX_C_DEGREE:
+            raise ValueError(f"c degree above {MAX_C_DEGREE} in PolyC.divmod")
+        q, r, f = _pdiv((0,) * self.val + self.ints, (0,) * other.val + other.ints)
         # self = num/den * a and other = onum/oden * b, with f * a = q * b + r
         quo = _primitive(q, *_reduced(self.num * other.den, self.den * other.num * f))
         return PolyC._of(*quo), PolyC._of(*_primitive(r, *_reduced(self.num, self.den * f)))
@@ -301,21 +309,26 @@ class PolyC:
     def divexact(self, other: "PolyC") -> "PolyC":
         if not other.ints:
             raise ZeroDivisionError("PolyC division by zero")
+        if not self.ints:
+            return _ZERO
+        # c^v b with b(0) nonzero divides c^u a when v <= u and b divides a; by Gauss's lemma
+        # the quotient of primitive tuples is a primitive tuple
         q, r, _f = _pdiv(self.ints, other.ints)
-        if any(r):
+        if any(r) or self.val < other.val:
             raise ArithmeticError("inexact PolyC division")
-        # Gauss's lemma: the quotient of primitive tuples is a primitive tuple
-        return PolyC._of(tuple(q), *_reduced(self.num * other.den, self.den * other.num)) if q else _ZERO
+        return PolyC._of(tuple(q), *_reduced(self.num * other.den, self.den * other.num), self.val - other.val)
 
     @staticmethod
     def gcd(a: "PolyC", b: "PolyC") -> "PolyC":
-        """Monic gcd (zero for two zeros), by a primitive PRS on the integer tuples."""
+        """Monic gcd (zero for two zeros): the lower power of c times a primitive PRS on the
+        integer tuples, whose constant terms are nonzero, so its remainders drop powers of c."""
         x, y = a.ints, b.ints
+        val = min((p.val for p in (a, b) if p.ints), default=0)
         if len(x) < len(y):
             x, y = y, x
         while y:
             x, y = y, _primitive(_pdiv(x, y)[1], 1, 1)[0]
-        return PolyC._of(x, 1, x[-1]) if x else _ZERO
+        return PolyC._of(x, 1, x[-1], val) if x else _ZERO
 
     # -- rendering
     def render(self) -> str:
@@ -324,8 +337,8 @@ class PolyC:
             return "0"
         p, q = self.num, self.den
         terms = []
-        for e in range(len(self.ints) - 1, -1, -1):
-            x = self.ints[e]
+        for i in range(len(self.ints) - 1, -1, -1):
+            x, e = self.ints[i], i + self.val
             if not x:
                 continue
             g = math.gcd(x, q)  # = gcd(p * x, q), as p and q are coprime
@@ -345,7 +358,7 @@ class PolyC:
         denominators.
         """
         den = self.den
-        text = PolyC._of(self.ints, self.num, 1).render()
+        text = PolyC._of(self.ints, self.num, 1, self.val).render()
         if den == 1:
             return text
         if len(self.ints) - self.ints.count(0) > 1:
@@ -370,7 +383,7 @@ def _content(polys) -> PolyC:
     g = _ZERO
     for p in sorted(polys, key=PolyC.degree):
         g = PolyC.gcd(g, p)
-        if len(g.ints) == 1:
+        if not g.degree():
             break
     return g
 
@@ -384,11 +397,10 @@ class Poly2:
         """From rational coefficients ``{(ec, es): value}``; exponents must not be negative."""
         groups: dict[int, dict[int, Fraction]] = {}
         for (ec, es), v in (coeffs or {}).items():
-            if v:
-                if ec < 0 or es < 0:
-                    raise ValueError("Poly2 exponents must be non-negative")
-                groups.setdefault(es, {})[ec] = v
-        self.by_s = {es: PolyC(d) for es, d in groups.items()}
+            if es < 0:
+                raise ValueError("Poly2 exponents must be non-negative")
+            groups.setdefault(es, {})[ec] = v  # PolyC drops zeros and refuses ec < 0
+        self.by_s = {es: p for es, d in groups.items() if (p := PolyC(d)).ints}
 
     @staticmethod
     def _of(by_s: dict[int, PolyC]) -> "Poly2":
@@ -423,7 +435,7 @@ class Poly2:
         return not self.by_s
 
     def is_const(self) -> bool:
-        return not self.by_s or (len(self.by_s) == 1 and len(self.by_s.get(0, _ZERO).ints) == 1)
+        return not self.by_s or (len(self.by_s) == 1 and not self.by_s.get(0, _ZERO).degree())
 
     def const_value(self) -> Fraction:
         if not self.by_s:
@@ -434,10 +446,8 @@ class Poly2:
 
     def leading_coeff(self) -> Fraction:
         """The coefficient of the leading monomial in graded-lex order with c < s (0 for zero)."""
-        b = self.by_s
-        if len(b) < 2:
-            return next(iter(b.values()), _ZERO).leading()
-        return b[max(b, key=lambda es: (len(b[es].ints) + es, es))].leading()
+        top = max(((p.degree() + es, es, p) for es, p in self.by_s.items()), default=(0, 0, _ZERO))
+        return top[2].leading()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.by_s == other.by_s
@@ -460,11 +470,6 @@ class Poly2:
     def __mul__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
             return Poly2._of({es: p * other for es, p in self.by_s.items()} if other else {})
-        a, b = (other, self) if len(self.by_s) == 1 else (self, other)
-        if len(b.by_s) == 1:
-            # one s-exponent: no two products meet, and Q[c] has no zero divisors
-            [(e2, p2)] = b.by_s.items()
-            return Poly2._of({e1 + e2: p1 * p2 for e1, p1 in a.by_s.items()})
         out: dict[int, PolyC] = {}
         for e1, p1 in self.by_s.items():
             for e2, p2 in other.by_s.items():
@@ -534,7 +539,7 @@ class Poly2:
     def render(self, k_style: bool = False) -> str:
         """Terms in descending graded-lex order, e.g. ``2/3*c*s - s^2 + 1`` (``k*s`` for s^3 in k style)."""
         terms = sorted(((ec + es, es, ec, p.num * x, p.den) for es, p in self.by_s.items()
-                        for ec, x in enumerate(p.ints) if x), reverse=True)
+                        for ec, x in enumerate(p.ints, p.val) if x), reverse=True)
         if not terms:
             return "0"
         parts = []
@@ -755,11 +760,15 @@ class CoeffK:
 
 
 def as_polyc(x: PolyC | CoeffK) -> PolyC:
-    """A ring coefficient in Q[c]: a PolyC as is, or a CoeffK with no s and denominator 1."""
+    """A ring coefficient in Q[c]: a PolyC as is, or a CoeffK with no s, denominator 1 and
+    c-degree at most MAX_C_DEGREE."""
     if isinstance(x, PolyC):
         return x
     if x.den == _P2_ONE and set(x.num.by_s) <= {0}:
-        return x.num.by_s.get(0, _ZERO)
+        p = x.num.by_s.get(0, _ZERO)
+        if p.degree() > MAX_C_DEGREE:
+            raise ValueError(f"ring coefficient of c degree {p.degree()} above {MAX_C_DEGREE}")
+        return p
     raise ValueError(f"ring coefficient {x.render(k_style=True)} is not a polynomial in c")
 
 

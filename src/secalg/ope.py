@@ -42,6 +42,7 @@ from .coeffs import CoeffK, is_integer_constant, sparse_add, specialize
 
 KINDS = ("beta", "gamma", "heis")
 MAX_EXTRA_ORDERS = 20  # wick_ope refuses more orders below the poles than this
+MAX_SHIFT_ORDER = 24  # and a Taylor shift above this order: its terms grow like partition numbers
 _KIND_RANK = {"beta": 0, "gamma": 1, "heis": 2}
 
 
@@ -480,8 +481,9 @@ def wick_ope(
     a repeated factor is not counted twice against the z-exponential.  Each
     final state's z-content is Taylor-shifted to w once, so that every kept
     order is exact.  Orders d >= 1 - extra_orders are kept per sector; the
-    default keeps exactly the singular orders, and extra_orders above
-    ``MAX_EXTRA_ORDERS`` is refused.
+    default keeps exactly the singular orders.  A ValueError refuses
+    extra_orders above ``MAX_EXTRA_ORDERS`` and a state whose shift order
+    D - (1 - extra_orders) is above ``MAX_SHIFT_ORDER``.
     """
     if extra_orders < 0:
         raise ValueError("extra_orders must be non-negative")
@@ -519,6 +521,9 @@ def wick_ope(
                         if pr is not None:
                             sparse_add(nxt, (wf[:j] + wf[j + 1:], zf, D + pr[0]), coef * pr[1])
                 states = nxt
+            n_top = max((D for _wf, _zf, D in states), default=0) - d_min
+            if n_top > MAX_SHIFT_ORDER:
+                raise ValueError(f"Taylor shift to order {n_top} above the bound {MAX_SHIFT_ORDER}")
             for (wf, zf, D), coef in states.items():
                 n_max = D - d_min
                 if n_max < 0:

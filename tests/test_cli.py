@@ -216,8 +216,13 @@ def test_main_entry():
     ["ope", "--m", "3", "--e", "D(beta[1],100000000)", "--f", "gamma[1]"],
     ["ope", "--m", "3", "--e", "no(D(b[0],200)*exp(1,phi0))", "--f", "exp(1,phi0)"],
     ["ope", "--m", "3", "--e", "D(no(D(beta[1],15)*b[0]),6)", "--f", "gamma[1]"],
-    # a c-degree above MAX_C_DEGREE
-    ["ope", "--m", "3", "--e", "exp(c^1000000000,phi0)", "--f", "exp(1,phi0)"],
+    # Taylor shifts above ope.MAX_SHIFT_ORDER: the pole orders of two contractions
+    # add up (shift 41), and extra orders add to one (shift 25)
+    ["ope", "--m", "3", "--e", "no(D(b[0],20)*D(b[0],20)*exp(1,phi0))", "--f", "exp(1,phi0)"],
+    ["ope", "--m", "3", "--e", "no(D(b[0],20)*exp(1,phi0))", "--f", "exp(1,phi0)",
+     "--extra-orders", "5"],
+    # a coefficient whose powers of c span more than MAX_C_DEGREE
+    ["ope", "--m", "3", "--e", "exp(c^200000+1,phi0)", "--f", "exp(1,phi0)"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -230,6 +235,9 @@ def test_derivative_order_bound():
     """Orders up to MAX_DERIV_ORDER parse, nested ones added up; one more is a ParseError."""
     assert MAX_DERIV_ORDER == 20
     assert main(["ope", "--m", "3", "--e", "D(beta[1],20)", "--f", "gamma[1]"]) == 0
+    # pole order 21 at four extra orders is a shift to MAX_SHIFT_ORDER (24); five is refused
+    ope = ["ope", "--m", "3", "--e", "D(beta[1],20)", "--f", "gamma[1]", "--extra-orders"]
+    assert main(ope + ["4"]) == 0 and main(ope + ["5"]) == 2
     assert parse_field_expr("D(D(beta[1],15),5)", 2) == parse_field_expr("D(beta[1],20)", 2)
     assert not parse_field_expr("no(D(beta[1],20)*D(b[0],20))", 2).is_zero()
     with pytest.raises(ParseError, match=f"derivative order 21 above {MAX_DERIV_ORDER}"):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secalg.coeffs import (
+    MAX_C_DEGREE,
     CoeffK,
     PolyC,
     Poly2,
@@ -214,10 +215,11 @@ def _assert_canonical(p):
     assert type(p.num) is int and type(p.den) is int
     assert p.den > 0 and math.gcd(p.num, p.den) == 1 and p.num != 0
     assert isinstance(p.cont, F) and p.cont == F(p.num, p.den)
+    assert type(p.val) is int and p.val >= 0
     if p.ints:
-        assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0
+        assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0 and p.ints[0] != 0
     else:
-        assert (p.num, p.den) == (1, 1)
+        assert (p.num, p.den, p.val) == (1, 1, 0)
 
 
 def _fraction_dict_render(coeffs):
@@ -264,6 +266,8 @@ def _fraction_dict_render_ratio(coeffs):
 # (c - 1)(c + 2) * 5/6 and (c - 1)(3c + 1) * -7/4: a common factor and non-primitive contents
 @example(a=PolyC({2: F(5, 6), 1: F(5, 6), 0: F(-5, 3)}),
          b=PolyC({2: F(-21, 4), 1: F(7, 2), 0: F(7, 4)}), q=F(9, 14), n=4)
+# c^3 (c - 1) and c^5 (c + 1)^2 (c - 1): valuations, which the gcd and the quotient keep
+@example(a=PolyC({4: F(2, 3), 3: F(-2, 3)}), b=PolyC({8: 1, 7: 1, 6: -1, 5: -1}), q=F(1), n=-3)
 def test_polyc_matches_sympy(a, b, q, n):
     """Zero, constants, one-term values and negative leading coefficients alike.
 
@@ -289,3 +293,22 @@ def test_polyc_matches_sympy(a, b, q, n):
     assert again == a and hash(again) == hash(a) and PolyC(a.coeffs) == a
     assert a.render() == _fraction_dict_render(a.coeffs)
     assert a.render_ratio() == _fraction_dict_render_ratio(a.coeffs)
+
+
+def test_polyc_high_powers_of_c():
+    """A power of c is one exponent at any degree; only a span above MAX_C_DEGREE is refused."""
+    n = 10**9
+    x = PolyC({n: F(3, 2), n + 1: 1})  # c^n (c + 3/2)
+    _assert_canonical(x)
+    assert (x.ints, x.val, x.cont) == ((3, 2), n, F(1, 2))
+    assert (x * x).degree() == 2 * n + 2 and (x * x).divexact(x) == x
+    assert PolyC.gcd(x * PolyC.c(5), PolyC.c(n + 7)) == PolyC.c(n + 5)
+    assert x.render() == f"c^{n + 1} + 3/2*c^{n}"
+    assert x.at(F(1)) == F(5, 2) and x.at(F(0)) == 0
+    with pytest.raises(ArithmeticError):
+        PolyC.c(n).divexact(x)
+    with pytest.raises(ValueError, match="span"):
+        x + PolyC.const(1)
+    with pytest.raises(ValueError, match="span"):
+        PolyC({0: 1, MAX_C_DEGREE + 1: 1})
+    assert PolyC({0: 1, MAX_C_DEGREE: 1}).degree() == MAX_C_DEGREE

@@ -258,6 +258,13 @@ def test_obstruction_report_specialized():
     (["ope", "--m", "3", "--e", "no(D(b[0],2)*b[1]*gamma[2]*exp(1/(c-1),phi0))",
       "--f", "no(b[0]*b[1]*beta[2]*exp(s,phi0))", "--extra-orders", "1"], 0,
      "ec842424b27f64da82ba1749e2a06b99e17e8f34997839bb2e447610ce61455f"),
+    # high powers of c: one exponent each, however large, and a sum of two
+    (["ope", "--m", "3", "--e", "exp(c^1000000000,phi0)", "--f", "exp(c^1000000000,phi0)",
+      "--extra-orders", "1"], 0,
+     "071bf54f31fe48bca6b91302aa40eb5081633fcd58b683c1fde61427e93d1e02"),
+    (["ope", "--m", "3", "--e", "no(beta[1]*exp(c^70000/(s+c^50000),phi0))",
+      "--f", "no(gamma[1]*exp(s*c^40000,phi0))", "--extra-orders", "2"], 0,
+     "f0f7d50b8a77031894d4f9d616b2db72d93d29334ae46470988c701afbf646a9"),
 ])
 def test_free_field_output_pinned(argv, status, digest, capsys):
     assert main(argv) == status
