@@ -21,6 +21,7 @@ Grammar (shared tokens; byte offsets reported on error):
                    gen := ("beta"|"gamma"|"b") "[" int "]"; the orders of
                    nested D( add up to at most MAX_DERIV_ORDER (20), else
                    exit 2
+    int         := at most MAX_INT_DIGITS (4300) digits, else exit 2
     --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2; so is
                    a Taylor shift above ope.MAX_SHIFT_ORDER (24) in an ope
 """
@@ -62,6 +63,7 @@ class ParseError(ValueError):
 _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
 MAX_NESTING = 100  # parentheses, signs, D( and no( around an atom, counted together
 MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow like partition numbers
+MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as int() reads by default
 
 
 def _tokenize(src: str):
@@ -76,6 +78,8 @@ def _tokenize(src: str):
             j = i
             while j < n and src[j].isdigit():
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise ParseError(f"integer literal of {j - i} digits above {MAX_INT_DIGITS}", i)
             toks.append(("int", src[i:j], i))
             i = j
             continue
@@ -366,6 +370,9 @@ def emit_report(report, fmt: str = "json") -> str:
 def _parse_k(text: Optional[str]) -> Optional[Fraction]:
     if text in (None, "symbolic"):
         return None
+    if len(text) > MAX_INT_DIGITS or "e" in text.lower():  # Fraction reads 1e9 as 10**9
+        raise ValueError(f"level --k {text[:20]}: not a rational of at most {MAX_INT_DIGITS} "
+                         "characters without an exponent")
     try:
         k = Fraction(text)
     except ZeroDivisionError:

@@ -15,6 +15,20 @@ integer m coincide with the sector-1 families at the rational parameter m/l
 (rescaling identity); ``rescaling_check`` verifies this by running both
 recurrences independently, each from its own integer triple.
 
+Two classical facts place the families.  For 1 <= j <= r, the class of -j
+holds the associated ultraspherical polynomials (Bustoz and Ismail,
+*Trans. AMS* 272, 1982):
+
+    P^(l,j)_(rn-j)(c) = C_n(c; lam, a),   lam = 1 - 1/m',   a = 2/m' - j/r,
+    (N+a) C_N = 2c (N+a+lam-1) C_(N-1) - (N+a+2lam-2) C_(N-2),
+    C_(-1) = 0,   C_0 = 1.
+
+Families j and j + r solve the same recurrence in that class, so their
+Casoratian P^(j)_k P^(j+r)_(k-r) - P^(j)_(k-r) P^(j+r)_k is free of c: the
+product of m'i/(m'i + 2r) over the class up to k (Abel's identity; Elaydi,
+*An Introduction to Difference Equations*, section 2.2).
+``test_casoratian_is_free_of_c`` checks it on the walk's values.
+
 The recurrence (not any closed form, and not the Kahler oracle) is the
 normative definition here; agreement with oracle-reduced classes is a
 verification *output*, produced by ``reconcile_with_kahler``.

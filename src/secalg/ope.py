@@ -234,6 +234,9 @@ class FieldExpr:
             out.terms[(mo.factors, mkey)] = mo
         return out
 
+    def sectors(self) -> set:
+        return {g.sector for mo in self.terms.values() for g in mo.factors}
+
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -247,14 +250,15 @@ class FieldExpr:
         return f"FieldExpr({self.render()})"
 
 
-def canonical_sectors(*exprs: FieldExpr) -> dict:
-    """The monotone map of the nonzero sectors of exprs onto 1..n, fixing 0.
+def canonical_sectors(*sector_sets: set) -> dict:
+    """The monotone map of the nonzero sectors in sector_sets onto 1..n,
+    fixing 0.
 
     Contractions compare sectors only with each other and with 0, so
-    ``wick_ope`` commutes with this renaming, which also keeps sort orders.
+    ``wick_ope`` commutes with this renaming of the sectors of its fields,
+    which also keeps sort orders.
     """
-    nonzero = sorted({g.sector for fe in exprs for mo in fe.terms.values()
-                      for g in mo.factors} - {0})
+    nonzero = sorted(set().union(*sector_sets) - {0})
     return {0: 0, **{l: i for i, l in enumerate(nonzero, 1)}}
 
 
@@ -579,17 +583,13 @@ def is_laurent(result: OPEResult, k_val: Optional[Fraction] = None):
     """Classify the singular structure (generalized Laurent arithmetic).
 
     Returns one of: ("laurent",), ("branch_cut",), ("integer_pole", n),
-    ("regular",) following the arithmetic of the fractional prefactor
-    exponent, optionally after specializing k.  A non-integer exponent is a
-    branch cut; exponent -n with n >= 1 guarantees an integer-order pole of
-    order at least n; a non-negative integer exponent makes the prefactor
-    regular (poles from other contractions, if any, are reported by the
-    callers alongside, not folded into this arithmetic classification).  A
-    result whose sectors all carry integer-zero exponents is an ordinary
+    ("regular",).  A result with a fractional sector is classified by the
+    exponent of its first one through ``exponent_class``, optionally after
+    specializing k; poles from other contractions, if any, are reported by
+    the callers alongside, not folded into this arithmetic classification.
+    A result whose sectors all carry integer-zero exponents is an ordinary
     Laurent series.
     """
-    if result.is_trivial():
-        return ("regular",)
     fracs = result.fractional_sectors()
     if not fracs:
         has_pole = any(
@@ -598,12 +598,21 @@ def is_laurent(result: OPEResult, k_val: Optional[Fraction] = None):
         return ("laurent",) if has_pole else ("regular",)
     # classify by the first fractional exponent: unique for the built
     # operators, not for all CLI input (two sectors misread, ROADMAP item 1)
-    eps = fracs[0].epsilon
-    if k_val is not None:
-        eps = specialize(eps, None, Fraction(k_val))
-    n = is_integer_constant(eps)
+    return exponent_class(integer_exponent(fracs[0].epsilon, k_val))
+
+
+def integer_exponent(eps: CoeffK, k_val: Optional[Fraction] = None) -> Optional[int]:
+    """The exponent eps, at k = k_val when given, as an integer; None if it is not one."""
+    return is_integer_constant(eps if k_val is None else specialize(eps, None, Fraction(k_val)))
+
+
+def exponent_class(n: Optional[int]) -> tuple:
+    """The classification of a prefactor (z-w)^eps from n = ``integer_exponent(eps)``.
+
+    A non-integer exponent (n None) is a branch cut; exponent -n with n >= 1
+    guarantees an integer-order pole of order at least n; a non-negative
+    integer exponent makes the prefactor regular.
+    """
     if n is None:
         return ("branch_cut",)
-    if n <= -1:
-        return ("integer_pole", -n)
-    return ("regular",)
+    return ("integer_pole", -n) if n <= -1 else ("regular",)

@@ -3,11 +3,31 @@ obstruction program.
 
 ``build_operators`` transcribes the printed operators exactly (momentum
 alpha = 1/s, coefficients k+2, (k+2)/k, s/2, 1/s as printed), reading the
-displayed triple products under the configured nesting convention; sector
-l >= 1 is sector 1 renamed, so it copies templates built once per process.
-The obstruction checks depend on their sectors only through their orbit
-under ``canonical_sectors``: an ``OperatorSet`` makes and renders each check
-once per orbit and hands every cell a copy relabeled to its own sectors.
+displayed triple products under the configured nesting convention.
+
+The obstruction program runs in orbit form.  Each check depends on its
+sectors only through their orbit under ``canonical_sectors``, so every cell
+of ``obstruction_report(m)`` is a relabeled copy of one of five orbit
+reports, none of which depends on m:
+
+    charge-residue (0, l) and (l, 0)           from m >= 2
+    branch cut l1 = l2                         from m >= 2
+    branch cut l1 < l2, branch cut l1 > l2     from m >= 3
+
+Apart from its labels, a cell depends on m only through its bracket type
+(I, II or III, from l1 + l2 against m) and the wrap note of type III.  Two
+premises make the relabeled orbit report the report of the cell:
+
+(a) each sector-l operator, l >= 1, is the sector-1 template renamed by
+    {0: 0, 1: l}; this holds by construction in ``build_operators``;
+(b) ``wick_ope`` commutes with injective renamings of the nonzero sectors;
+    this is a property of the code, not checked at run time, and
+    ``test_wick_commutes_with_sector_renaming`` tests it.
+
+``orbit_report`` memoizes the orbit reports once per process, in rendered
+data.  A branch-cut orbit runs its Wick expansion once, whatever k is, and
+is classified per level by ``exponent_class``, the rule ``is_laurent``
+applies.  Every call hands out a fresh copy relabeled to its own sectors.
 
 ``calibrate_conventions`` enumerates the four convention configurations and
 tests the three even-sector OPE identities
@@ -30,11 +50,11 @@ from __future__ import annotations
 import copy
 import functools
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import CoeffK, is_integer_constant, specialize
+from .coeffs import CoeffK
 from .ope import (
     ALL_CONFIGS,
     ConventionConfig,
@@ -43,6 +63,8 @@ from .ope import (
     NOMono,
     canonical_sectors,
     charge_of,
+    exponent_class,
+    integer_exponent,
     is_laurent,
     nested_product,
     scalar_ratio,
@@ -63,39 +85,73 @@ class OperatorSet:
     operators: dict  # (name, sector) -> FieldExpr
     alpha: CoeffK
     f_parts: dict  # sector -> {part name -> FieldExpr}, for witness reports
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, name: str, sector: int) -> FieldExpr:
         return self.operators[(name, sector)]
 
-    def orbit_report(self, build, sectors: tuple, *rest) -> dict:
-        """``build(self, *sectors, *rest)`` made once per orbit of the sectors
-        (each in 1..m-1), in the labels ``canonical_sectors`` gives them; each
-        call gets a fresh copy relabeled back."""
+    def orbit(self, *sectors: int) -> tuple[tuple, tuple]:
+        """The canonical labels of sectors (each in 1..m-1), and the sector of
+        each label."""
         if not all(1 <= l <= self.m - 1 for l in sectors):
             raise ValueError(f"sectors {sectors} outside 1..m-1 = 1..{self.m - 1}")
-        sigma = canonical_sectors(*(self.op("f", l) for l in sectors))
-        canon = [sigma[l] for l in sectors]
-        key = (build, *canon, repr(rest))  # repr keeps k = 0.5 apart from k = 1/2
-        if key not in self._reports:
-            self._reports[key] = build(self, *canon, *rest)
-        return _relabeled(self._reports[key], {v: l for l, v in sigma.items()})
+        return _orbit(sectors, {l: self.op("f", l).sectors() for l in sectors})
 
 
-def _relabeled(x, inv: dict):
-    """A fresh copy of report x with the sectors under the keys l, l1, l2 and
-    sectors, and the [n] of each rendered generator, mapped by inv.  The
-    canonical renaming is monotone and fixes 0, so rendered orders hold."""
-    if isinstance(x, dict):
-        return {key: _relabeled(v, inv) if key not in ("l", "l1", "l2", "sectors")
-                else [inv[l] for l in v] if key == "sectors" else inv[v]
+def _orbit(sectors: tuple, f_sectors: dict) -> tuple[tuple, tuple]:
+    """The labels ``canonical_sectors`` gives sectors by the sectors
+    f_sectors[l] of their f operators, and the sector of each label 0..n."""
+    sigma = canonical_sectors(*(f_sectors[l] for l in sectors))
+    return tuple(sigma[l] for l in sectors), tuple(sorted(sigma))
+
+
+_orbit_reports: dict = {}  # (builder, conventions, canonical sectors, repr(level)) -> report
+
+
+def _memo(key: tuple, make) -> dict:
+    report = _orbit_reports.get(key)
+    return report if report is not None else _orbit_reports.setdefault(key, make())
+
+
+def orbit_report(build, conventions: ConventionConfig, canon: tuple, *level) -> dict:
+    """``build(ops, *canon, *level)`` on operators that hold the canonical
+    sectors canon, made once per process and shared by every m.
+
+    One report per orbit: charge-residue (0, l) and (l, 0) together (from
+    m >= 2), branch cut l1 = l2 (from m >= 2), l1 < l2 and l1 > l2 (from
+    m >= 3).  It stands for every cell of its orbit by premise (a), true by
+    construction in ``build_operators``, and premise (b), a property of
+    ``wick_ope`` that ``test_wick_commutes_with_sector_renaming`` tests.  The
+    key is the builder, the configuration, canon and ``repr(level)``, so
+    k = 0.5 stays apart from k = 1/2.  The report holds rendered data and
+    exponents, no fields or OPE results, and is shared: callers hand out
+    copies that ``_relabeled`` makes.
+    """
+    return _memo((build, conventions, canon, repr(level)),
+                 lambda: build(build_operators(max(canon) + 1, conventions), *canon, *level))
+
+
+def _relabeled(x, labels: tuple):
+    """A fresh copy of report x with each canonical label i, under the keys
+    l, l1, l2 and sectors and in the [i] of each rendered generator, mapped to
+    labels[i].  The canonical renaming is monotone and fixes 0, so rendered
+    orders hold."""
+    t = type(x)
+    if t is str:
+        return _label_template(x).format(*labels) if "[" in x else x
+    if t is dict:
+        return {key: _relabeled(v, labels) if key not in ("l", "l1", "l2", "sectors")
+                else [labels[l] for l in v] if key == "sectors" else labels[v]
                 for key, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return type(x)(_relabeled(v, inv) for v in x)
-    if isinstance(x, str) and "[" in x:
-        return re.sub(r"\b(beta|gamma|b)\[(\d+)\]",
-                      lambda mo: f"{mo[1]}[{inv[int(mo[2])]}]", x)
+    if t is list or t is tuple:
+        return t(_relabeled(v, labels) for v in x)
     return x
+
+
+@functools.lru_cache(maxsize=4096)
+def _label_template(text: str) -> str:
+    """text as a format string whose fields are the sectors of its generators."""
+    text = text.replace("{", "{{").replace("}", "}}")
+    return re.sub(r"\b(beta|gamma|b)\[(\d+)\]", r"\1[{\2}]", text)
 
 
 def _gen(kind: str, sector: int, deriv: int = 0) -> FieldExpr:
@@ -151,7 +207,8 @@ def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
 
 def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
     """The printed operators for all sectors of the given m: fresh copies of
-    the sector templates, with sector 1 renamed to each l >= 1."""
+    the sector templates, with sector 1 renamed to each l >= 1 (premise (a)
+    of the orbit form, by construction)."""
     if m < 2:
         raise ValueError("m must be >= 2")
     ops, parts = _sector_templates(conventions)  # {0: 0, 1: 0} copies sector 0
@@ -323,7 +380,8 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
     """
     report = {"m": ops.m, "conventions": asdict(ops.conventions), "entries": [], "ok": True}
     for l in range(1, ops.m):
-        entry = ops.orbit_report(_charge_entry, (l,))
+        canon, labels = ops.orbit(l)
+        entry = _relabeled(orbit_report(_charge_entry, ops.conventions, canon), labels)
         report["entries"].append(entry)
         if not (entry["e_ok"] and entry["f_ok"] and entry["ghost_part_orthogonal"]):
             report["ok"] = False
@@ -380,7 +438,8 @@ def charge_residue_check(ops: OperatorSet, l: int) -> dict:
     of f^(l) with ghost charge -2 must contain one more gamma0 than beta0.
     The report is made once per sector orbit.
     """
-    return ops.orbit_report(_charge_residue_report, (l,))
+    canon, labels = ops.orbit(l)
+    return _relabeled(orbit_report(_charge_residue_report, ops.conventions, canon), labels)
 
 
 def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
@@ -471,59 +530,80 @@ def branch_cut_check(
     Asserts the exponent -1/s^2 on every exponential-bearing contribution;
     records whether the zero-charge tail of f^(l2) contributes singular
     terms (the stated argument claims it does not; the computed result
-    decides).  Classification is by ``is_laurent``, optionally at k = k_val.
-    The report is made once per sector orbit and k_val.
+    decides).  Classification is by ``exponent_class``, the rule of
+    ``is_laurent``, optionally at k = k_val.  The expansion is made once per
+    sector orbit, the report once per orbit and k_val.
     """
-    return ops.orbit_report(_branch_cut_report, (l1, l2), k_val)
+    canon, labels = ops.orbit(l1, l2)
+    return _relabeled(_branch_cut_orbit(ops.conventions, canon, k_val), labels)
+
+
+def _branch_cut_orbit(conventions: ConventionConfig, canon: tuple,
+                      k_val: Optional[Fraction]) -> dict:
+    """The memoized report of ``_branch_cut_report``, made from the memoized expansion."""
+    return _memo((_branch_cut_report, conventions, canon, repr((k_val,))),
+                 lambda: _at_level(orbit_report(_branch_cut_expansion, conventions, canon), k_val))
 
 
 def _branch_cut_report(
     ops: OperatorSet, l1: int, l2: int, k_val: Optional[Fraction]
 ) -> dict:
+    """The report of ``branch_cut_check`` made directly, with no memo."""
+    return _at_level(_branch_cut_expansion(ops, l1, l2), k_val)
+
+
+def _branch_cut_expansion(ops: OperatorSet, l1: int, l2: int) -> dict:
+    """The part of the branch-cut report that no level changes, in rendered
+    data, plus the leading fractional exponent ("exponent") to classify."""
     conv = ops.conventions
     minus_alpha_sq = CoeffK.zero() - (CoeffK.one() / CoeffK.k())
     res = wick_ope(ops.op("e", l1), ops.op("f", l2), conv, extra_orders=1)
-
-    eps_values = [sec.epsilon for sec in res.sector_list()]
-    frac = [e for e in eps_values if not e.is_zero()]
+    secs = res.sector_list()
+    fracs = [sec for sec in secs if not sec.epsilon.is_zero()]
     zero_sector_singular = [
         (d, fe.render())
-        for sec in res.sector_list()
+        for sec in secs
         if sec.epsilon.is_zero()
         for d, fe in sorted(sec.poles.items(), reverse=True)
         if d >= 1
     ]
-    classification = is_laurent(res, k_val)
-
-    leading = None
-    if frac:
-        fsec = [s for s in res.sector_list() if not s.epsilon.is_zero()][0]
-        dmax = max(fsec.poles)
-        lead_field = fsec.poles[dmax]
-        entry = {"order_within_sector": dmax, "field": lead_field.render()}
-        if k_val is not None:
-            eps_spec = specialize(fsec.epsilon, None, Fraction(k_val))
-            n = is_integer_constant(eps_spec)
-            if n is not None:
-                entry["total_pole_order"] = dmax - n
-                entry["equals_h0"] = lead_field == ops.op("h", 0)
-        leading = entry
-
+    leading = lead_is_h0 = None
+    if fracs:
+        dmax = max(fracs[0].poles)
+        leading = {"order_within_sector": dmax, "field": fracs[0].poles[dmax].render()}
+        lead_is_h0 = fracs[0].poles[dmax] == ops.op("h", 0)
     return {
         "l1": l1,
         "l2": l2,
-        "k": str(k_val) if k_val is not None else "symbolic",
         "conventions": asdict(conv),
-        "epsilon_values": [e.render() for e in eps_values],
+        "epsilon_values": [sec.epsilon.render() for sec in secs],
         "exponential_terms_all_minus_alpha_sq": all(
-            e == minus_alpha_sq for e in frac
+            sec.epsilon == minus_alpha_sq for sec in fracs
         ),
         "zero_charge_tail_singular_terms": zero_sector_singular,
         "zero_charge_tail_contributes_no_singularity": not zero_sector_singular,
-        "classification": classification[0]
-        + (f"({classification[1]})" if len(classification) > 1 else ""),
+        "exponent": fracs[0].epsilon if fracs else None,
+        "laurent": None if fracs else is_laurent(res),
         "leading": leading,
+        "leading_equals_h0": lead_is_h0,
     }
+
+
+def _at_level(x: dict, k_val: Optional[Fraction]) -> dict:
+    """The branch-cut report at k = k_val from the expansion x."""
+    eps = x["exponent"]
+    n = None if eps is None else integer_exponent(eps, k_val)
+    cls = x["laurent"] or exponent_class(n)
+    leading = x["leading"] and dict(x["leading"])
+    if leading and k_val is not None and n is not None:
+        leading["total_pole_order"] = leading["order_within_sector"] - n
+        leading["equals_h0"] = x["leading_equals_h0"]
+    out = {key: v for key, v in x.items()
+           if key not in ("exponent", "laurent", "leading_equals_h0")}
+    out.update(k=str(k_val) if k_val is not None else "symbolic",
+               classification=cls[0] + (f"({cls[1]})" if len(cls) > 1 else ""),
+               leading=leading)
+    return out
 
 
 def check_wakimoto_type(E: FieldExpr, F: FieldExpr, m: int) -> dict:
@@ -663,12 +743,19 @@ def obstruction_report(
     k_val: Optional[Fraction] = None,
     conventions: Optional[ConventionConfig] = None,
 ) -> ObstructionReport:
-    """Status of every sector pair (l1, l2), derived from computed OPEs."""
+    """Status of every sector pair (l1, l2), derived from computed OPEs.
+
+    Each cell relabels the witness fields it keeps from its orbit report;
+    of the sector-l operators only f^(l) is built, for the canonical labels.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
     if conventions is None:
         conventions, calib = working_config()
     else:
         calib = {"chosen": asdict(conventions), "mode": "explicit"}
-    ops = build_operators(m, conventions)
+    f1 = _sector_templates(conventions)[0]["f", 1]
+    f_sectors = {l: f1.renamed({0: 0, 1: l}).sectors() for l in range(1, m)}
     cells: dict = {}
 
     diag = _config_diagnostics(conventions)
@@ -681,30 +768,32 @@ def obstruction_report(
         },
     }
     for l in range(1, m):
-        crc = charge_residue_check(ops, l)
+        canon, labels = _orbit((l,), f_sectors)
+        crc = orbit_report(_charge_residue_report, conventions, canon)
         cells[(0, l)] = {
             "status": "charge_residue_obstructed"
             if crc["residue_differs_from_h_l"]
             else "realized",
-            "witness": {
+            "witness": _relabeled({
                 "residue": crc["residue_e0_fl"],
                 "exponential_momentum_witnesses": crc["exponential_momentum_witnesses"],
                 "missing_terms": crc["missing_terms"],
-            },
+            }, labels),
         }
         cells[(l, 0)] = {
             "status": "charge_residue_obstructed"
             if crc["el_f0_residue_differs_from_h_l"]
             else "realized",
-            "witness": {
+            "witness": _relabeled({
                 "residue": crc["residue_el_f0"],
                 "expected_worked_example": crc["expected_el_f0"],
                 "matches_worked_example": crc["el_f0_residue_matches_expected"],
-            },
+            }, labels),
         }
     for l1 in range(1, m):
         for l2 in range(1, m):
-            chk = branch_cut_check(ops, l1, l2, k_val)
+            canon, labels = _orbit((l1, l2), f_sectors)
+            chk = _branch_cut_orbit(conventions, canon, k_val)
             total = l1 + l2
             btype = "I" if total < m else ("II" if total == m else "III")
             note = None
@@ -714,13 +803,13 @@ def obstruction_report(
                 "status": chk["classification"],
                 "bracket_type": btype,
                 **({"note": note} if note else {}),
-                "witness": {
+                "witness": _relabeled({
                     "epsilon_values": chk["epsilon_values"],
                     "zero_charge_tail_singular_terms": chk[
                         "zero_charge_tail_singular_terms"
                     ],
                     "leading": chk["leading"],
-                },
+                }, labels),
             }
     return ObstructionReport(
         m=m,

@@ -7,6 +7,7 @@ import pytest
 from secalg import families
 from secalg.cli import (
     MAX_DERIV_ORDER,
+    MAX_INT_DIGITS,
     MAX_NESTING,
     Command,
     ParseError,
@@ -256,3 +257,22 @@ def test_parser_nesting_bound():
             parse_coef(deeper)
     with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
         parse_field_expr("no(" * n + "beta[1]" + ")" * n, 2)
+
+
+def test_long_integer_literal_refused(capsys):
+    """A literal longer than MAX_INT_DIGITS is refused in one line, with the
+    bound and its position, before any work; so is a --k in exponent form."""
+    assert MAX_INT_DIGITS == 4300
+    big = "7" * 5000
+    for argv, pos in ((["ope", "--m", "3", "--e", f"exp({big},phi0)", "--f", "exp(1,phi0)"], 4),
+                      (["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", f"{big}*t",
+                        "--y", "f", "--b", "1"], 0)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: integer literal of 5000 digits above {MAX_INT_DIGITS} "
+                       f"(at byte offset {pos})\n")
+    for k in (big, "1e5000"):
+        assert main(["obstructions", "--m", "3", "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: level --k ") and str(MAX_INT_DIGITS) in err
+        assert err.count("\n") == 1

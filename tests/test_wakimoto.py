@@ -11,7 +11,7 @@ import secalg.ope as ope
 import secalg.wakimoto as wakimoto
 from secalg.cli import main
 from secalg.coeffs import CoeffK
-from secalg.ope import ConventionConfig, FieldExpr, is_laurent, wick_ope
+from secalg.ope import ALL_CONFIGS, ConventionConfig, FieldExpr, is_laurent, wick_ope
 from secalg.wakimoto import (
     CalibrationError,
     _config_diagnostics,
@@ -273,12 +273,14 @@ def test_free_field_output_pinned(argv, status, digest, capsys):
 
 @pytest.fixture
 def wick_calls(monkeypatch):
-    """Count the Wick expansions the obstruction program runs.
+    """Count the Wick expansions the obstruction program runs, from an empty
+    process memo of orbit reports.
 
     Both bindings are counted: the program calls ``wick_ope`` directly and
     through ``charge_of``.
     """
     working_config()  # the calibration OPEs are computed once per process
+    wakimoto._orbit_reports.clear()
     calls = []
 
     def counted(*args, **kwargs):
@@ -291,13 +293,17 @@ def wick_calls(monkeypatch):
 
 
 def test_obstruction_report_one_expansion_per_orbit(wick_calls):
-    for m in (4, 9, 12):
-        wick_calls.clear()
+    rep = obstruction_report(4)
+    # e0 f(l), e(l) f0, and e(l1) f(l2) for l1 < l2, l1 = l2, l1 > l2
+    assert len(wick_calls) == 5
+    for m in (9, 12):
+        for k_val in (F(1, 2), F(2, 3)):
+            wick_calls.clear()
+            obstruction_report(m, k_val)
+            # the orbits are expanded once per process, whatever m and k are
+            assert len(wick_calls) == 0
+    for m in (4, 9):
         rep = obstruction_report(m)
-        # e0 f(l), e(l) f0, and e(l1) f(l2) for l1 < l2, l1 = l2, l1 > l2
-        assert len(wick_calls) == 5
-        if m == 12:
-            continue
         ops = build_operators(m, CONV)
         for l in range(1, m):
             for cell, E, Fx in (((0, l), ops.op("e", 0), ops.op("f", l)),
@@ -310,21 +316,25 @@ def test_obstruction_report_one_expansion_per_orbit(wick_calls):
 
 
 def test_charge_relations_one_expansion_per_orbit(wick_calls):
-    for m in (2, 5, 8):
+    for i, m in enumerate((5, 2, 8, 5)):
         wick_calls.clear()
         verify_charge_relations(build_operators(m, CONV))
-        # h0 e(l), h0 f(l), and the ghost bilinear against beta, gamma, b of l
-        assert len(wick_calls) == 5
+        # h0 e(l), h0 f(l), and the ghost bilinear against beta, gamma, b of l,
+        # once per process, whatever m is
+        assert len(wick_calls) == (5 if i == 0 else 0)
 
 
 def test_branch_cut_check_shared_across_threads():
     pairs = [(l1, l2) for l1 in range(1, 6) for l2 in range(1, 6)]
-    want = {p: branch_cut_check(build_operators(6, CONV), *p, F(1, 2)) for p in pairs}
+    direct = build_operators(6, CONV)
+    want = {p: wakimoto._branch_cut_report(direct, *p, F(1, 2)) for p in pairs}
     shared = build_operators(6, CONV)
+    wakimoto._orbit_reports.clear()  # the threads race to fill the memo
 
     def run(seed):
         order = random.Random(seed).sample(pairs, len(pairs))
-        return {p: branch_cut_check(shared, *p, F(1, 2)) for p in order}
+        got = {p: branch_cut_check(shared, *p, F(1, 2)) for p in order}
+        return got, obstruction_report(6, F(1, 2), CONV)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -334,13 +344,42 @@ def test_branch_cut_check_shared_across_threads():
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(got == want for got in results)
+    assert all(got == want for got, _ in results)
+    for _, rep in results:
+        _assert_matrix_matches(rep, 6, F(1, 2), lambda build, *labels: build(direct, *labels))
 
 
-def _direct(m):
+def _direct(m, conv=CONV):
     """An operator set for the unmemoized report builders, run on it at the
     cell's own sector labels."""
-    return build_operators(m, CONV)
+    return build_operators(m, conv)
+
+
+def _assert_matrix_matches(rep, m, k_val, direct):
+    """Every cell of rep against direct(build, *labels), the report builder
+    run at the cell's own labels."""
+    for l in range(1, m):
+        want = direct(wakimoto._charge_residue_report, l)
+        assert rep.cells[(0, l)]["witness"] == {
+            "residue": want["residue_e0_fl"],
+            "exponential_momentum_witnesses": want["exponential_momentum_witnesses"],
+            "missing_terms": want["missing_terms"],
+        }
+        assert rep.cells[(l, 0)]["witness"] == {
+            "residue": want["residue_el_f0"],
+            "expected_worked_example": want["expected_el_f0"],
+            "matches_worked_example": want["el_f0_residue_matches_expected"],
+        }
+        assert [rep.cells[c]["status"] == "charge_residue_obstructed"
+                for c in ((0, l), (l, 0))] == [want["residue_differs_from_h_l"],
+                                               want["el_f0_residue_differs_from_h_l"]]
+        for l2 in range(1, m):
+            want = direct(wakimoto._branch_cut_report, l, l2, k_val)
+            assert rep.cells[(l, l2)]["status"] == want["classification"]
+            assert rep.cells[(l, l2)]["witness"] == {
+                key: want[key] for key in
+                ("epsilon_values", "zero_charge_tail_singular_terms", "leading")
+            }
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -350,32 +389,56 @@ def test_orbit_reports_match_direct_computation(m):
     assert entries == [wakimoto._charge_entry(direct, l) for l in range(1, m)]
     for k_val in (None, F(1, 2), F(2, 3), F(-1)):
         rep = obstruction_report(m, k_val)
+        _assert_matrix_matches(rep, m, k_val, lambda build, *labels: build(direct, *labels))
         for l in range(1, m):
-            want = wakimoto._charge_residue_report(direct, l)
-            assert charge_residue_check(ops, l) == want
-            assert rep.cells[(0, l)]["witness"] == {
-                "residue": want["residue_e0_fl"],
-                "exponential_momentum_witnesses": want["exponential_momentum_witnesses"],
-                "missing_terms": want["missing_terms"],
-            }
-            assert rep.cells[(l, 0)]["witness"] == {
-                "residue": want["residue_el_f0"],
-                "expected_worked_example": want["expected_el_f0"],
-                "matches_worked_example": want["el_f0_residue_matches_expected"],
-            }
-            assert [rep.cells[c]["status"] == "charge_residue_obstructed"
-                    for c in ((0, l), (l, 0))] == [want["residue_differs_from_h_l"],
-                                                   want["el_f0_residue_differs_from_h_l"]]
+            assert charge_residue_check(ops, l) == wakimoto._charge_residue_report(direct, l)
             for l2 in range(1, m):
-                want = wakimoto._branch_cut_report(direct, l, l2, k_val)
-                assert branch_cut_check(ops, l, l2, k_val) == want
-                assert rep.cells[(l, l2)]["status"] == want["classification"]
-                assert rep.cells[(l, l2)]["witness"] == {
-                    key: want[key] for key in
-                    ("epsilon_values", "zero_charge_tail_singular_terms", "leading")
-                }
+                assert (branch_cut_check(ops, l, l2, k_val)
+                        == wakimoto._branch_cut_report(direct, l, l2, k_val))
     # an equal level of another type is another report: its "k" reads as given
     assert branch_cut_check(ops, 1, 1, 0.5)["k"] == "0.5"
+
+
+def test_memo_keeps_configurations_and_levels_apart():
+    """Calls in a shuffled order from an empty memo: each answer is the
+    direct builders' at its own configuration, level and labels, so the memo
+    keys by configuration and by repr(k) (0.5 and 1/2 compare equal)."""
+    default = working_config()[0]
+    other = next(c for c in ALL_CONFIGS if c.nesting != default.nesting)
+    levels = (None, F(1, 2), 0.5, -1)
+    calls = [(kind, conv, m, k_val) for kind in ("obstructions", "branch_cut")
+             for conv in (default, other) for m in range(2, 8) for k_val in levels]
+    calls += [(kind, conv, m, None) for kind in ("charge_residue", "charges")
+              for conv in (default, other) for m in range(2, 8)]
+    random.Random(17).shuffle(calls)
+    wakimoto._orbit_reports.clear()
+    wants: dict = {}
+
+    def direct(conv):
+        def run(build, *labels):
+            key = (build, conv, repr(labels))  # a dict key would merge 0.5 and 1/2
+            if key not in wants:
+                wants[key] = build(_direct(8, conv), *labels)
+            return wants[key]
+        return run
+
+    for kind, conv, m, k_val in calls:
+        ops, want = build_operators(m, conv), direct(conv)
+        if kind == "obstructions":
+            rep = obstruction_report(m, k_val, conventions=conv)
+            assert rep.k == ("symbolic" if k_val is None else str(k_val))
+            _assert_matrix_matches(rep, m, k_val, want)
+        elif kind == "branch_cut":
+            for l1 in range(1, m):
+                for l2 in range(1, m):
+                    got = branch_cut_check(ops, l1, l2, k_val)
+                    assert got == want(wakimoto._branch_cut_report, l1, l2, k_val)
+        elif kind == "charge_residue":
+            for l in range(1, m):
+                assert charge_residue_check(ops, l) == want(wakimoto._charge_residue_report, l)
+        else:
+            entries = verify_charge_relations(ops)["entries"]
+            assert entries == [want(wakimoto._charge_entry, l) for l in range(1, m)]
 
 
 def test_returned_reports_do_not_alter_the_memo():
