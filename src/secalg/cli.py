@@ -13,7 +13,8 @@ Grammar (shared tokens; byte offsets reported on error):
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
                    (no s, no k, no denominator in c, c-degree at most
-                   coeffs.MAX_C_DEGREE), else exit 2
+                   coeffs.MAX_C_DEGREE), else exit 2; a reduction reaching
+                   a t exponent beyond kahler.MAX_REACH (1000) exits 2
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
@@ -44,7 +45,7 @@ from .families import (
     rescaling_check,
 )
 from .kahler import DiffForm, RingParams, basis_dim, reduce_oracle
-from .ope import FieldExpr, is_laurent, wick_ope
+from .ope import FieldExpr, classification_text, is_laurent, wick_ope
 from .ring import RingElem
 from .uce import CurrentElem, UCEElem, formula_vs_oracle, uce_bracket_formula, uce_bracket_oracle
 from . import wakimoto
@@ -468,9 +469,8 @@ def run_command(cmd: Command, out=None) -> int:
         E = parse_field_expr(p["e"], m)
         Fx = parse_field_expr(p["f"], m)
         res = wick_ope(E, Fx, conv, extra_orders=p.get("extra_orders", 0))
-        cls = is_laurent(res, _parse_k(p.get("k")))
         doc = res.to_json_dict()
-        doc["classification"] = cls[0] + (f"({cls[1]})" if len(cls) > 1 else "")
+        doc["classification"] = classification_text(is_laurent(res, _parse_k(p.get("k"))))
         doc["conventions"] = status
         out.write(emit_report(doc, fmt) + "\n")
         return 0

@@ -16,15 +16,15 @@ of dimension 2r(m-1) + 1.  Two reducers are provided:
   distance from the basis block, so a column's class does not depend on the
   window it was solved over, and the table grows outward on demand.
 
-* ``reduce_recurrence`` -- the stated three-term recurrence, kept as a
-  fast path.  Every applied instance is logged with a validity flag, and
-  outputs are meant to be cross-checked against the oracle; see
-  ``verify_recurrence`` which evaluates candidate recurrences on
-  oracle-reduced classes and reports which ones actually hold.
+* ``reduce_recurrence`` -- the stated three-term recurrence, reproduced
+  for audit and cross-checked against the oracle; nothing else reduces
+  through it.  Every applied instance is logged with a validity flag;
+  ``verify_recurrence`` evaluates candidate recurrences on oracle-reduced
+  classes and reports which ones actually hold.
 
 Values are immutable.  Each ring has one reduction table (``ring_table``),
-kept for the process: it only grows, a solved column never changes, and
-growth holds the table's lock, so the table is safe to share across threads.
+kept for the process: it only grows (to ``MAX_REACH``), a solved column never
+changes, and growth holds the table's lock, so it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -39,12 +39,15 @@ from .coeffs import PolyC, sparse_add
 from .ring import RingElem, RingParams, dp_laurent, p_laurent
 
 
+MAX_REACH = 1000  # farthest t exponent, either sign, a table grows to: growth is superlinear
+
+
 class WindowError(ValueError):
     """Raised when a window does not cover what it must, or a column stays unresolved."""
 
 
 class PivotError(ValueError):
-    """Raised on a degenerate pivot in the recurrence fast path."""
+    """Raised on a degenerate pivot of the stated recurrence."""
 
 
 @dataclass(frozen=True)
@@ -350,6 +353,8 @@ class ReductionTable:
         if cls is None:
             if not 0 <= sector < self.params.m:
                 raise ValueError(f"sector {sector} is outside 0..{self.params.m - 1}")
+            if abs(t_exp) > MAX_REACH:
+                raise ValueError(f"t exponent {t_exp} is beyond kahler.MAX_REACH ({MAX_REACH})")
             self.cover(ReductionWindow(t_exp, t_exp))
             cls = self._classes.get((t_exp, sector))
             if cls is None:
@@ -400,7 +405,7 @@ def basis_dim(params: RingParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The stated recurrence as a fast path (logged and cross-checked)
+# The stated recurrence, reproduced for audit (logged and cross-checked)
 # ---------------------------------------------------------------------------
 
 

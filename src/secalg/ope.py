@@ -616,3 +616,8 @@ def exponent_class(n: Optional[int]) -> tuple:
     if n is None:
         return ("branch_cut",)
     return ("integer_pole", -n) if n <= -1 else ("regular",)
+
+
+def classification_text(cls: tuple) -> str:
+    """``is_laurent``'s classification as printed: its name, then any pole order in parentheses."""
+    return cls[0] + (f"({cls[1]})" if len(cls) > 1 else "")

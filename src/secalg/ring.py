@@ -18,9 +18,6 @@ from typing import Iterable
 
 from .coeffs import PolyC, as_polyc, sparse_add
 
-# A Laurent polynomial in t: finite map exponent -> PolyC, no zero entries.
-LaurentT = dict
-
 
 @dataclass(frozen=True)
 class RingParams:

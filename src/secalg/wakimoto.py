@@ -24,10 +24,10 @@ premises make the relabeled orbit report the report of the cell:
     this is a property of the code, not checked at run time, and
     ``test_wick_commutes_with_sector_renaming`` tests it.
 
-``orbit_report`` memoizes the orbit reports once per process, in rendered
-data.  A branch-cut orbit runs its Wick expansion once, whatever k is, and
-is classified per level by ``exponent_class``, the rule ``is_laurent``
-applies.  Every call hands out a fresh copy relabeled to its own sectors.
+``orbit_report`` memoizes the five orbit reports once per process and
+configuration, in rendered data and whatever the level; each call
+classifies a branch-cut orbit at its own level by ``exponent_class``, the
+rule ``is_laurent`` applies, and hands out a copy relabeled to its sectors.
 
 ``calibrate_conventions`` enumerates the four convention configurations and
 tests the three even-sector OPE identities
@@ -63,6 +63,7 @@ from .ope import (
     NOMono,
     canonical_sectors,
     charge_of,
+    classification_text,
     exponent_class,
     integer_exponent,
     is_laurent,
@@ -104,30 +105,22 @@ def _orbit(sectors: tuple, f_sectors: dict) -> tuple[tuple, tuple]:
     return tuple(sigma[l] for l in sectors), tuple(sorted(sigma))
 
 
-_orbit_reports: dict = {}  # (builder, conventions, canonical sectors, repr(level)) -> report
-
-
-def _memo(key: tuple, make) -> dict:
-    report = _orbit_reports.get(key)
-    return report if report is not None else _orbit_reports.setdefault(key, make())
-
-
-def orbit_report(build, conventions: ConventionConfig, canon: tuple, *level) -> dict:
-    """``build(ops, *canon, *level)`` on operators that hold the canonical
-    sectors canon, made once per process and shared by every m.
+@functools.cache
+def orbit_report(build, conventions: ConventionConfig, canon: tuple) -> dict:
+    """``build(ops, *canon)`` on operators that hold the canonical sectors
+    canon, made once per process and shared by every m and every level.
 
     One report per orbit: charge-residue (0, l) and (l, 0) together (from
     m >= 2), branch cut l1 = l2 (from m >= 2), l1 < l2 and l1 > l2 (from
     m >= 3).  It stands for every cell of its orbit by premise (a), true by
     construction in ``build_operators``, and premise (b), a property of
-    ``wick_ope`` that ``test_wick_commutes_with_sector_renaming`` tests.  The
-    key is the builder, the configuration, canon and ``repr(level)``, so
-    k = 0.5 stays apart from k = 1/2.  The report holds rendered data and
-    exponents, no fields or OPE results, and is shared: callers hand out
-    copies that ``_relabeled`` makes.
+    ``wick_ope`` that ``test_wick_commutes_with_sector_renaming`` tests.  No
+    builder takes a level, so the memo holds at most five reports per
+    configuration; ``_at_level`` classifies a branch-cut report per call.
+    The report holds rendered data and exponents, no fields or OPE results,
+    and is shared: callers hand out copies that ``_relabeled`` makes.
     """
-    return _memo((build, conventions, canon, repr(level)),
-                 lambda: build(build_operators(max(canon) + 1, conventions), *canon, *level))
+    return build(build_operators(max(canon) + 1, conventions), *canon)
 
 
 def _relabeled(x, labels: tuple):
@@ -147,7 +140,7 @@ def _relabeled(x, labels: tuple):
     return x
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _label_template(text: str) -> str:
     """text as a format string whose fields are the sectors of its generators."""
     text = text.replace("{", "{{").replace("}", "}}")
@@ -532,17 +525,11 @@ def branch_cut_check(
     terms (the stated argument claims it does not; the computed result
     decides).  Classification is by ``exponent_class``, the rule of
     ``is_laurent``, optionally at k = k_val.  The expansion is made once per
-    sector orbit, the report once per orbit and k_val.
+    sector orbit and classified per call.
     """
     canon, labels = ops.orbit(l1, l2)
-    return _relabeled(_branch_cut_orbit(ops.conventions, canon, k_val), labels)
-
-
-def _branch_cut_orbit(conventions: ConventionConfig, canon: tuple,
-                      k_val: Optional[Fraction]) -> dict:
-    """The memoized report of ``_branch_cut_report``, made from the memoized expansion."""
-    return _memo((_branch_cut_report, conventions, canon, repr((k_val,))),
-                 lambda: _at_level(orbit_report(_branch_cut_expansion, conventions, canon), k_val))
+    x = orbit_report(_branch_cut_expansion, ops.conventions, canon)
+    return _relabeled(_at_level(x, k_val), labels)
 
 
 def _branch_cut_report(
@@ -593,7 +580,6 @@ def _at_level(x: dict, k_val: Optional[Fraction]) -> dict:
     """The branch-cut report at k = k_val from the expansion x."""
     eps = x["exponent"]
     n = None if eps is None else integer_exponent(eps, k_val)
-    cls = x["laurent"] or exponent_class(n)
     leading = x["leading"] and dict(x["leading"])
     if leading and k_val is not None and n is not None:
         leading["total_pole_order"] = leading["order_within_sector"] - n
@@ -601,7 +587,7 @@ def _at_level(x: dict, k_val: Optional[Fraction]) -> dict:
     out = {key: v for key, v in x.items()
            if key not in ("exponent", "laurent", "leading_equals_h0")}
     out.update(k=str(k_val) if k_val is not None else "symbolic",
-               classification=cls[0] + (f"({cls[1]})" if len(cls) > 1 else ""),
+               classification=classification_text(x["laurent"] or exponent_class(n)),
                leading=leading)
     return out
 
@@ -757,6 +743,9 @@ def obstruction_report(
     f1 = _sector_templates(conventions)[0]["f", 1]
     f_sectors = {l: f1.renamed({0: 0, 1: l}).sectors() for l in range(1, m)}
     cells: dict = {}
+    # each branch-cut orbit is classified once per call, not once per cell
+    classified = functools.cache(
+        lambda canon: _at_level(orbit_report(_branch_cut_expansion, conventions, canon), k_val))
 
     diag = _config_diagnostics(conventions)
     anomalies = [name for name, ok in diag["checks"].items() if not ok]
@@ -793,7 +782,7 @@ def obstruction_report(
     for l1 in range(1, m):
         for l2 in range(1, m):
             canon, labels = _orbit((l1, l2), f_sectors)
-            chk = _branch_cut_orbit(conventions, canon, k_val)
+            chk = classified(canon)
             total = l1 + l2
             btype = "I" if total < m else ("II" if total == m else "III")
             note = None

@@ -224,6 +224,9 @@ def test_main_entry():
      "--extra-orders", "5"],
     # a coefficient whose powers of c span more than MAX_C_DEGREE
     ["ope", "--m", "3", "--e", "exp(c^200000+1,phi0)", "--f", "exp(1,phi0)"],
+    # t exponents beyond kahler.MAX_REACH: refused before the table grows
+    ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^99999999999*u"],
+    ["kahler-reduce", "--m", "3", "--r", "2", "--du", "t^-99999999999*u^2"],
 ])
 def test_main_invalid_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -137,7 +137,7 @@ def test_reduce_recurrence_basis_and_flags():
 
 
 def test_reduce_recurrence_cross_check_disagrees():
-    """The stated-recurrence fast path disagrees with the oracle on
+    """The stated recurrence disagrees with the oracle on
     positive-exponent classes (documented discrepancy; the oracle is
     normative)."""
     red = reduce_recurrence(2, 1, P32)

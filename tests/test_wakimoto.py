@@ -280,7 +280,7 @@ def wick_calls(monkeypatch):
     through ``charge_of``.
     """
     working_config()  # the calibration OPEs are computed once per process
-    wakimoto._orbit_reports.clear()
+    wakimoto.orbit_report.cache_clear()
     calls = []
 
     def counted(*args, **kwargs):
@@ -329,7 +329,7 @@ def test_branch_cut_check_shared_across_threads():
     direct = build_operators(6, CONV)
     want = {p: wakimoto._branch_cut_report(direct, *p, F(1, 2)) for p in pairs}
     shared = build_operators(6, CONV)
-    wakimoto._orbit_reports.clear()  # the threads race to fill the memo
+    wakimoto.orbit_report.cache_clear()  # the threads race to fill the memo
 
     def run(seed):
         order = random.Random(seed).sample(pairs, len(pairs))
@@ -402,7 +402,8 @@ def test_orbit_reports_match_direct_computation(m):
 def test_memo_keeps_configurations_and_levels_apart():
     """Calls in a shuffled order from an empty memo: each answer is the
     direct builders' at its own configuration, level and labels, so the memo
-    keys by configuration and by repr(k) (0.5 and 1/2 compare equal)."""
+    keys by configuration and every call classifies at its own k (0.5 and
+    1/2 compare equal, and each reports its own "k")."""
     default = working_config()[0]
     other = next(c for c in ALL_CONFIGS if c.nesting != default.nesting)
     levels = (None, F(1, 2), 0.5, -1)
@@ -411,7 +412,7 @@ def test_memo_keeps_configurations_and_levels_apart():
     calls += [(kind, conv, m, None) for kind in ("charge_residue", "charges")
               for conv in (default, other) for m in range(2, 8)]
     random.Random(17).shuffle(calls)
-    wakimoto._orbit_reports.clear()
+    wakimoto.orbit_report.cache_clear()
     wants: dict = {}
 
     def direct(conv):
@@ -439,6 +440,18 @@ def test_memo_keeps_configurations_and_levels_apart():
         else:
             entries = verify_charge_relations(ops)["entries"]
             assert entries == [want(wakimoto._charge_entry, l) for l in range(1, m)]
+
+
+def test_memo_does_not_grow_with_levels():
+    """A sweep of levels adds no report: the memo holds the five orbit
+    reports of the configuration at most, whatever k is asked for."""
+    wakimoto.orbit_report.cache_clear()
+    for n in range(1, 201):
+        rep = obstruction_report(3, F(1, n))
+        assert rep.k == str(F(1, n))
+        # the exponent -1/k is -n at k = 1/n
+        assert {rep.cells[c]["status"] for c in ((1, 1), (1, 2), (2, 1))} == {f"integer_pole({n})"}
+    assert wakimoto.orbit_report.cache_info().currsize <= 5
 
 
 def test_returned_reports_do_not_alter_the_memo():
