@@ -666,17 +666,11 @@ class CoeffK:
         return isinstance(other, CoeffK) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash((self.num, self.den))
 
-    def key(self):
-        """Hashable canonical key (usable as a dict key for like-term merging)."""
-        return (self.num, self.den)
-
-    @staticmethod
-    def key_order(key):
-        """A total order on keys: the terms ``((ec, es), value)`` sorted, numerator first."""
-        num, den = key
-        return sorted(num.coeffs.items()), sorted(den.coeffs.items())
+    def key_order(self):
+        """A total order on values: the terms ``((ec, es), value)`` sorted, numerator first."""
+        return sorted(self.num.coeffs.items()), sorted(self.den.coeffs.items())
 
     # -- field arithmetic
     def __add__(self, other: "CoeffK") -> "CoeffK":

@@ -248,6 +248,11 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
     return rows
 
 
+def _check_reach(t_exp: int) -> None:
+    if abs(t_exp) > MAX_REACH:
+        raise ValueError(f"t exponent {t_exp} is beyond kahler.MAX_REACH ({MAX_REACH})")
+
+
 class ReductionTable:
     """Relation system solved column by column; maps monomial classes to basis.
 
@@ -342,6 +347,8 @@ class ReductionTable:
 
     def reduce_terms(self, terms: list[tuple[int, int, PolyC]]) -> DiffClass:
         """Expand the sum of coef * class(t^(n-1) u^l dt) over (n, l, coef) terms."""
+        for n, _l, _v in terms:  # refuse a far term before any work
+            _check_reach(n - 1)
         out = DiffClass.zero(self.params)
         for n, l, v in terms:
             out = out + self.reduce_monomial(n - 1, l).scale(v)
@@ -353,8 +360,7 @@ class ReductionTable:
         if cls is None:
             if not 0 <= sector < self.params.m:
                 raise ValueError(f"sector {sector} is outside 0..{self.params.m - 1}")
-            if abs(t_exp) > MAX_REACH:
-                raise ValueError(f"t exponent {t_exp} is beyond kahler.MAX_REACH ({MAX_REACH})")
+            _check_reach(t_exp)
             self.cover(ReductionWindow(t_exp, t_exp))
             cls = self._classes.get((t_exp, sector))
             if cls is None:

@@ -2,9 +2,12 @@
 
 Fields: one bosonic beta/gamma ghost pair and one Heisenberg field b per
 sector, plus a single sector-0 exponential exp(a*phi0) carrying momentum a
-(phi0 is the scalar with b0 = 2*d(phi0)).  A normally ordered monomial is a
-coefficient, a canonically sorted factor list, and one momentum (a
-``CoeffK``; momentum 0 means no exponential).
+(phi0 is the scalar with b0 = 2*d(phi0)).  A field expression is one term
+map: a canonically sorted factor tuple and one momentum (a ``CoeffK``;
+momentum 0 means no exponential) map to a nonzero ``CoeffK`` coefficient.
+Every sum, product, derivative and Taylor order writes into such a map
+through ``coeffs.sparse_add``; a ``NOMono`` is the one-term value that
+``FieldExpr`` takes and ``FieldExpr.monomials`` returns.
 
 Contraction rules (z first, w second):
 
@@ -91,6 +94,13 @@ class FieldGen:
         return body if self.deriv == 0 else f"D({body},{self.deriv})"
 
 
+def _canon(factors: Iterable[FieldGen]) -> tuple:
+    return tuple(sorted(factors, key=FieldGen.sort_key))
+
+
+_B0 = FieldGen("heis", 0)
+
+
 class NOMono:
     """coef * :factors... exp(momentum*phi0):, factors canonically sorted."""
 
@@ -99,11 +109,8 @@ class NOMono:
     def __init__(self, coef: CoeffK, factors: Iterable[FieldGen] = (),
                  momentum: Optional[CoeffK] = None):
         self.coef = coef
-        self.factors = tuple(sorted(factors, key=FieldGen.sort_key))
+        self.factors = _canon(factors)
         self.momentum = momentum if momentum is not None else CoeffK.zero()
-
-    def key(self):
-        return (self.factors, self.momentum.key())
 
     def render(self) -> str:
         parts = [g.render() for g in self.factors]
@@ -124,26 +131,23 @@ class NOMono:
 
 
 class FieldExpr:
-    """Finite sum of normally ordered monomials; like terms merged."""
+    """Finite sum of normally ordered monomials: ``terms`` maps
+    (sorted factor tuple, momentum) to a nonzero coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, monos: Iterable[NOMono] = ()):
         terms: dict = {}
         for mo in monos:
-            if mo.coef.is_zero():
-                continue
-            k = mo.key()
-            cur = terms.get(k)
-            if cur is None:
-                terms[k] = mo
-            else:
-                s = cur.coef + mo.coef
-                if s.is_zero():
-                    del terms[k]
-                else:
-                    terms[k] = NOMono(s, cur.factors, cur.momentum)
+            sparse_add(terms, (mo.factors, mo.momentum), mo.coef)
         self.terms = terms
+
+    @staticmethod
+    def _of(terms: dict) -> "FieldExpr":
+        """Wrap a term map that is already clean (sorted factors, no zero coefficient)."""
+        fe = FieldExpr.__new__(FieldExpr)
+        fe.terms = terms
+        return fe
 
     # -- constructors
     @staticmethod
@@ -167,75 +171,64 @@ class FieldExpr:
         return not self.terms
 
     def monomials(self) -> list[NOMono]:
-        return [self.terms[k] for k in sorted(self.terms, key=_term_sort_key)]
+        return [NOMono(self.terms[k], *k) for k in sorted(self.terms, key=_term_sort_key)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldExpr):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k].coef == other.terms[k].coef for k in self.terms)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms))
 
     # -- algebra
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        return FieldExpr(list(self.terms.values()) + list(other.terms.values()))
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            sparse_add(terms, k, v)
+        return FieldExpr._of(terms)
 
     def scale(self, q: CoeffK) -> "FieldExpr":
         if q.is_zero():
             return FieldExpr()
-        return FieldExpr(
-            [NOMono(mo.coef * q, mo.factors, mo.momentum) for mo in self.terms.values()]
-        )
+        return FieldExpr._of({k: v * q for k, v in self.terms.items()})
 
     def __neg__(self) -> "FieldExpr":
-        return self.scale(CoeffK.from_int(-1))
+        return FieldExpr._of({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "FieldExpr") -> "FieldExpr":
         return self + (-other)
 
     def __mul__(self, other: "FieldExpr") -> "FieldExpr":
         """Same-point normally ordered product (no contractions)."""
-        out = []
-        for a in self.terms.values():
-            for b in other.terms.values():
-                out.append(
-                    NOMono(a.coef * b.coef, a.factors + b.factors, a.momentum + b.momentum)
-                )
-        return FieldExpr(out)
+        terms: dict = {}
+        for (fa, ma), a in self.terms.items():
+            for (fb, mb), b in other.terms.items():
+                sparse_add(terms, (_canon(fa + fb), ma + mb), a * b)
+        return FieldExpr._of(terms)
 
     def derivative(self) -> "FieldExpr":
         """Formal d/dz by the Leibniz rule; d(exp) = momentum * d(phi0) * exp."""
-        out = []
-        for mo in self.terms.values():
-            for idx, g in enumerate(mo.factors):
-                fs = list(mo.factors)
-                fs[idx] = g.dz()
-                out.append(NOMono(mo.coef, fs, mo.momentum))
-            if not mo.momentum.is_zero():
+        terms: dict = {}
+        for (factors, mom), coef in self.terms.items():
+            for idx, g in enumerate(factors):
+                sparse_add(terms, (_canon(factors[:idx] + (g.dz(),) + factors[idx + 1:]), mom),
+                           coef)
+            if not mom.is_zero():
                 # d exp(a phi) = a * dphi * exp = (a/2) * b0 * exp
-                out.append(
-                    NOMono(
-                        mo.coef * mo.momentum * Fraction(1, 2),
-                        mo.factors + (FieldGen("heis", 0, 0),),
-                        mo.momentum,
-                    )
-                )
-        return FieldExpr(out)
+                sparse_add(terms, (_canon(factors + (_B0,)), mom), coef * mom * Fraction(1, 2))
+        return FieldExpr._of(terms)
 
     def renamed(self, sigma: dict) -> "FieldExpr":
         """The same sum with every generator of sector l moved to sigma[l]."""
-        out = FieldExpr()  # sigma is injective: no terms meet, momentum keys stay
-        for (factors, mkey), mo in self.terms.items():
-            mo = NOMono(mo.coef, [FieldGen(g.kind, sigma[g.sector], g.deriv) for g in factors],
-                        mo.momentum)
-            out.terms[(mo.factors, mkey)] = mo
-        return out
+        # sigma is injective: no terms meet
+        return FieldExpr._of({
+            (_canon(FieldGen(g.kind, sigma[g.sector], g.deriv) for g in factors), mom): coef
+            for (factors, mom), coef in self.terms.items()
+        })
 
     def sectors(self) -> set:
-        return {g.sector for mo in self.terms.values() for g in mo.factors}
+        return {g.sector for factors, _mom in self.terms for g in factors}
 
     def render(self) -> str:
         if not self.terms:
@@ -264,7 +257,7 @@ def canonical_sectors(*sector_sets: set) -> dict:
 
 def _term_sort_key(key):
     factors, mom = key
-    return (len(factors), tuple(g.sort_key() for g in factors), CoeffK.key_order(mom))
+    return (len(factors), tuple(g.sort_key() for g in factors), mom.key_order())
 
 
 def nested_product(factors: list[FieldGen], conv: ConventionConfig) -> FieldExpr:
@@ -285,18 +278,18 @@ def nested_product(factors: list[FieldGen], conv: ConventionConfig) -> FieldExpr
     # times the q-th Taylor coefficient of the surviving inner product.
     acc = FieldExpr([NOMono(CoeffK.one(), factors[:1])])
     for g in factors[1:]:
-        flat = []
-        for mo in acc.terms.values():
-            flat.append(NOMono(mo.coef, mo.factors + (g,), mo.momentum))
-            for idx, inner in enumerate(mo.factors):
+        flat: dict = {}
+        for (fs, mom), coef in acc.terms.items():
+            sparse_add(flat, (_canon(fs + (g,)), mom), coef)
+            for idx, inner in enumerate(fs):
                 pr = contract_pair(inner, g, conv)
                 if pr is None:
                     continue
-                q, coef = pr
-                others = mo.factors[:idx] + mo.factors[idx + 1 :]
-                shifted = taylor_shift(NOMono(mo.coef * coef, others, mo.momentum), q)
-                flat.extend(shifted[q].terms.values())
-        acc = FieldExpr(flat)
+                q, pc = pr
+                shifted = taylor_shift(NOMono(coef * pc, fs[:idx] + fs[idx + 1:], mom), q)
+                for k, v in shifted[q].terms.items():
+                    sparse_add(flat, k, v)
+        acc = FieldExpr._of(flat)
     return acc
 
 
@@ -415,13 +408,12 @@ class OPEResult:
         self.sectors: dict = {}
         seen = set()
         for sec in sectors:
-            k = sec.epsilon.key()
-            if k in seen:
+            if sec.epsilon in seen:
                 raise ValueError(f"two sectors with epsilon {sec.epsilon.render()}")
-            seen.add(k)
+            seen.add(sec.epsilon)
             poles = {d: fe for d, fe in sec.poles.items() if not fe.is_zero()}
             if poles:
-                self.sectors[k] = OPESector(sec.epsilon, poles)
+                self.sectors[sec.epsilon] = OPESector(sec.epsilon, poles)
 
     def sector_list(self) -> list[OPESector]:
         return sorted(self.sectors.values(), key=_sector_sort_key)
@@ -445,8 +437,7 @@ class OPEResult:
 
     def zero_sector_pole(self, d: int) -> FieldExpr:
         """Pole coefficient at order d in the epsilon = 0 sector."""
-        k = CoeffK.zero().key()
-        sec = self.sectors.get(k)
+        sec = self.sectors.get(CoeffK.zero())
         if sec is None:
             return FieldExpr.zero()
         return sec.poles.get(d, FieldExpr.zero())
@@ -484,7 +475,8 @@ def wick_ope(
     unlimited capacity and always survive.  The w-factors go first so that
     a repeated factor is not counted twice against the z-exponential.  Each
     final state's z-content is Taylor-shifted to w once, so that every kept
-    order is exact.  Orders d >= 1 - extra_orders are kept per sector; the
+    order is exact, and each shifted term is added straight into the term
+    map of its pole.  Orders d >= 1 - extra_orders are kept per sector; the
     default keeps exactly the singular orders.  A ValueError refuses
     extra_orders above ``MAX_EXTRA_ORDERS`` and a state whose shift order
     D - (1 - extra_orders) is above ``MAX_SHIFT_ORDER``.
@@ -493,18 +485,17 @@ def wick_ope(
         raise ValueError("extra_orders must be non-negative")
     if extra_orders > MAX_EXTRA_ORDERS:
         raise ValueError(f"extra_orders {extra_orders} above the bound {MAX_EXTRA_ORDERS}")
-    sectors: dict = {}  # epsilon key -> (epsilon, {d: monomials of that pole})
+    sectors: dict = {}  # epsilon -> {d: term map of that pole}
     d_min = 1 - extra_orders
-    for mE in E.terms.values():
-        for mF in F.terms.values():
-            a, b = mE.momentum, mF.momentum
+    for (fE, a), cE in E.terms.items():
+        for (fF, b), cF in F.terms.items():
             eps = a * b  # the prefactor (z-w)^(a*b)
-            poles = sectors.setdefault(eps.key(), (eps, {}))[1]
+            poles = sectors.setdefault(eps, {})
             merged = a + b  # the momentum at w
             # (free w-factors, surviving z-factors, D) -> coefficient; both
             # tuples are subsequences of sorted factor lists, so like states meet
-            states = {((), (), 0): mE.coef * mF.coef}
-            for h in mF.factors:
+            states = {((), (), 0): cE * cF}
+            for h in fF:
                 pe = contract_exp(h, a, heis_at="w")
                 nxt: dict = {}
                 for (wf, zf, D), coef in states.items():
@@ -512,9 +503,9 @@ def wick_ope(
                     if pe is not None:
                         sparse_add(nxt, (wf, zf, D + pe[0]), coef * pe[1])
                 states = nxt
-            for g in mE.factors:
+            for g in fE:
                 pe = contract_exp(g, b, heis_at="z")
-                pairs = {h: contract_pair(g, h, conv) for h in mF.factors}
+                pairs = {h: contract_pair(g, h, conv) for h in fF}
                 nxt = {}
                 for (wf, zf, D), coef in states.items():
                     sparse_add(nxt, (wf, zf + (g,), D), coef)
@@ -533,14 +524,13 @@ def wick_ope(
                 if n_max < 0:
                     continue
                 for n, fe in taylor_shift(NOMono(coef, zf, a), n_max).items():
-                    poles.setdefault(D - n, []).extend(
-                        NOMono(mo.coef, mo.factors + wf, merged)
-                        for mo in fe.terms.values()
-                    )
+                    pole = poles.setdefault(D - n, {})
+                    for (fs, _a), v in fe.terms.items():
+                        sparse_add(pole, (_canon(fs + wf), merged), v)
 
     return OPEResult(
-        OPESector(eps, {d: FieldExpr(monos) for d, monos in poles.items()})
-        for eps, poles in sectors.values()
+        OPESector(eps, {d: FieldExpr._of(terms) for d, terms in poles.items()})
+        for eps, poles in sectors.items()
     )
 
 
@@ -569,10 +559,10 @@ def scalar_ratio(pole1: FieldExpr, F: FieldExpr) -> Optional[CoeffK]:
         return CoeffK.zero()
     # candidate scalar from any shared monomial of F
     lam = None
-    for k, mo in F.terms.items():
+    for k, v in F.terms.items():
         other = pole1.terms.get(k)
         if other is not None:
-            lam = other.coef / mo.coef
+            lam = other / v
             break
     if lam is None:
         return None

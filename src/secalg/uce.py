@@ -39,22 +39,6 @@ from .ring import RingElem, RingParams, p_laurent, ring_mul
 
 GENS = ("e", "h", "f")
 
-# Chevalley bracket table: (x, y) -> list of (generator, integer coefficient)
-_BRACKET = {
-    ("e", "f"): (("h", 1),),
-    ("f", "e"): (("h", -1),),
-    ("h", "e"): (("e", 2),),
-    ("e", "h"): (("e", -2),),
-    ("h", "f"): (("f", -2),),
-    ("f", "h"): (("f", 2),),
-    ("e", "e"): (),
-    ("f", "f"): (),
-    ("h", "h"): (),
-}
-
-# Killing pairing normalized with <e, f> = 1, <h, h> = 2.
-_KILLING = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
-
 
 @dataclass(frozen=True)
 class SL2Elem:
@@ -92,6 +76,21 @@ def killing(x: SL2Elem, y: SL2Elem) -> PolyC:
         + x.f_coef * y.e_coef
         + x.h_coef * y.h_coef * 2
     )
+
+
+# The two tables on generators, read off sl2_bracket and killing (Killing
+# pairing normalized with <e, f> = 1, <h, h> = 2): (x, y) -> the bracket as
+# ((generator, integer coefficient), ...), and (x, y) -> a nonzero <x, y>.
+_GEN = {g: SL2Elem.gen(g) for g in GENS}
+_BRACKET = {
+    (x, y): tuple((g, int(v.leading())) for g in GENS
+                  if not (v := sl2_bracket(_GEN[x], _GEN[y]).coeff(g)).is_zero())
+    for x in GENS for y in GENS
+}
+_KILLING = {
+    (x, y): int(v.leading()) for x in GENS for y in GENS
+    if not (v := killing(_GEN[x], _GEN[y])).is_zero()
+}
 
 
 class CurrentElem:

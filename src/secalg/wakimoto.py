@@ -454,10 +454,7 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
         ("(s/2)b(l)", FieldExpr.generator("heis", l).scale(
             CoeffK.s() * Fraction(1, 2))),
     ):
-        present = any(
-            mo.key() in residue_0l.terms for mo in target.terms.values()
-        )
-        if not present:
+        if not any(k in residue_0l.terms for k in target.terms):
             missing.append(name)
 
     # reversed pair: e^(l)(z) f0(w)
@@ -601,17 +598,17 @@ def check_wakimoto_type(E: FieldExpr, F: FieldExpr, m: int) -> dict:
     sector; (W3) ghost-sector independence, axiomatic in this engine.
     """
     report: dict = {"w3": "satisfied (engine axiom)"}
-    momenta = {mo.momentum.key() for mo in E.terms.values()}
+    momenta = {mom for _factors, mom in E.terms}
     w1_ok = len(momenta) == 1
     alpha = None
     if w1_ok:
-        alpha = next(iter(E.terms.values())).momentum
+        alpha = next(iter(momenta))
         w1_ok = not alpha.is_zero()
     ghost_sectors = {
-        g.sector for mo in E.terms.values() for g in mo.factors if g.kind != "heis"
+        g.sector for factors, _mom in E.terms for g in factors if g.kind != "heis"
     }
     heis_present = any(
-        g.kind == "heis" for mo in E.terms.values() for g in mo.factors
+        g.kind == "heis" for factors, _mom in E.terms for g in factors
     )
     w1_ok = w1_ok and len(ghost_sectors) <= 1 and not heis_present
     report["w1"] = {
@@ -627,7 +624,8 @@ def check_wakimoto_type(E: FieldExpr, F: FieldExpr, m: int) -> dict:
     minus_alpha = CoeffK.zero() - alpha
     violations = []
     f_ghost_sectors = set()
-    for mo in F.terms.values():
+    for (factors, mom), coef in F.terms.items():  # violations in insertion order
+        mo = NOMono(coef, factors, mom)
         if not (mo.momentum == minus_alpha or mo.momentum.is_zero()):
             violations.append({"monomial": mo.render(), "why": "momentum not in {-alpha, 0}"})
             continue

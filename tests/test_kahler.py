@@ -300,6 +300,16 @@ def test_sector_out_of_range_does_not_grow():
     assert (table.window, table.n_cols, table.rank) == before
 
 
+def test_far_term_refused_before_nearer_terms_grow_the_table(capsys):
+    """A form with one term beyond MAX_REACH is refused before any term is reduced."""
+    with mock.patch.dict(kahler._TABLES, clear=True):
+        before = ring_table(P32).window
+        assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^1000*u + t^1001*u"]) == 2
+        assert capsys.readouterr().err == (
+            "error: t exponent 1001 is beyond kahler.MAX_REACH (1000)\n")
+        assert ring_table(P32).window == before
+
+
 def test_ring_table_grows_safely_across_threads():
     params = RingParams(3, 3)
     jobs = [[(120, 1), (-110, 2)], [(-130, 1), (90, 2)], [(100, 0), (140, 2)],

@@ -306,7 +306,7 @@ _renamings = st.permutations(range(1, 7)).map(
 
 
 def _sectors(fe_):
-    return {g.sector for mo in fe_.terms.values() for g in mo.factors}
+    return {g.sector for factors, _mom in fe_.terms for g in factors}
 
 
 def _poles(res, sigma=None):
@@ -327,6 +327,36 @@ def test_wick_commutes_with_sector_renaming(E, Fx, sigma):
             assert _poles(wick_ope(sE, sF, conv, extra)) == _poles(want, sigma)
 
 
+def _clean(fe_):
+    """Every coefficient of the term map nonzero, every factor tuple sorted."""
+    return all(not v.is_zero() and list(fs) == sorted(fs, key=FieldGen.sort_key)
+               for (fs, _mom), v in fe_.terms.items())
+
+
+# coefficient 0 included, so that zero terms and cancellations are drawn
+_any_monos = st.builds(
+    NOMono,
+    st.builds(CoeffK.from_int, st.integers(-2, 2)),
+    st.lists(_gens, max_size=3),
+    st.sampled_from((CoeffK.zero(), ALPHA, CoeffK.zero() - ALPHA)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(monos=st.lists(_any_monos, max_size=5), Fx=_exprs)
+def test_term_map_invariants(monos, Fx):
+    E = FieldExpr(monos)
+    assert E == FieldExpr(reversed(monos))
+    assert (E + Fx) - Fx == E
+    left = ConventionConfig(nesting="left")
+    results = [E, E + Fx, E - E, -E, E * Fx, E.derivative(), E.scale(ALPHA),
+               nested_product([g for mo in monos[:2] for g in mo.factors], left)]
+    results += [fld for mo in monos for fld in taylor_shift(mo, 2).values()]
+    results += [fld for sec in wick_ope(E, Fx, CONV, 1).sectors.values()
+                for fld in sec.poles.values()]
+    assert all(_clean(x) for x in results)
+
+
 def _wick_reference(E, Fx, conv, extra_orders=0):
     """The Wick sum by brute force: every assignment of each z-factor (left
     alone, one contractible w-factor or the w-exponential), those reusing a
@@ -334,11 +364,11 @@ def _wick_reference(E, Fx, conv, extra_orders=0):
     the z-exponential; each survivor is Taylor-shifted on its own."""
     sectors = {}
     d_min = 1 - extra_orders
-    for mE in E.terms.values():
-        for mF in Fx.terms.values():
+    for mE in E.monomials():
+        for mF in Fx.monomials():
             a, b = mE.momentum, mF.momentum
             eps = a * b
-            poles = sectors.setdefault(eps.key(), (eps, {}))[1]
+            poles = sectors.setdefault(eps, (eps, {}))[1]
             merged = a + b
             zf, wf = list(mE.factors), list(mF.factors)
             z_opts = []
@@ -378,7 +408,7 @@ def _wick_reference(E, Fx, conv, extra_orders=0):
                     for n, fld in taylor_shift(NOMono(c, surv_z, a), D - d_min).items():
                         poles.setdefault(D - n, []).extend(
                             NOMono(mo.coef, mo.factors + surv_w, merged)
-                            for mo in fld.terms.values())
+                            for mo in fld.monomials())
     return OPEResult(
         OPESector(eps, {d: FieldExpr(monos) for d, monos in poles.items()})
         for eps, poles in sectors.values())

@@ -265,6 +265,10 @@ def test_obstruction_report_specialized():
     (["ope", "--m", "3", "--e", "no(beta[1]*exp(c^70000/(s+c^50000),phi0))",
       "--f", "no(gamma[1]*exp(s*c^40000,phi0))", "--extra-orders", "2"], 0,
      "f0f7d50b8a77031894d4f9d616b2db72d93d29334ae46470988c701afbf646a9"),
+    # two fractional sectors, 1/(s^2 + c*s + s + c) listed before 1/(s + c)
+    (["ope", "--m", "2", "--e", "exp(1/(s+1),phi0)+no(D(b[1],1)*b[0]*beta[1]*exp(1,phi0))",
+      "--f", "(2/s)*no(beta[0]*exp(1/(c+s),phi0))", "--extra-orders", "1"], 0,
+     "82de71cb6afcb002a21d42664cd08f37e7c47f1acf7c3ea72bc2bbf2c3f76e8b"),
 ])
 def test_free_field_output_pinned(argv, status, digest, capsys):
     assert main(argv) == status
