@@ -37,14 +37,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import CoeffK
+from .coeffs import CoeffK, PolyC, as_polyc, sparse_add
 from .families import (
     INDEX_RECONCILIATION_NOTE,
     FamilySpec,
     family_table,
     rescaling_check,
 )
-from .kahler import DiffForm, RingParams, basis_dim, reduce_oracle
+from .kahler import DiffForm, RingParams, basis_dim, check_form_reach, reduce_oracle
 from .ope import FieldExpr, classification_text, is_laurent, wick_ope
 from .ring import RingElem
 from .uce import CurrentElem, UCEElem, formula_vs_oracle, uce_bracket_formula, uce_bracket_oracle
@@ -207,15 +207,17 @@ class _Parser:
         self.fail("expected a coefficient")
 
     # -- ring elements -----------------------------------------------------
-    def ring_expr(self, params: RingParams) -> RingElem:
-        val = self.ring_term(params)
-        while self.peek()[0] in ("+", "-"):
+    def ring_expr(self) -> dict[tuple[int, int], PolyC]:
+        terms: dict[tuple[int, int], PolyC] = {}
+        op = "+"
+        while True:
+            key, v = self.ring_term()
+            sparse_add(terms, key, v if op == "+" else -v)
+            if self.peek()[0] not in ("+", "-"):
+                return terms
             op = self.next()[0]
-            rhs = self.ring_term(params)
-            val = val + rhs if op == "+" else val - rhs
-        return val
 
-    def ring_term(self, params: RingParams) -> RingElem:
+    def ring_term(self) -> tuple[tuple[int, int], PolyC]:
         coef = CoeffK.one()
         t_exp = 0
         u_exp = 0
@@ -249,7 +251,7 @@ class _Parser:
             break
         if neg:
             coef = CoeffK.zero() - coef
-        return RingElem.monomial(params, coef, t_exp, u_exp)
+        return (t_exp, u_exp), as_polyc(coef)
 
     # -- field expressions ---------------------------------------------------
     def field_expr(self, m: int) -> FieldExpr:
@@ -334,11 +336,21 @@ def parse_coef(src: str) -> CoeffK:
     return val
 
 
-def parse_ring_elem(src: str, params: RingParams) -> RingElem:
+def parse_ring_terms(src: str) -> dict[tuple[int, int], PolyC]:
+    """The terms {(t exponent, u exponent): coefficient in Q[c]}, like terms merged, u^q unexpanded."""
     p = _Parser(src)
-    val = p.ring_expr(params)
+    terms = p.ring_expr()
     p.done()
-    return val
+    return terms
+
+
+def ring_from_terms(params: RingParams, terms: dict[tuple[int, int], PolyC]) -> RingElem:
+    """The sum of the terms, each u^q expanded by ``RingElem.monomial``."""
+    return sum((RingElem.monomial(params, v, *k) for k, v in terms.items()), RingElem.zero(params))
+
+
+def parse_ring_elem(src: str, params: RingParams) -> RingElem:
+    return ring_from_terms(params, parse_ring_terms(src))
 
 
 def parse_field_expr(src: str, m: int) -> FieldExpr:
@@ -415,9 +427,9 @@ def run_command(cmd: Command, out=None) -> int:
 
     if cmd.name == "kahler-reduce":
         params = RingParams(p["m"], p["r"])
-        dt = parse_ring_elem(p.get("dt", "0"), params) if p.get("dt") else RingElem.zero(params)
-        du = parse_ring_elem(p.get("du", "0"), params) if p.get("du") else RingElem.zero(params)
-        cls = reduce_oracle(DiffForm(dt, du))
+        dt, du = (parse_ring_terms(p[k]) if p.get(k) else {} for k in ("dt", "du"))
+        check_form_reach(params, dt, du)  # before any u^q is expanded
+        cls = reduce_oracle(DiffForm(ring_from_terms(params, dt), ring_from_terms(params, du)))
         out.write(emit_report(cls.to_json_dict(), fmt) + "\n")
         return 0
 

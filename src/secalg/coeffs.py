@@ -268,7 +268,7 @@ class PolyC:
         return self + (-other)
 
     def __mul__(self, other) -> "PolyC":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolyC):  # an int or Fraction; isinstance on Fraction's ABC is slow
             if not other or not self.ints:
                 return _ZERO
             return PolyC._of(self.ints, *_ratio_mul(self.num, self.den, *other.as_integer_ratio()), self.val)

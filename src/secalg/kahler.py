@@ -40,6 +40,7 @@ from .ring import RingElem, RingParams, dp_laurent, p_laurent
 
 
 MAX_REACH = 1000  # farthest t exponent, either sign, a table grows to: growth is superlinear
+W0 = (0, 0)  # the key of w0 in a central term map, beside the odd keys (l, j) with l, j >= 1
 
 
 class WindowError(ValueError):
@@ -98,6 +99,20 @@ class DiffClass:
         self.odd = clean
 
     @staticmethod
+    def _of(params: RingParams, terms: dict[tuple[int, int], PolyC]) -> "DiffClass":
+        """Take over a clean central term map {basis key: nonzero PolyC}, w0 under ``W0``."""
+        cls = object.__new__(DiffClass)
+        cls.params, cls.omega0, cls.odd = params, terms.pop(W0, PolyC.zero()), terms
+        return cls
+
+    def add_into(self, terms: dict[tuple[int, int], PolyC], q: PolyC) -> None:
+        """terms += q * self, over a central term map (w0 under ``W0``)."""
+        if not self.omega0.is_zero():
+            sparse_add(terms, W0, self.omega0 * q)
+        for key, v in self.odd.items():
+            sparse_add(terms, key, v * q)
+
+    @staticmethod
     def zero(params: RingParams) -> "DiffClass":
         return DiffClass(params)
 
@@ -126,12 +141,6 @@ class DiffClass:
         return DiffClass(
             self.params, self.omega0 * q, {key: v * q for key, v in self.odd.items()}
         )
-
-    def __neg__(self) -> "DiffClass":
-        return DiffClass(self.params, -self.omega0, {key: -v for key, v in self.odd.items()})
-
-    def __sub__(self, other: "DiffClass") -> "DiffClass":
-        return self + (-other)
 
     def coeff(self, l: int, j: int) -> PolyC:
         return self.odd.get((l, j), PolyC.zero())
@@ -164,15 +173,14 @@ class DiffClass:
 
 def differential(a: RingElem) -> DiffForm:
     """Leibniz differential: d(t^n u^l) = n t^(n-1) u^l dt + l t^n u^(l-1) du."""
-    params = a.params
-    dt = RingElem.zero(params)
-    du = RingElem.zero(params)
-    for e, l, v in a.monomials():
+    dt: dict[int, dict[int, PolyC]] = {}
+    du: dict[int, dict[int, PolyC]] = {}
+    for e, l, v in a.monomials():  # distinct monomials give distinct terms
         if e:
-            dt = dt + RingElem.monomial(params, v * e, e - 1, l)
+            dt.setdefault(l, {})[e - 1] = v * e
         if l:
-            du = du + RingElem.monomial(params, v * l, e, l - 1)
-    return DiffForm(dt, du)
+            du.setdefault(l - 1, {})[e] = v * l
+    return DiffForm(RingElem._of(a.params, dt), RingElem._of(a.params, du))
 
 
 def _du_monomial_classes(
@@ -251,6 +259,33 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
 def _check_reach(t_exp: int) -> None:
     if abs(t_exp) > MAX_REACH:
         raise ValueError(f"t exponent {t_exp} is beyond kahler.MAX_REACH ({MAX_REACH})")
+
+
+def check_form_reach(params: RingParams, dt: dict[tuple[int, int], PolyC],
+                     du: dict[tuple[int, int], PolyC]) -> None:
+    """Refuse a form whose class ``reduce_terms`` would refuse, before any u^q is expanded.
+
+    dt and du map (t exponent, u exponent) to nonzero coefficients.  t^a u^q is
+    t^a p^k u^j, (k, j) = divmod(q, m), and p^k has the terms 1 and t^(2rk), so
+    the classes t^e u^l dt of a term lie between two ends it does reach (for a
+    du term after du-elimination).  An end beyond MAX_REACH that no other term
+    of its sector reaches survives the sum.
+    """
+    m, r = params.m, params.r
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for is_du, terms in ((False, dt), (True, du)):
+        for a, q in terms:
+            k, j = divmod(q, m)
+            l, lo, hi = ((j, a, a) if not is_du else (j + 1, a - 1, a - 1) if j < m - 1
+                         else (0, a + r - 1, a + 2 * r - 1))
+            spans.setdefault(l, []).append((lo, hi + 2 * r * k))
+    far = []
+    for ends in spans.values():
+        lows, highs = zip(*ends)
+        far += [e for e, side in ((min(lows), lows), (max(highs), highs))
+                if abs(e) > MAX_REACH and side.count(e) == 1]
+    if far:
+        _check_reach(min(far))
 
 
 class ReductionTable:
@@ -349,10 +384,10 @@ class ReductionTable:
         """Expand the sum of coef * class(t^(n-1) u^l dt) over (n, l, coef) terms."""
         for n, _l, _v in terms:  # refuse a far term before any work
             _check_reach(n - 1)
-        out = DiffClass.zero(self.params)
+        out: dict[tuple[int, int], PolyC] = {}
         for n, l, v in terms:
-            out = out + self.reduce_monomial(n - 1, l).scale(v)
-        return out
+            self.reduce_monomial(n - 1, l).add_into(out, v)
+        return DiffClass._of(self.params, out)
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
         """Expand class(t^t_exp u^sector dt) over the basis, growing the table to reach it."""

@@ -29,20 +29,6 @@ class RingParams:
             raise ValueError("superelliptic parameters require m >= 2 and r >= 2")
 
 
-def laurent_clean(d: dict[int, PolyC]) -> dict[int, PolyC]:
-    return {e: v for e, v in d.items() if not v.is_zero()}
-
-def laurent_add(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:
-    out = dict(a)
-    for e, v in b.items():
-        sparse_add(out, e, v)
-    return out
-
-def laurent_scale(a: dict[int, PolyC], q: PolyC) -> dict[int, PolyC]:
-    if q.is_zero():
-        return {}
-    return {e: v * q for e, v in a.items()}
-
 def laurent_mul(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:
     out: dict[int, PolyC] = {}
     for e1, v1 in a.items():
@@ -77,10 +63,17 @@ class RingElem:
             for l, lt in sectors.items():
                 if not 0 <= l < params.m:
                     raise ValueError(f"sector {l} out of range for m={params.m}")
-                lt = laurent_clean(lt)
+                lt = {e: v for e, v in lt.items() if not v.is_zero()}
                 if lt:
                     clean[l] = lt
         self.sectors = clean
+
+    @staticmethod
+    def _of(params: RingParams, sectors: dict[int, dict[int, PolyC]]) -> "RingElem":
+        """Wrap a clean map {sector: {t exponent: nonzero PolyC}}, no empty sector, unchecked."""
+        elem = object.__new__(RingElem)
+        elem.params, elem.sectors = params, sectors
+        return elem
 
     # -- constructors
     @staticmethod
@@ -92,16 +85,10 @@ class RingElem:
         """coef * t^t_exp * u^u_exp, u_exp >= 0 reduced; coef goes through ``as_polyc``."""
         if u_exp < 0:
             raise ValueError("u exponent must be non-negative")
-        elem = RingElem(params, {0: {t_exp: as_polyc(coef)}})
-        p = p_laurent(params)
-        while u_exp >= params.m:
-            elem = RingElem(
-                params, {l: laurent_mul(lt, p) for l, lt in elem.sectors.items()}
-            )
-            u_exp -= params.m
-        if u_exp:
-            elem = RingElem(params, {u_exp: elem.sectors.get(0, {})})
-        return elem
+        lt = {t_exp: as_polyc(coef)}
+        for _ in range(u_exp // params.m):
+            lt = laurent_mul(lt, p_laurent(params))
+        return RingElem(params, {u_exp % params.m: lt})
 
     def is_zero(self) -> bool:
         return not self.sectors
@@ -125,7 +112,8 @@ class RingElem:
         self._check(other)
         out = {l: dict(lt) for l, lt in self.sectors.items()}
         for l, lt in other.sectors.items():
-            out[l] = laurent_add(out.get(l, {}), lt)
+            for e, v in lt.items():
+                sparse_add(out.setdefault(l, {}), e, v)
         return RingElem(self.params, out)
 
     def __neg__(self) -> "RingElem":
@@ -135,11 +123,6 @@ class RingElem:
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
-
-    def scale(self, q: PolyC) -> "RingElem":
-        return RingElem(
-            self.params, {l: laurent_scale(lt, q) for l, lt in self.sectors.items()}
-        )
 
     def _check(self, other: "RingElem"):
         if self.params != other.params:
@@ -174,20 +157,27 @@ class RingElem:
 
 
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
-    """Graded product in A with eager reduction u^m -> p(t)."""
+    """Graded product in A with eager reduction u^m -> p(t): each coefficient
+    product goes straight into its sector's term map by ``sparse_add``, times
+    the three terms of p(t) in the same pass when l1 + l2 >= m, and the maps
+    are wrapped once, unchecked (no intermediate Laurent map or RingElem)."""
     a._check(b)
     m = a.params.m
-    p = p_laurent(a.params)
+    p = p_laurent(a.params).items()
     out: dict[int, dict[int, PolyC]] = {}
     for l1, lt1 in a.sectors.items():
         for l2, lt2 in b.sectors.items():
-            prod = laurent_mul(lt1, lt2)
             l = l1 + l2
-            if l >= m:
-                l -= m
-                prod = laurent_mul(prod, p)
-            out[l] = laurent_add(out.get(l, {}), prod)
-    return RingElem(a.params, out)
+            acc = out.setdefault(l % m, {})
+            for e1, v1 in lt1.items():
+                for e2, v2 in lt2.items():
+                    if l < m:
+                        sparse_add(acc, e1 + e2, v1 * v2)
+                    else:
+                        v = v1 * v2
+                        for pe, pv in p:
+                            sparse_add(acc, e1 + e2 + pe, v * pv)
+    return RingElem._of(a.params, {l: lt for l, lt in out.items() if lt})
 
 
 def decompose_sectors(a: RingElem) -> list[tuple[int, dict[int, PolyC]]]:

@@ -16,17 +16,25 @@ of the oracle bracket: directly on a subgrid, and on the full requested grid
 through an exact bilinear factorization (sl2 Jacobi + Killing invariance +
 ring associativity + the cocycle identity on monomial triples), which is an
 algebraic regrouping of the same computation, not a sampling.
+
+A bracket adds its terms into a current term map {(gen, sector, t): PolyC} and
+a central one {basis key: PolyC} by ``sparse_add`` and wraps them once; a direct
+Jacobi triple sums its three outer brackets in one pair of maps.  tau comes from
+one ``TauCache`` per ring (``tau_cache``), kept for the process like the ring's
+reduction table, and the ring-free sl2 pass runs once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import PolyC
+from .coeffs import PolyC, sparse_add
 from .kahler import (
+    W0,
     DiffClass,
     DiffForm,
     ReductionTable,
@@ -48,14 +56,9 @@ class SL2Elem:
 
     @staticmethod
     def gen(name: str) -> "SL2Elem":
-        one, zero = PolyC.const(1), PolyC.zero()
-        if name == "e":
-            return SL2Elem(one, zero, zero)
-        if name == "h":
-            return SL2Elem(zero, one, zero)
-        if name == "f":
-            return SL2Elem(zero, zero, one)
-        raise ValueError(f"unknown sl2 generator {name!r}")
+        if name not in GENS:
+            raise ValueError(f"unknown sl2 generator {name!r}")
+        return SL2Elem(*(PolyC.const(int(g == name)) for g in GENS))
 
     def coeff(self, name: str) -> PolyC:
         return {"e": self.e_coef, "h": self.h_coef, "f": self.f_coef}[name]
@@ -130,15 +133,6 @@ class CurrentElem:
             parts[g] = parts[g] + a if g in parts else a
         return CurrentElem(self.params, parts)
 
-    def scale(self, q: PolyC) -> "CurrentElem":
-        return CurrentElem(self.params, {g: a.scale(q) for g, a in self.parts.items()})
-
-    def __neg__(self) -> "CurrentElem":
-        return self.scale(PolyC.const(-1))
-
-    def __sub__(self, other: "CurrentElem") -> "CurrentElem":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CurrentElem)
@@ -172,15 +166,6 @@ class UCEElem:
 
     def __add__(self, other: "UCEElem") -> "UCEElem":
         return UCEElem(self.current + other.current, self.central + other.central)
-
-    def scale(self, q: PolyC) -> "UCEElem":
-        return UCEElem(self.current.scale(q), self.central.scale(q))
-
-    def __neg__(self) -> "UCEElem":
-        return self.scale(PolyC.const(-1))
-
-    def __sub__(self, other: "UCEElem") -> "UCEElem":
-        return self + (-other)
 
     def __eq__(self, other) -> bool:
         return (
@@ -220,22 +205,28 @@ class TauCache:
 
     def tau_monomial(self, a_exp: int, a_sec: int, b_exp: int, b_sec: int) -> DiffClass:
         key = (a_exp, a_sec, b_exp, b_sec)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        one = PolyC.const(1)
-        form = _cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
-                             RingElem.monomial(self.params, one, b_exp, b_sec))
-        out = self.table.reduce_terms(eliminate_du(form))
-        self._memo[key] = out
-        return out
+        if key not in self._memo:
+            one = PolyC.const(1)
+            form = _cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
+                                 RingElem.monomial(self.params, one, b_exp, b_sec))
+            self._memo[key] = self.table.reduce_terms(eliminate_du(form))
+        return self._memo[key]
 
-    def tau(self, f: RingElem, g: RingElem) -> DiffClass:
-        out = DiffClass.zero(self.params)
+    def tau(self, f: RingElem, g: RingElem, central: Optional[dict] = None,
+            k: int = 1) -> Optional[DiffClass]:
+        """tau(f, g) over the memoized monomial pairs; given a central term map
+        (``kahler.W0`` for w0), k * tau(f, g) is added into it instead."""
+        out = {} if central is None else central
         for ae, asec, av in f.monomials():
             for be, bsec, bv in g.monomials():
-                out = out + self.tau_monomial(ae, asec, be, bsec).scale(av * bv)
-        return out
+                self.tau_monomial(ae, asec, be, bsec).add_into(out, av * bv * k)
+        return DiffClass._of(self.params, out) if central is None else None
+
+
+@functools.cache
+def tau_cache(params: RingParams) -> TauCache:
+    """The one cocycle memo of the ring, over ``ring_table``, kept for the process."""
+    return TauCache(ring_table(params))
 
 
 def tau_oracle(f: RingElem, g: RingElem) -> DiffClass:
@@ -244,33 +235,43 @@ def tau_oracle(f: RingElem, g: RingElem) -> DiffClass:
 
 
 # ---------------------------------------------------------------------------
-# Brackets
+# Brackets, summed in a current and a central term map and wrapped once
 # ---------------------------------------------------------------------------
 
 
-def uce_bracket_oracle(
-    a: UCEElem, b: UCEElem, cache: Optional[TauCache] = None
-) -> UCEElem:
-    """First-principles bracket; central parts of the inputs bracket to zero."""
-    params = a.params
-    if params != b.params:
-        raise ValueError("parameter mismatch")
-    current = CurrentElem.zero(params)
-    central = DiffClass.zero(params)
+def _wrap(params: RingParams, current: dict, central: dict) -> UCEElem:
+    """The element whose current and central term maps are given (the maps are taken over)."""
+    parts: dict[str, dict[int, dict[int, PolyC]]] = {}
+    for (g, l, e), v in current.items():
+        parts.setdefault(g, {}).setdefault(l, {})[e] = v
+    return UCEElem(CurrentElem(params, {g: RingElem._of(params, s) for g, s in parts.items()}),
+                   DiffClass._of(params, central))
+
+
+def _bracket_into(maps: tuple[dict, dict], a: UCEElem, b: UCEElem) -> tuple[dict, dict]:
+    """Add the oracle bracket [a, b] into the (current, central) term maps and return them;
+    central parts of the inputs bracket to zero."""
+    current, central = maps
+    taus = tau_cache(a.params)
     for ga, fa in a.current.parts.items():
-        for gb, gbelem in b.current.parts.items():
-            for gen, coef in _BRACKET[(ga, gb)]:
-                prod = ring_mul(fa, gbelem).scale(PolyC.const(coef))
-                current = current + CurrentElem(params, {gen: prod})
+        for gb, fb in b.current.parts.items():
+            gens = _BRACKET[(ga, gb)]
+            if gens:
+                for l, lt in ring_mul(fa, fb).sectors.items():
+                    for e, v in lt.items():
+                        for gen, coef in gens:
+                            sparse_add(current, (gen, l, e), v * coef)
             kap = _KILLING.get((ga, gb))
             if kap:
-                t = (
-                    cache.tau(fa, gbelem)
-                    if cache is not None
-                    else tau_oracle(fa, gbelem)
-                )
-                central = central + t.scale(PolyC.const(kap))
-    return UCEElem(current, central)
+                taus.tau(fa, fb, central, kap)
+    return maps
+
+
+def uce_bracket_oracle(a: UCEElem, b: UCEElem) -> UCEElem:
+    """First-principles bracket; central parts of the inputs bracket to zero."""
+    if a.params != b.params:
+        raise ValueError("parameter mismatch")
+    return _wrap(a.params, *_bracket_into(({}, {}), a, b))
 
 
 def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
@@ -285,17 +286,9 @@ def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
         raise ValueError("parameter mismatch")
     m = params.m
     table = ring_table(params)
-    current = CurrentElem.zero(params)
-    central = DiffClass.zero(params)
-    p = p_laurent(params)
-
-    def expand_class(t_exp: int, sector: int, coef: PolyC) -> DiffClass:
-        if sector >= m:
-            out = DiffClass.zero(params)
-            for pe, pv in p.items():
-                out = out + table.reduce_monomial(t_exp + pe, sector - m).scale(coef * pv)
-            return out
-        return table.reduce_monomial(t_exp, sector).scale(coef)
+    current, central = {}, {}
+    p = p_laurent(params).items()
+    unwrapped = ((0, PolyC.const(1)),)
 
     for ga, fa in a.current.parts.items():
         for gb, gbelem in b.current.parts.items():
@@ -304,31 +297,22 @@ def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
                 for j, l2, vb in gbelem.monomials():
                     v = va * vb
                     L = l1 + l2
-                    # current part
+                    # t^(i+j) u^L, with u^m -> p(t) when L >= m
+                    wrap = p if L >= m else unwrapped
                     for gen, coef in _BRACKET[(ga, gb)]:
-                        cur = RingElem.monomial(
-                            params, v * coef, i + j, 0
-                        )
-                        if L:
-                            # multiply in u^L with reduction
-                            cur = ring_mul(
-                                cur, RingElem.monomial(params, PolyC.const(1), 0, L)
-                            )
-                        current = current + CurrentElem(params, {gen: cur})
+                        for pe, pv in wrap:
+                            sparse_add(current, (gen, L % m, i + j + pe), v * coef * pv)
                     if not kap:
                         continue
                     kv = v * kap
                     if L == m:
                         # Type II, literal as printed: j <x,y> (i+j) w0
-                        central = central + DiffClass(
-                            params, omega0=kv * Fraction(j * (i + j))
-                        )
+                        sparse_add(central, W0, kv * Fraction(j * (i + j)))
                     else:
-                        # Type I (L < m) / Type III (L > m): j <x,y> class(...)
-                        central = central + expand_class(
-                            i + j - 1, L, kv * Fraction(j)
-                        )
-    return UCEElem(current, central)
+                        # Type I (L < m) / Type III (L > m): j <x,y> class(t^(i+j-1) u^L dt)
+                        for pe, pv in wrap:
+                            table.reduce_monomial(i + j - 1 + pe, L % m).add_into(central, kv * j * pv)
+    return _wrap(params, current, central)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +347,7 @@ def lie_axiom_check(
     """
     if exp_bound < 0 or direct_exp_bound < 0:
         raise ValueError("exponent bounds must be >= 0")
-    cache = TauCache(ring_table(params))
+    taus = tau_cache(params)
     report = {
         "antisymmetry_failures": [],
         "jacobi_direct_failures": [],
@@ -378,46 +362,36 @@ def lie_axiom_check(
     grid = {e: UCEElem(CurrentElem.monomial(params, *e)) for e in elems}
     brackets: dict[tuple, UCEElem] = {}  # (a, b) -> [a, b] over grid pairs
 
-    # antisymmetry on unordered pairs (includes (a, a))
+    # antisymmetry on unordered pairs (includes (a, a)): [a, b] and [b, a] in
+    # term maps, opposite term by term
     n_pairs = 0
     for idx, ea in enumerate(elems):
         for eb in elems[idx:]:
             n_pairs += 1
-            ab = brackets[ea, eb] = uce_bracket_oracle(grid[ea], grid[eb], cache)
-            ba = brackets[eb, ea] = (
-                ab if ea == eb else uce_bracket_oracle(grid[eb], grid[ea], cache)
-            )
-            if not (ab + ba).is_zero():
+            ab = _bracket_into(({}, {}), grid[ea], grid[eb])
+            ba = ab if ea == eb else _bracket_into(({}, {}), grid[eb], grid[ea])
+            if not all(x.keys() == y.keys() and all(v == -y[k] for k, v in x.items())
+                       for x, y in zip(ab, ba)):
                 report["antisymmetry_failures"].append({"a": ea, "b": eb})
+            brackets[ea, eb] = _wrap(params, *ab)
+            brackets[eb, ea] = brackets[ea, eb] if ea == eb else _wrap(params, *ba)
     report["counts"]["antisymmetry_pairs"] = n_pairs
 
-    # direct Jacobi on the subgrid; every outer bracket is computed
+    # direct Jacobi on the subgrid; the three outer brackets of a triple are
+    # added into one pair of term maps, which must end empty
     sub = [e for e in elems if abs(e[1]) <= direct_exp_bound]
     n_direct = 0
     for a, b, c in itertools.combinations_with_replacement(sub, 3):
         n_direct += 1
-        s = uce_bracket_oracle(brackets[a, b], grid[c], cache)
-        s = s + uce_bracket_oracle(brackets[b, c], grid[a], cache)
-        s = s + uce_bracket_oracle(brackets[c, a], grid[b], cache)
-        if not s.is_zero():
+        s: tuple[dict, dict] = ({}, {})
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            _bracket_into(s, brackets[x, y], grid[z])
+        if any(s):
             report["jacobi_direct_failures"].append({"a": a, "b": b, "c": c})
     report["counts"]["jacobi_direct_triples"] = n_direct
 
-    # sl2 Jacobi and Killing invariance over all generator triples
-    for gx, gy, gz in itertools.product(GENS, repeat=3):
-        X, Y, Z = (SL2Elem.gen(g) for g in (gx, gy, gz))
-        s = sl2_bracket(sl2_bracket(X, Y), Z)
-        for t in (
-            sl2_bracket(sl2_bracket(Y, Z), X),
-            sl2_bracket(sl2_bracket(Z, X), Y),
-        ):
-            s = SL2Elem(
-                s.e_coef + t.e_coef, s.h_coef + t.h_coef, s.f_coef + t.f_coef
-            )
-        if not (s.e_coef.is_zero() and s.h_coef.is_zero() and s.f_coef.is_zero()):
-            report["sl2_jacobi_failures"].append((gx, gy, gz))
-        if killing(sl2_bracket(X, Y), Z) != killing(X, sl2_bracket(Y, Z)):
-            report["killing_invariance_failures"].append((gx, gy, gz))
+    jac, inv = _sl2_failures()
+    report["sl2_jacobi_failures"], report["killing_invariance_failures"] = list(jac), list(inv)
 
     # ring associativity/commutativity and the cocycle identity
     # tau(fg,h) + tau(gh,f) + tau(hf,g) = 0 over monomial triples (exponent grid)
@@ -429,22 +403,30 @@ def lie_axiom_check(
         ab, bc, ca = ring_mul(fa, fb), ring_mul(fb, fc), ring_mul(fc, fa)
         if ring_mul(ab, fc) != ring_mul(fa, bc) or ab != ring_mul(fb, fa):
             report["ring_assoc_failures"].append((ta, tb, tc))
-        if not (cache.tau(ab, fc) + cache.tau(bc, fa) + cache.tau(ca, fb)).is_zero():
+        cyclic: dict = {}
+        for f, g in ((ab, fc), (bc, fa), (ca, fb)):
+            taus.tau(f, g, cyclic)
+        if cyclic:
             report["cocycle_failures"].append((ta, tb, tc))
     report["counts"]["ring_triples"] = report["counts"]["cocycle_triples"] = n_triples
 
-    report["ok"] = not any(
-        report[k]
-        for k in (
-            "antisymmetry_failures",
-            "jacobi_direct_failures",
-            "sl2_jacobi_failures",
-            "killing_invariance_failures",
-            "ring_assoc_failures",
-            "cocycle_failures",
-        )
-    )
+    report["ok"] = not any(v for k, v in report.items() if k.endswith("_failures"))
     return report
+
+
+@functools.cache
+def _sl2_failures() -> tuple[tuple, tuple]:
+    """(sl2 Jacobi failures, Killing invariance failures) over all generator
+    triples; the pass reads no ring, so it runs once per process."""
+    jac, inv = [], []
+    for gx, gy, gz in itertools.product(GENS, repeat=3):
+        X, Y, Z = (SL2Elem.gen(g) for g in (gx, gy, gz))
+        s = [sl2_bracket(sl2_bracket(*xy), z) for xy, z in (((X, Y), Z), ((Y, Z), X), ((Z, X), Y))]
+        if not all((s[0].coeff(g) + s[1].coeff(g) + s[2].coeff(g)).is_zero() for g in GENS):
+            jac.append((gx, gy, gz))
+        if killing(sl2_bracket(X, Y), Z) != killing(X, sl2_bracket(Y, Z)):
+            inv.append((gx, gy, gz))
+    return tuple(jac), tuple(inv)
 
 
 def formula_vs_oracle(params: RingParams, exp_bound: int = 3) -> list[dict]:
@@ -456,7 +438,6 @@ def formula_vs_oracle(params: RingParams, exp_bound: int = 3) -> list[dict]:
     """
     if exp_bound < 0:
         raise ValueError("exponent bound must be >= 0")
-    cache = TauCache(ring_table(params))
     out = []
     m = params.m
     for l1 in range(m):
@@ -469,7 +450,7 @@ def formula_vs_oracle(params: RingParams, exp_bound: int = 3) -> list[dict]:
                     A = UCEElem(CurrentElem.monomial(params, "e", i, l1))
                     B = UCEElem(CurrentElem.monomial(params, "f", j, l2))
                     formula = uce_bracket_formula(A, B)
-                    oracle = uce_bracket_oracle(A, B, cache)
+                    oracle = uce_bracket_oracle(A, B)
                     out.append(
                         {
                             "pair": {"i": i, "l1": l1, "j": j, "l2": l2},

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import threading
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -19,6 +20,7 @@ from secalg.kahler import (
     ReductionTable,
     ReductionWindow,
     basis_dim,
+    check_form_reach,
     differential,
     eliminate_du,
     reduce_monomial_class,
@@ -386,3 +388,53 @@ def test_large_coefficient_rendering_pinned(argv, digest, capsys):
     """Far family values and classes: large contents through render and render_ratio."""
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_far_u_power_refused_before_expansion(capsys):
+    """u^1000 reaches t^1334: refused from the term's ends, before p^333 is expanded."""
+    start = time.process_time()
+    assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^2*u^1000"]) == 2
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: t exponent 1334 is beyond kahler.MAX_REACH (1000)\n")
+
+
+def test_near_u_power_answer_pinned(capsys):
+    """u^600 reaches t^802 and answers as before the reach check on terms."""
+    assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^2*u^600"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "05558d1eb2e4525b4ef27a356927f9d773b61264966b6d8779e4f5fe329e406e")
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_form_reach_check_refuses_only_what_reduction_refuses(data):
+    """Under a small MAX_REACH, a form the term check refuses is refused by the
+    reduction too.  Small exponents and unit coefficients make the terms'
+    ends meet and cancel across terms and across the dt and du parts."""
+    params = data.draw(st.sampled_from([RingParams(m, r) for m in (2, 3) for r in (2, 3)]))
+    key = st.tuples(st.integers(-16, 16), st.integers(0, 2 * params.m + 1))
+    coef = st.sampled_from([PolyC.const(1), PolyC.const(-1), PolyC.const(2), PolyC.c()])
+    dt, du = (data.draw(st.dictionaries(key, coef, max_size=3)) for _ in range(2))
+    dt_elem, du_elem = (sum((RingElem.monomial(params, v, *k) for k, v in terms.items()),
+                            RingElem.zero(params)) for terms in (dt, du))
+    with mock.patch.object(kahler, "MAX_REACH", 12):
+        early = _refusal(check_form_reach, params, dt, du)
+        full = _refusal(reduce_oracle, DiffForm(dt_elem, du_elem))
+    assert early is None or full is not None, (dt, du, early)
+
+
+def test_cancelled_far_ends_still_answer(capsys):
+    """t^-13 u^3 - t^-13 is -2c t^-11 + t^-9: its far ends cancel, so the term
+    check leaves it to the reduction, which answers."""
+    with mock.patch.object(kahler, "MAX_REACH", 12):
+        assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^-13*u^3"]) == 2
+        assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^-13*u^3 - t^-13"]) == 0

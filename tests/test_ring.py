@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secalg.coeffs import CoeffK, PolyC
-from secalg.ring import RingElem, RingParams, decompose_sectors, p_laurent, ring_mul
+from secalg.coeffs import CoeffK, PolyC, sparse_add
+from secalg.ring import RingElem, RingParams, decompose_sectors, laurent_mul, p_laurent, ring_mul
 
 P32 = RingParams(3, 2)
 
@@ -96,3 +98,51 @@ def test_u_to_m_equals_p():
     for _ in range(8):
         x = rand_elem(rng, P32)
         assert ring_mul(x, um) == ring_mul(x, RingElem(P32, {0: p_laurent(P32)}))
+
+
+def _ring_mul_reference(a, b):
+    """The product summed as objects: one Laurent product per pair of sectors,
+    times p(t) as a second Laurent product when the sectors wrap, added into a
+    fresh map per pair and validated by ``RingElem``."""
+    m = a.params.m
+    out = {}
+    for l1, lt1 in a.sectors.items():
+        for l2, lt2 in b.sectors.items():
+            prod = laurent_mul(lt1, lt2)
+            l = l1 + l2
+            if l >= m:
+                l -= m
+                prod = laurent_mul(prod, p_laurent(a.params))
+            acc = dict(out.get(l, {}))
+            for e, v in prod.items():
+                sparse_add(acc, e, v)
+            out[l] = acc
+    return RingElem(a.params, out)
+
+
+GRID = [RingParams(m, r) for m in (2, 3, 4) for r in (2, 3)]
+Q_C = st.builds(lambda a0, a1: PolyC({0: a0, 1: a1}),
+                st.fractions(-3, 3, max_denominator=4), st.fractions(-2, 2, max_denominator=3))
+
+
+def ring_elems(params, sectors, max_terms=4):
+    """Sums of (a0 + a1*c) t^i u^l with l drawn from ``sectors``; zero when all cancel."""
+    term = st.tuples(Q_C, st.integers(-3, 3), sectors)
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda terms: sum((RingElem.monomial(params, v, t, u) for v, t, u in terms),
+                          RingElem.zero(params)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_ring_mul_matches_object_reference(data):
+    """One term-map pass equals the object-summing product; every draw has a
+    term in a nonzero sector and one in sector m - 1, so sectors wrap."""
+    params = data.draw(st.sampled_from(GRID))
+    m = params.m
+    a = data.draw(ring_elems(params, st.integers(0, m - 1))) + data.draw(
+        ring_elems(params, st.integers(1, m - 1), 1))
+    b = data.draw(ring_elems(params, st.integers(0, m - 1))) + data.draw(
+        ring_elems(params, st.just(m - 1), 1))
+    assert ring_mul(a, b) == _ring_mul_reference(a, b)
+    assert ring_mul(b, a) == _ring_mul_reference(b, a)

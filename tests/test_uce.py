@@ -1,13 +1,19 @@
 import hashlib
 import itertools
 import json
+import sys
+import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secalg import uce
+from secalg import kahler, uce
+from secalg.cli import main
 from secalg.coeffs import PolyC
 from secalg.kahler import DiffClass, ring_table
-from secalg.ring import RingElem, RingParams, p_laurent
+from secalg.ring import RingElem, RingParams, p_laurent, ring_mul
 from secalg.uce import (
     CurrentElem,
     SL2Elem,
@@ -182,3 +188,132 @@ def test_tau_cache_matches_tau_oracle(m, r):
     for f in monos:
         for g in monos:
             assert cache.tau(f, g) == tau_oracle(f, g), (f, g)
+
+
+def _bracket_reference(a, b):
+    """The oracle bracket summed as objects: a fresh CurrentElem and a fresh
+    DiffClass per generator pair, tau from the independent ``tau_oracle``."""
+    params = a.params
+    current, central = CurrentElem.zero(params), DiffClass.zero(params)
+    for ga, fa in a.current.parts.items():
+        for gb, fb in b.current.parts.items():
+            for gen, coef in uce._BRACKET[(ga, gb)]:
+                prod = ring_mul(fa, fb)
+                scaled = {l: {e: v * coef for e, v in lt.items()} for l, lt in prod.sectors.items()}
+                current = current + CurrentElem(params, {gen: RingElem(params, scaled)})
+            kap = uce._KILLING.get((ga, gb))
+            if kap:
+                central = central + tau_oracle(fa, fb).scale(PolyC.const(kap))
+    return UCEElem(current, central)
+
+
+GRID = [RingParams(m, r) for m in (2, 3, 4) for r in (2, 3)]
+Q_C = st.builds(lambda a0, a1: PolyC({0: a0, 1: a1}),
+                st.fractions(-3, 3, max_denominator=4), st.fractions(-2, 2, max_denominator=3))
+
+
+def ring_elems(params):
+    """Sums of two to four (a0 + a1*c) t^i u^l, one of them in sector m - 1."""
+    m = params.m
+    term = st.tuples(Q_C, st.integers(-2, 2), st.integers(0, m - 1))
+    return st.tuples(st.lists(term, min_size=1, max_size=3), term.map(lambda x: (*x[:2], m - 1))).map(
+        lambda tt: sum((RingElem.monomial(params, v, t, u) for v, t, u in tt[0] + [tt[1]]),
+                       RingElem.zero(params)))
+
+
+def uce_elems(params):
+    """Elements on one to three generators, with a central part that must not matter."""
+    central = st.builds(lambda w, v: DiffClass(params, omega0=w, odd={(params.m - 1, 1): v}), Q_C, Q_C)
+    gens = st.lists(st.sampled_from(uce.GENS), min_size=1, max_size=3, unique=True)
+    return st.builds(
+        lambda parts, cen: UCEElem(CurrentElem(params, parts), cen),
+        gens.flatmap(lambda gs: st.fixed_dictionaries({g: ring_elems(params) for g in gs})),
+        central)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_bracket_matches_object_reference(data):
+    """The term-map bracket equals the object-summing one with tau from
+    ``tau_oracle``, and the per-ring tau memo equals ``tau_oracle``."""
+    params = data.draw(st.sampled_from(GRID))
+    a, b = data.draw(uce_elems(params)), data.draw(uce_elems(params))
+    assert uce_bracket_oracle(a, b) == _bracket_reference(a, b)
+    assert uce_bracket_oracle(b, a) == _bracket_reference(b, a)
+    for f in a.current.parts.values():
+        for g in b.current.parts.values():
+            assert uce.tau_cache(params).tau(f, g) == tau_oracle(f, g)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_lie_check_benchmark_size_pinned(r):
+    """The reports at the benchmark's size, pinned before the term-map pass."""
+    rep = lie_axiom_check(RingParams(3, r), exp_bound=0, direct_exp_bound=0)
+    assert rep["ok"]
+    assert _digest(rep) == "884f6725099dde5930ed91f9253f8baed3be5df66c07b5064f8e8617eb1821a8"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["bracket-audit", "--m", "3", "--r", "2", "--expbound", "1"],
+     "dec4dfbe51f569b8346be6a9105d32544a8c6e574ed6e703eb42401f462c5db8"),
+    (["bracket-audit", "--m", "2", "--r", "3", "--expbound", "2"],
+     "60c6176c2c86928f93b113cc95e387e9f45c91f3c49a092716e27e8fbba3b7a6"),
+    # sectors that wrap (l1 + l2 >= m) and coefficients in c
+    (["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "(2-c)*t^-1*u^2 + 3/4*t^2*u",
+      "--y", "f", "--b", "(1/3+c)*t*u^2 - 5*t^-3*u^2 + c*u"],
+     "1e75202329abf34475131e9222d17b79b67400fd73747d954cc145f505d89c1a"),
+    (["bracket", "--m", "4", "--r", "3", "--x", "h", "--a", "(c-1/2)*t^-2*u^3 + 7/5*t*u^2",
+      "--y", "h", "--b", "(2+3*c)*t^4*u^3 - c*t^-1*u"],
+     "e0a6fd5eaeae6181f611fba64059d649c27158cc02b08e798a07be80d3d93473"),
+])
+def test_bracket_outputs_pinned(argv, digest, capsys):
+    """CLI outputs pinned before the term-map pass."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_lie_check_stable_across_calls():
+    """The per-process memos (tau per ring, the sl2 pass) change no report:
+    the first call fills them, the second reads them."""
+    uce.tau_cache.cache_clear()
+    uce._sl2_failures.cache_clear()
+    params = RingParams(3, 3)
+    first = lie_axiom_check(params, exp_bound=1, direct_exp_bound=1)
+    assert first["ok"] and lie_axiom_check(params, exp_bound=1, direct_exp_bound=1) == first
+
+
+def test_tau_memo_shared_safely_across_threads():
+    """Threads filling one ring's tau memo (and growing its table) at once get
+    the brackets a single thread gets."""
+    params = RingParams(3, 3)
+    pairs = [(cur("e", i, l1, params), cur("f", j, l2, params))
+             for i in (-5, 0, 4) for j in (-3, 6) for l1 in range(3) for l2 in range(3)]
+    serial = [uce_bracket_oracle(a, b) for a, b in pairs]
+    results: dict = {}
+    errors: list = []
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        try:
+            barrier.wait(timeout=60)
+            for idx in (range(len(pairs)) if k % 2 else reversed(range(len(pairs)))):
+                results[k, idx] = uce_bracket_oracle(*pairs[idx])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.dict(kahler._TABLES, clear=True):
+            uce.tau_cache.cache_clear()
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(results[k, idx] == serial[idx] for k in range(4) for idx in range(len(pairs)))
+    finally:
+        sys.setswitchinterval(interval)
+        uce.tau_cache.cache_clear()
