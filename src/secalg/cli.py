@@ -8,7 +8,8 @@ Grammar (shared tokens; byte offsets reported on error):
 
     coefficient := rational | "c" | "s" | "k" | "(" coef ")"
                    combined with "+", "-", "*", "/", and "^" int; c-degree
-                   span at most coeffs.MAX_C_DEGREE (100000), else exit 2
+                   span at most coeffs.MAX_C_DEGREE (100000), and a power of
+                   a sum at most MAX_POWER_SPAN (2000) in _span, else exit 2
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
@@ -35,6 +36,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 from .coeffs import CoeffK, PolyC, as_polyc, sparse_add
@@ -65,6 +67,7 @@ _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
 MAX_NESTING = 100  # parentheses, signs, D( and no( around an atom, counted together
 MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow like partition numbers
 MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as int() reads by default
+MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term: products are quadratic
 
 
 def _tokenize(src: str):
@@ -167,6 +170,9 @@ class _Parser:
                 neg = True
             t = self.expect("int")
             e = int(t[1])
+            if val.num.n_terms() * val.den.n_terms() > 1 and _span(val) * e > MAX_POWER_SPAN:
+                raise ParseError(f"power {e} of a coefficient of exponent span {_span(val)} "
+                                 f"spans above {MAX_POWER_SPAN}", t[2])
             val = val ** (-e if neg else e)
         return val
 
@@ -329,6 +335,13 @@ class _Parser:
             raise ParseError(f"trailing input {t[1]!r}", t[2])
 
 
+def _span(x: CoeffK) -> int:
+    """The span of x's c exponents plus three times that of its s exponents, numerator and
+    denominator added up: a product spends about three times as long per s exponent (a PolyC)."""
+    return sum(max(map(PolyC.degree, p.by_s.values())) - min(q.val for q in p.by_s.values())
+               + 3 * (max(p.by_s) - min(p.by_s)) for p in (x.num, x.den))
+
+
 def parse_coef(src: str) -> CoeffK:
     p = _Parser(src)
     val = p.coef_expr()
@@ -372,12 +385,57 @@ class Command:
 
 
 def emit_report(report, fmt: str = "json") -> str:
-    """Stable rendering: sorted keys, two-space indent; markdown passthrough."""
-    if fmt == "md":
-        if isinstance(report, str):
-            return report
-        return "```json\n" + json.dumps(report, indent=2, sort_keys=True) + "\n```"
-    return json.dumps(report, indent=2, sort_keys=True)
+    """``json.dumps(report, indent=2, sort_keys=True)`` byte for byte, in one pass; fenced for md."""
+    chunks: list[str] = []
+    _emit(report, "\n", chunks)
+    text = "".join(chunks)
+    return f"```json\n{text}\n```" if fmt == "md" else text
+
+
+def _write_report(out, report, fmt: str = "json") -> None:
+    out.write(emit_report(report, fmt))
+    out.write("\n")  # apart, so that a large report is not copied
+
+
+def _emit(x, nl: str, out: list) -> None:
+    """Append the text of x, its lines indented after ``nl``, to ``out``: exact dicts with str
+    keys, lists, tuples, strs and ints here, each scalar in one chunk with the separator and
+    key before it; any other value through ``json.dumps`` itself."""
+    t = type(x)
+    enc = _SCALARS.get(t)
+    if enc:
+        out.append(enc(x))
+    elif t is dict and all(type(k) is str for k in x):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            v = x[k]
+            enc = _SCALARS.get(type(v))
+            head = sep + _encode_str(k) + ": "
+            if enc:
+                out.append(head + enc(v))
+            else:
+                out.append(head)
+                _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if x else "{}")
+    elif t is list or t is tuple:
+        inner = nl + "  "
+        head = "[" + inner
+        for v in x:
+            enc = _SCALARS.get(type(v))
+            if enc:
+                out.append(head + enc(v))
+            else:
+                out.append(head)
+                _emit(v, inner, out)
+            head = "," + inner
+        out.append(nl + "]" if x else "[]")
+    else:
+        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+
+
+_SCALARS = {str: _encode_str, int: int.__repr__}
 
 
 def _parse_k(text: Optional[str]) -> Optional[Fraction]:
@@ -412,7 +470,7 @@ def run_command(cmd: Command, out=None) -> int:
         else:
             doc = table.to_json_dict()
             doc["note"] = INDEX_RECONCILIATION_NOTE
-            out.write(emit_report(doc) + "\n")
+            _write_report(out, doc)
         return 0
 
     if cmd.name == "rescaling":
@@ -422,7 +480,7 @@ def run_command(cmd: Command, out=None) -> int:
             "m": p["m"], "r": p["r"], "k_max": p.get("kmax", 20),
             "checked": len(rep), "failures": failures,
         }
-        out.write(emit_report(doc, fmt) + "\n")
+        _write_report(out, doc, fmt)
         return 0 if not failures else 1
 
     if cmd.name == "kahler-reduce":
@@ -430,15 +488,15 @@ def run_command(cmd: Command, out=None) -> int:
         dt, du = (parse_ring_terms(p[k]) if p.get(k) else {} for k in ("dt", "du"))
         check_form_reach(params, dt, du)  # before any u^q is expanded
         cls = reduce_oracle(DiffForm(ring_from_terms(params, dt), ring_from_terms(params, du)))
-        out.write(emit_report(cls.to_json_dict(), fmt) + "\n")
+        _write_report(out, cls.to_json_dict(), fmt)
         return 0
 
     if cmd.name == "dim":
         params = RingParams(p["m"], p["r"])
         d = basis_dim(params)
         expected = 2 * p["r"] * (p["m"] - 1) + 1
-        out.write(emit_report({"m": p["m"], "r": p["r"], "dim": d,
-                               "expected": expected, "ok": d == expected}, fmt) + "\n")
+        _write_report(out, {"m": p["m"], "r": p["r"], "dim": d,
+                            "expected": expected, "ok": d == expected}, fmt)
         return 0 if d == expected else 1
 
     if cmd.name == "bracket":
@@ -456,7 +514,7 @@ def run_command(cmd: Command, out=None) -> int:
                         "central": formula.central.to_json_dict()},
             "match": oracle == formula,
         }
-        out.write(emit_report(doc, fmt) + "\n")
+        _write_report(out, doc, fmt)
         return 0
 
     if cmd.name == "bracket-audit":
@@ -467,12 +525,12 @@ def run_command(cmd: Command, out=None) -> int:
             st = summary.setdefault(e["type"], {"pass": 0, "fail": 0})
             st["pass" if e["match"] else "fail"] += 1
         doc = {"summary": summary, "pairs": rep}
-        out.write(emit_report(doc, fmt) + "\n")
+        _write_report(out, doc, fmt)
         return 0
 
     if cmd.name == "calibrate":
         res = wakimoto.calibrate_conventions(strict=False)
-        out.write(emit_report(res.to_json_dict(), fmt) + "\n")
+        _write_report(out, res.to_json_dict(), fmt)
         return 0 if len(res.passing) == 1 else 1
 
     if cmd.name == "ope":
@@ -484,7 +542,7 @@ def run_command(cmd: Command, out=None) -> int:
         doc = res.to_json_dict()
         doc["classification"] = classification_text(is_laurent(res, _parse_k(p.get("k"))))
         doc["conventions"] = status
-        out.write(emit_report(doc, fmt) + "\n")
+        _write_report(out, doc, fmt)
         return 0
 
     if cmd.name == "charges":
@@ -492,7 +550,7 @@ def run_command(cmd: Command, out=None) -> int:
         ops = wakimoto.build_operators(p["m"], conv)
         rep = wakimoto.verify_charge_relations(ops)
         rep["calibration"] = status
-        out.write(emit_report(rep, fmt) + "\n")
+        _write_report(out, rep, fmt)
         return 0 if rep["ok"] else 1
 
     if cmd.name == "obstructions":
@@ -500,7 +558,7 @@ def run_command(cmd: Command, out=None) -> int:
         if fmt == "md":
             out.write(rep.to_markdown() + "\n")
         else:
-            out.write(emit_report(rep.to_json_dict()) + "\n")
+            _write_report(out, rep.to_json_dict())
         return 0
 
     if cmd.name == "critical-levels":
@@ -517,7 +575,7 @@ def run_command(cmd: Command, out=None) -> int:
                 ok = ok and sym and expq
                 rows.append({"m": m, "l": l, "k_crit": str(kc),
                              "symmetry": sym, "exponent_identity": expq})
-        out.write(emit_report({"rows": rows, "ok": ok}, fmt) + "\n")
+        _write_report(out, {"rows": rows, "ok": ok}, fmt)
         return 0 if ok else 1
 
     raise ValueError(f"unknown command {cmd.name!r}")

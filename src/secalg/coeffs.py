@@ -41,7 +41,8 @@ is one exact ``PolyC`` division per s-coefficient, which for a monomial only
 subtracts exponents.
 
 All values are immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.
+function, so values can be shared freely across threads, and ``Poly2`` and
+``CoeffK`` keep their hash once computed.
 """
 
 from __future__ import annotations
@@ -220,6 +221,9 @@ class PolyC:
     def is_zero(self) -> bool:
         return not self.ints
 
+    def n_terms(self) -> int:
+        return len(self.ints) - self.ints.count(0)
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.ints) - 1 + self.val
@@ -359,11 +363,7 @@ class PolyC:
         """
         den = self.den
         text = PolyC._of(self.ints, self.num, 1, self.val).render()
-        if den == 1:
-            return text
-        if len(self.ints) - self.ints.count(0) > 1:
-            text = f"({text})"
-        return f"{text}/{den}"
+        return text if den == 1 else f"{as_factor(self, text)}/{den}"
 
     def __repr__(self) -> str:
         return f"PolyC({self.render()})"
@@ -391,7 +391,7 @@ def _content(polys) -> PolyC:
 class Poly2:
     """Polynomial in ``c`` and ``s``, stored as ``by_s = {s exponent: PolyC}`` with no zero value."""
 
-    __slots__ = ("by_s",)
+    __slots__ = ("by_s", "_hash")
 
     def __init__(self, coeffs: Optional[dict[tuple[int, int], Fraction]] = None):
         """From rational coefficients ``{(ec, es): value}``; exponents must not be negative."""
@@ -400,13 +400,13 @@ class Poly2:
             if es < 0:
                 raise ValueError("Poly2 exponents must be non-negative")
             groups.setdefault(es, {})[ec] = v  # PolyC drops zeros and refuses ec < 0
-        self.by_s = {es: p for es, d in groups.items() if (p := PolyC(d)).ints}
+        self.by_s, self._hash = {es: p for es, d in groups.items() if (p := PolyC(d)).ints}, None
 
     @staticmethod
     def _of(by_s: dict[int, PolyC]) -> "Poly2":
         """Wrap an already-clean dict (nonzero PolyC values, exponents >= 0) unchecked."""
         p = object.__new__(Poly2)
-        p.by_s = by_s
+        p.by_s, p._hash = by_s, None
         return p
 
     @property
@@ -453,7 +453,9 @@ class Poly2:
         return isinstance(other, Poly2) and self.by_s == other.by_s
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.by_s.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.by_s.items()))
+        return self._hash
 
     def __add__(self, other: "Poly2") -> "Poly2":
         out = dict(self.by_s)
@@ -468,7 +470,7 @@ class Poly2:
         return self + (-other)
 
     def __mul__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly2):  # an int or Fraction; isinstance on Fraction's ABC is slow
             return Poly2._of({es: p * other for es, p in self.by_s.items()} if other else {})
         out: dict[int, PolyC] = {}
         for e1, p1 in self.by_s.items():
@@ -534,7 +536,7 @@ class Poly2:
 
     # -- rendering
     def n_terms(self) -> int:
-        return sum(len(p.ints) - p.ints.count(0) for p in self.by_s.values())
+        return sum(p.n_terms() for p in self.by_s.values())
 
     def render(self, k_style: bool = False) -> str:
         """Terms in descending graded-lex order, e.g. ``2/3*c*s - s^2 + 1`` (``k*s`` for s^3 in k style)."""
@@ -592,9 +594,10 @@ class CoeffK:
     equality of canonical forms decides equality in the field.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Poly2, den: Poly2 = _P2_ONE, _canonical: bool = False):
+        self._hash = None
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in CoeffK")
         if _canonical:
@@ -666,7 +669,9 @@ class CoeffK:
         return isinstance(other, CoeffK) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        if self._hash is None:
+            self._hash = hash((self.num, self.den))
+        return self._hash
 
     def key_order(self):
         """A total order on values: the terms ``((ec, es), value)`` sorted, numerator first."""
@@ -698,10 +703,8 @@ class CoeffK:
         return (-self) + other
 
     def __mul__(self, other) -> "CoeffK":
-        if isinstance(other, (int, Fraction)):
-            # a nonzero rational keeps num/den coprime and den monic
-            q = Fraction(other)
-            return CoeffK(self.num * q, self.den, _canonical=True) if q else CoeffK.zero()
+        if not isinstance(other, CoeffK):  # an int or Fraction: if nonzero, num/den stays canonical
+            return CoeffK(self.num * other, self.den, _canonical=True) if other else CoeffK.zero()
         if self.is_zero() or other.is_zero():
             return CoeffK.zero()
         return CoeffK(self.num * other.num, self.den * other.den)
@@ -714,7 +717,7 @@ class CoeffK:
         return CoeffK(self.den, self.num)
 
     def __truediv__(self, other) -> "CoeffK":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CoeffK):  # an int or Fraction
             other = CoeffK.from_rat(other)
         return self * other.inv()
 
@@ -741,16 +744,18 @@ class CoeffK:
     def render(self, k_style: bool = False) -> str:
         if self.den == _P2_ONE:
             return self.num.render(k_style)
-        ns = self.num.render(k_style)
-        ds = self.den.render(k_style)
-        if self.num.n_terms() > 1:
-            ns = f"({ns})"
-        if self.den.n_terms() > 1:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        ds = self.den.render(k_style)  # a product such as c*s is one divisor too
+        ds = f"({ds})" if "*" in ds else as_factor(self.den, ds)
+        return as_factor(self.num, self.num.render(k_style)) + "/" + ds
 
     def __repr__(self) -> str:
         return f"CoeffK({self.render()})"
+
+
+def as_factor(x: PolyC | Poly2, text: str) -> str:
+    """``text``, the rendering of x, in parentheses when x has more than one term, so that
+    it reads back as one factor of a product."""
+    return f"({text})" if x.n_terms() > 1 else text
 
 
 def as_polyc(x: PolyC | CoeffK) -> PolyC:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .coeffs import CoeffK, is_integer_constant, sparse_add, specialize
+from .coeffs import CoeffK, as_factor, is_integer_constant, sparse_add, specialize
 
 KINDS = ("beta", "gamma", "heis")
 MAX_EXTRA_ORDERS = 20  # wick_ope refuses more orders below the poles than this
@@ -125,8 +125,7 @@ class NOMono:
             return body
         if cs == "-1":
             return f"-{body}"
-        if "+" in cs or (cs.count("-") and not cs.startswith("-")) or "/" in cs:
-            cs = f"({cs})"
+        cs = f"({cs})" if "/" in cs else as_factor(self.coef.num, cs)  # a quotient or rational too
         return f"{cs}*{body}"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .coeffs import PolyC, as_polyc, sparse_add
+from .coeffs import PolyC, as_factor, as_polyc, sparse_add
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ class RingElem:
             return "0"
         parts = []
         for e, l, v in self.monomials():
-            coef = v.render()
-            if "+" in coef or (coef.count("-") and not coef.startswith("-")):
-                coef = f"({coef})"
+            coef = as_factor(v, v.render())
             factors = []
             if e:
                 factors.append("t" if e == 1 else f"t^{e}")

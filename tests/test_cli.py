@@ -1,14 +1,18 @@
 import hashlib
 import io
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from secalg import families
+from secalg import cli, families
 from secalg.cli import (
     MAX_DERIV_ORDER,
     MAX_INT_DIGITS,
     MAX_NESTING,
+    MAX_POWER_SPAN,
     Command,
     ParseError,
     emit_report,
@@ -18,9 +22,9 @@ from secalg.cli import (
     parse_ring_elem,
     run_command,
 )
-from secalg.coeffs import CoeffK
-from secalg.ope import ConventionConfig, FieldExpr
-from secalg.ring import RingParams
+from secalg.coeffs import CoeffK, Poly2, PolyC, sparse_add
+from secalg.ope import KINDS, ConventionConfig, FieldExpr, FieldGen, NOMono, wick_ope
+from secalg.ring import RingElem, RingParams
 from secalg.wakimoto import build_operators
 
 CONV = ConventionConfig(sigma_rev=-1, nesting="right")
@@ -63,6 +67,72 @@ def test_round_trip_coefficients():
     for text in ["(s^2 + 2)/s^2", "1/s", "-2*c", "3/4", "c*s - 1/2"]:
         val = parse_coef(text)
         assert parse_coef(val.render()) == val
+
+
+_rats = st.sampled_from([F(n, d) for n in range(-5, 6) for d in (1, 2, 3)])
+_polycs = st.lists(st.tuples(st.integers(0, 3), _rats), max_size=3).map(lambda ts: PolyC(dict(ts)))
+_poly2s = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), _rats),
+                   max_size=3).map(lambda ts: Poly2(dict(ts)))
+_coeffks = st.builds(CoeffK, _poly2s, _poly2s.filter(lambda p: not p.is_zero()))
+
+
+@st.composite
+def _ring_elems(draw):
+    m, r = draw(st.sampled_from([(2, 2), (3, 2), (4, 3)]))
+    sectors: dict = {}
+    for _ in range(draw(st.integers(0, 4))):
+        sparse_add(sectors.setdefault(draw(st.integers(0, m - 1)), {}), draw(st.integers(-6, 6)),
+                   draw(_polycs))
+    return RingElem(RingParams(m, r), sectors)
+
+
+_field_exprs = st.lists(st.builds(
+    NOMono, _coeffks.filter(lambda x: not x.is_zero()),
+    st.lists(st.builds(FieldGen, st.sampled_from(KINDS), st.integers(0, 2), st.integers(0, 2)),
+             max_size=3),
+    st.none() | _coeffks), max_size=4).map(FieldExpr)
+_NEG = PolyC({2: F(-3, 2), 1: F(-1, 2)})  # -3/2*c^2 - 1/2*c: several terms, all negative
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=_ring_elems())
+@example(x=RingElem(RingParams(3, 2), {0: {5: _NEG, 1: PolyC.const(1)}}))
+@example(x=RingElem(RingParams(3, 2), {2: {-1: -_NEG, 0: PolyC.const(-1)}, 1: {0: _NEG}}))
+def test_ring_render_parses_back(x):
+    """A printed ring element reads as itself: a coefficient of more than one term is
+    parenthesized, whatever its sign."""
+    assert parse_ring_elem(x.render(), x.params) == x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=_coeffks)
+@example(x=parse_coef("-3/2*c^2 - 1/2*c"))
+@example(x=parse_coef("-(1+s)/(c-1)"))
+def test_coefficient_render_parses_back(x):
+    assert parse_coef(x.render()) == x
+    assert parse_coef(x.render(k_style=True)) == x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=_field_exprs)
+@example(x=parse_field_expr("(-1-c)*no(b[0]*exp(1/s,phi0)) + (c-1/s)*gamma[1]", 3))
+@example(x=parse_field_expr("-(1+s)*exp(-1/(c-1),phi0) - c - 1 + (-c/s - 2)*D(beta[2],2)", 3))
+def test_field_render_parses_back(x):
+    assert parse_field_expr(x.render(), 3) == x
+
+
+def test_printed_ope_witnesses_parse_back():
+    """Every pole field and exponent an OPE of the Wakimoto operators prints, as
+    ``ope``, ``calibrate`` and ``obstructions`` do, reads as itself."""
+    ops = build_operators(3, CONV)
+    fields = list(ops.operators.values()) + [fe for parts in ops.f_parts.values()
+                                             for fe in parts.values()]
+    for E in fields:
+        for Fx in fields:
+            for sec in wick_ope(E, Fx, CONV, extra_orders=1).sectors.values():
+                assert parse_coef(sec.epsilon.render()) == sec.epsilon
+                for fe in sec.poles.values():
+                    assert parse_field_expr(fe.render(), 3) == fe, fe.render()
 
 
 def test_parse_ring_elem():
@@ -175,10 +245,120 @@ def test_critical_levels_command():
             "exponent_identity": True} in doc["rows"]
 
 
-def test_emit_report_stable():
-    doc = {"b": 1, "a": [2, 1]}
-    assert emit_report(doc) == emit_report(doc)
-    assert emit_report(doc).startswith("{")
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_texts = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9", "\u2028", "\U0001f600",
+                                                 "\ud800", "a\\\"b", ""])
+_scalars = (st.integers(-10**30, 10**30) | st.booleans() | st.none() | st.floats() | _texts
+            | st.integers().map(_Int) | _texts.map(_Str))
+# every key of one dict is a str, or every key a number (json sorts each kind, not mixed)
+_str_keys = _texts | _texts.map(_Str)
+_num_keys = st.integers(-5, 5) | st.booleans() | st.floats(allow_nan=False)
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.lists(children, max_size=3).map(_List)
+            | st.dictionaries(_str_keys, children, max_size=4)
+            | st.dictionaries(_str_keys, children, max_size=3).map(_Dict)
+            | st.dictionaries(_num_keys, children, max_size=3)
+            | st.dictionaries(st.none(), children, max_size=1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=st.recursive(_scalars, _containers, max_leaves=25))
+@example(doc={})
+@example(doc={"a": [], "b": {}, "c": (), "d": [[{}]], "": {"\u00e9\n": [True, None, 1.5, -0.0]}})
+@example(doc={1: "x", 2.5: [1], True: {}})
+def test_emit_report_matches_json(doc):
+    """The one-pass emitter writes json.dumps(indent=2, sort_keys=True) byte for byte,
+    also for the values and keys it hands to json: bools, None, floats, non-str keys and
+    subclasses of dict, list, str and int."""
+    ref = json.dumps(doc, indent=2, sort_keys=True)
+    assert emit_report(doc) == ref
+    assert emit_report(doc, "md") == "```json\n" + ref + "\n```"
+
+
+def test_emit_report_refuses_what_json_refuses():
+    for doc in ({"a": 1, 2: 3}, [{"a": 1, None: 2}], {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            emit_report(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["families", "--m", "3", "--r", "2", "--j", "1", "--kmax", "6"],
+    ["rescaling", "--m", "3", "--r", "2", "--kmax", "6"],
+    ["rescaling", "--m", "3", "--r", "2", "--kmax", "6", "--format", "md"],
+    ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(1-c)*t^5*u"],
+    ["dim", "--m", "3", "--r", "2", "--format", "md"],
+    ["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "t*u", "--y", "f", "--b", "c*t^-2*u^2"],
+    ["bracket-audit", "--m", "2", "--r", "2", "--expbound", "1"],
+    ["calibrate"],
+    ["ope", "--m", "3", "--e", "no(b[0]*beta[1]*exp(1/s,phi0))", "--f", "no(gamma[1]*b[0])",
+     "--extra-orders", "1"],
+    ["charges", "--m", "3"],
+    ["obstructions", "--m", "4", "--k", "1/2"],
+    ["critical-levels", "--mmax", "5"],
+])
+def test_every_command_report_matches_json(argv, monkeypatch, capsys):
+    """Each command's document, as emitted, is what json.dumps writes for it."""
+    seen = []
+
+    def checked(report, fmt="json"):
+        text = emit_report(report, fmt)
+        ref = json.dumps(report, indent=2, sort_keys=True)
+        assert text == (ref if fmt == "json" else "```json\n" + ref + "\n```")
+        seen.append(fmt)
+        return text
+
+    monkeypatch.setattr(cli, "emit_report", checked)
+    assert main(argv) in (0, 1)
+    fmt = argv[-1] if "--format" in argv else "json"
+    assert seen == [fmt]
+    assert capsys.readouterr().out.endswith("}\n" if fmt == "json" else "```\n")
+
+
+def test_power_of_a_sum_bounded(monkeypatch, capsys):
+    """A power of a coefficient of more than one term is refused, in one line and before
+    it is expanded, once its exponent span times the power is above MAX_POWER_SPAN; s
+    exponents count three times, and a one-term base is exempt."""
+    assert MAX_POWER_SPAN == 2000
+    monkeypatch.setattr(cli, "MAX_POWER_SPAN", 12)
+    c, s, one = CoeffK.c(), CoeffK.s(), CoeffK.one()
+    for text, value in (("(c+1)^12", (c + one) ** 12), ("(c+1)^-12", ((c + one) ** 12).inv()),
+                        ("(s+1)^4", (s + one) ** 4), ("(c+s)^3", (c + s) ** 3),
+                        ("(1/(c-1))^12", ((c - one) ** 12).inv()), ("(c^2+1)^6", (c * c + one) ** 6),
+                        ("c^1000000*s^7", c ** 1000000 * s ** 7),
+                        ("(2*c^3/s)^100000", (c ** 3 * 2 / s) ** 100000),
+                        ("((c+1)^6)^2", (c + one) ** 12)):
+        assert parse_coef(text) == value
+    for text, pos in (("(c+1)^13", 6), ("(s+1)^5", 6), ("(c+s)^4", 6), ("(1/(c-1))^-13", 11),
+                      ("(c^2+1)^7", 8), ("((c+1)^6)^3", 10), ("(c+s/2)^4", 8)):
+        with pytest.raises(ParseError, match=f"spans above 12 \\(at byte offset {pos}\\)"):
+            parse_coef(text)
+    ope = ["ope", "--m", "3", "--e", "exp((c+1)^13,phi0)", "--f", "exp(1,phi0)"]
+    assert main(ope) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: power 13 of a coefficient of exponent span 1 spans above 12")
+    assert err.count("\n") == 1
+    ring = ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(c-1)^13*t"]
+    assert main(ring) == 2 and "spans above 12" in capsys.readouterr().err
 
 
 def test_main_entry():

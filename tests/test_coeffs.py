@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from secalg.cli import parse_coef
 from secalg.coeffs import (
     MAX_C_DEGREE,
     CoeffK,
@@ -17,6 +18,7 @@ from secalg.coeffs import (
     is_integer_constant,
     specialize,
 )
+from secalg.ope import FieldExpr
 
 
 def rand_coeff(rng, depth=2):
@@ -196,6 +198,30 @@ def test_monomial_gcd_and_divexact_match_sympy(mono, p):
     else:
         with pytest.raises(ArithmeticError):
             p.divexact(mono)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(a=_poly2s(0, 3), b=_poly2s(1, 3), d=_poly2s(1, 2))
+@example(a=_CS * _CM1, b=_S2P1, d=_CS)
+def test_cached_hashes_agree_across_routes(a, b, d):
+    """Poly2 and CoeffK keep their hash once computed: equal values built by a sum, a
+    product, exact division, the parser and ``specialize`` hash equal and find each
+    other as dict keys and as term-map keys, also after the originals took part in
+    arithmetic."""
+    x, y = CoeffK(a, d), CoeffK(b, d)
+    keys = {x: "x", a: "a"}  # hashed before any arithmetic below
+    polys = [a, (a * b).divexact(b), (a + b) - b, Poly2(a.coeffs), specialize(CoeffK(a)).num]
+    routes = [x, CoeffK(a * b, d * b), (x + y) - y, x * y / y, parse_coef(x.render()),
+              specialize(x), CoeffK((a * d).divexact(d), d)]
+    for _ in range(2):  # the second pass reads the hashes kept by the first
+        assert all(p == a and hash(p) == hash(a) and keys[p] == "a" for p in polys)
+        assert all(z == x and hash(z) == hash(x) and keys[z] == "x" for z in routes)
+        _ = x * x + y, a * a - b  # arithmetic on the originals leaves them as they were
+    if not x.is_zero():
+        c_val = F(7, 3)
+        assert {specialize(z, c_val): 0 for z in routes}.keys() == {specialize(x, c_val)}
+    terms = sum((FieldExpr.exponential(z) for z in routes), FieldExpr.zero()).terms
+    assert terms == {((), x): CoeffK.from_int(len(routes))}
 
 
 # -- independent oracle: PolyC against sympy over QQ and the Fraction-dict renderer

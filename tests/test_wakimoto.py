@@ -225,7 +225,7 @@ def test_obstruction_report_specialized():
     (["obstructions", "--m", "9", "--k", "3/5"], 0,
      "8aea102756682cb19730868d4e6f64d08217383906db5efae996eefd31992e87"),
     (["calibrate"], 1,
-     "e87bf91a27123ccb5640113a322423a3d16885abbc6393eaed7bfd7f58595e9e"),
+     "dcfec67b3906d1f841ee9dd9323de585abda3f332459e956e71c778a0a3317db"),
     (["charges", "--m", "5"], 1,
      "ddc3e47a55ef973b8c1fbd836f240285b6aab03a6eb39393677adcd90aa3524b"),
     # a non-monomial denominator, 1/(c-1), keeps the gcd on its general path
