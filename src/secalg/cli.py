@@ -9,7 +9,8 @@ Grammar (shared tokens; byte offsets reported on error):
     coefficient := rational | "c" | "s" | "k" | "(" coef ")"
                    combined with "+", "-", "*", "/", and "^" int; c-degree
                    span at most coeffs.MAX_C_DEGREE (100000), and a power of
-                   a sum at most MAX_POWER_SPAN (2000) in _span, else exit 2
+                   a sum, or a product or quotient of two sums, at most
+                   MAX_POWER_SPAN (2000) in _span, else exit 2
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
@@ -34,7 +35,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
@@ -67,7 +67,8 @@ _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
 MAX_NESTING = 100  # parentheses, signs, D( and no( around an atom, counted together
 MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow like partition numbers
 MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as int() reads by default
-MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term: products are quadratic
+MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term, or the
+# two spans of a product or quotient of two such coefficients added up: products are quadratic
 
 
 def _tokenize(src: str):
@@ -151,7 +152,9 @@ class _Parser:
         val = self.coef_power()
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
+            pos = self.peek()[2]
             rhs = self.coef_power()
+            _bound_pair(val, op, rhs, pos)
             if op == "*":
                 val = val * rhs
             else:
@@ -170,7 +173,7 @@ class _Parser:
                 neg = True
             t = self.expect("int")
             e = int(t[1])
-            if val.num.n_terms() * val.den.n_terms() > 1 and _span(val) * e > MAX_POWER_SPAN:
+            if _dense(val) and _span(val) * e > MAX_POWER_SPAN:
                 raise ParseError(f"power {e} of a coefficient of exponent span {_span(val)} "
                                  f"spans above {MAX_POWER_SPAN}", t[2])
             val = val ** (-e if neg else e)
@@ -181,9 +184,11 @@ class _Parser:
         val = self.coef_power()
         while self.peek()[0] == "/":
             self.next()
+            pos = self.peek()[2]
             rhs = self.coef_power()
             if rhs.is_zero():
                 raise ParseError("division by zero", self.peek()[2])
+            _bound_pair(val, "/", rhs, pos)
             val = val / rhs
         return val
 
@@ -250,7 +255,9 @@ class _Parser:
                         raise ParseError("u exponent must be non-negative", t[2])
                     u_exp += e
             else:
-                coef = coef * self.coef_item()
+                rhs = self.coef_item()
+                _bound_pair(coef, "*", rhs, t[2])
+                coef = coef * rhs
             if self.peek()[0] == "*":
                 self.next()
                 continue
@@ -342,6 +349,20 @@ def _span(x: CoeffK) -> int:
                + 3 * (max(p.by_s) - min(p.by_s)) for p in (x.num, x.den))
 
 
+def _dense(x: CoeffK) -> bool:
+    """Whether x has more than one term, numerator and denominator together."""
+    return x.num.n_terms() * x.den.n_terms() > 1
+
+
+def _bound_pair(a: CoeffK, op: str, b: CoeffK, pos: int) -> None:
+    """Refuse a op b, a product or a quotient of two coefficients of more than one term each,
+    before it is expanded, once their spans add up above MAX_POWER_SPAN."""
+    if _dense(a) and _dense(b) and _span(a) + _span(b) > MAX_POWER_SPAN:
+        what = "product" if op == "*" else "quotient"
+        raise ParseError(f"{what} of coefficients of exponent spans {_span(a)} and {_span(b)} "
+                         f"spans above {MAX_POWER_SPAN}", pos)
+
+
 def parse_coef(src: str) -> CoeffK:
     p = _Parser(src)
     val = p.coef_expr()
@@ -378,10 +399,11 @@ def parse_field_expr(src: str, m: int) -> FieldExpr:
 # Commands
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Command:
-    name: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("name", "params")
+
+    def __init__(self, name: str, params: dict | None = None):
+        self.name, self.params = name, {} if params is None else params
 
 
 def emit_report(report, fmt: str = "json") -> str:
@@ -399,8 +421,8 @@ def _write_report(out, report, fmt: str = "json") -> None:
 
 def _emit(x, nl: str, out: list) -> None:
     """Append the text of x, its lines indented after ``nl``, to ``out``: exact dicts with str
-    keys, lists, tuples, strs and ints here, each scalar in one chunk with the separator and
-    key before it; any other value through ``json.dumps`` itself."""
+    keys, lists, tuples, strs, ints, bools and None here, each scalar in one chunk with the
+    separator and key before it; any other value through ``json.dumps`` itself."""
     t = type(x)
     enc = _SCALARS.get(t)
     if enc:
@@ -435,7 +457,8 @@ def _emit(x, nl: str, out: list) -> None:
         out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
 
 
-_SCALARS = {str: _encode_str, int: int.__repr__}
+_SCALARS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getitem__,
+            type(None): {None: "null"}.__getitem__}
 
 
 def _parse_k(text: Optional[str]) -> Optional[Fraction]:

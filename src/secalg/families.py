@@ -36,7 +36,6 @@ verification *output*, produced by ``reconcile_with_kahler``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeffs import PolyC
@@ -55,25 +54,32 @@ INDEX_RECONCILIATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Family label: sector label l, initial-condition slot j, parameter m', r."""
 
-    l: int
-    j: int
-    m_prime: Fraction
-    r: int
+    __slots__ = ("l", "j", "m_prime", "r", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m_prime", Fraction(self.m_prime))
-        if self.l < 1:
+    def __init__(self, l: int, j: int, m_prime: Fraction, r: int):
+        m_prime = Fraction(m_prime)
+        if l < 1:
             raise ValueError("sector label l must be >= 1")
-        if not 1 <= self.j <= 2 * self.r:
-            raise ValueError(f"j must lie in 1..{2*self.r}")
-        if self.m_prime <= 0:
+        if not 1 <= j <= 2 * r:
+            raise ValueError(f"j must lie in 1..{2*r}")
+        if m_prime <= 0:
             raise ValueError("m' must be positive")
-        if self.r < 2:
+        if r < 2:
             raise ValueError("r must be >= 2")
+        self.l, self.j, self.m_prime, self.r = l, j, m_prime, r
+        self._hash = hash((l, j, m_prime, r))
+
+    def __eq__(self, other):
+        if type(other) is not FamilySpec:
+            return NotImplemented
+        return self is other or (self.l == other.l and self.j == other.j
+                                 and self.m_prime == other.m_prime and self.r == other.r)
+
+    def __hash__(self):
+        return self._hash
 
 
 def _initial_values(r: int, j: int) -> dict[int, PolyC]:
@@ -180,10 +186,11 @@ def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
     return out
 
 
-@dataclass
 class FamilyTable:
-    spec: FamilySpec
-    values: dict[int, PolyC] = field(default_factory=dict)
+    __slots__ = ("spec", "values")
+
+    def __init__(self, spec: FamilySpec, values: dict[int, PolyC] | None = None):
+        self.spec, self.values = spec, {} if values is None else values
 
     def to_json_dict(self) -> dict:
         return {

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 from collections import ChainMap
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -51,29 +50,35 @@ class PivotError(ValueError):
     """Raised on a degenerate pivot of the stated recurrence."""
 
 
-@dataclass(frozen=True)
 class ReductionWindow:
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
             raise ValueError("empty reduction window")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other):
+        if type(other) is not ReductionWindow:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __repr__(self):  # error text names the window
+        return f"ReductionWindow(lo={self.lo}, hi={self.hi})"
 
     def enlarged(self, amount: int) -> "ReductionWindow":
         return ReductionWindow(self.lo - amount, self.hi + amount)
 
 
-@dataclass(frozen=True)
 class DiffForm:
     """a*dt + b*du with a, b in A."""
 
-    dt_part: RingElem
-    du_part: RingElem
+    __slots__ = ("dt_part", "du_part")
 
-    def __post_init__(self):
-        if self.dt_part.params != self.du_part.params:
+    def __init__(self, dt_part: RingElem, du_part: RingElem):
+        if dt_part.params != du_part.params:
             raise ValueError("dt and du parts disagree on ring parameters")
+        self.dt_part, self.du_part = dt_part, du_part
 
     @property
     def params(self) -> RingParams:
@@ -450,19 +455,20 @@ def basis_dim(params: RingParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RecurrenceInstance:
     """One application of the stated three-term recurrence at index n."""
 
-    n: int
-    sector: int
-    within_stated_range: bool  # stated validity range: n >= 1
+    __slots__ = ("n", "sector", "within_stated_range")  # stated validity range: n >= 1
+
+    def __init__(self, n: int, sector: int, within_stated_range: bool):
+        self.n, self.sector, self.within_stated_range = n, sector, within_stated_range
 
 
-@dataclass
 class RecurrenceReduction:
-    cls: DiffClass
-    instances: list
+    __slots__ = ("cls", "instances")
+
+    def __init__(self, cls: DiffClass, instances: list):
+        self.cls, self.instances = cls, instances
 
 
 def _paper_coeffs(n: int, l: int, params: RingParams) -> tuple[Fraction, PolyC, Fraction]:

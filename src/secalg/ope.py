@@ -37,7 +37,6 @@ Everything is immutable and pure; conventions are explicit arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -49,18 +48,29 @@ MAX_SHIFT_ORDER = 24  # and a Taylor shift above this order: its terms grow like
 _KIND_RANK = {"beta": 0, "gamma": 1, "heis": 2}
 
 
-@dataclass(frozen=True)
 class ConventionConfig:
     """The two undetermined engine conventions."""
 
-    sigma_rev: int = -1  # sign of gamma(z) beta(w)
-    nesting: str = "right"  # reading of displayed triple products
+    __slots__ = ("sigma_rev", "nesting")
 
-    def __post_init__(self):
-        if self.sigma_rev not in (1, -1):
+    def __init__(self, sigma_rev: int = -1, nesting: str = "right"):
+        if sigma_rev not in (1, -1):
             raise ValueError("sigma_rev must be +1 or -1")
-        if self.nesting not in ("left", "right"):
+        if nesting not in ("left", "right"):
             raise ValueError("nesting must be 'left' or 'right'")
+        self.sigma_rev = sigma_rev  # sign of gamma(z) beta(w)
+        self.nesting = nesting  # reading of displayed triple products
+
+    def __eq__(self, other):
+        if type(other) is not ConventionConfig:
+            return NotImplemented
+        return self.sigma_rev == other.sigma_rev and self.nesting == other.nesting
+
+    def __hash__(self):
+        return hash((self.sigma_rev, self.nesting))
+
+    def to_json_dict(self) -> dict:
+        return {"nesting": self.nesting, "sigma_rev": self.sigma_rev}
 
 
 ALL_CONFIGS = tuple(
@@ -70,17 +80,25 @@ ALL_CONFIGS = tuple(
 )
 
 
-@dataclass(frozen=True)
 class FieldGen:
-    kind: str
-    sector: int
-    deriv: int = 0
+    __slots__ = ("kind", "sector", "deriv", "_hash")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.sector < 0 or self.deriv < 0:
+    def __init__(self, kind: str, sector: int, deriv: int = 0):
+        if kind not in KINDS:
+            raise ValueError(f"unknown field kind {kind!r}")
+        if sector < 0 or deriv < 0:
             raise ValueError("sector and derivative order must be non-negative")
+        self.kind, self.sector, self.deriv = kind, sector, deriv
+        self._hash = hash((kind, sector, deriv))
+
+    def __eq__(self, other):
+        if type(other) is not FieldGen:
+            return NotImplemented
+        return self is other or (self.sector == other.sector and self.deriv == other.deriv
+                                 and self.kind == other.kind)
+
+    def __hash__(self):
+        return self._hash
 
     def dz(self) -> "FieldGen":
         return FieldGen(self.kind, self.sector, self.deriv + 1)
@@ -372,10 +390,12 @@ def taylor_shift(mono: NOMono, order: int) -> dict[int, FieldExpr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class OPESector:
-    epsilon: CoeffK
-    poles: dict  # order d (int; d >= 1 singular, d <= 0 optional) -> FieldExpr
+    __slots__ = ("epsilon", "poles")
+
+    def __init__(self, epsilon: CoeffK, poles: dict):
+        self.epsilon = epsilon
+        self.poles = poles  # order d (int; d >= 1 singular, d <= 0 optional) -> FieldExpr
 
     def to_json_dict(self) -> dict:
         return {

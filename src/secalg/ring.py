@@ -12,21 +12,27 @@ Values are immutable; all operations return fresh elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from .coeffs import PolyC, as_factor, as_polyc, sparse_add
 
 
-@dataclass(frozen=True)
 class RingParams:
-    m: int
-    r: int
+    __slots__ = ("m", "r", "_hash")
 
-    def __post_init__(self):
-        if self.m < 2 or self.r < 2:
+    def __init__(self, m: int, r: int):
+        if m < 2 or r < 2:
             raise ValueError("superelliptic parameters require m >= 2 and r >= 2")
+        self.m, self.r, self._hash = m, r, hash((m, r))
+
+    def __eq__(self, other):
+        if type(other) is not RingParams:
+            return NotImplemented
+        return self is other or (self.m == other.m and self.r == other.r)
+
+    def __hash__(self):
+        return self._hash
 
 
 def laurent_mul(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:

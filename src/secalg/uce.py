@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -48,11 +47,17 @@ from .ring import RingElem, RingParams, p_laurent, ring_mul
 GENS = ("e", "h", "f")
 
 
-@dataclass(frozen=True)
 class SL2Elem:
-    e_coef: PolyC
-    h_coef: PolyC
-    f_coef: PolyC
+    __slots__ = ("e_coef", "h_coef", "f_coef")
+
+    def __init__(self, e_coef: PolyC, h_coef: PolyC, f_coef: PolyC):
+        self.e_coef, self.h_coef, self.f_coef = e_coef, h_coef, f_coef
+
+    def __eq__(self, other):
+        if type(other) is not SL2Elem:
+            return NotImplemented
+        return (self.e_coef == other.e_coef and self.h_coef == other.h_coef
+                and self.f_coef == other.f_coef)
 
     @staticmethod
     def gen(name: str) -> "SL2Elem":

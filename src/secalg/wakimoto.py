@@ -50,7 +50,6 @@ from __future__ import annotations
 import copy
 import functools
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -79,13 +78,14 @@ class CalibrationError(RuntimeError):
         self.result = result
 
 
-@dataclass
 class OperatorSet:
-    m: int
-    conventions: ConventionConfig
-    operators: dict  # (name, sector) -> FieldExpr
-    alpha: CoeffK
-    f_parts: dict  # sector -> {part name -> FieldExpr}, for witness reports
+    __slots__ = ("m", "conventions", "operators", "alpha", "f_parts")
+
+    def __init__(self, m: int, conventions: ConventionConfig, operators: dict, alpha: CoeffK,
+                 f_parts: dict):
+        self.m, self.conventions, self.alpha = m, conventions, alpha
+        self.operators = operators  # (name, sector) -> FieldExpr
+        self.f_parts = f_parts  # sector -> {part name -> FieldExpr}, for witness reports
 
     def op(self, name: str, sector: int) -> FieldExpr:
         return self.operators[(name, sector)]
@@ -218,19 +218,22 @@ def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CalibrationResult:
-    per_config: list  # one diagnostics dict per configuration
-    passing: list  # configs satisfying all three identities exactly
-    residue_passing: list  # configs whose first-order (residue) parts all match
-    chosen: Optional[ConventionConfig]
+    __slots__ = ("per_config", "passing", "residue_passing", "chosen")
+
+    def __init__(self, per_config: list, passing: list, residue_passing: list,
+                 chosen: Optional[ConventionConfig]):
+        self.per_config = per_config  # one diagnostics dict per configuration
+        self.passing = passing  # configs satisfying all three identities exactly
+        self.residue_passing = residue_passing  # configs whose first-order (residue) parts all match
+        self.chosen = chosen
 
     def to_json_dict(self) -> dict:
         return {
             "per_config": self.per_config,
-            "passing": [asdict(c) for c in self.passing],
-            "residue_passing": [asdict(c) for c in self.residue_passing],
-            "chosen": asdict(self.chosen) if self.chosen else None,
+            "passing": [c.to_json_dict() for c in self.passing],
+            "residue_passing": [c.to_json_dict() for c in self.residue_passing],
+            "chosen": self.chosen.to_json_dict() if self.chosen else None,
         }
 
 
@@ -264,7 +267,7 @@ def _config_diagnostics(conv: ConventionConfig) -> dict:
         "hf_no_double": hf_p2.is_zero(),
     }
     return {
-        "config": asdict(conv),
+        "config": conv.to_json_dict(),
         "checks": checks,
         "full_match": all(checks.values()),
         "residue_match": checks["ef_residue_is_h0"]
@@ -340,9 +343,9 @@ def working_config() -> tuple[ConventionConfig, dict]:
         raise CalibrationError("no usable convention configuration",
                                calibrate_conventions(strict=False))
     status = {
-        "full_calibration": [asdict(c) for c in passing],
-        "residue_calibration": [asdict(c) for c in residue_passing],
-        "chosen": asdict(chosen),
+        "full_calibration": [c.to_json_dict() for c in passing],
+        "residue_calibration": [c.to_json_dict() for c in residue_passing],
+        "chosen": chosen.to_json_dict(),
         "mode": "full" if passing else "residue",
     }
     return chosen, status
@@ -371,7 +374,7 @@ def verify_charge_relations(ops: OperatorSet) -> dict:
     the computed first-order pole and the exact defect.  Entries are made
     once per sector orbit.
     """
-    report = {"m": ops.m, "conventions": asdict(ops.conventions), "entries": [], "ok": True}
+    report = {"m": ops.m, "conventions": ops.conventions.to_json_dict(), "entries": [], "ok": True}
     for l in range(1, ops.m):
         canon, labels = ops.orbit(l)
         entry = _relabeled(orbit_report(_charge_entry, ops.conventions, canon), labels)
@@ -489,7 +492,7 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
 
     return {
         "l": l,
-        "conventions": asdict(conv),
+        "conventions": conv.to_json_dict(),
         "residue_e0_fl": residue_0l.render(),
         "h_l": h_l.render(),
         "residue_differs_from_h_l": residue_0l != h_l,
@@ -559,7 +562,7 @@ def _branch_cut_expansion(ops: OperatorSet, l1: int, l2: int) -> dict:
     return {
         "l1": l1,
         "l2": l2,
-        "conventions": asdict(conv),
+        "conventions": conv.to_json_dict(),
         "epsilon_values": [sec.epsilon.render() for sec in secs],
         "exponential_terms_all_minus_alpha_sq": all(
             sec.epsilon == minus_alpha_sq for sec in fracs
@@ -687,13 +690,12 @@ def critical_level_exponent_check(l: int, m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ObstructionReport:
-    m: int
-    k: str
-    conventions: dict
-    calibration: dict
-    cells: dict  # (l1, l2) -> {"status": ..., "witness": ...}
+    __slots__ = ("m", "k", "conventions", "calibration", "cells")
+
+    def __init__(self, m: int, k: str, conventions: dict, calibration: dict, cells: dict):
+        self.m, self.k, self.conventions, self.calibration = m, k, conventions, calibration
+        self.cells = cells  # (l1, l2) -> {"status": ..., "witness": ...}
 
     def to_json_dict(self) -> dict:
         return {
@@ -737,7 +739,7 @@ def obstruction_report(
     if conventions is None:
         conventions, calib = working_config()
     else:
-        calib = {"chosen": asdict(conventions), "mode": "explicit"}
+        calib = {"chosen": conventions.to_json_dict(), "mode": "explicit"}
     f1 = _sector_templates(conventions)[0]["f", 1]
     f_sectors = {l: f1.renamed({0: 0, 1: l}).sectors() for l in range(1, m)}
     cells: dict = {}
@@ -801,7 +803,7 @@ def obstruction_report(
     return ObstructionReport(
         m=m,
         k=str(k_val) if k_val is not None else "symbolic",
-        conventions=asdict(conventions),
+        conventions=conventions.to_json_dict(),
         calibration=calib,
         cells=cells,
     )

@@ -336,8 +336,9 @@ def test_every_command_report_matches_json(argv, monkeypatch, capsys):
 
 def test_power_of_a_sum_bounded(monkeypatch, capsys):
     """A power of a coefficient of more than one term is refused, in one line and before
-    it is expanded, once its exponent span times the power is above MAX_POWER_SPAN; s
-    exponents count three times, and a one-term base is exempt."""
+    it is expanded, once its exponent span times the power is above MAX_POWER_SPAN; so is a
+    product or quotient of two such coefficients once their spans add up above it.  s
+    exponents count three times, and a one-term base or factor is exempt."""
     assert MAX_POWER_SPAN == 2000
     monkeypatch.setattr(cli, "MAX_POWER_SPAN", 12)
     c, s, one = CoeffK.c(), CoeffK.s(), CoeffK.one()
@@ -346,10 +347,11 @@ def test_power_of_a_sum_bounded(monkeypatch, capsys):
                         ("(1/(c-1))^12", ((c - one) ** 12).inv()), ("(c^2+1)^6", (c * c + one) ** 6),
                         ("c^1000000*s^7", c ** 1000000 * s ** 7),
                         ("(2*c^3/s)^100000", (c ** 3 * 2 / s) ** 100000),
-                        ("((c+1)^6)^2", (c + one) ** 12)):
+                        ("((c+1)^6)^2", (c + one) ** 12), ("(c+1)^6*(c+1)^6", (c + one) ** 12)):
         assert parse_coef(text) == value
     for text, pos in (("(c+1)^13", 6), ("(s+1)^5", 6), ("(c+s)^4", 6), ("(1/(c-1))^-13", 11),
-                      ("(c^2+1)^7", 8), ("((c+1)^6)^3", 10), ("(c+s/2)^4", 8)):
+                      ("(c^2+1)^7", 8), ("((c+1)^6)^3", 10), ("(c+s/2)^4", 8),
+                      ("(c+1)^7*(c+1)^6", 8), ("(c+1)^7/(c-1)^6", 8)):
         with pytest.raises(ParseError, match=f"spans above 12 \\(at byte offset {pos}\\)"):
             parse_coef(text)
     ope = ["ope", "--m", "3", "--e", "exp((c+1)^13,phi0)", "--f", "exp(1,phi0)"]
@@ -359,6 +361,13 @@ def test_power_of_a_sum_bounded(monkeypatch, capsys):
     assert err.count("\n") == 1
     ring = ["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(c-1)^13*t"]
     assert main(ring) == 2 and "spans above 12" in capsys.readouterr().err
+    ope[4] = "exp((c+1)^7*(c+1)^6,phi0)"
+    for argv, what in ((ope, "product"), (ring[:-1] + ["(c+1)^7*t*(c-1)^6"], "product"),
+                       (ring[:-1] + ["(c+1)^7/(c-1)^6*t"], "quotient")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} of coefficients of exponent spans 7 and 6 spans above 12")
+        assert err.count("\n") == 1
 
 
 def test_main_entry():

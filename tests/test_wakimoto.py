@@ -102,7 +102,8 @@ def test_working_config_copies_no_diagnostics(monkeypatch):
     deepcopy = copy.deepcopy
 
     def no_dicts(x, memo=None):
-        # dataclasses.asdict deep-copies each field value; the diagnostics are dicts
+        # the status dicts of the configurations are built afresh (to_json_dict), so a deep
+        # copy of a dict here could only be of the shared diagnostics
         if isinstance(x, dict):
             raise AssertionError("working_config deep-copied the diagnostics")
         return deepcopy(x, memo)
