@@ -15,15 +15,20 @@ Grammar (shared tokens; byte offsets reported on error):
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
                    (no s, no k, no denominator in c, c-degree at most
-                   coeffs.MAX_C_DEGREE), else exit 2; a reduction reaching
-                   a t exponent beyond kahler.MAX_REACH (1000) exits 2
+                   coeffs.MAX_C_DEGREE), else exit 2, and so must its
+                   expansion u^q = p^k u^j (G_k spans k - k mod 2), before
+                   any walk; a reduction reaching a t exponent beyond
+                   kahler.MAX_REACH (1000) exits 2, before any u^q is
+                   expanded when one term alone reaches it (in the form of
+                   kahler-reduce, in the cocycle of bracket's operands)
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
                    | "exp(" coef "," "phi0" ")" | "D(" factor "," int ")",
                    gen := ("beta"|"gamma"|"b") "[" int "]"; the orders of
-                   nested D( add up to at most MAX_DERIV_ORDER (20), else
-                   exit 2
+                   nested D( add up to at most MAX_DERIV_ORDER (20), and a
+                   term's coefficient products are bounded as a ring
+                   term's, else exit 2
     int         := at most MAX_INT_DIGITS (4300) digits, else exit 2
     --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2; so is
                    a Taylor shift above ope.MAX_SHIFT_ORDER (24) in an ope
@@ -46,10 +51,12 @@ from .families import (
     family_table,
     rescaling_check,
 )
-from .kahler import DiffForm, RingParams, basis_dim, check_form_reach, reduce_oracle
+from .kahler import (DiffForm, RingParams, basis_dim, check_cocycle_reach, check_form_reach,
+                     reduce_oracle)
 from .ope import FieldExpr, classification_text, is_laurent, wick_ope
 from .ring import RingElem
-from .uce import CurrentElem, UCEElem, formula_vs_oracle, uce_bracket_formula, uce_bracket_oracle
+from .uce import (CurrentElem, SL2Elem, UCEElem, formula_vs_oracle, killing, uce_bracket_formula,
+                  uce_bracket_oracle)
 from . import wakimoto
 
 
@@ -283,7 +290,11 @@ class _Parser:
         val = self.field_item(m)
         while self.peek()[0] == "*":
             self.next()
-            val = val * self.field_item(m)
+            pos, rhs = self.peek()[2], self.field_item(m)
+            for a in val.terms.values():  # each coefficient product, as in ring_term
+                for b in rhs.terms.values():
+                    _bound_pair(a, "*", b, pos)
+            val = val * rhs
         return val.scale(CoeffK.from_int(-1)) if neg else val
 
     def field_item(self, m: int) -> FieldExpr:
@@ -524,8 +535,10 @@ def run_command(cmd: Command, out=None) -> int:
 
     if cmd.name == "bracket":
         params = RingParams(p["m"], p["r"])
-        fa = parse_ring_elem(p["a"], params)
-        fb = parse_ring_elem(p["b"], params)
+        ta, tb = parse_ring_terms(p["a"]), parse_ring_terms(p["b"])
+        if not killing(SL2Elem.gen(p["x"]), SL2Elem.gen(p["y"])).is_zero():
+            check_cocycle_reach(params, ta, tb)  # before any u^q is expanded
+        fa, fb = ring_from_terms(params, ta), ring_from_terms(params, tb)
         A = UCEElem(CurrentElem(params, {p["x"]: fa}))
         B = UCEElem(CurrentElem(params, {p["y"]: fb}))
         oracle = uce_bracket_oracle(A, B)

@@ -373,6 +373,32 @@ _ZERO = PolyC._of((), 1, 1)
 _ONE = PolyC._of((1,), 1, 1)
 
 
+def walk_recurrence(values: dict[int, PolyC], k: int, r: int, triple) -> PolyC:
+    """P_k from the memo ``values``, extending k's residue class mod r forward: the walk of
+    the structure-constant families and of the powers of p(t) in the ring.
+
+    ``triple(kk)`` gives the integers (lead > 0, mid, low) of lead * P_kk = 2c * mid *
+    P_(kk-r) - low * P_(kk-2r).  Every value is stored, each from one fused integer step
+    (``PolyC.c_lincomb``); the recurrence is homogeneous, so two zeros in a row end the walk.
+    """
+    if k < -2 * r:
+        raise ValueError(f"family index {k} below -2r")
+    top = k
+    while top not in values:
+        top -= r
+    if top == k:
+        return values[k]
+    older, newer = values[top - r], values[top]
+    for kk in range(top + r, k + 1, r):
+        if older.is_zero() and newer.is_zero():
+            return newer
+        lead, mid, low = triple(kk)
+        assert lead > 0
+        older, newer = newer, newer.c_lincomb(2 * mid, older, -low, lead)
+        values[kk] = newer
+    return newer
+
+
 # ---------------------------------------------------------------------------
 # Bivariate polynomials in c and s
 # ---------------------------------------------------------------------------

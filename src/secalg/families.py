@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import PolyC
+from .coeffs import PolyC, walk_recurrence
 from . import kahler
 from .ring import RingParams
 
@@ -87,34 +87,6 @@ def _initial_values(r: int, j: int) -> dict[int, PolyC]:
     return {-s: PolyC.const(1) if s == j else PolyC.zero() for s in range(1, 2 * r + 1)}
 
 
-def _walk(values: dict[int, PolyC], k: int, r: int, triple) -> PolyC:
-    """P_k from the memo ``values``, extending k's residue class mod r forward.
-
-    ``triple(kk)`` gives the integer coefficients (lead, mid, low) of the
-    instance lead * P_kk = 2c * mid * P_(kk-r) - low * P_(kk-2r).  The walk
-    starts at the last stored index of the class and stores every value it
-    computes, each in one fused integer step (``PolyC.c_lincomb``) made
-    canonical once.  The recurrence is homogeneous, so once two consecutive
-    values vanish the class stays zero and the walk stops.
-    """
-    if k < -2 * r:
-        raise ValueError(f"family index {k} below -2r")
-    top = k
-    while top not in values:
-        top -= r
-    if top == k:
-        return values[k]
-    older, newer = values[top - r], values[top]
-    for kk in range(top + r, k + 1, r):
-        if older.is_zero() and newer.is_zero():
-            return newer
-        lead, mid, low = triple(kk)
-        assert lead > 0
-        older, newer = newer, newer.c_lincomb(2 * mid, older, -low, lead)
-        values[kk] = newer
-    return newer
-
-
 def _family_triple(spec: FamilySpec):
     """Integer coefficients (pk + 2rq, pk + rq, pk) for m' = p/q: the rational triple times q."""
     p, q, r = spec.m_prime.numerator, spec.m_prime.denominator, spec.r
@@ -130,7 +102,7 @@ def eval_family(spec: FamilySpec, k: int) -> PolyC:
     values = _memos.get(spec)
     if values is None:
         values = _memos[spec] = _initial_values(spec.r, spec.j)
-    return _walk(values, k, spec.r, _family_triple(spec))
+    return walk_recurrence(values, k, spec.r, _family_triple(spec))
 
 
 def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
@@ -139,7 +111,7 @@ def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
     Confirms that extending the shared memo of ``eval_family`` gives the
     same values as a walk from scratch.
     """
-    return _walk(_initial_values(spec.r, spec.j), k, spec.r, _family_triple(spec))
+    return walk_recurrence(_initial_values(spec.r, spec.j), k, spec.r, _family_triple(spec))
 
 
 def _sector_triple(m: int, r: int, l: int):
@@ -155,7 +127,7 @@ def sector_recurrence_value(m: int, r: int, l: int, j: int, k: int) -> PolyC:
     This is the left-hand side of the rescaling identity, computed without
     dividing through by l.
     """
-    return _walk(_initial_values(r, j), k, r, _sector_triple(m, r, l))
+    return walk_recurrence(_initial_values(r, j), k, r, _sector_triple(m, r, l))
 
 
 def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
@@ -175,7 +147,7 @@ def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
             triple = _sector_triple(m, r, l)
             sector = _initial_values(r, j)
             for k in range(-2 * r, k_max + 1):
-                lhs = _walk(sector, k, r, triple)
+                lhs = walk_recurrence(sector, k, r, triple)
                 rhs = eval_family(spec, k)
                 equal = lhs == rhs
                 text = lhs.render()  # canonical forms: equal values render alike

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coeffs import PolyC, sparse_add
-from .ring import RingElem, RingParams, dp_laurent, p_laurent
+from .ring import RingElem, RingParams, dp_laurent, p_laurent, ring_mul
 
 
 MAX_REACH = 1000  # farthest t exponent, either sign, a table grows to: growth is superlinear
@@ -222,6 +222,12 @@ def eliminate_du(f: DiffForm) -> list[tuple[int, int, PolyC]]:
     return [(e + 1, l, acc[(e, l)]) for (e, l) in sorted(acc)]
 
 
+def cocycle_form(f: RingElem, g: RingElem) -> DiffForm:
+    """The form f dg, whose class is the cocycle tau(f, g)."""
+    dg = differential(g)
+    return DiffForm(ring_mul(f, dg.dt_part), ring_mul(f, dg.du_part))
+
+
 # ---------------------------------------------------------------------------
 # The oracle: relation rows, elimination, reduction table
 # ---------------------------------------------------------------------------
@@ -266,31 +272,63 @@ def _check_reach(t_exp: int) -> None:
         raise ValueError(f"t exponent {t_exp} is beyond kahler.MAX_REACH ({MAX_REACH})")
 
 
-def check_form_reach(params: RingParams, dt: dict[tuple[int, int], PolyC],
-                     du: dict[tuple[int, int], PolyC]) -> None:
-    """Refuse a form whose class ``reduce_terms`` would refuse, before any u^q is expanded.
-
-    dt and du map (t exponent, u exponent) to nonzero coefficients.  t^a u^q is
-    t^a p^k u^j, (k, j) = divmod(q, m), and p^k has the terms 1 and t^(2rk), so
-    the classes t^e u^l dt of a term lie between two ends it does reach (for a
-    du term after du-elimination).  An end beyond MAX_REACH that no other term
-    of its sector reaches survives the sum.
-    """
+def _runs(params: RingParams, dt: dict[tuple[int, int], PolyC],
+          du: dict[tuple[int, int], PolyC]) -> list[tuple[int, int, int]]:
+    """The runs (l, lo, hi) of classes t^e u^l dt, e = lo, lo + r, .., hi, that exactly one
+    term of the form reaches (see ``check_form_reach``)."""
     m, r = params.m, params.r
-    spans: dict[int, list[tuple[int, int]]] = {}
+    events: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for is_du, terms in ((False, dt), (True, du)):
         for a, q in terms:
             k, j = divmod(q, m)
             l, lo, hi = ((j, a, a) if not is_du else (j + 1, a - 1, a - 1) if j < m - 1
                          else (0, a + r - 1, a + 2 * r - 1))
-            spans.setdefault(l, []).append((lo, hi + 2 * r * k))
-    far = []
-    for ends in spans.values():
-        lows, highs = zip(*ends)
-        far += [e for e, side in ((min(lows), lows), (max(highs), highs))
-                if abs(e) > MAX_REACH and side.count(e) == 1]
+            events.setdefault((l, lo % r), []).extend(((lo, 1), (hi + 2 * r * k + r, -1)))
+    runs = []
+    for (l, _res), ev in events.items():
+        ev.sort()
+        count = 0
+        for (e, step), (nxt, _) in zip(ev, ev[1:]):
+            count += step
+            if count == 1 and nxt > e:
+                runs.append((l, e, nxt - r))
+    return runs
+
+
+def check_form_reach(params: RingParams, dt: dict[tuple[int, int], PolyC],
+                     du: dict[tuple[int, int], PolyC]) -> None:
+    """Refuse a form whose class ``reduce_terms`` would refuse, before any u^q is expanded.
+
+    dt and du map (t exponent, u exponent) to nonzero coefficients.  t^a u^q is t^a p^k u^j,
+    (k, j) = divmod(q, m), with all 2k+1 terms of p^k nonzero (``ring``), so after
+    du-elimination a term reaches every class t^e u^l dt of one progression with a nonzero
+    coefficient: t^(a+rn) u^j for dt; t^(a+rn-1) u^(j+1), times -(a+rn)/(j+1), for du with
+    j < m-1, but at e = -1, in reach; t^(a+rn-1), n = 1..2k+2, for du with j = m-1, as
+    t^a p^k p' = t^a (p^(k+1))'/(k+1).  Terms meet only within a group (l, e mod r), so a
+    class that one term of its group alone reaches keeps its coefficient in the sum, and
+    ``reduce_terms`` refuses it beyond MAX_REACH.  The message names the least end beyond
+    MAX_REACH of a run of such classes; a far end that one term alone reaches is one.
+    """
+    far = [e for _l, lo, hi in _runs(params, dt, du) for e in (lo, hi) if abs(e) > MAX_REACH]
     if far:
         _check_reach(min(far))
+
+
+def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
+                        g: dict[tuple[int, int], PolyC]) -> None:
+    """Refuse tau(f, g) for ring terms keyed as in ``check_form_reach``, before any u^q is
+    expanded.  tau reduces the form of each pair of monomials t^e1 u^l1, t^e2 u^l2 of f and g
+    on its own, from t^(e1+e2-1) to t^(e1+e2+2r-1), and the ends of a run that one term alone
+    reaches are monomials of the sum: their lower and upper pairs are checked class by class."""
+    one, runs_g = PolyC.const(1), _runs(params, g, {})
+    for l1, lo1, hi1 in _runs(params, f, {}):
+        for l2, lo2, hi2 in runs_g:
+            for e1, e2 in ((lo1, lo2), (hi1, hi2)):
+                if not -MAX_REACH <= e1 + e2 - 1 <= e1 + e2 + 2 * params.r - 1 <= MAX_REACH:
+                    form = cocycle_form(RingElem.monomial(params, one, e1, l1),
+                                        RingElem.monomial(params, one, e2, l2))
+                    for n, _l, _v in eliminate_du(form):
+                        _check_reach(n - 1)
 
 
 class ReductionTable:
@@ -499,32 +537,19 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
         guard += 1
         if guard > 10_000:
             raise PivotError("recurrence reduction did not terminate")
-        if max(vec) > -1:
-            j = max(vec)
-            inst = j + 1 - 2 * r  # solve the instance whose top term is X_j
-            c_bot, c_mid, c_top = _paper_coeffs(inst, l, params)
-            if c_top == 0:
-                raise PivotError(
-                    f"recurrence pivot degenerate: m*n+2rl = 0 at (n={inst}, l={l})"
-                )
-            instances.append(RecurrenceInstance(inst, l, inst >= 1))
-            coef = vec.pop(j)
-            # X_j = [2c(mn+rl) X_{j-r} - mn X_{j-2r}] / (mn+2rl)
-            sparse_add(vec, j - r, coef * (c_mid * (1 / Fraction(c_top))))
-            sparse_add(vec, j - 2 * r, coef * Fraction(-c_bot, c_top))
-        else:
-            j = min(vec)
-            inst = j + 1  # solve the instance whose bottom term is X_j
-            c_bot, c_mid, c_top = _paper_coeffs(inst, l, params)
-            if c_bot == 0:
-                raise PivotError(
-                    f"recurrence pivot degenerate: m*n = 0 at (n={inst}, l={l})"
-                )
-            instances.append(RecurrenceInstance(inst, l, inst >= 1))
-            coef = vec.pop(j)
-            # X_j = [2c(mn+rl) X_{j+r} - (mn+2rl) X_{j+2r}] / (mn)
-            sparse_add(vec, j + r, coef * c_mid * (1 / Fraction(c_bot)))
-            sparse_add(vec, j + 2 * r, coef * Fraction(-c_top, c_bot))
+        # solve the instance whose top term is the highest X_j above -1, else the one whose
+        # bottom term is the lowest X_j: X_j = [2c(mn+rl) X_(j+step) - far X_(j+2step)] / pivot
+        top = max(vec) > -1
+        j, step = (max(vec), -r) if top else (min(vec), r)
+        inst = j + 1 - 2 * r if top else j + 1
+        c_bot, c_mid, c_top = _paper_coeffs(inst, l, params)
+        pivot, far, name = (c_top, c_bot, "m*n+2rl") if top else (c_bot, c_top, "m*n")
+        if pivot == 0:
+            raise PivotError(f"recurrence pivot degenerate: {name} = 0 at (n={inst}, l={l})")
+        instances.append(RecurrenceInstance(inst, l, inst >= 1))
+        coef = vec.pop(j)
+        sparse_add(vec, j + step, coef * (c_mid * (1 / Fraction(pivot))))
+        sparse_add(vec, j + 2 * step, coef * Fraction(-far, pivot))
 
     odd = {(l, -e): v for e, v in vec.items()}
     return RecurrenceReduction(DiffClass(params, odd=odd), instances)

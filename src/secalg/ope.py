@@ -205,8 +205,8 @@ class FieldExpr:
             sparse_add(terms, k, v)
         return FieldExpr._of(terms)
 
-    def scale(self, q: CoeffK) -> "FieldExpr":
-        if q.is_zero():
+    def scale(self, q: CoeffK | Fraction) -> "FieldExpr":  # times a nonzero Fraction: no gcd
+        if type(q) is CoeffK and q.is_zero():
             return FieldExpr()
         return FieldExpr._of({k: v * q for k, v in self.terms.items()})
 
@@ -381,7 +381,7 @@ def taylor_shift(mono: NOMono, order: int) -> dict[int, FieldExpr]:
         raise ValueError("Taylor order must be non-negative")
     shifted = {0: FieldExpr([mono])}
     for n in range(1, order + 1):
-        shifted[n] = shifted[n - 1].derivative().scale(CoeffK.from_rat(Fraction(1, n)))
+        shifted[n] = shifted[n - 1].derivative().scale(Fraction(1, n))
     return shifted
 
 

@@ -7,6 +7,15 @@ normal form and equality is structural.  Coefficients are ``PolyC`` values in
 Q[c]; ``RingElem.monomial`` is the one way in, and it takes a Frac(Q[c, s])
 coefficient from the parser only when that lies in Q[c].
 
+``RingElem.monomial`` writes u^q as p^k u^j, (k, j) = divmod(q, m), and p^k as
+sum_n G_n(c) x^n, x = t^r, G_n the Gegenbauer polynomial C_n^(-k) (Szego, *Orthogonal
+Polynomials*, 4.7): (1 - 2cx + x^2) G' = 2k(x - c) G gives n G_n = 2c(n-k-1)
+G_(n-1) - (n-2k-2) G_(n-2), G_0 = 1, G_(-1) = 0, walked to n = k by the
+families' walker, and G_(2k-n) = G_n.  For n <= k, G_n has the nonzero terms
+c^(n-2i), 0 <= i <= n/2, so all 2k+1 positions of p^k are nonzero and G_k
+spans k - k mod 2 c degrees: a term over ``coeffs.MAX_C_DEGREE`` is refused
+before any walk, as the repeated product would refuse it.
+
 Values are immutable; all operations return fresh elements.
 """
 
@@ -15,7 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .coeffs import PolyC, as_factor, as_polyc, sparse_add
+from . import coeffs
+from .coeffs import PolyC, as_factor, as_polyc, sparse_add, walk_recurrence
 
 
 class RingParams:
@@ -33,14 +43,6 @@ class RingParams:
 
     def __hash__(self):
         return self._hash
-
-
-def laurent_mul(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:
-    out: dict[int, PolyC] = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            sparse_add(out, e1 + e2, v1 * v2)
-    return out
 
 
 # p and p' are built once per RingParams and shared: callers must not mutate them.
@@ -91,10 +93,17 @@ class RingElem:
         """coef * t^t_exp * u^u_exp, u_exp >= 0 reduced; coef goes through ``as_polyc``."""
         if u_exp < 0:
             raise ValueError("u exponent must be non-negative")
-        lt = {t_exp: as_polyc(coef)}
-        for _ in range(u_exp // params.m):
-            lt = laurent_mul(lt, p_laurent(params))
-        return RingElem(params, {u_exp % params.m: lt})
+        coef = as_polyc(coef)
+        if u_exp < params.m or coef.is_zero():  # no walk: the cost of every engine call
+            return RingElem(params, {u_exp % params.m: {t_exp: coef}})
+        k, j = divmod(u_exp, params.m)
+        span = len(coef.ints) - 1 + k - k % 2
+        if span > coeffs.MAX_C_DEGREE:
+            raise ValueError(f"u^{u_exp} expands to c degree span {span} above {coeffs.MAX_C_DEGREE}")
+        g = {-1: PolyC.zero(), 0: PolyC.const(1)}
+        walk_recurrence(g, k, 1, lambda n: (n, n - k - 1, n - 2 * k - 2))
+        lt = {t_exp + params.r * n: coef * g[min(n, 2 * k - n)] for n in range(2 * k + 1)}
+        return RingElem._of(params, {j: lt})
 
     def is_zero(self) -> bool:
         return not self.sectors

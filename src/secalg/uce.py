@@ -35,9 +35,8 @@ from .coeffs import PolyC, sparse_add
 from .kahler import (
     W0,
     DiffClass,
-    DiffForm,
     ReductionTable,
-    differential,
+    cocycle_form,
     eliminate_du,
     reduce_oracle,
     ring_table,
@@ -194,12 +193,6 @@ class UCEElem:
 # ---------------------------------------------------------------------------
 
 
-def _cocycle_form(f: RingElem, g: RingElem) -> DiffForm:
-    """The form f dg, whose class is tau(f, g)."""
-    dg = differential(g)
-    return DiffForm(ring_mul(f, dg.dt_part), ring_mul(f, dg.du_part))
-
-
 class TauCache:
     """Memoized cocycle values on ring monomial pairs over one reduction table."""
 
@@ -212,8 +205,8 @@ class TauCache:
         key = (a_exp, a_sec, b_exp, b_sec)
         if key not in self._memo:
             one = PolyC.const(1)
-            form = _cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
-                                 RingElem.monomial(self.params, one, b_exp, b_sec))
+            form = cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
+                                RingElem.monomial(self.params, one, b_exp, b_sec))
             self._memo[key] = self.table.reduce_terms(eliminate_du(form))
         return self._memo[key]
 
@@ -236,7 +229,7 @@ def tau_cache(params: RingParams) -> TauCache:
 
 def tau_oracle(f: RingElem, g: RingElem) -> DiffClass:
     """class(f dg) by du-elimination and oracle reduction (no case split)."""
-    return reduce_oracle(_cocycle_form(f, g))
+    return reduce_oracle(cocycle_form(f, g))
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,25 @@ def test_power_of_a_sum_bounded(monkeypatch, capsys):
         assert err.count("\n") == 1
 
 
+def test_field_term_coefficient_products_bounded(monkeypatch, capsys):
+    """A field term multiplies its factors' coefficients under the same bound as a ring
+    term, in either order and through no(...), before the product is expanded."""
+    monkeypatch.setattr(cli, "MAX_POWER_SPAN", 12)
+    for e, pos in (("(c+1)^7*(c+1)^6*beta[0]", 8), ("beta[0]*(c+1)^7*(c+1)^6", 16),
+                   ("no((c+1)^7*beta[0])*(c-1)^6", 20)):
+        assert main(["ope", "--m", "3", "--e", e, "--f", "gamma[0]"]) == 2
+        assert capsys.readouterr().err == ("error: product of coefficients of exponent spans "
+                                           f"7 and 6 spans above 12 (at byte offset {pos})\n")
+    assert main(["ope", "--m", "3", "--e", "(c+1)^6*(c+1)^6*beta[0]", "--f", "gamma[0]"]) == 0
+
+
+def test_field_term_coefficient_product_at_the_bound_pinned(capsys):
+    """Spans 1000 and 1000 add up to MAX_POWER_SPAN: the product still answers, as before."""
+    assert main(["ope", "--m", "3", "--e", "(c+1)^1000*(c+1)^1000*beta[0]", "--f", "gamma[0]"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ef5a29d7cde6fb6b496278c626fd76c03385544e464979252b049e886ad52eb7")
+
+
 def test_main_entry():
     assert main(["dim", "--m", "2", "--r", "2"]) == 0
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from secalg import kahler
 from secalg.cli import main
-from secalg.coeffs import PolyC
+from secalg.coeffs import PolyC, sparse_add
 from secalg.kahler import (
     DiffClass,
     DiffForm,
@@ -20,6 +20,7 @@ from secalg.kahler import (
     ReductionTable,
     ReductionWindow,
     basis_dim,
+    check_cocycle_reach,
     check_form_reach,
     differential,
     eliminate_du,
@@ -31,6 +32,7 @@ from secalg.kahler import (
     verify_recurrence,
 )
 from secalg.ring import RingElem, RingParams, dp_laurent
+from secalg.uce import TauCache
 
 P32 = RingParams(3, 2)
 P22 = RingParams(2, 2)
@@ -400,8 +402,11 @@ def test_far_u_power_refused_before_expansion(capsys):
 
 
 def test_near_u_power_answer_pinned(capsys):
-    """u^600 reaches t^802 and answers as before the reach check on terms."""
+    """u^600 reaches t^802 and answers as before the reach check on terms; p^200
+    comes from its recurrence, so the reduction table is most of the cost."""
+    start = time.process_time()
     assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^2*u^600"]) == 0
+    assert time.process_time() - start < 1.2
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "05558d1eb2e4525b4ef27a356927f9d773b61264966b6d8779e4f5fe329e406e")
 
@@ -414,16 +419,32 @@ def _refusal(fn, *args):
     return None
 
 
+def _with_far_part_cancelled(data, params, terms, beyond):
+    """The ring terms, and maybe minus every monomial of one of them beyond t^beyond on
+    either side, so that terms cover that one's far positions and cancel it there."""
+    if not terms or not data.draw(st.booleans()):
+        return terms
+    key = data.draw(st.sampled_from(sorted(terms)))
+    out = dict(terms)
+    for e, l, v in RingElem.monomial(params, terms[key], *key).monomials():
+        if abs(e) > beyond:
+            sparse_add(out, (e, l), -v)
+    return out
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_form_reach_check_refuses_only_what_reduction_refuses(data):
     """Under a small MAX_REACH, a form the term check refuses is refused by the
     reduction too.  Small exponents and unit coefficients make the terms'
-    ends meet and cancel across terms and across the dt and du parts."""
+    ends meet and cancel across terms and across the dt and du parts, u powers
+    up to 6m make terms with p^k, k >= 1, cover each other, and a far part may
+    be cancelled outright."""
     params = data.draw(st.sampled_from([RingParams(m, r) for m in (2, 3) for r in (2, 3)]))
-    key = st.tuples(st.integers(-16, 16), st.integers(0, 2 * params.m + 1))
+    key = st.tuples(st.integers(-16, 16), st.integers(0, 6 * params.m))
     coef = st.sampled_from([PolyC.const(1), PolyC.const(-1), PolyC.const(2), PolyC.c()])
     dt, du = (data.draw(st.dictionaries(key, coef, max_size=3)) for _ in range(2))
+    dt = _with_far_part_cancelled(data, params, dt, 12)
     dt_elem, du_elem = (sum((RingElem.monomial(params, v, *k) for k, v in terms.items()),
                             RingElem.zero(params)) for terms in (dt, du))
     with mock.patch.object(kahler, "MAX_REACH", 12):
@@ -438,3 +459,76 @@ def test_cancelled_far_ends_still_answer(capsys):
     with mock.patch.object(kahler, "MAX_REACH", 12):
         assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^-13*u^3"]) == 2
         assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^-13*u^3 - t^-13"]) == 0
+
+
+@pytest.mark.parametrize("dt, far", [
+    ("t^2*u^1000 + t^1334*u", 1332),
+    ("t^2*u^9000 + t^12002", 12000),
+    ("t^2*u^3000000000 + t^4000000002", 4000000000),
+])
+def test_tied_far_end_refused_before_expansion(dt, far, capsys):
+    """A far end that another term also reaches leaves the positions inside it to
+    one term alone: refused from there, with no walk and no table growth."""
+    start = time.process_time()
+    with mock.patch.dict(kahler._TABLES, clear=True):
+        assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", dt]) == 2
+        assert kahler._TABLES == {}
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err == f"error: t exponent {far} is beyond kahler.MAX_REACH (1000)\n"
+
+
+def test_covered_positions_are_left_to_the_reduction():
+    """Every far position that two terms of one group reach is left to the reduction;
+    a position only one reaches is refused, naming the least far end of its run."""
+    one = PolyC.const(1)
+    with mock.patch.object(kahler, "MAX_REACH", 12):
+        # p^4 reaches t^2 .. t^18 in sector 0, and t^14 p covers t^14 .. t^18
+        check_form_reach(P32, {(2, 12): one, (14, 3): PolyC.c()}, {})
+        with pytest.raises(ValueError, match="t exponent 14 is beyond"):
+            check_form_reach(P32, {(2, 12): one, (16, 3): PolyC.c()}, {})
+        # a du term of sector m-1 reaches t^(a+r-1) .. t^(a+2r(k+1)-1) in sector 0
+        with pytest.raises(ValueError, match="t exponent 17 is beyond"):
+            check_form_reach(P32, {}, {(10, 5): one})
+        check_form_reach(P32, {(13, 0): one, (15, 0): one, (17, 0): one}, {(10, 5): one})
+
+
+def test_far_bracket_operand_refused_before_expansion(capsys):
+    """bracket checks the cocycle of its operands' outer monomials before expanding
+    u^q: p^(10^9) is refused at once, and a Killing-free pair is not checked."""
+    bracket = ["bracket", "--m", "3", "--r", "2", "--x", "e", "--b", "u"]
+    start = time.process_time()
+    with mock.patch.dict(kahler._TABLES, clear=True):
+        assert main(bracket + ["--y", "f", "--a", "u^3000000000"]) == 2
+        assert main(bracket + ["--y", "f", "--a", "u^1200"]) == 2
+        assert kahler._TABLES == {}
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: t exponent 3999999999 is beyond kahler.MAX_REACH (1000)\n"
+        "error: t exponent 1599 is beyond kahler.MAX_REACH (1000)\n")
+    assert main(bracket + ["--y", "e", "--a", "t^1200"]) == 0  # <e, e> = 0: no cocycle
+
+
+def test_near_bracket_operand_answer_pinned(capsys):
+    """u^600 against u answers as it did when p^200 was a repeated product."""
+    assert main(["bracket", "--m", "3", "--r", "2", "--x", "e", "--y", "f", "--b", "u",
+                 "--a", "u^600"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "83c9c9cec1c8a0759a625a6f45db14c71bee901c1c30ef9613360979b500b2e6")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_cocycle_reach_check_refuses_only_what_tau_refuses(data):
+    """Under a small MAX_REACH, ring terms the cocycle check refuses make tau refuse too,
+    also when the terms of one operand cancel each other's monomials."""
+    params = data.draw(st.sampled_from([RingParams(m, r) for m in (2, 3) for r in (2, 3)]))
+    key = st.tuples(st.integers(-14, 14), st.integers(0, 4 * params.m))
+    coef = st.sampled_from([PolyC.const(1), PolyC.const(-1), PolyC.c()])
+    f, g = (_with_far_part_cancelled(data, params, data.draw(
+        st.dictionaries(key, coef, min_size=1, max_size=3)), 6) for _ in range(2))
+    fe, ge = (sum((RingElem.monomial(params, v, *k) for k, v in terms.items()),
+                  RingElem.zero(params)) for terms in (f, g))
+    with mock.patch.object(kahler, "MAX_REACH", 12), mock.patch.dict(kahler._TABLES, clear=True):
+        early = _refusal(check_cocycle_reach, params, f, g)
+        full = _refusal(TauCache(ring_table(params)).tau, fe, ge)
+    assert early is None or full is not None, (f, g, early)

@@ -1,14 +1,34 @@
 import random
+from unittest import mock
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secalg.coeffs import CoeffK, PolyC, sparse_add
-from secalg.ring import RingElem, RingParams, decompose_sectors, laurent_mul, p_laurent, ring_mul
+from secalg import coeffs
+from secalg.coeffs import CoeffK, PolyC, as_polyc, sparse_add
+from secalg.ring import RingElem, RingParams, decompose_sectors, p_laurent, ring_mul
 
 P32 = RingParams(3, 2)
+
+
+def laurent_mul(a: dict[int, PolyC], b: dict[int, PolyC]) -> dict[int, PolyC]:
+    """The product of two Laurent polynomials in t, term by term: the reference product."""
+    out: dict[int, PolyC] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            sparse_add(out, e1 + e2, v1 * v2)
+    return out
+
+
+def monomial_reference(params, coef, t_exp, u_exp):
+    """coef * t^t_exp * u^u_exp with p^k expanded by k repeated Laurent products."""
+    lt = {t_exp: as_polyc(coef)}
+    for _ in range(u_exp // params.m):
+        lt = laurent_mul(lt, p_laurent(params))
+    return RingElem(params, {u_exp % params.m: lt})
 
 
 def mono(params, coef, t, u):
@@ -146,3 +166,61 @@ def test_ring_mul_matches_object_reference(data):
         ring_elems(params, st.just(m - 1), 1))
     assert ring_mul(a, b) == _ring_mul_reference(a, b)
     assert ring_mul(b, a) == _ring_mul_reference(b, a)
+
+
+C_COEF = st.builds(lambda a0, a1, e: PolyC({e: a0, e + 1: a1}), st.fractions(-3, 3, max_denominator=4),
+                   st.fractions(-2, 2, max_denominator=3), st.integers(0, 3))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(GRID), C_COEF, st.integers(-5, 5), st.integers(0, 40), st.data())
+def test_monomial_matches_repeated_product(params, coef, t_exp, k, data):
+    """p^k from the Gegenbauer recurrence equals k repeated Laurent products, term
+    for term and in the same ascending order, for k up to 40."""
+    u_exp = params.m * k + data.draw(st.integers(0, params.m - 1))
+    got = RingElem.monomial(params, coef, t_exp, u_exp)
+    want = monomial_reference(params, coef, t_exp, u_exp)
+    assert got == want
+    assert [list(lt.items()) for lt in got.sectors.values()] == [
+        list(lt.items()) for lt in want.sectors.values()]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_p_power_matches_sympy(k):
+    """The coefficients of (1 - 2cx + x^2)^k, x = t^r, expanded by sympy."""
+    c, x = sympy.symbols("c x")
+    poly = sympy.Poly(sympy.expand((1 - 2 * c * x + x ** 2) ** k), x)
+    for params in (RingParams(2, 2), RingParams(3, 3)):
+        got = RingElem.monomial(params, PolyC.const(1), 0, params.m * k).sectors[0]
+        want = {params.r * n: sympy.Poly(v, c).all_coeffs()[::-1]
+                for (n,), v in poly.terms()}
+        assert {e: [v.coeffs.get(i, 0) for i in range(v.degree() + 1)]
+                for e, v in got.items()} == want
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_c_degree_refusal_matches_repeated_product():
+    """Under a small MAX_C_DEGREE a term is refused before any walk exactly where the
+    repeated product raises: G_k spans k - k mod 2 c degrees, the coefficient adds its own."""
+    coefs = [PolyC.const(3), PolyC.c(4), PolyC({0: 1, 1: -2}), PolyC({1: 1, 3: 5}),
+             PolyC({0: 1, 5: 1}), PolyC.zero()]
+    refused = set()
+    with mock.patch.object(coeffs, "MAX_C_DEGREE", 6):
+        for params in (RingParams(2, 2), RingParams(3, 2)):
+            for coef in coefs:
+                for k in range(11):
+                    u_exp = params.m * k + 1
+                    got = _refusal(RingElem.monomial, params, coef, 0, u_exp)
+                    want = _refusal(monomial_reference, params, coef, 0, u_exp)
+                    assert (got is None) == (want is None), (coef, k, got, want)
+                    span = len(coef.ints) - 1 + k - k % 2
+                    assert got in (None, f"u^{u_exp} expands to c degree span {span} above 6")
+                    refused.add(got is not None)
+    assert refused == {False, True}
