@@ -170,7 +170,9 @@ class PolyC:
     at any e.  The content ``num/den`` is a pair of coprime Python ints with
     ``den > 0``; ``num`` is nonzero and carries the sign.  Zero is ``ints ==
     ()`` with ``val`` 0 and content 1/1.  The form is unique, so equality and
-    hashing are structural.
+    hashing are structural.  A product by one (the ``PolyC`` one or the int 1)
+    returns the other operand itself, and a sum of two multiples of one power of
+    c adds their contents, with no gcd when both are integers.
     """
 
     __slots__ = ("ints", "num", "den", "val")
@@ -253,6 +255,10 @@ class PolyC:
             return self
         if not a:
             return other
+        if a == b == (1,) and self.val == other.val:  # two multiples of one power of c: add the contents
+            p, q, pb, qb = self.num, self.den, other.num, other.den
+            num, den = (p + pb, 1) if q == qb == 1 else _reduced(p * qb + pb * q, q * qb)
+            return PolyC._of(a, num, den, self.val) if num else _ZERO
         # over the common denominator lcm(qa, qb), with the multipliers' gcd h factored out;
         # h is coprime to the lcm, as _primitive requires
         fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
@@ -273,10 +279,16 @@ class PolyC:
 
     def __mul__(self, other) -> "PolyC":
         if not isinstance(other, PolyC):  # an int or Fraction; isinstance on Fraction's ABC is slow
+            if type(other) is int and other == 1:  # no Fraction.__eq__ for a Fraction operand
+                return self
             if not other or not self.ints:
                 return _ZERO
             return PolyC._of(self.ints, *_ratio_mul(self.num, self.den, *other.as_integer_ratio()), self.val)
         a, b = self.ints, other.ints
+        if b == (1,) and not other.val and other.num == other.den:  # a unit: reduced num == den is 1/1
+            return self
+        if a == (1,) and not self.val and self.num == self.den:
+            return other
         if not a or not b:
             return _ZERO
         if len(a) + len(b) - 2 > MAX_C_DEGREE:

@@ -136,6 +136,8 @@ def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
     Returns one report entry per (l, j, k); failures are entries, not errors.
     Each (l, j) sector chain is walked once up to k_max.
     """
+    if r < 2:
+        raise ValueError(f"r {r} below 2: p(t) = 1 - 2c t^r + t^(2r) needs r >= 2")
     if k_max < -2 * r:
         raise ValueError(f"k_max {k_max} below -2r = {-2 * r}")
     if m < 2:

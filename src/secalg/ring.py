@@ -174,7 +174,8 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     product goes straight into its sector's term map by ``sparse_add``, times
     the three terms of p(t) in the same pass when l1 + l2 >= m, and the maps
     are wrapped once, unchecked (no intermediate Laurent map or RingElem)."""
-    a._check(b)
+    if a.params is not b.params:
+        a._check(b)
     m = a.params.m
     p = p_laurent(a.params).items()
     out: dict[int, dict[int, PolyC]] = {}

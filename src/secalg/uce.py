@@ -215,9 +215,11 @@ class TauCache:
         """tau(f, g) over the memoized monomial pairs; given a central term map
         (``kahler.W0`` for w0), k * tau(f, g) is added into it instead."""
         out = {} if central is None else central
-        for ae, asec, av in f.monomials():
-            for be, bsec, bv in g.monomials():
-                self.tau_monomial(ae, asec, be, bsec).add_into(out, av * bv * k)
+        for asec, alt in f.sectors.items():
+            for ae, av in alt.items():
+                for bsec, blt in g.sectors.items():
+                    for be, bv in blt.items():
+                        self.tau_monomial(ae, asec, be, bsec).add_into(out, av * bv * k)
         return DiffClass._of(self.params, out) if central is None else None
 
 

@@ -181,11 +181,15 @@ def test_family_commands_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("r", [0, -1])
-def test_rescaling_without_families_checks_nothing(r, capsys):
-    assert main(["rescaling", "--m", "3", "--r", str(r), "--kmax", "5"]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "checked": 0, "failures": [], "k_max": 5, "m": 3, "r": r}
+@pytest.mark.parametrize("r", [1, 0, -1, -2])
+def test_rescaling_refuses_r_below_2(r, capsys):
+    """No family exists below r = 2: one line and exit 2, not an empty check reported
+    as a pass (r <= 0) nor a k_max message (r = -2, k_max 3)."""
+    assert main(["rescaling", "--m", "3", "--r", str(r), "--kmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: r {r} below 2: p(t) = 1 - 2c t^r + t^(2r) needs r >= 2"]
 
 
 def test_rescaling_failures_match_the_check(monkeypatch):

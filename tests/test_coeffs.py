@@ -321,6 +321,53 @@ def test_polyc_matches_sympy(a, b, q, n):
     assert a.render_ratio() == _fraction_dict_render_ratio(a.coeffs)
 
 
+# operands of the scalar fast paths: zero, the unit, constants with and without
+# denominator 1, one-term multiples of c^e at a few shared valuations, general values
+_units = st.sampled_from([PolyC.const(1), PolyC({0: 1}), PolyC.const(F(2)) * F(1, 2)])
+_small_qs = st.sampled_from([F(n, d) for n in range(-4, 5) for d in (1, 1, 2, 3)])
+_monos = st.builds(lambda q, e: PolyC({e: q}), _small_qs, st.integers(0, 2))
+_fast = st.one_of(st.just(PolyC()), _units, _monos, _polycs)
+
+
+def _fraction_dict_mul(x, y):
+    out = {}
+    for i, u in x.items():
+        for j, v in y.items():
+            out[i + j] = out.get(i + j, 0) + u * v
+    return {e: v for e, v in out.items() if v}
+
+
+def _fraction_dict_add(x, y):
+    out = dict(x)
+    for j, v in y.items():
+        out[j] = out.get(j, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=_fast, b=_fast, n=st.sampled_from([1, 0, -1, 2, F(1), F(3, 2), F(-1, 2)]))
+@example(a=PolyC.const(F(3, 2)), b=PolyC.const(F(-3, 2)), n=1)  # constants that cancel
+@example(a=PolyC({2: F(5, 6)}), b=PolyC({2: F(1, 6)}), n=1)  # c^2 multiples summing to 1*c^2
+@example(a=PolyC({1: 3}), b=PolyC({1: -3}), n=F(1))  # integer multiples of c that cancel
+def test_polyc_fast_paths_match_fraction_dicts(a, b, n):
+    """Products by one, sums of two multiples of one power of c, and sums that
+    cancel, against plain Fraction dicts; every result is canonical and a
+    product by the unit (a PolyC or the int 1) is its other operand itself."""
+    x, y = a.coeffs, b.coeffs
+    results = [(a * b, _fraction_dict_mul(x, y)), (b * a, _fraction_dict_mul(x, y)),
+               (a + b, _fraction_dict_add(x, y)), (b + a, _fraction_dict_add(x, y)),
+               (a - b, _fraction_dict_add(x, {e: -v for e, v in y.items()})),
+               (a * n, _fraction_dict_mul(x, {0: F(n)})), (n * a, _fraction_dict_mul(x, {0: F(n)})),
+               (a + (-a), {}), (a * -2 + a * 2, {})]
+    for got, want in results:
+        _assert_canonical(got)
+        assert got.coeffs == want
+        if not want:
+            assert (got.ints, got.num, got.den, got.val) == ((), 1, 1, 0)
+    one = PolyC.const(1)
+    assert a * one is a and a * 1 is a and 1 * a is a and one * a == a
+
+
 def test_polyc_high_powers_of_c():
     """A power of c is one exponent at any degree; only a span above MAX_C_DEGREE is refused."""
     n = 10**9

@@ -272,6 +272,25 @@ def test_bracket_outputs_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_warm_lie_check_wraps_few_polyc(monkeypatch):
+    """A deterministic guard on the scalar fast paths of ``PolyC``: count the
+    ``PolyC._of`` wraps of one warm ``lie_axiom_check(RingParams(3, 2), 0, 0)``
+    (a first call fills the tau memo and the table; the second is counted).
+    Measured this way, the products by one and the sums of constants made 2,298
+    wraps before the fast paths and make 809 with them; the bound leaves a
+    margin of about a quarter above 809 and fails the slow paths by far."""
+    lie_axiom_check(P32, exp_bound=0, direct_exp_bound=0)
+    wraps, of = [0], PolyC._of
+
+    def counted(*args):
+        wraps[0] += 1
+        return of(*args)
+
+    monkeypatch.setattr(PolyC, "_of", staticmethod(counted))
+    assert lie_axiom_check(P32, exp_bound=0, direct_exp_bound=0)["ok"]
+    assert wraps[0] <= 1000
+
+
 def test_lie_check_stable_across_calls():
     """The per-process memos (tau per ring, the sl2 pass) change no report:
     the first call fills them, the second reads them."""
