@@ -36,9 +36,8 @@ Grammar (shared tokens; byte offsets reported on error):
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -425,9 +424,17 @@ def emit_report(report, fmt: str = "json") -> str:
     return f"```json\n{text}\n```" if fmt == "md" else text
 
 
-def _write_report(out, report, fmt: str = "json") -> None:
-    out.write(emit_report(report, fmt))
-    out.write("\n")  # apart, so that a large report is not copied
+def _write_report(out, text: str) -> None:
+    """Write text and a newline.  A reader that leaves early (a closed pipe) ends the output
+    quietly: out is pointed at the null device, so that no later flush raises."""
+    try:
+        out.write(text)
+        out.write("\n")  # apart, so that a large report is not copied
+        out.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, out.fileno())
+        os.close(null)
 
 
 def _emit(x, nl: str, out: list) -> None:
@@ -500,11 +507,11 @@ def run_command(cmd: Command, out=None) -> int:
         spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
         table = family_table(spec, p.get("kmax", 4))
         if fmt == "md":
-            out.write(table.to_markdown() + "\n\nnote: " + INDEX_RECONCILIATION_NOTE + "\n")
+            _write_report(out, table.to_markdown() + "\n\nnote: " + INDEX_RECONCILIATION_NOTE)
         else:
             doc = table.to_json_dict()
             doc["note"] = INDEX_RECONCILIATION_NOTE
-            _write_report(out, doc)
+            _write_report(out, emit_report(doc))
         return 0
 
     if cmd.name == "rescaling":
@@ -514,7 +521,7 @@ def run_command(cmd: Command, out=None) -> int:
             "m": p["m"], "r": p["r"], "k_max": p.get("kmax", 20),
             "checked": len(rep), "failures": failures,
         }
-        _write_report(out, doc, fmt)
+        _write_report(out, emit_report(doc, fmt))
         return 0 if not failures else 1
 
     if cmd.name == "kahler-reduce":
@@ -522,15 +529,15 @@ def run_command(cmd: Command, out=None) -> int:
         dt, du = (parse_ring_terms(p[k]) if p.get(k) else {} for k in ("dt", "du"))
         check_form_reach(params, dt, du)  # before any u^q is expanded
         cls = reduce_oracle(DiffForm(ring_from_terms(params, dt), ring_from_terms(params, du)))
-        _write_report(out, cls.to_json_dict(), fmt)
+        _write_report(out, emit_report(cls.to_json_dict(), fmt))
         return 0
 
     if cmd.name == "dim":
         params = RingParams(p["m"], p["r"])
         d = basis_dim(params)
         expected = 2 * p["r"] * (p["m"] - 1) + 1
-        _write_report(out, {"m": p["m"], "r": p["r"], "dim": d,
-                            "expected": expected, "ok": d == expected}, fmt)
+        _write_report(out, emit_report({"m": p["m"], "r": p["r"], "dim": d,
+                                        "expected": expected, "ok": d == expected}, fmt))
         return 0 if d == expected else 1
 
     if cmd.name == "bracket":
@@ -550,7 +557,7 @@ def run_command(cmd: Command, out=None) -> int:
                         "central": formula.central.to_json_dict()},
             "match": oracle == formula,
         }
-        _write_report(out, doc, fmt)
+        _write_report(out, emit_report(doc, fmt))
         return 0
 
     if cmd.name == "bracket-audit":
@@ -561,12 +568,12 @@ def run_command(cmd: Command, out=None) -> int:
             st = summary.setdefault(e["type"], {"pass": 0, "fail": 0})
             st["pass" if e["match"] else "fail"] += 1
         doc = {"summary": summary, "pairs": rep}
-        _write_report(out, doc, fmt)
+        _write_report(out, emit_report(doc, fmt))
         return 0
 
     if cmd.name == "calibrate":
         res = wakimoto.calibrate_conventions(strict=False)
-        _write_report(out, res.to_json_dict(), fmt)
+        _write_report(out, emit_report(res.to_json_dict(), fmt))
         return 0 if len(res.passing) == 1 else 1
 
     if cmd.name == "ope":
@@ -578,7 +585,7 @@ def run_command(cmd: Command, out=None) -> int:
         doc = res.to_json_dict()
         doc["classification"] = classification_text(is_laurent(res, _parse_k(p.get("k"))))
         doc["conventions"] = status
-        _write_report(out, doc, fmt)
+        _write_report(out, emit_report(doc, fmt))
         return 0
 
     if cmd.name == "charges":
@@ -586,15 +593,15 @@ def run_command(cmd: Command, out=None) -> int:
         ops = wakimoto.build_operators(p["m"], conv)
         rep = wakimoto.verify_charge_relations(ops)
         rep["calibration"] = status
-        _write_report(out, rep, fmt)
+        _write_report(out, emit_report(rep, fmt))
         return 0 if rep["ok"] else 1
 
     if cmd.name == "obstructions":
         rep = wakimoto.obstruction_report(p["m"], _parse_k(p.get("k")))
         if fmt == "md":
-            out.write(rep.to_markdown() + "\n")
+            _write_report(out, rep.to_markdown())
         else:
-            _write_report(out, rep.to_json_dict())
+            _write_report(out, emit_report(rep.to_json_dict()))
         return 0
 
     if cmd.name == "critical-levels":
@@ -611,60 +618,88 @@ def run_command(cmd: Command, out=None) -> int:
                 ok = ok and sym and expq
                 rows.append({"m": m, "l": l, "k_crit": str(kc),
                              "symmetry": sym, "exponent_identity": expq})
-        _write_report(out, {"rows": rows, "ok": ok}, fmt)
+        _write_report(out, emit_report({"rows": rows, "ok": ok}, fmt))
         return 0 if ok else 1
 
     raise ValueError(f"unknown command {cmd.name!r}")
 
 
-@functools.cache  # built on first use; parse_args leaves the parser unchanged
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="secalg",
-        description="Exact verification engine for superelliptic current-algebra "
-        "structure constants and free-field operator products.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+_MR = {"--m": (int, "required"), "--r": (int, "required")}
+_GENS = ("e", "h", "f")
+# command -> {flag: (int, str or a tuple of choices; "required", a default, or None for none)}
+COMMANDS = {name: {"--format": (("json", "md"), "json"), **flags} for name, flags in {
+    "families": {**_MR, "--j": (int, "required"), "--l": (int, None), "--kmax": (int, 4)},
+    "rescaling": {**_MR, "--kmax": (int, 20)},
+    "kahler-reduce": {**_MR, "--dt": (str, None), "--du": (str, None)},
+    "dim": _MR,
+    "bracket": {**_MR, "--x": (_GENS, "required"), "--a": (str, "required"),
+                "--y": (_GENS, "required"), "--b": (str, "required")},
+    "bracket-audit": {**_MR, "--expbound": (int, 3)},
+    "ope": {"--m": (int, "required"), "--e": (str, "required"), "--f": (str, "required"),
+            "--k": (str, None), "--extra-orders": (int, 0)},
+    "charges": {"--m": (int, "required")},
+    "obstructions": {"--m": (int, "required"), "--k": (str, None)},
+    "critical-levels": {"--mmax": (int, 12)},
+    "calibrate": {},
+}.items()}
 
-    def add(name, *flags):
-        sp = sub.add_parser(name)
-        sp.add_argument("--format", choices=("json", "md"), default="json")
-        for fl, kw in flags:
-            sp.add_argument(fl, **kw)
-        return sp
 
-    intf = {"type": int, "required": True}
-    intopt = {"type": int}
-    add("families", ("--m", intf), ("--r", intf), ("--j", intf),
-        ("--l", intopt), ("--kmax", {"type": int, "default": 4}))
-    add("rescaling", ("--m", intf), ("--r", intf),
-        ("--kmax", {"type": int, "default": 20}))
-    add("kahler-reduce", ("--m", intf), ("--r", intf),
-        ("--dt", {"type": str}), ("--du", {"type": str}))
-    add("dim", ("--m", intf), ("--r", intf))
-    add("bracket", ("--m", intf), ("--r", intf),
-        ("--x", {"choices": ("e", "h", "f"), "required": True}),
-        ("--a", {"type": str, "required": True}),
-        ("--y", {"choices": ("e", "h", "f"), "required": True}),
-        ("--b", {"type": str, "required": True}))
-    add("bracket-audit", ("--m", intf), ("--r", intf),
-        ("--expbound", {"type": int, "default": 3}))
-    add("ope", ("--m", intf), ("--e", {"type": str, "required": True}),
-        ("--f", {"type": str, "required": True}), ("--k", {"type": str}),
-        ("--extra-orders", {"type": int, "default": 0, "dest": "extra_orders"}))
-    add("charges", ("--m", intf))
-    add("obstructions", ("--m", intf), ("--k", {"type": str}))
-    add("critical-levels", ("--mmax", {"type": int, "default": 12}))
-    add("calibrate")
-    return ap
+def usage(name: Optional[str] = None) -> str:
+    """A line for the command named, or for each command, giving every flag's type and, in
+    parentheses, "required" or its default."""
+    lines = []
+    for cmd in [name] if name else COMMANDS:
+        lines.append(f"usage: secalg {cmd}" + "".join(
+            f" {flag} {'|'.join(kind) if type(kind) is tuple else kind.__name__}"
+            + ("" if default is None else f" ({default})")
+            for flag, (kind, default) in COMMANDS[cmd].items()))
+    return "\n".join(lines)
+
+
+def parse_argv(argv: list[str]) -> Command:
+    """The command argv names and its params, checked against COMMANDS, else a ValueError.
+    Each flag is spelled out in full, as "--flag value" or "--flag=value", and the item after
+    a flag is always its value; the params hold every default but None.  "-h" or "--help"
+    gives Command("help", {"text": usage})."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return Command("help", {"text": usage()})
+    if name not in COMMANDS:
+        raise ValueError(f"expected a command, one of {', '.join(COMMANDS)}"
+                         + (f"; found {name!r}" if argv else ""))
+    flags = COMMANDS[name]
+    params = {f[2:].replace("-", "_"): d for f, (_, d) in flags.items()
+              if d not in (None, "required")}
+    items = iter(argv[1:])
+    for item in items:
+        if item in ("-h", "--help"):
+            return Command("help", {"text": usage(name)})
+        flag, eq, value = item.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{name}: unknown argument {item!r}; flags: {', '.join(flags)}")
+        value = value if eq else next(items, None)
+        if value is None:
+            raise ValueError(f"{name}: {flag} expects a value")
+        kind = flags[flag][0]
+        if type(kind) is tuple and value not in kind:
+            raise ValueError(f"{name}: {flag} takes one of {', '.join(kind)}, found {value!r}")
+        try:
+            params[flag[2:].replace("-", "_")] = int(value) if kind is int else value
+        except ValueError:
+            raise ValueError(f"{name}: {flag} takes an int, found {value!r}") from None
+    missing = [f for f, (_, d) in flags.items() if d == "required" and f[2:] not in params]
+    if missing:
+        raise ValueError(f"{name}: missing {', '.join(missing)}")
+    return Command(name, params)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_arg_parser()
-    ns = ap.parse_args(argv)
-    params = {k: v for k, v in vars(ns).items() if k != "command" and v is not None}
     try:
-        return run_command(Command(ns.command, params))
+        cmd = parse_argv(sys.argv[1:] if argv is None else argv)
+        if cmd.name == "help":
+            _write_report(sys.stdout, cmd.params["text"])
+            return 0
+        return run_command(cmd)
     except (ValueError, ZeroDivisionError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,12 @@
+import argparse
+import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +23,7 @@ from secalg.cli import (
     ParseError,
     emit_report,
     main,
+    parse_argv,
     parse_coef,
     parse_field_expr,
     parse_ring_elem,
@@ -491,3 +498,186 @@ def test_long_integer_literal_refused(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: level --k ") and str(MAX_INT_DIGITS) in err
         assert err.count("\n") == 1
+
+
+# The argparse parser the CLI had: the reference that parse_argv is checked against.
+_INT = {"type": int, "required": True}
+_GEN = {"choices": ("e", "h", "f"), "required": True}
+_TEXT = {"type": str, "required": True}
+REFERENCE_FLAGS = {
+    "families": (("--m", _INT), ("--r", _INT), ("--j", _INT), ("--l", {"type": int}),
+                 ("--kmax", {"type": int, "default": 4})),
+    "rescaling": (("--m", _INT), ("--r", _INT), ("--kmax", {"type": int, "default": 20})),
+    "kahler-reduce": (("--m", _INT), ("--r", _INT), ("--dt", {"type": str}),
+                      ("--du", {"type": str})),
+    "dim": (("--m", _INT), ("--r", _INT)),
+    "bracket": (("--m", _INT), ("--r", _INT), ("--x", _GEN), ("--a", _TEXT), ("--y", _GEN),
+                ("--b", _TEXT)),
+    "bracket-audit": (("--m", _INT), ("--r", _INT), ("--expbound", {"type": int, "default": 3})),
+    "ope": (("--m", _INT), ("--e", _TEXT), ("--f", _TEXT), ("--k", {"type": str}),
+            ("--extra-orders", {"type": int, "default": 0, "dest": "extra_orders"})),
+    "charges": (("--m", _INT),),
+    "obstructions": (("--m", _INT), ("--k", {"type": str})),
+    "critical-levels": (("--mmax", {"type": int, "default": 12}),),
+    "calibrate": (),
+}
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="secalg")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, flags in REFERENCE_FLAGS.items():
+        sp = sub.add_parser(name)
+        sp.add_argument("--format", choices=("json", "md"), default="json")
+        for flag, kw in flags:
+            sp.add_argument(flag, **kw)
+    return ap
+
+
+def reference_parse(argv):
+    """(command, params) as the reference reads argv, or None where it refuses it."""
+    try:
+        with redirect_stderr(io.StringIO()):
+            ns = reference_parser().parse_args(argv)
+    except SystemExit:
+        return None
+    return ns.command, {k: v for k, v in vars(ns).items() if k != "command" and v is not None}
+
+
+def reference_flags(name):
+    return {"--format"} | {flag for flag, _ in REFERENCE_FLAGS[name]}
+
+
+def joined(argv):
+    """argv with each flag spelled out in full and the item after it joined into one
+    "--flag=value": the reference reads that value as it is, whatever it starts with."""
+    flags, out, i = reference_flags(argv[0]), argv[:1], 1
+    while i < len(argv):
+        if argv[i] in flags and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def is_prefix_flag(name, item):
+    """Whether item stands for a flag by a prefix of its name, as argparse allowed."""
+    flag = item.partition("=")[0]
+    return (flag.startswith("--") and flag not in reference_flags(name)
+            and any(f.startswith(flag) for f in reference_flags(name)))
+
+
+# values a flag takes, and values it refuses, by kind
+_VALUES = {int: (["0", "3", "-1", "+2", " 5 ", "1_0", "-0"], ["x", "", "1.5", "-t", "--m"]),
+           str: (["t", "-t", "-t^2", "u + 1", "", "-", "-1", "--m", "e", "=", "a=b"], [])}
+_JUNK = ["x", "-1", "-m", "--zz", "--zz=1", "--m3"]
+
+
+@st.composite
+def argvs(draw):
+    """A command of the table with its flags in any order, each spelled "--flag value" or
+    "--flag=value", dropped or repeated, with values of every kind and stray items."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[name]
+    items = []
+    for flag, (kind, default) in flags.items():
+        good, bad = _VALUES.get(kind) or (list(kind), ["q", "", "-e", "E"])
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if default == "required"
+                                            else [0, 0, 1, 2]))):
+            value = draw(st.sampled_from(good if not bad or draw(st.integers(0, 4)) else bad))
+            items.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    argv = [name] + [x for item in draw(st.permutations(items)) for x in item]
+    prefixes = [flag[:n] for flag in flags for n in range(3, len(flag)) if flag[:n] not in flags]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(_JUNK + prefixes + [p + "=1" for p in prefixes])))
+    return argv
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(argv=argvs())
+@example(argv=["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "-t", "--y", "f", "--b", "u"])
+@example(argv=["dim", "--m", "-1", "--r=2", "--m", "4", "--format=md"])
+@example(argv=["dim", "--m", "3", "--r", "2", "--kma", "4"])
+@example(argv=["families", "--m=3", "--r", "2", "--j", " 1 ", "--kmax", "+5", "--l", "1_0"])
+@example(argv=["ope", "--m", "3", "--e", "--f", "--f", "-"])
+def test_parse_argv_matches_the_reference(argv):
+    """Where the reference accepts argv, parse_argv gives its command and params; where it
+    refuses the argv with each flag and its value joined, so does main, in one line, before
+    any work.  Of the deliberate differences, two change what is accepted: a flag's value
+    may start with "-" (the joined form), and a flag named by a prefix is refused."""
+    prefixed = any(is_prefix_flag(argv[0], item) for item in joined(argv)[1:])
+    want = None if prefixed else reference_parse(joined(argv))
+    if not prefixed:
+        direct = reference_parse(argv)
+        assert direct is None or direct == want
+    if want is not None:
+        cmd = parse_argv(argv)
+        assert (cmd.name, cmd.params) == want
+        return
+    with pytest.raises(ValueError):
+        parse_argv(argv)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag(name, flag, capsys):
+    """-h or --help after a command and its flags prints its usage to stdout, listing every
+    flag of the table and of the reference, and exits 0; alone, the usage of every command."""
+    argv = [flag] if name is None else [name, "--format", "md", flag]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: secalg ")
+    for cmd in cli.COMMANDS if name is None else [name]:
+        line = next(x for x in out.splitlines() if x.startswith(f"usage: secalg {cmd} "))
+        for f in set(cli.COMMANDS[cmd]) | reference_flags(cmd):
+            assert f" {f} " in line
+
+
+@pytest.mark.parametrize("argv", [[], ["--format", "md"], ["frobnicate"], ["dim", "--km", "3"],
+                                  ["rescaling", "--m", "3", "--r", "2", "--km", "3"],
+                                  ["dim", "--m", "3", "--r"], ["dim", "--m", "3"],
+                                  ["bracket", "--m", "3", "--r", "2", "--x", "g", "--a", "t",
+                                   "--y", "f", "--b", "u"]])
+def test_bad_argv_one_error_line(argv, capsys):
+    """A bare secalg, an unknown command, a flag named by a prefix, a flag without its value,
+    a missing flag and a value outside the choices each get one error line and exit 2."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["bracket", "--m", "3", "--r", "2", "--x", "e", "--a", "-t", "--y", "f", "--b", "u"],
+     "fc8832b08bc79fe6f3c4644d66410ab88c4df58a2abadd6160ac30d88561789b"),
+    (["kahler-reduce", "--m", "3", "--r", "2", "--dt", "-t^2"],
+     "05558d1eb2e4525b4ef27a356927f9d773b61264966b6d8779e4f5fe329e406e"),
+    (["obstructions", "--m", "3", "--k", "-1"],
+     "32db10d5d61da2251a2768c984c5163006189d6e41a1a9c068dcdbce326c6e8f"),
+], ids=["bracket-a-minus-t", "kahler-dt-minus-t2", "obstructions-k-minus-1"])
+def test_value_may_start_with_minus(argv, digest, capsys):
+    """A value after its flag may start with "-": the answer is that of "--flag=value"."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,lines", [(["obstructions", "--m", "20"], 1), (["-h"], 0)])
+def test_closed_pipe_ends_quietly(argv, lines):
+    """A reader that leaves early, after one line of a report larger than a pipe holds or
+    before the usage is written: exit 0, the command's own status, and no traceback."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); from secalg.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0 and err == "", err

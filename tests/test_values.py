@@ -22,9 +22,9 @@ P32 = RingParams(3, 2)
 
 def test_import_loads_no_dataclasses():
     """A bare interpreter that imports the package and its CLI loads neither
-    ``dataclasses`` nor the ``inspect`` it pulls in."""
+    ``dataclasses`` nor the ``inspect`` it pulls in, nor ``argparse`` and its ``gettext``."""
     code = (f"import sys; sys.path.insert(0, {SRC!r}); import secalg, secalg.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert out.stdout.strip() == "[]"
