@@ -228,6 +228,16 @@ def cocycle_form(f: RingElem, g: RingElem) -> DiffForm:
     return DiffForm(ring_mul(f, dg.dt_part), ring_mul(f, dg.du_part))
 
 
+def cocycle_terms(params: RingParams, i: int, a: int, j: int, b: int) -> list[tuple[int, int, PolyC]]:
+    """tau(t^i u^a, t^j u^b), 0 <= a, b < m, as terms of ``eliminate_du``: f dg = j t^(i+j-1)
+    u^L dt + b t^(i+j) u^(L-1) du, L = a + b, and d(t^(i+j) u^L) is exact, so tau is
+    ((j*a - i*b)/L) class(t^(i+j-1) u^L dt), j class(t^(i+j-1) dt) at L = 0, with
+    u^L = p(t) u^(L-m) when L >= m.  A zero coefficient gives no terms."""
+    q = Fraction(j * a - i * b, a + b) if a + b else j
+    wrap = p_laurent(params).items() if a + b >= params.m else ((0, PolyC.const(1)),)
+    return [(i + j + e, (a + b) % params.m, v * q) for e, v in wrap] if q else []
+
+
 # ---------------------------------------------------------------------------
 # The oracle: relation rows, elimination, reduction table
 # ---------------------------------------------------------------------------
@@ -317,17 +327,15 @@ def check_form_reach(params: RingParams, dt: dict[tuple[int, int], PolyC],
 def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
                         g: dict[tuple[int, int], PolyC]) -> None:
     """Refuse tau(f, g) for ring terms keyed as in ``check_form_reach``, before any u^q is
-    expanded.  tau reduces the form of each pair of monomials t^e1 u^l1, t^e2 u^l2 of f and g
-    on its own, from t^(e1+e2-1) to t^(e1+e2+2r-1), and the ends of a run that one term alone
-    reaches are monomials of the sum: their lower and upper pairs are checked class by class."""
-    one, runs_g = PolyC.const(1), _runs(params, g, {})
+    expanded.  tau reduces the ``cocycle_terms`` of each pair of monomials of f and g on its
+    own, t^(e1+e2-1) to t^(e1+e2+2r-1) for t^e1 u^l1, t^e2 u^l2, and the ends of a run that one
+    term alone reaches are monomials of the sum: their lower and upper pairs are checked so."""
+    runs_g = _runs(params, g, {})
     for l1, lo1, hi1 in _runs(params, f, {}):
         for l2, lo2, hi2 in runs_g:
             for e1, e2 in ((lo1, lo2), (hi1, hi2)):
                 if not -MAX_REACH <= e1 + e2 - 1 <= e1 + e2 + 2 * params.r - 1 <= MAX_REACH:
-                    form = cocycle_form(RingElem.monomial(params, one, e1, l1),
-                                        RingElem.monomial(params, one, e2, l2))
-                    for n, _l, _v in eliminate_du(form):
+                    for n, _l, _v in cocycle_terms(params, e1, l1, e2, l2):
                         _check_reach(n - 1)
 
 

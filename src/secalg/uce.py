@@ -21,7 +21,9 @@ A bracket adds its terms into a current term map {(gen, sector, t): PolyC} and
 a central one {basis key: PolyC} by ``sparse_add`` and wraps them once; a direct
 Jacobi triple sums its three outer brackets in one pair of maps.  tau comes from
 one ``TauCache`` per ring (``tau_cache``), kept for the process like the ring's
-reduction table, and the ring-free sl2 pass runs once per process.
+reduction table, and the ring-free sl2 pass runs once per process.  tau(t^i u^a, t^j u^b)
+is ((j*a - i*b)/(a+b)) class(t^(i+j-1) u^(a+b) dt), as d(t^(i+j) u^(a+b)) is exact
+(``kahler.cocycle_terms``); ``tau_oracle`` reduces the form f dg instead.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .kahler import (
     DiffClass,
     ReductionTable,
     cocycle_form,
-    eliminate_du,
+    cocycle_terms,
     reduce_oracle,
     ring_table,
 )
@@ -194,7 +196,7 @@ class UCEElem:
 
 
 class TauCache:
-    """Memoized cocycle values on ring monomial pairs over one reduction table."""
+    """Memoized cocycle values on ring monomial pairs, from ``kahler.cocycle_terms``."""
 
     def __init__(self, table: ReductionTable):
         self.table = table
@@ -204,10 +206,7 @@ class TauCache:
     def tau_monomial(self, a_exp: int, a_sec: int, b_exp: int, b_sec: int) -> DiffClass:
         key = (a_exp, a_sec, b_exp, b_sec)
         if key not in self._memo:
-            one = PolyC.const(1)
-            form = cocycle_form(RingElem.monomial(self.params, one, a_exp, a_sec),
-                                RingElem.monomial(self.params, one, b_exp, b_sec))
-            self._memo[key] = self.table.reduce_terms(eliminate_du(form))
+            self._memo[key] = self.table.reduce_terms(cocycle_terms(self.params, *key))
         return self._memo[key]
 
     def tau(self, f: RingElem, g: RingElem, central: Optional[dict] = None,

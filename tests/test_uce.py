@@ -3,6 +3,7 @@ import itertools
 import json
 import sys
 import threading
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from secalg import kahler, uce
 from secalg.cli import main
 from secalg.coeffs import PolyC
-from secalg.kahler import DiffClass, ring_table
+from secalg.kahler import DiffClass, cocycle_terms, reduce_monomial_class, ring_table
 from secalg.ring import RingElem, RingParams, p_laurent, ring_mul
 from secalg.uce import (
     CurrentElem,
@@ -106,13 +107,23 @@ def test_formula_type_ii_example_pair():
     assert formula.current == oracle.current
 
 
+def _closed_form(params, i, q1, j, q2):
+    """((j*q1 - i*q2)/(q1+q2)) class(t^(i+j-1) u^(q1+q2) dt), j class(t^(i+j-1) dt) at
+    q1 = q2 = 0, by the oracle reduction of the expanded monomial."""
+    coef = Fraction(j * q1 - i * q2, q1 + q2) if q1 + q2 else j
+    return reduce_monomial_class(params, i + j - 1, q1 + q2).scale(PolyC.const(coef))
+
+
 def test_formula_vs_oracle_pass_pattern():
+    """A Type I pair matches exactly when l2*(i+j) = 0, and every oracle central part
+    is the closed form."""
     rep = formula_vs_oracle(P32, exp_bound=2)
     assert all(e["current_match"] for e in rep)
     for e in rep:
-        p = e["pair"]
-        if e["type"] == "I" and p["l2"] * (p["i"] + p["j"]) == 0:
-            assert e["central_match"], e
+        i, l1, j, l2 = (e["pair"][k] for k in ("i", "l1", "j", "l2"))
+        if e["type"] == "I":
+            assert e["central_match"] == (l2 * (i + j) == 0), e
+        assert e["oracle_central"] == _closed_form(P32, i, l1, j, l2).to_json_dict(), e
 
 
 def test_lie_axioms_small_grid():
@@ -243,6 +254,47 @@ def test_bracket_matches_object_reference(data):
     for f in a.current.parts.values():
         for g in b.current.parts.values():
             assert uce.tau_cache(params).tau(f, g) == tau_oracle(f, g)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_tau_closed_form_matches_oracle(data):
+    """``tau_oracle`` on t^i u^q1, t^j u^q2 is the closed form, also for unexpanded u^q
+    with q >= m; below m the tau memo over ``cocycle_terms`` gives it too."""
+    params = data.draw(st.sampled_from(GRID))
+    m = params.m
+    i, j = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    q1, q2 = (data.draw(st.integers(0, m - 1) | st.integers(m, 3 * m)) for _ in range(2))
+    one = PolyC.const(1)
+    expected = _closed_form(params, i, q1, j, q2)
+    assert tau_oracle(RingElem.monomial(params, one, i, q1),
+                      RingElem.monomial(params, one, j, q2)) == expected
+    if q1 < m and q2 < m:
+        assert ring_table(params).reduce_terms(cocycle_terms(params, i, q1, j, q2)) == expected
+        assert TauCache(ring_table(params)).tau_monomial(i, q1, j, q2) == expected
+
+
+def test_tau_and_reach_check_build_no_form(monkeypatch, capsys):
+    """A deterministic guard on the closed form: with ``cocycle_form`` and ``eliminate_du``
+    raising as bound in ``uce`` and ``kahler``, a cold tau memo answers over a monomial
+    grid, as ``tau_oracle`` did beforehand, and far bracket operands are refused with
+    the same messages."""
+    monos = [RingElem.monomial(P32, PolyC.const(1), i, l) for l in range(3) for i in range(-3, 4)]
+    expected = [tau_oracle(f, g) for f in monos for g in monos]
+
+    def no_form(*_args):
+        raise AssertionError("a form was built")
+
+    for mod, name in ((uce, "cocycle_form"), (kahler, "cocycle_form"), (kahler, "eliminate_du")):
+        monkeypatch.setattr(mod, name, no_form)
+    cold = TauCache(ring_table(P32))
+    assert [cold.tau(f, g) for f in monos for g in monos] == expected
+    bracket = ["bracket", "--m", "3", "--r", "2", "--x", "e", "--y", "f", "--b", "u", "--a"]
+    assert main(bracket + ["u^3000000000"]) == 2
+    assert main(bracket + ["u^1200"]) == 2
+    assert capsys.readouterr().err == (
+        "error: t exponent 3999999999 is beyond kahler.MAX_REACH (1000)\n"
+        "error: t exponent 1599 is beyond kahler.MAX_REACH (1000)\n")
 
 
 @pytest.mark.parametrize("r", [2, 3])
