@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 import threading
@@ -506,6 +507,17 @@ def test_far_bracket_operand_refused_before_expansion(capsys):
         "error: t exponent 3999999999 is beyond kahler.MAX_REACH (1000)\n"
         "error: t exponent 1599 is beyond kahler.MAX_REACH (1000)\n")
     assert main(bracket + ["--y", "e", "--a", "t^1200"]) == 0  # <e, e> = 0: no cocycle
+
+
+def test_far_pair_with_zero_cocycle_answers(capsys):
+    """t^600 u against itself at m = 2 reaches t^1199 in the form f dg, but its closed-form
+    coefficient (600 - 600)/2 is 0: no class is far, and the bracket answers with central
+    part 0 beside the printed formula's literal Type II term."""
+    assert main(["bracket", "--m", "2", "--r", "2", "--x", "e", "--y", "f",
+                 "--a", "t^600*u", "--b", "t^600*u"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle"]["central"] == {"odd": [], "omega0": "0"}
+    assert doc["formula"]["central"] == {"odd": [], "omega0": "720000"}
 
 
 def test_near_bracket_operand_answer_pinned(capsys):

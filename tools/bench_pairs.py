@@ -9,9 +9,9 @@ directory is refused, before and after every run: compiling the modules is
 part of ``setup_s``, and a stray bytecode cache moves it by itself.  Runs set
 PYTHONDONTWRITEBYTECODE=1 for the same reason.
 
-For each workload, ``--pairs`` pairs of
+For each workload of the change's BENCHMARK.json, ten pairs of
 
-    bench/run.py --workload <workload> --seed <seed> --seconds <seconds>
+    bench/run.py --workload <workload> --seed 7 --seconds <its run_seconds>
 
 run in the two trees, parent first in even pairs and change first in odd ones.
 The output records both commits with their ``src/`` and ``bench/`` trees, the
@@ -32,7 +32,8 @@ import subprocess
 import sys
 import tempfile
 
-WORKLOADS = ("bracket", "structconst", "ope")
+PAIRS = 10
+SEED = 7
 END_TO_END = ("setup_s", "wall_s", "latency_p50_s", "latency_p90_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
@@ -60,10 +61,10 @@ def refuse_bytecode(tree: str) -> None:
                              "a bytecode cache moves setup_s by itself")
 
 
-def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: str, workload: str, seconds: float) -> dict:
     refuse_bytecode(tree)
     subprocess.run([sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds)],
+                    "--seed", str(SEED), "--seconds", str(seconds)],
                    cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                    check=True, stdout=subprocess.DEVNULL)
     refuse_bytecode(tree)
@@ -104,20 +105,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     sides = {"parent": describe(args.parent), "change": describe(args.change)}
+    bench = json.loads(git("show", f"{sides['change']['commit']}:BENCHMARK.json"))
+    seconds = bench["run_seconds"]
     doc = {
         "writer": "tools/bench_pairs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
-        "command": f"bench/run.py --workload <workload> --seed {args.seed} "
-                   f"--seconds {args.seconds:g}, from the root of each exported tree",
+        "command": f"bench/run.py --workload <workload> --seed {SEED} --seconds {seconds}, "
+                   "from the root of each exported tree",
         "python": platform.python_version(),
         "host": host(),
         "bytecode_cache": "none: both trees come from git archive, runs set "
@@ -130,11 +127,11 @@ def main(argv=None) -> int:
         trees = {s: os.path.join(tmp, s) for s in SIDES}
         for s in SIDES:
             export(sides[s]["commit"], trees[s])
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs: list[dict] = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pairs.append({s: run(trees[s], workload, args.seed, args.seconds) for s in order})
+                pairs.append({s: run(trees[s], workload, seconds) for s in order})
                 doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=1)
