@@ -327,16 +327,19 @@ def check_form_reach(params: RingParams, dt: dict[tuple[int, int], PolyC],
 def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
                         g: dict[tuple[int, int], PolyC]) -> None:
     """Refuse tau(f, g) for ring terms keyed as in ``check_form_reach``, before any u^q is
-    expanded.  tau reduces the ``cocycle_terms`` of each pair of monomials of f and g on its
-    own, t^(e1+e2-1) to t^(e1+e2+2r-1) for t^e1 u^l1, t^e2 u^l2, and the ends of a run that one
-    term alone reaches are monomials of the sum: their lower and upper pairs are checked so."""
-    runs_g = _runs(params, g, {})
+    expanded.  tau reduces the ``cocycle_terms`` of each monomial pair t^e1 u^l1, t^e2 u^l2 on
+    its own, t^(e1+e2-1) to t^(e1+e2+2r-1), and a run that one term alone reaches holds monomials
+    of the sum: the runs' end pairs are checked, and their neighbours one step r inward, where
+    a coefficient (e2*l1 - e1*l2)/L of 0 moves by r*l2 or -r*l1 (by r in e2 at L = 0)."""
+    r, runs_g = params.r, _runs(params, g, {})
     for l1, lo1, hi1 in _runs(params, f, {}):
         for l2, lo2, hi2 in runs_g:
-            for e1, e2 in ((lo1, lo2), (hi1, hi2)):
-                if not -MAX_REACH <= e1 + e2 - 1 <= e1 + e2 + 2 * params.r - 1 <= MAX_REACH:
-                    for n, _l, _v in cocycle_terms(params, e1, l1, e2, l2):
-                        _check_reach(n - 1)
+            for e1, e2, s in ((lo1, lo2, r), (hi1, hi2, -r)):
+                if not -MAX_REACH <= e1 + e2 - 1 <= e1 + e2 + 2 * r - 1 <= MAX_REACH:
+                    for n1, n2 in ((e1, e2), (e1 + s, e2), (e1, e2 + s)):
+                        if lo1 <= n1 <= hi1 and lo2 <= n2 <= hi2:
+                            for n, _l, _v in cocycle_terms(params, n1, l1, n2, l2):
+                                _check_reach(n - 1)
 
 
 class ReductionTable:

@@ -495,17 +495,22 @@ def test_covered_positions_are_left_to_the_reduction():
 
 def test_far_bracket_operand_refused_before_expansion(capsys):
     """bracket checks the cocycle of its operands' outer monomials before expanding
-    u^q: p^(10^9) is refused at once, and a Killing-free pair is not checked."""
+    u^q: p^(10^9) is refused at once, and a Killing-free pair is not checked.  u^20001
+    against itself at m = 2 has end pairs of coefficient 0, (40000 - 40000)/2 at the top:
+    it is refused from their neighbours, t^39998 u against t^40000 u."""
     bracket = ["bracket", "--m", "3", "--r", "2", "--x", "e", "--b", "u"]
     start = time.process_time()
     with mock.patch.dict(kahler._TABLES, clear=True):
         assert main(bracket + ["--y", "f", "--a", "u^3000000000"]) == 2
         assert main(bracket + ["--y", "f", "--a", "u^1200"]) == 2
+        assert main(["bracket", "--m", "2", "--r", "2", "--x", "e", "--y", "f",
+                     "--a", "u^20001", "--b", "u^20001"]) == 2
         assert kahler._TABLES == {}
     assert time.process_time() - start < 1.0
     assert capsys.readouterr().err == (
         "error: t exponent 3999999999 is beyond kahler.MAX_REACH (1000)\n"
-        "error: t exponent 1599 is beyond kahler.MAX_REACH (1000)\n")
+        "error: t exponent 1599 is beyond kahler.MAX_REACH (1000)\n"
+        "error: t exponent 79997 is beyond kahler.MAX_REACH (1000)\n")
     assert main(bracket + ["--y", "e", "--a", "t^1200"]) == 0  # <e, e> = 0: no cocycle
 
 
@@ -532,7 +537,8 @@ def test_near_bracket_operand_answer_pinned(capsys):
 @given(st.data())
 def test_cocycle_reach_check_refuses_only_what_tau_refuses(data):
     """Under a small MAX_REACH, ring terms the cocycle check refuses make tau refuse too,
-    also when the terms of one operand cancel each other's monomials."""
+    also when the terms of one operand cancel each other's monomials; with one term each,
+    whose runs hold every monomial, the check refuses exactly what tau refuses."""
     params = data.draw(st.sampled_from([RingParams(m, r) for m in (2, 3) for r in (2, 3)]))
     key = st.tuples(st.integers(-14, 14), st.integers(0, 4 * params.m))
     coef = st.sampled_from([PolyC.const(1), PolyC.const(-1), PolyC.c()])
@@ -544,3 +550,5 @@ def test_cocycle_reach_check_refuses_only_what_tau_refuses(data):
         early = _refusal(check_cocycle_reach, params, f, g)
         full = _refusal(TauCache(ring_table(params)).tau, fe, ge)
     assert early is None or full is not None, (f, g, early)
+    if len(f) == len(g) == 1:
+        assert (early is None) == (full is None), (f, g, full)

@@ -17,8 +17,7 @@ run in the two trees, parent first in even pairs and change first in odd ones.
 The output records both commits with their ``src/`` and ``bench/`` trees, the
 Python version and the host, each run's sessions, requests, failures and
 end-to-end metrics, and per metric each side's median and quartiles and the
-number of pairs in which the change reads strictly lower.  It is rewritten
-after every run, so a stopped pairing keeps the runs it made.
+number of pairs in which the change reads strictly lower.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def summarize(pairs: list[dict]) -> dict:
         vals = {s: [p[s][metric] for p in pairs] for s in SIDES}
         row = {}
         for s in SIDES:
-            q1, _q2, q3 = statistics.quantiles(vals[s], n=4) if len(pairs) > 1 else vals[s] * 3
+            q1, _q2, q3 = statistics.quantiles(vals[s], n=4)
             row[s] = {"median": statistics.median(vals[s]), "quartiles": [q1, q3]}
         row["change_pct"] = 100 * (row["change"]["median"] / row["parent"]["median"] - 1)
         row["change_lower_in_pairs"] = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
@@ -128,18 +127,16 @@ def main(argv=None) -> int:
         for s in SIDES:
             export(sides[s]["commit"], trees[s])
         for workload in (w["name"] for w in bench["workloads"]):
-            pairs: list[dict] = []
-            for i in range(PAIRS):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pairs.append({s: run(trees[s], workload, seconds) for s in order})
-                doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
-                with open(args.out, "w") as fh:
-                    json.dump(doc, fh, indent=1)
-                    fh.write("\n")
-                w = doc["workloads"][workload]["summary"]["wall_s"]
-                print(f"[{workload}] pair {i}: wall_s parent {pairs[-1]['parent']['wall_s']:.6g} "
-                      f"change {pairs[-1]['change']['wall_s']:.6g}; change lower in "
-                      f"{w['change_lower_in_pairs']} of {len(pairs)}", flush=True)
+            pairs = [{s: run(trees[s], workload, seconds)
+                      for s in (SIDES if i % 2 == 0 else SIDES[::-1])} for i in range(PAIRS)]
+            doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+            w = doc["workloads"][workload]["summary"]["wall_s"]
+            print(f"[{workload}] wall_s median parent {w['parent']['median']:.6g} change "
+                  f"{w['change']['median']:.6g}; change lower in {w['change_lower_in_pairs']} "
+                  f"of {PAIRS}", flush=True)
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
     return 0
 
 
