@@ -479,8 +479,8 @@ _SCALARS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getit
             type(None): {None: "null"}.__getitem__}
 
 
-def _parse_k(text: Optional[str]) -> Optional[Fraction]:
-    if text in (None, "symbolic"):
+def _parse_k(text: str) -> Optional[Fraction]:
+    if text == "symbolic":
         return None
     if len(text) > MAX_INT_DIGITS or "e" in text.lower():  # Fraction reads 1e9 as 10**9
         raise ValueError(f"level --k {text[:20]}: not a rational of at most {MAX_INT_DIGITS} "
@@ -497,15 +497,15 @@ def _parse_k(text: Optional[str]) -> Optional[Fraction]:
 def run_command(cmd: Command, out=None) -> int:
     """Dispatch a validated command; returns the exit status."""
     out = out if out is not None else sys.stdout
-    p = cmd.params
-    fmt = p.get("format", "json")
+    p = {**_defaults(COMMANDS.get(cmd.name, {})), **cmd.params}
+    fmt = p["format"]
 
     if cmd.name == "families":
-        m, r, j, l = p["m"], p["r"], p["j"], p.get("l", 1)
+        m, r, j, l = p["m"], p["r"], p["j"], p["l"]
         if not 1 <= l <= m - 1:
             raise ValueError(f"sector --l {l} outside 1..m-1 = 1..{m - 1}")
         spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
-        table = family_table(spec, p.get("kmax", 4))
+        table = family_table(spec, p["kmax"])
         if fmt == "md":
             _write_report(out, table.to_markdown() + "\n\nnote: " + INDEX_RECONCILIATION_NOTE)
         else:
@@ -515,10 +515,10 @@ def run_command(cmd: Command, out=None) -> int:
         return 0
 
     if cmd.name == "rescaling":
-        rep = rescaling_check(p["m"], p["r"], k_max=p.get("kmax", 20))
+        rep = rescaling_check(p["m"], p["r"], k_max=p["kmax"])
         failures = [e for e in rep if not e["equal"]]
         doc = {
-            "m": p["m"], "r": p["r"], "k_max": p.get("kmax", 20),
+            "m": p["m"], "r": p["r"], "k_max": p["kmax"],
             "checked": len(rep), "failures": failures,
         }
         _write_report(out, emit_report(doc, fmt))
@@ -562,7 +562,7 @@ def run_command(cmd: Command, out=None) -> int:
 
     if cmd.name == "bracket-audit":
         params = RingParams(p["m"], p["r"])
-        rep = formula_vs_oracle(params, exp_bound=p.get("expbound", 3))
+        rep = formula_vs_oracle(params, exp_bound=p["expbound"])
         summary: dict = {}
         for e in rep:
             st = summary.setdefault(e["type"], {"pass": 0, "fail": 0})
@@ -581,9 +581,9 @@ def run_command(cmd: Command, out=None) -> int:
         conv, status = wakimoto.working_config()
         E = parse_field_expr(p["e"], m)
         Fx = parse_field_expr(p["f"], m)
-        res = wick_ope(E, Fx, conv, extra_orders=p.get("extra_orders", 0))
+        res = wick_ope(E, Fx, conv, extra_orders=p["extra_orders"])
         doc = res.to_json_dict()
-        doc["classification"] = classification_text(is_laurent(res, _parse_k(p.get("k"))))
+        doc["classification"] = classification_text(is_laurent(res, _parse_k(p["k"])))
         doc["conventions"] = status
         _write_report(out, emit_report(doc, fmt))
         return 0
@@ -597,7 +597,7 @@ def run_command(cmd: Command, out=None) -> int:
         return 0 if rep["ok"] else 1
 
     if cmd.name == "obstructions":
-        rep = wakimoto.obstruction_report(p["m"], _parse_k(p.get("k")))
+        rep = wakimoto.obstruction_report(p["m"], _parse_k(p["k"]))
         if fmt == "md":
             _write_report(out, rep.to_markdown())
         else:
@@ -605,7 +605,7 @@ def run_command(cmd: Command, out=None) -> int:
         return 0
 
     if cmd.name == "critical-levels":
-        mmax = p.get("mmax", 12)
+        mmax = p["mmax"]
         if mmax < 2:
             raise ValueError(f"--mmax {mmax} below 2: there is no sector to check")
         rows = []
@@ -628,7 +628,7 @@ _MR = {"--m": (int, "required"), "--r": (int, "required")}
 _GENS = ("e", "h", "f")
 # command -> {flag: (int, str or a tuple of choices; "required", a default, or None for none)}
 COMMANDS = {name: {"--format": (("json", "md"), "json"), **flags} for name, flags in {
-    "families": {**_MR, "--j": (int, "required"), "--l": (int, None), "--kmax": (int, 4)},
+    "families": {**_MR, "--j": (int, "required"), "--l": (int, 1), "--kmax": (int, 4)},
     "rescaling": {**_MR, "--kmax": (int, 20)},
     "kahler-reduce": {**_MR, "--dt": (str, None), "--du": (str, None)},
     "dim": _MR,
@@ -636,12 +636,17 @@ COMMANDS = {name: {"--format": (("json", "md"), "json"), **flags} for name, flag
                 "--y": (_GENS, "required"), "--b": (str, "required")},
     "bracket-audit": {**_MR, "--expbound": (int, 3)},
     "ope": {"--m": (int, "required"), "--e": (str, "required"), "--f": (str, "required"),
-            "--k": (str, None), "--extra-orders": (int, 0)},
+            "--k": (str, "symbolic"), "--extra-orders": (int, 0)},
     "charges": {"--m": (int, "required")},
-    "obstructions": {"--m": (int, "required"), "--k": (str, None)},
+    "obstructions": {"--m": (int, "required"), "--k": (str, "symbolic")},
     "critical-levels": {"--mmax": (int, 12)},
     "calibrate": {},
 }.items()}
+
+
+def _defaults(flags: dict) -> dict:
+    """The params that a command's flags in COMMANDS give by default, keyed as in parse_argv."""
+    return {f[2:].replace("-", "_"): d for f, (_, d) in flags.items() if d not in (None, "required")}
 
 
 def usage(name: Optional[str] = None) -> str:
@@ -668,8 +673,7 @@ def parse_argv(argv: list[str]) -> Command:
         raise ValueError(f"expected a command, one of {', '.join(COMMANDS)}"
                          + (f"; found {name!r}" if argv else ""))
     flags = COMMANDS[name]
-    params = {f[2:].replace("-", "_"): d for f, (_, d) in flags.items()
-              if d not in (None, "required")}
+    params = _defaults(flags)
     items = iter(argv[1:])
     for item in items:
         if item in ("-h", "--help"):

@@ -5,7 +5,13 @@ The quotient has the basis
     w0 = class(t^-1 dt),    w(l, -j) = class(t^-j u^l dt),
     l = 1..m-1, j = 1..2r,
 
-of dimension 2r(m-1) + 1.  Two reducers are provided:
+of dimension 2r(m-1) + 1.  A class is one term map over that basis
+(``DiffClass.terms``: w0 under ``W0``, w(l, -j) under (l, j)), and a sum of
+monomial classes is one map {(t exponent e, sector l): coef}, meaning the sum
+of coef * class(t^e u^l dt): ``eliminate_du``, ``class_terms`` and
+``cocycle_terms`` write it, ``ReductionTable.reduce_terms`` expands it.
+
+Two reducers are provided:
 
 * ``reduce_oracle`` -- the normative reducer.  It expresses any class in the
   basis through the ring's reduction table: the relations among monomial
@@ -39,7 +45,7 @@ from .ring import RingElem, RingParams, dp_laurent, p_laurent, ring_mul
 
 
 MAX_REACH = 1000  # farthest t exponent, either sign, a table grows to: growth is superlinear
-W0 = (0, 0)  # the key of w0 in a central term map, beside the odd keys (l, j) with l, j >= 1
+W0 = (0, 0)  # the key of w0 in ``DiffClass.terms``, beside the odd keys (l, j) with l, j >= 1
 
 
 class WindowError(ValueError):
@@ -86,85 +92,79 @@ class DiffForm:
 
 
 class DiffClass:
-    """Coordinates over the basis {w0; w(l)_(-j)} of Omega^1/dA."""
+    """Coordinates over the basis {w0; w(l)_(-j)} of Omega^1/dA, as one term map
+    {basis key: nonzero PolyC}: w0 under ``W0``, w(l)_(-j) under (l, j)."""
 
-    __slots__ = ("params", "omega0", "odd")
+    __slots__ = ("params", "terms")
 
     def __init__(self, params: RingParams, omega0: PolyC | None = None,
                  odd: dict[tuple[int, int], PolyC] | None = None):
-        self.params = params
-        self.omega0 = omega0 if omega0 is not None else PolyC.zero()
-        clean: dict[tuple[int, int], PolyC] = {}
-        if odd:
-            for (l, j), v in odd.items():
-                if not (1 <= l <= params.m - 1 and 1 <= j <= 2 * params.r):
-                    raise ValueError(f"basis label (l={l}, j={j}) out of range")
-                if not v.is_zero():
-                    clean[(l, j)] = v
-        self.odd = clean
+        terms: dict[tuple[int, int], PolyC] = {}
+        if omega0 is not None and not omega0.is_zero():
+            terms[W0] = omega0
+        for (l, j), v in (odd or {}).items():
+            if not (1 <= l <= params.m - 1 and 1 <= j <= 2 * params.r):
+                raise ValueError(f"basis label (l={l}, j={j}) out of range")
+            if not v.is_zero():
+                terms[(l, j)] = v
+        self.params, self.terms = params, terms
 
     @staticmethod
     def _of(params: RingParams, terms: dict[tuple[int, int], PolyC]) -> "DiffClass":
-        """Take over a clean central term map {basis key: nonzero PolyC}, w0 under ``W0``."""
+        """Take over a clean term map {basis key: nonzero PolyC}, w0 under ``W0``."""
         cls = object.__new__(DiffClass)
-        cls.params, cls.omega0, cls.odd = params, terms.pop(W0, PolyC.zero()), terms
+        cls.params, cls.terms = params, terms
         return cls
 
+    @property
+    def omega0(self) -> PolyC:
+        return self.terms.get(W0, PolyC.zero())
+
+    @property
+    def odd(self) -> dict[tuple[int, int], PolyC]:
+        return {key: v for key, v in self.terms.items() if key != W0}
+
     def add_into(self, terms: dict[tuple[int, int], PolyC], q: PolyC) -> None:
-        """terms += q * self, over a central term map (w0 under ``W0``)."""
-        if not self.omega0.is_zero():
-            sparse_add(terms, W0, self.omega0 * q)
-        for key, v in self.odd.items():
+        """terms += q * self, over a term map keyed as ``self.terms``."""
+        for key, v in self.terms.items():
             sparse_add(terms, key, v * q)
 
     @staticmethod
     def zero(params: RingParams) -> "DiffClass":
-        return DiffClass(params)
+        return DiffClass._of(params, {})
 
     def is_zero(self) -> bool:
-        return self.omega0.is_zero() and not self.odd
+        return not self.terms
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffClass)
-            and self.params == other.params
-            and self.omega0 == other.omega0
-            and self.odd == other.odd
-        )
+        return (isinstance(other, DiffClass) and self.params == other.params
+                and self.terms == other.terms)
 
     def __add__(self, other: "DiffClass") -> "DiffClass":
         if self.params != other.params:
             raise ValueError("parameter mismatch")
-        odd = dict(self.odd)
-        for key, v in other.odd.items():
-            sparse_add(odd, key, v)
-        return DiffClass(self.params, self.omega0 + other.omega0, odd)
+        terms = dict(self.terms)
+        other.add_into(terms, PolyC.const(1))
+        return DiffClass._of(self.params, terms)
 
     def scale(self, q: PolyC) -> "DiffClass":
         if q.is_zero():
             return DiffClass.zero(self.params)
-        return DiffClass(
-            self.params, self.omega0 * q, {key: v * q for key, v in self.odd.items()}
-        )
+        return DiffClass._of(self.params, {key: v * q for key, v in self.terms.items()})
 
     def coeff(self, l: int, j: int) -> PolyC:
-        return self.odd.get((l, j), PolyC.zero())
+        return self.terms.get((l, j), PolyC.zero())
 
     def to_json_dict(self) -> dict:
         return {
             "omega0": self.omega0.render(),
-            "odd": [
-                {"l": l, "j": j, "coef": self.odd[(l, j)].render()}
-                for (l, j) in sorted(self.odd)
-            ],
+            "odd": [{"l": l, "j": j, "coef": self.terms[(l, j)].render()}
+                    for (l, j) in sorted(self.terms) if l],
         }
 
     def render(self) -> str:
-        parts = []
-        if not self.omega0.is_zero():
-            parts.append(f"({self.omega0.render()})*w0")
-        for (l, j) in sorted(self.odd):
-            parts.append(f"({self.odd[(l, j)].render()})*w({l},-{j})")
+        parts = [f"({self.terms[(l, j)].render()})*" + (f"w({l},-{j})" if l else "w0")
+                 for (l, j) in sorted(self.terms)]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -207,19 +207,16 @@ def _du_monomial_classes(
     return out
 
 
-def eliminate_du(f: DiffForm) -> list[tuple[int, int, PolyC]]:
-    """Rewrite f as a combination of monomial classes t^(n-1) u^l dt mod dA.
-
-    Returns triples (n, l, coef) meaning coef * class(t^(n-1) u^l dt).
-    """
-    params = f.params
+def eliminate_du(f: DiffForm) -> dict[tuple[int, int], PolyC]:
+    """Rewrite f mod dA as monomial classes {(t exponent e, sector l): coef}, meaning the sum
+    of coef * class(t^e u^l dt)."""
     acc: dict[tuple[int, int], PolyC] = {}
     for e, l, v in f.dt_part.monomials():
         sparse_add(acc, (e, l), v)
     for e, j, v in f.du_part.monomials():
-        for key, w in _du_monomial_classes(e, j, params, v).items():
+        for key, w in _du_monomial_classes(e, j, f.params, v).items():
             sparse_add(acc, key, w)
-    return [(e + 1, l, acc[(e, l)]) for (e, l) in sorted(acc)]
+    return acc
 
 
 def cocycle_form(f: RingElem, g: RingElem) -> DiffForm:
@@ -228,14 +225,21 @@ def cocycle_form(f: RingElem, g: RingElem) -> DiffForm:
     return DiffForm(ring_mul(f, dg.dt_part), ring_mul(f, dg.du_part))
 
 
-def cocycle_terms(params: RingParams, i: int, a: int, j: int, b: int) -> list[tuple[int, int, PolyC]]:
-    """tau(t^i u^a, t^j u^b), 0 <= a, b < m, as terms of ``eliminate_du``: f dg = j t^(i+j-1)
-    u^L dt + b t^(i+j) u^(L-1) du, L = a + b, and d(t^(i+j) u^L) is exact, so tau is
-    ((j*a - i*b)/L) class(t^(i+j-1) u^L dt), j class(t^(i+j-1) dt) at L = 0, with
-    u^L = p(t) u^(L-m) when L >= m.  A zero coefficient gives no terms."""
-    q = Fraction(j * a - i * b, a + b) if a + b else j
-    wrap = p_laurent(params).items() if a + b >= params.m else ((0, PolyC.const(1)),)
-    return [(i + j + e, (a + b) % params.m, v * q) for e, v in wrap] if q else []
+def class_terms(params: RingParams, e: int, L: int, q, terms: dict) -> dict:
+    """Add q * class(t^e u^L dt), 0 <= L < 2m, into the monomial classes ``terms`` (keyed as
+    by ``eliminate_du``) and return them, with u^L = p(t) u^(L-m) when L >= m."""
+    wrap = p_laurent(params).items() if L >= params.m else ((0, PolyC.const(1)),)
+    for pe, pv in wrap:
+        sparse_add(terms, (e + pe, L % params.m), pv * q)
+    return terms
+
+
+def cocycle_terms(params: RingParams, i: int, a: int, j: int, b: int) -> dict:
+    """tau(t^i u^a, t^j u^b), 0 <= a, b < m, as monomial classes (``eliminate_du``): f dg =
+    j t^(i+j-1) u^L dt + b t^(i+j) u^(L-1) du, L = a + b, and d(t^(i+j) u^L) is exact, so tau
+    is ((j*a - i*b)/L) class(t^(i+j-1) u^L dt), j class(t^(i+j-1) dt) at L = 0.  A zero
+    coefficient gives no terms."""
+    return class_terms(params, i + j - 1, a + b, Fraction(j * a - i * b, a + b) if a + b else j, {})
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +342,8 @@ def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
                 if not -MAX_REACH <= e1 + e2 - 1 <= e1 + e2 + 2 * r - 1 <= MAX_REACH:
                     for n1, n2 in ((e1, e2), (e1 + s, e2), (e1, e2 + s)):
                         if lo1 <= n1 <= hi1 and lo2 <= n2 <= hi2:
-                            for n, _l, _v in cocycle_terms(params, n1, l1, n2, l2):
-                                _check_reach(n - 1)
+                            for e, _l in cocycle_terms(params, n1, l1, n2, l2):
+                                _check_reach(e)
 
 
 class ReductionTable:
@@ -363,10 +367,10 @@ class ReductionTable:
         self.params = params
         m, r = params.m, params.r
         one = PolyC.const(1)
-        basis = {(-1, 0): DiffClass(params, omega0=one)}
+        basis = {(-1, 0): DiffClass._of(params, {W0: one})}
         for l in range(1, m):
             for j in range(1, 2 * r + 1):
-                basis[(-j, l)] = DiffClass(params, odd={(l, j): one})
+                basis[(-j, l)] = DiffClass._of(params, {(l, j): one})
         if not all(window.lo <= e <= window.hi for (e, _l) in basis):
             raise WindowError("window does not cover the basis exponents")
         self.n_basis = len(basis)
@@ -402,11 +406,11 @@ class ReductionTable:
             if pivot.degree() != 0:
                 raise AssertionError(f"pivot {pivot.render()} of {col} is not a nonzero constant")
             inv = -1 / pivot.leading()
-            cls = DiffClass.zero(self.params)
+            terms: dict[tuple[int, int], PolyC] = {}
             for k, v in row.items():
                 if k != col:
-                    cls = cls + solved[k].scale(v * inv)
-            new[col] = cls
+                    solved[k].add_into(terms, v * inv)
+            new[col] = DiffClass._of(self.params, terms)
 
         self._classes.update(new)
         self.rank += len(pivoted)
@@ -434,13 +438,14 @@ class ReductionTable:
         with self._lock:
             return self.n_cols - self.rank
 
-    def reduce_terms(self, terms: list[tuple[int, int, PolyC]]) -> DiffClass:
-        """Expand the sum of coef * class(t^(n-1) u^l dt) over (n, l, coef) terms."""
-        for n, _l, _v in terms:  # refuse a far term before any work
-            _check_reach(n - 1)
+    def reduce_terms(self, terms: dict[tuple[int, int], PolyC]) -> DiffClass:
+        """Expand the monomial classes {(e, l): coef}, the sum of coef * class(t^e u^l dt)."""
+        far = [e for e, _l in terms if abs(e) > MAX_REACH]
+        if far:  # refuse before any work, naming the least far exponent
+            _check_reach(min(far))
         out: dict[tuple[int, int], PolyC] = {}
-        for n, l, v in terms:
-            self.reduce_monomial(n - 1, l).add_into(out, v)
+        for (e, l), v in terms.items():
+            self.reduce_monomial(e, l).add_into(out, v)
         return DiffClass._of(self.params, out)
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
@@ -610,9 +615,7 @@ def structure_constants(l: int, k: int, params: RingParams) -> dict[int, PolyC]:
     if l < 1 or k < 1:
         raise ValueError("structure constants need l >= 1 and k >= 1")
     cls = reduce_monomial_class(params, k - 1, l)
-    if not cls.omega0.is_zero():
-        raise AssertionError("sector-l class acquired an omega0 component")
-    bad = [key for key in cls.odd if key[0] != l]
-    if bad:
+    bad = [key for key in cls.terms if key[0] != l]
+    if bad:  # W0 = (0, 0) is sector 0
         raise AssertionError(f"sector-l class leaked into sectors {bad}")
     return {j: cls.coeff(l, j) for j in range(1, 2 * params.r + 1)}

@@ -18,7 +18,8 @@ ring associativity + the cocycle identity on monomial triples), which is an
 algebraic regrouping of the same computation, not a sampling.
 
 A bracket adds its terms into a current term map {(gen, sector, t): PolyC} and
-a central one {basis key: PolyC} by ``sparse_add`` and wraps them once; a direct
+a central one (``DiffClass.terms``) by ``sparse_add`` and wraps them once; the
+formula sums its central terms as monomial classes and reduces them once.  A direct
 Jacobi triple sums its three outer brackets in one pair of maps.  tau comes from
 one ``TauCache`` per ring (``tau_cache``), kept for the process like the ring's
 reduction table, and the ring-free sl2 pass runs once per process.  tau(t^i u^a, t^j u^b)
@@ -35,9 +36,9 @@ from typing import Optional
 
 from .coeffs import PolyC, sparse_add
 from .kahler import (
-    W0,
     DiffClass,
     ReductionTable,
+    class_terms,
     cocycle_form,
     cocycle_terms,
     reduce_oracle,
@@ -212,7 +213,7 @@ class TauCache:
     def tau(self, f: RingElem, g: RingElem, central: Optional[dict] = None,
             k: int = 1) -> Optional[DiffClass]:
         """tau(f, g) over the memoized monomial pairs; given a central term map
-        (``kahler.W0`` for w0), k * tau(f, g) is added into it instead."""
+        (keyed as ``DiffClass.terms``), k * tau(f, g) is added into it instead."""
         out = {} if central is None else central
         for asec, alt in f.sectors.items():
             for ae, av in alt.items():
@@ -276,16 +277,15 @@ def uce_bracket_oracle(a: UCEElem, b: UCEElem) -> UCEElem:
 def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
     """The printed Type I/II/III bracket formulas, per monomial pair.
 
-    Central terms of Types I and III are monomial classes expanded in the
-    basis by the oracle table; the Type II central term is the literal
-    j * <x,y> * (i+j) * w0 as printed.
+    Their central terms are summed as monomial classes (``kahler.class_terms``) and expanded
+    in the basis by the oracle table at once: j <x,y> class(t^(i+j-1) u^L dt) for Types I and
+    III, and the Type II term literally as printed, j <x,y> (i+j) w0, w0 = class(t^-1 dt).
     """
     params = a.params
     if params != b.params:
         raise ValueError("parameter mismatch")
     m = params.m
-    table = ring_table(params)
-    current, central = {}, {}
+    current, terms = {}, {}
     p = p_laurent(params).items()
     unwrapped = ((0, PolyC.const(1)),)
 
@@ -301,17 +301,11 @@ def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
                     for gen, coef in _BRACKET[(ga, gb)]:
                         for pe, pv in wrap:
                             sparse_add(current, (gen, L % m, i + j + pe), v * coef * pv)
-                    if not kap:
-                        continue
-                    kv = v * kap
-                    if L == m:
-                        # Type II, literal as printed: j <x,y> (i+j) w0
-                        sparse_add(central, W0, kv * Fraction(j * (i + j)))
-                    else:
-                        # Type I (L < m) / Type III (L > m): j <x,y> class(t^(i+j-1) u^L dt)
-                        for pe, pv in wrap:
-                            table.reduce_monomial(i + j - 1 + pe, L % m).add_into(central, kv * j * pv)
-    return _wrap(params, current, central)
+                    if kap and L == m:
+                        sparse_add(terms, (-1, 0), v * kap * Fraction(j * (i + j)))
+                    elif kap:
+                        class_terms(params, i + j - 1, L, v * kap * j, terms)
+    return _wrap(params, current, ring_table(params).reduce_terms(terms).terms)
 
 
 # ---------------------------------------------------------------------------

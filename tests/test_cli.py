@@ -500,12 +500,14 @@ def test_long_integer_literal_refused(capsys):
         assert err.count("\n") == 1
 
 
-# The argparse parser the CLI had: the reference that parse_argv is checked against.
+# The argparse parser the CLI had: the reference that parse_argv is checked against.  It
+# also gives the defaults that the CLI applied after parsing, --l 1 and a symbolic --k.
 _INT = {"type": int, "required": True}
 _GEN = {"choices": ("e", "h", "f"), "required": True}
 _TEXT = {"type": str, "required": True}
+_SYMBOLIC = {"type": str, "default": "symbolic"}
 REFERENCE_FLAGS = {
-    "families": (("--m", _INT), ("--r", _INT), ("--j", _INT), ("--l", {"type": int}),
+    "families": (("--m", _INT), ("--r", _INT), ("--j", _INT), ("--l", {"type": int, "default": 1}),
                  ("--kmax", {"type": int, "default": 4})),
     "rescaling": (("--m", _INT), ("--r", _INT), ("--kmax", {"type": int, "default": 20})),
     "kahler-reduce": (("--m", _INT), ("--r", _INT), ("--dt", {"type": str}),
@@ -514,10 +516,10 @@ REFERENCE_FLAGS = {
     "bracket": (("--m", _INT), ("--r", _INT), ("--x", _GEN), ("--a", _TEXT), ("--y", _GEN),
                 ("--b", _TEXT)),
     "bracket-audit": (("--m", _INT), ("--r", _INT), ("--expbound", {"type": int, "default": 3})),
-    "ope": (("--m", _INT), ("--e", _TEXT), ("--f", _TEXT), ("--k", {"type": str}),
+    "ope": (("--m", _INT), ("--e", _TEXT), ("--f", _TEXT), ("--k", _SYMBOLIC),
             ("--extra-orders", {"type": int, "default": 0, "dest": "extra_orders"})),
     "charges": (("--m", _INT),),
-    "obstructions": (("--m", _INT), ("--k", {"type": str})),
+    "obstructions": (("--m", _INT), ("--k", _SYMBOLIC)),
     "critical-levels": (("--mmax", {"type": int, "default": 12}),),
     "calibrate": (),
 }

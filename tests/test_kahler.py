@@ -60,19 +60,18 @@ def test_differential_examples():
 def test_eliminate_du_defining_relation():
     # u^2 du -> (1/3) p'(t) dt in sector 0
     form = DiffForm(RingElem.zero(P32), mono(P32, 1, 0, 2))
-    terms = eliminate_du(form)
-    got = {(n, l): v for n, l, v in terms}
+    got = eliminate_du(form)
     for e, a in dp_laurent(P32).items():
-        assert got[(e + 1, 0)] == a * F(1, 3)
+        assert got[(e, 0)] == a * F(1, 3)
 
 
 def test_eliminate_du_exactness_rule():
     # t^2 u^0 du == -2 t u dt (mod dA)
     form = DiffForm(RingElem.zero(P32), mono(P32, 1, 2, 0))
-    assert eliminate_du(form) == [(2, 1, PolyC.const(-2))]
+    assert eliminate_du(form) == {(1, 1): PolyC.const(-2)}
     # u^0 du = d(u) is exact
     form = DiffForm(RingElem.zero(P32), mono(P32, 1, 0, 0))
-    assert eliminate_du(form) == []
+    assert eliminate_du(form) == {}
 
 
 def test_reduce_basis_elements():
@@ -523,6 +522,16 @@ def test_far_pair_with_zero_cocycle_answers(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle"]["central"] == {"odd": [], "omega0": "0"}
     assert doc["formula"]["central"] == {"odd": [], "omega0": "720000"}
+
+
+def test_far_type_I_pair_with_zero_j_answers(capsys):
+    """t^1500 u against 1: the printed Type I term j cl(t^1499 u dt) has j = 0, so the formula
+    builds no far class, and it agrees with the oracle, whose cocycle is 0 too."""
+    assert main(["bracket", "--m", "3", "--r", "2", "--x", "e", "--y", "f",
+                 "--a", "t^1500*u", "--b", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["match"] is True
+    assert doc["oracle"]["central"] == doc["formula"]["central"] == {"odd": [], "omega0": "0"}
 
 
 def test_near_bracket_operand_answer_pinned(capsys):

@@ -30,6 +30,15 @@ def test_import_loads_no_dataclasses():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_submodule():
+    """A bare ``import secalg`` loads none of the package's modules: it re-exports nothing."""
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import secalg; "
+            "print(sorted(name for name in sys.modules if name.startswith('secalg.')))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert out.stdout.strip() == "[]"
+
+
 # kind, type, fields, each field changed in turn, fields the constructor refuses; "key"
 # types are equal and hashed by value, "value" types equal by value, a "record" neither
 VALUE_TYPES = [
