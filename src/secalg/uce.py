@@ -278,8 +278,8 @@ def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
     """The printed Type I/II/III bracket formulas, per monomial pair.
 
     Their central terms are summed as monomial classes (``kahler.class_terms``) and expanded
-    in the basis by the oracle table at once: j <x,y> class(t^(i+j-1) u^L dt) for Types I and
-    III, and the Type II term literally as printed, j <x,y> (i+j) w0, w0 = class(t^-1 dt).
+    in the basis by the oracle table at once; the Type II term is the literal
+    j <x,y> (i+j) w0 as printed, and w0 = class(t^-1 dt).
     """
     params = a.params
     if params != b.params:
@@ -301,9 +301,11 @@ def uce_bracket_formula(a: UCEElem, b: UCEElem) -> UCEElem:
                     for gen, coef in _BRACKET[(ga, gb)]:
                         for pe, pv in wrap:
                             sparse_add(current, (gen, L % m, i + j + pe), v * coef * pv)
-                    if kap and L == m:
+                    if not kap:
+                        continue
+                    if L == m:  # Type II, literal as printed: j <x,y> (i+j) class(t^-1 dt)
                         sparse_add(terms, (-1, 0), v * kap * Fraction(j * (i + j)))
-                    elif kap:
+                    else:  # Types I and III: j <x,y> class(t^(i+j-1) u^L dt)
                         class_terms(params, i + j - 1, L, v * kap * j, terms)
     return _wrap(params, current, ring_table(params).reduce_terms(terms).terms)
 
