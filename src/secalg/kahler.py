@@ -188,23 +188,18 @@ def differential(a: RingElem) -> DiffForm:
     return DiffForm(RingElem._of(a.params, dt), RingElem._of(a.params, du))
 
 
-def _du_monomial_classes(
-    n: int, j: int, params: RingParams, coef: PolyC
-) -> dict[tuple[int, int], PolyC]:
-    """coef * t^n u^j du as dt-monomial classes {(t_exp, sector): coef}, mod dA.
+def _du_monomial_classes(n: int, j: int, params: RingParams, coef: PolyC, out: dict) -> None:
+    """Add coef * t^n u^j du, mod dA, into the monomial classes ``out`` (``eliminate_du``).
 
-    j <= m-2 uses exactness of d(t^n u^(j+1)); j = m-1 uses the module
+    j <= m-2 uses exactness of d(t^n u^(j+1)) (nothing at n = 0); j = m-1 uses the module
     relation m u^(m-1) du = p'(t) dt, which is exact in Omega^1 itself.
     """
     m = params.m
-    out: dict[tuple[int, int], PolyC] = {}
     if j <= m - 2:
-        if n != 0:
-            out[(n - 1, j + 1)] = coef * Fraction(-n, j + 1)
+        sparse_add(out, (n - 1, j + 1), coef * Fraction(-n, j + 1))
     else:
         for e, a in dp_laurent(params).items():
             sparse_add(out, (n + e, 0), coef * a * Fraction(1, m))
-    return out
 
 
 def eliminate_du(f: DiffForm) -> dict[tuple[int, int], PolyC]:
@@ -214,8 +209,7 @@ def eliminate_du(f: DiffForm) -> dict[tuple[int, int], PolyC]:
     for e, l, v in f.dt_part.monomials():
         sparse_add(acc, (e, l), v)
     for e, j, v in f.du_part.monomials():
-        for key, w in _du_monomial_classes(e, j, f.params, v).items():
-            sparse_add(acc, key, w)
+        _du_monomial_classes(e, j, f.params, v, acc)
     return acc
 
 
@@ -270,8 +264,7 @@ def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
             row: dict[tuple[int, int], PolyC] = {}
             # m * t^n * p(t) * u^(l-1) du, eliminated
             for e, a in p.items():
-                for key, w in _du_monomial_classes(n + e, l - 1, params, a * m).items():
-                    sparse_add(row, key, w)
+                _du_monomial_classes(n + e, l - 1, params, a * m, row)
             # - t^n p'(t) u^l dt
             for e, a in dp.items():
                 sparse_add(row, (n + e, l), -a)
@@ -583,16 +576,11 @@ def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
     table = ring_table(params)
     out = []
     for n in n_range:
-        X = {
-            d: table.reduce_monomial(n + d - 1, l)
-            for d in (0, r, 2 * r)
-        }
 
         def residual(mid_shift: int) -> DiffClass:
-            acc = X[0].scale(PolyC.const(m * n))
-            acc = acc + X[r].scale(PolyC({1: -2 * (m * n + r * mid_shift)}))
-            acc = acc + X[2 * r].scale(PolyC.const(m * n + 2 * r * mid_shift))
-            return acc
+            return table.reduce_terms({(n - 1, l): PolyC.const(m * n),
+                                       (n + r - 1, l): PolyC({1: -2 * (m * n + r * mid_shift)}),
+                                       (n + 2 * r - 1, l): PolyC.const(m * n + 2 * r * mid_shift)})
 
         out.append(
             {
