@@ -32,6 +32,9 @@ Grammar (shared tokens; byte offsets reported on error):
     int         := at most MAX_INT_DIGITS (4300) digits, else exit 2
     --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2; so is
                    a Taylor shift above ope.MAX_SHIFT_ORDER (24) in an ope
+    --mmax      := int in 2..MAX_MMAX (400) for critical-levels, else exit 2
+    --m         := int in 2..MAX_OBSTRUCTION_M (200) for obstructions, else
+                   exit 2; both outputs grow as the bound squared
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ from .families import (
 )
 from .kahler import (DiffForm, RingParams, basis_dim, check_cocycle_reach, check_form_reach,
                      reduce_oracle)
-from .ope import FieldExpr, classification_text, is_laurent, wick_ope
+from .ope import GEN_NAMES, FieldExpr, classification_text, is_laurent, wick_ope
 from .ring import RingElem
-from .uce import (CurrentElem, SL2Elem, UCEElem, formula_vs_oracle, killing, uce_bracket_formula,
-                  uce_bracket_oracle)
+from .uce import (GENS, CurrentElem, SL2Elem, UCEElem, formula_vs_oracle, killing,
+                  uce_bracket_formula, uce_bracket_oracle)
 from . import wakimoto
 
 
@@ -75,6 +78,8 @@ MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow l
 MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as int() reads by default
 MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term, or the
 # two spans of a product or quotient of two such coefficients added up: products are quadratic
+MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
+MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
 
 
 def _tokenize(src: str):
@@ -154,9 +159,10 @@ class _Parser:
             val = val + rhs if op == "+" else val - rhs
         return val
 
-    def coef_term(self) -> CoeffK:
+    def coef_term(self, ops: tuple = ("*", "/")) -> CoeffK:
+        """A chain of coefficient powers joined by the operators in ops."""
         val = self.coef_power()
-        while self.peek()[0] in ("*", "/"):
+        while self.peek()[0] in ops:
             op = self.next()[0]
             pos = self.peek()[2]
             rhs = self.coef_power()
@@ -172,31 +178,22 @@ class _Parser:
     def coef_power(self) -> CoeffK:
         val = self.coef_atom()
         while self.peek()[0] == "^":
-            self.next()
-            neg = False
-            if self.peek()[0] == "-":
-                self.next()
-                neg = True
-            t = self.expect("int")
-            e = int(t[1])
-            if _dense(val) and _span(val) * e > MAX_POWER_SPAN:
-                raise ParseError(f"power {e} of a coefficient of exponent span {_span(val)} "
+            e, t = self.exponent()
+            if _dense(val) and _span(val) * abs(e) > MAX_POWER_SPAN:
+                raise ParseError(f"power {abs(e)} of a coefficient of exponent span {_span(val)} "
                                  f"spans above {MAX_POWER_SPAN}", t[2])
-            val = val ** (-e if neg else e)
+            val = val ** e
         return val
 
-    def coef_item(self) -> CoeffK:
-        """A coefficient factor with power/division chains; '*' not consumed."""
-        val = self.coef_power()
-        while self.peek()[0] == "/":
+    def exponent(self) -> tuple[int, tuple]:
+        """"^", an optional "-" and an int: the signed int and the int's token."""
+        self.expect("^")
+        sign = 1
+        if self.peek()[0] == "-":
             self.next()
-            pos = self.peek()[2]
-            rhs = self.coef_power()
-            if rhs.is_zero():
-                raise ParseError("division by zero", self.peek()[2])
-            _bound_pair(val, "/", rhs, pos)
-            val = val / rhs
-        return val
+            sign = -1
+        t = self.expect("int")
+        return sign * int(t[1]), t
 
     def coef_atom(self) -> CoeffK:
         t = self.peek()
@@ -246,14 +243,7 @@ class _Parser:
             t = self.peek()
             if t[0] == "name" and t[1] in ("t", "u"):
                 self.next()
-                e = 1
-                if self.peek()[0] == "^":
-                    self.next()
-                    sign = 1
-                    if self.peek()[0] == "-":
-                        self.next()
-                        sign = -1
-                    e = sign * int(self.expect("int")[1])
+                e = self.exponent()[0] if self.peek()[0] == "^" else 1
                 if t[1] == "t":
                     t_exp += e
                 else:
@@ -261,7 +251,7 @@ class _Parser:
                         raise ParseError("u exponent must be non-negative", t[2])
                     u_exp += e
             else:
-                rhs = self.coef_item()
+                rhs = self.coef_term(("/",))
                 _bound_pair(coef, "*", rhs, t[2])
                 coef = coef * rhs
             if self.peek()[0] == "*":
@@ -298,7 +288,7 @@ class _Parser:
 
     def field_item(self, m: int) -> FieldExpr:
         t = self.peek()
-        if t[0] == "name" and t[1] in ("beta", "gamma", "b"):
+        if t[0] == "name" and t[1] in GEN_NAMES:
             return self.field_gen(m)
         if t[0] == "name" and t[1] == "no":
             self.next()
@@ -333,11 +323,11 @@ class _Parser:
             return inner
         # otherwise a coefficient item: power/division chains bind here,
         # "*" returns to the enclosing field term
-        return FieldExpr.const(self.coef_item())
+        return FieldExpr.const(self.coef_term(("/",)))
 
     def field_gen(self, m: int) -> FieldExpr:
         t = self.expect("name")
-        kind = {"beta": "beta", "gamma": "gamma", "b": "heis"}[t[1]]
+        kind = GEN_NAMES[t[1]]
         self.expect("[")
         st = self.expect("int")
         sector = int(st[1])
@@ -597,6 +587,8 @@ def run_command(cmd: Command, out=None) -> int:
         return 0 if rep["ok"] else 1
 
     if cmd.name == "obstructions":
+        if p["m"] > MAX_OBSTRUCTION_M:
+            raise ValueError(f"--m {p['m']} above {MAX_OBSTRUCTION_M}: the matrix has m^2 cells")
         rep = wakimoto.obstruction_report(p["m"], _parse_k(p["k"]))
         if fmt == "md":
             _write_report(out, rep.to_markdown())
@@ -608,6 +600,8 @@ def run_command(cmd: Command, out=None) -> int:
         mmax = p["mmax"]
         if mmax < 2:
             raise ValueError(f"--mmax {mmax} below 2: there is no sector to check")
+        if mmax > MAX_MMAX:
+            raise ValueError(f"--mmax {mmax} above {MAX_MMAX}: the table has about mmax^2/2 rows")
         rows = []
         ok = True
         for m in range(2, mmax + 1):
@@ -625,15 +619,14 @@ def run_command(cmd: Command, out=None) -> int:
 
 
 _MR = {"--m": (int, "required"), "--r": (int, "required")}
-_GENS = ("e", "h", "f")
 # command -> {flag: (int, str or a tuple of choices; "required", a default, or None for none)}
 COMMANDS = {name: {"--format": (("json", "md"), "json"), **flags} for name, flags in {
     "families": {**_MR, "--j": (int, "required"), "--l": (int, 1), "--kmax": (int, 4)},
     "rescaling": {**_MR, "--kmax": (int, 20)},
     "kahler-reduce": {**_MR, "--dt": (str, None), "--du": (str, None)},
     "dim": _MR,
-    "bracket": {**_MR, "--x": (_GENS, "required"), "--a": (str, "required"),
-                "--y": (_GENS, "required"), "--b": (str, "required")},
+    "bracket": {**_MR, "--x": (GENS, "required"), "--a": (str, "required"),
+                "--y": (GENS, "required"), "--b": (str, "required")},
     "bracket-audit": {**_MR, "--expbound": (int, 3)},
     "ope": {"--m": (int, "required"), "--e": (str, "required"), "--f": (str, "required"),
             "--k": (str, "symbolic"), "--extra-orders": (int, 0)},

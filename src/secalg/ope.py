@@ -6,8 +6,9 @@ sector, plus a single sector-0 exponential exp(a*phi0) carrying momentum a
 map: a canonically sorted factor tuple and one momentum (a ``CoeffK``;
 momentum 0 means no exponential) map to a nonzero ``CoeffK`` coefficient.
 Every sum, product, derivative and Taylor order writes into such a map
-through ``coeffs.sparse_add``; a ``NOMono`` is the one-term value that
-``FieldExpr`` takes and ``FieldExpr.monomials`` returns.
+through ``coeffs.sparse_add``; ``FieldExpr.term`` builds a one-term map,
+``FieldExpr.monomials`` lists the entries as (factors, momentum, coef)
+tuples in display order, and ``render_term`` prints one.
 
 Contraction rules (z first, w second):
 
@@ -20,7 +21,8 @@ Contraction rules (z first, w second):
 Derivatives dress propagators with the exact d/dz, d/dw factors.  A nested
 normal ordering written :(AB)C: differs from the flat Fock ordering by
 derivative corrections; the ``nesting`` convention parameter selects how
-displayed triple products are read (see ``nested_product``).
+displayed triple products are read (see ``nested_product``, which reads
+:(X)C: as the (z-w)^0 coefficient of the OPE X(z) C(w) by ``wick_ope``).
 
 ``wick_ope`` sums over the cross contractions (no self contractions) in one
 walk over the factors that merges like partial contractions, Taylor-shifts
@@ -42,10 +44,12 @@ from typing import Iterable, Optional
 
 from .coeffs import CoeffK, as_factor, is_integer_constant, sparse_add, specialize
 
-KINDS = ("beta", "gamma", "heis")
+GEN_NAMES = {"beta": "beta", "gamma": "gamma", "b": "heis"}  # printed generator name -> kind
+KINDS = tuple(GEN_NAMES.values())
 MAX_EXTRA_ORDERS = 20  # wick_ope refuses more orders below the poles than this
 MAX_SHIFT_ORDER = 24  # and a Taylor shift above this order: its terms grow like partition numbers
-_KIND_RANK = {"beta": 0, "gamma": 1, "heis": 2}
+_KIND_NAME = {kind: name for name, kind in GEN_NAMES.items()}
+_KIND_RANK = {kind: i for i, kind in enumerate(KINDS)}
 
 
 class ConventionConfig:
@@ -107,8 +111,7 @@ class FieldGen:
         return (self.sector, _KIND_RANK[self.kind], self.deriv)
 
     def render(self) -> str:
-        name = {"beta": "beta", "gamma": "gamma", "heis": "b"}[self.kind]
-        body = f"{name}[{self.sector}]"
+        body = f"{_KIND_NAME[self.kind]}[{self.sector}]"
         return body if self.deriv == 0 else f"D({body},{self.deriv})"
 
 
@@ -119,32 +122,22 @@ def _canon(factors: Iterable[FieldGen]) -> tuple:
 _B0 = FieldGen("heis", 0)
 
 
-class NOMono:
-    """coef * :factors... exp(momentum*phi0):, factors canonically sorted."""
-
-    __slots__ = ("coef", "factors", "momentum")
-
-    def __init__(self, coef: CoeffK, factors: Iterable[FieldGen] = (),
-                 momentum: Optional[CoeffK] = None):
-        self.coef = coef
-        self.factors = _canon(factors)
-        self.momentum = momentum if momentum is not None else CoeffK.zero()
-
-    def render(self) -> str:
-        parts = [g.render() for g in self.factors]
-        if not self.momentum.is_zero():
-            parts.append(f"exp({self.momentum.render()}, phi0)")
-        if not parts:
-            return self.coef.render()
-        body = "*".join(parts)
-        body = f"no({body})" if len(parts) > 1 else body
-        cs = self.coef.render()
-        if cs == "1":
-            return body
-        if cs == "-1":
-            return f"-{body}"
-        cs = f"({cs})" if "/" in cs else as_factor(self.coef.num, cs)  # a quotient or rational too
-        return f"{cs}*{body}"
+def render_term(factors: tuple, momentum: CoeffK, coef: CoeffK) -> str:
+    """coef * :factors... exp(momentum*phi0): as printed."""
+    parts = [g.render() for g in factors]
+    if not momentum.is_zero():
+        parts.append(f"exp({momentum.render()}, phi0)")
+    if not parts:
+        return coef.render()
+    body = "*".join(parts)
+    body = f"no({body})" if len(parts) > 1 else body
+    cs = coef.render()
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return f"-{body}"
+    cs = f"({cs})" if "/" in cs else as_factor(coef.num, cs)  # a quotient or rational too
+    return f"{cs}*{body}"
 
 
 class FieldExpr:
@@ -153,18 +146,9 @@ class FieldExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, monos: Iterable[NOMono] = ()):
-        terms: dict = {}
-        for mo in monos:
-            sparse_add(terms, (mo.factors, mo.momentum), mo.coef)
-        self.terms = terms
-
-    @staticmethod
-    def _of(terms: dict) -> "FieldExpr":
-        """Wrap a term map that is already clean (sorted factors, no zero coefficient)."""
-        fe = FieldExpr.__new__(FieldExpr)
-        fe.terms = terms
-        return fe
+    def __init__(self, terms: Optional[dict] = None):
+        """Take over terms, a clean map (sorted factors, no zero coefficient)."""
+        self.terms = {} if terms is None else terms
 
     # -- constructors
     @staticmethod
@@ -172,23 +156,30 @@ class FieldExpr:
         return FieldExpr()
 
     @staticmethod
+    def term(coef: CoeffK, factors: Iterable[FieldGen] = (), momentum: CoeffK = CoeffK.zero()
+             ) -> "FieldExpr":
+        """coef * :factors... exp(momentum*phi0):; no term for a zero coef."""
+        return FieldExpr() if coef.is_zero() else FieldExpr({(_canon(factors), momentum): coef})
+
+    @staticmethod
     def generator(kind: str, sector: int, deriv: int = 0) -> "FieldExpr":
-        return FieldExpr([NOMono(CoeffK.one(), [FieldGen(kind, sector, deriv)])])
+        return FieldExpr.term(CoeffK.one(), [FieldGen(kind, sector, deriv)])
 
     @staticmethod
     def exponential(momentum: CoeffK) -> "FieldExpr":
-        return FieldExpr([NOMono(CoeffK.one(), [], momentum)])
+        return FieldExpr.term(CoeffK.one(), (), momentum)
 
     @staticmethod
     def const(q: CoeffK) -> "FieldExpr":
-        return FieldExpr([NOMono(q, [])])
+        return FieldExpr.term(q)
 
     # -- queries
     def is_zero(self) -> bool:
         return not self.terms
 
-    def monomials(self) -> list[NOMono]:
-        return [NOMono(self.terms[k], *k) for k in sorted(self.terms, key=_term_sort_key)]
+    def monomials(self) -> list[tuple]:
+        """(factors, momentum, coef) per term, in display order."""
+        return [(*k, self.terms[k]) for k in sorted(self.terms, key=_term_sort_key)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldExpr):
@@ -203,15 +194,15 @@ class FieldExpr:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             sparse_add(terms, k, v)
-        return FieldExpr._of(terms)
+        return FieldExpr(terms)
 
     def scale(self, q: CoeffK | Fraction) -> "FieldExpr":  # times a nonzero Fraction: no gcd
         if type(q) is CoeffK and q.is_zero():
             return FieldExpr()
-        return FieldExpr._of({k: v * q for k, v in self.terms.items()})
+        return FieldExpr({k: v * q for k, v in self.terms.items()})
 
     def __neg__(self) -> "FieldExpr":
-        return FieldExpr._of({k: -v for k, v in self.terms.items()})
+        return FieldExpr({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "FieldExpr") -> "FieldExpr":
         return self + (-other)
@@ -222,7 +213,7 @@ class FieldExpr:
         for (fa, ma), a in self.terms.items():
             for (fb, mb), b in other.terms.items():
                 sparse_add(terms, (_canon(fa + fb), ma + mb), a * b)
-        return FieldExpr._of(terms)
+        return FieldExpr(terms)
 
     def derivative(self) -> "FieldExpr":
         """Formal d/dz by the Leibniz rule; d(exp) = momentum * d(phi0) * exp."""
@@ -234,12 +225,12 @@ class FieldExpr:
             if not mom.is_zero():
                 # d exp(a phi) = a * dphi * exp = (a/2) * b0 * exp
                 sparse_add(terms, (_canon(factors + (_B0,)), mom), coef * mom * Fraction(1, 2))
-        return FieldExpr._of(terms)
+        return FieldExpr(terms)
 
     def renamed(self, sigma: dict) -> "FieldExpr":
         """The same sum with every generator of sector l moved to sigma[l]."""
         # sigma is injective: no terms meet
-        return FieldExpr._of({
+        return FieldExpr({
             (_canon(FieldGen(g.kind, sigma[g.sector], g.deriv) for g in factors), mom): coef
             for (factors, mom), coef in self.terms.items()
         })
@@ -250,7 +241,7 @@ class FieldExpr:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        parts = [mo.render() for mo in self.monomials()]
+        parts = [render_term(*t) for t in self.monomials()]
         text = parts[0]
         for p in parts[1:]:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -282,51 +273,25 @@ def nested_product(factors: list[FieldGen], conv: ConventionConfig) -> FieldExpr
 
     ``right`` nests from the right, :A(:B C:):, which for these free fields
     coincides with the flat Fock ordering.  ``left`` nests from the left,
-    :(:A B:)C:, which picks up derivative corrections: contracting inside the
-    point-split pair :A B:(x) against C(w) leaves a field at x whose Taylor
-    coefficient at first order survives the x -> w limit.
+    :(:A B:)C:, and :(X)C:(w) is by definition the (z-w)^0 coefficient of
+    the OPE X(z) C(w), free term included: ``wick_ope`` with one order below
+    the poles, read at order 0.  Its contractions leave the Taylor
+    coefficients of the surviving inner product that make the derivative
+    corrections.  Two factors read the same either way: their one
+    contraction leaves a constant, whose higher Taylor coefficients vanish.
     """
     if conv.nesting == "right" or len(factors) < 3:
-        return FieldExpr([NOMono(CoeffK.one(), factors)])
-    # Left nesting: fold from the left.  Appending C(w) to the point-split
-    # composite :A1..An:(x) adds, per inner factor Ai contracting C with
-    # propagator coef/(x-w)^q, the (x-w)^0 coefficient of
-    # coef/(x-w)^q * (product of the other inner factors)(x), i.e. coef
-    # times the q-th Taylor coefficient of the surviving inner product.
-    acc = FieldExpr([NOMono(CoeffK.one(), factors[:1])])
+        return FieldExpr.term(CoeffK.one(), factors)
+    acc = FieldExpr.term(CoeffK.one(), factors[:1])
     for g in factors[1:]:
-        flat: dict = {}
-        for (fs, mom), coef in acc.terms.items():
-            sparse_add(flat, (_canon(fs + (g,)), mom), coef)
-            for idx, inner in enumerate(fs):
-                pr = contract_pair(inner, g, conv)
-                if pr is None:
-                    continue
-                q, pc = pr
-                shifted = taylor_shift(NOMono(coef * pc, fs[:idx] + fs[idx + 1:], mom), q)
-                for k, v in shifted[q].terms.items():
-                    sparse_add(flat, k, v)
-        acc = FieldExpr._of(flat)
+        acc = wick_ope(acc, FieldExpr.term(CoeffK.one(), (g,)), conv,
+                       extra_orders=1).zero_sector_pole(0)
     return acc
 
 
 # ---------------------------------------------------------------------------
 # Propagators
 # ---------------------------------------------------------------------------
-
-
-def _pair_base(a: FieldGen, b: FieldGen, conv: ConventionConfig):
-    """Base propagator <a(z) b(w)> ignoring derivatives: (order, coef) or None."""
-    if a.sector != b.sector:
-        return None
-    ka, kb = a.kind, b.kind
-    if ka == "beta" and kb == "gamma":
-        return (1, CoeffK.one())
-    if ka == "gamma" and kb == "beta":
-        return (1, CoeffK.from_int(conv.sigma_rev))
-    if ka == "heis" and kb == "heis":
-        return (2, CoeffK.from_int(2))
-    return None
 
 
 def _dress(order: int, coef: CoeffK, dz: int, dw: int) -> tuple[int, CoeffK]:
@@ -342,12 +307,17 @@ def _dress(order: int, coef: CoeffK, dz: int, dw: int) -> tuple[int, CoeffK]:
 
 
 def contract_pair(a: FieldGen, b: FieldGen, conv: ConventionConfig):
-    """Full propagator <a(z) b(w)> with derivative dressing, or None."""
-    base = _pair_base(a, b, conv)
-    if base is None:
+    """Full propagator <a(z) b(w)> with derivative dressing: (order, coef) or None."""
+    if a.sector != b.sector:
         return None
-    order, coef = _dress(base[0], base[1], a.deriv, b.deriv)
-    return order, coef
+    ka, kb = a.kind, b.kind
+    if ka == "beta" and kb == "gamma":
+        return _dress(1, CoeffK.one(), a.deriv, b.deriv)
+    if ka == "gamma" and kb == "beta":
+        return _dress(1, CoeffK.from_int(conv.sigma_rev), a.deriv, b.deriv)
+    if ka == "heis" and kb == "heis":
+        return _dress(2, CoeffK.from_int(2), a.deriv, b.deriv)
+    return None
 
 
 def contract_exp(g: FieldGen, momentum: CoeffK, heis_at: str = "z"):
@@ -370,16 +340,16 @@ def contract_exp(g: FieldGen, momentum: CoeffK, heis_at: str = "z"):
 # ---------------------------------------------------------------------------
 
 
-def taylor_shift(mono: NOMono, order: int) -> dict[int, FieldExpr]:
-    """Re-expand a z-located monomial at w, graded by the displacement power.
+def taylor_shift(fe: FieldExpr, order: int) -> dict[int, FieldExpr]:
+    """Re-expand a z-located field expression at w, graded by the displacement power.
 
-    Returns {n: d^n(mono)/n!}, the coefficient of (z-w)^n, for n = 0..order.
+    Returns {n: d^n(fe)/n!}, the coefficient of (z-w)^n, for n = 0..order.
     Each step is one ``FieldExpr.derivative``, so the exponential's
     corrections come from its rule d exp(a phi0) = (a/2) b0 exp.
     """
     if order < 0:
         raise ValueError("Taylor order must be non-negative")
-    shifted = {0: FieldExpr([mono])}
+    shifted = {0: fe}
     for n in range(1, order + 1):
         shifted[n] = shifted[n - 1].derivative().scale(Fraction(1, n))
     return shifted
@@ -542,13 +512,13 @@ def wick_ope(
                 n_max = D - d_min
                 if n_max < 0:
                     continue
-                for n, fe in taylor_shift(NOMono(coef, zf, a), n_max).items():
+                for n, fe in taylor_shift(FieldExpr({(zf, a): coef}), n_max).items():
                     pole = poles.setdefault(D - n, {})
                     for (fs, _a), v in fe.terms.items():
                         sparse_add(pole, (_canon(fs + wf), merged), v)
 
     return OPEResult(
-        OPESector(eps, {d: FieldExpr._of(terms) for d, terms in poles.items()})
+        OPESector(eps, {d: FieldExpr(terms) for d, terms in poles.items()})
         for eps, poles in sectors.items()
     )
 

@@ -59,7 +59,7 @@ from .ope import (
     ConventionConfig,
     FieldExpr,
     FieldGen,
-    NOMono,
+    GEN_NAMES,
     canonical_sectors,
     charge_of,
     classification_text,
@@ -67,6 +67,7 @@ from .ope import (
     integer_exponent,
     is_laurent,
     nested_product,
+    render_term,
     scalar_ratio,
     wick_ope,
 )
@@ -140,15 +141,14 @@ def _relabeled(x, labels: tuple):
     return x
 
 
+_GEN_LABEL = re.compile(rf"\b({'|'.join(GEN_NAMES)})\[(\d+)\]")  # a generator and its sector
+
+
 @functools.cache
 def _label_template(text: str) -> str:
     """text as a format string whose fields are the sectors of its generators."""
     text = text.replace("{", "{{").replace("}", "}}")
-    return re.sub(r"\b(beta|gamma|b)\[(\d+)\]", r"\1[{\2}]", text)
-
-
-def _gen(kind: str, sector: int, deriv: int = 0) -> FieldExpr:
-    return FieldExpr.generator(kind, sector, deriv)
+    return _GEN_LABEL.sub(r"\1[{\2}]", text)
 
 
 @functools.cache
@@ -162,14 +162,14 @@ def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
     f_parts: dict = {}
 
     # even sector
-    ops[("e", 0)] = _gen("beta", 0)
+    ops[("e", 0)] = FieldExpr.generator("beta", 0)
     ops[("h", 0)] = nested_product(
         [FieldGen("beta", 0), FieldGen("gamma", 0)], conventions
-    ).scale(CoeffK.from_int(-2)) + _gen("heis", 0).scale(s)
+    ).scale(CoeffK.from_int(-2)) + FieldExpr.generator("heis", 0).scale(s)
     cubic0 = nested_product(
         [FieldGen("beta", 0), FieldGen("gamma", 0), FieldGen("gamma", 0)], conventions
     ).scale(CoeffK.from_int(-1))
-    dgamma0 = _gen("gamma", 0, deriv=1).scale(k + CoeffK.from_int(2))
+    dgamma0 = FieldExpr.generator("gamma", 0, deriv=1).scale(k + CoeffK.from_int(2))
     bgamma0 = (FieldExpr.generator("heis", 0) * FieldExpr.generator("gamma", 0)).scale(s)
     ops[("f", 0)] = cubic0 + dgamma0 + bgamma0
     f_parts[0] = {"cubic": cubic0, "dgamma": dgamma0, "bgamma": bgamma0}
@@ -182,13 +182,13 @@ def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
         .scale(CoeffK.from_int(-1))
         + nested_product([FieldGen("beta", 0), FieldGen("gamma", 1)], conventions)
         .scale(CoeffK.from_int(-1))
-        + _gen("heis", 1).scale(s * Fraction(1, 2))
+        + FieldExpr.generator("heis", 1).scale(s * Fraction(1, 2))
     )
     t1 = nested_product(
         [FieldGen("beta", 0), FieldGen("gamma", 1), FieldGen("gamma", 0)],
         conventions,
     ).scale(CoeffK.from_int(-1)) * exp_minus
-    t2 = _gen("gamma", 1, deriv=1).scale((k + CoeffK.from_int(2)) / k) * exp_minus
+    t2 = FieldExpr.generator("gamma", 1, deriv=1).scale((k + CoeffK.from_int(2)) / k) * exp_minus
     t3 = (
         FieldExpr.generator("heis", 1) * FieldExpr.generator("gamma", 1)
     ).scale(s * Fraction(1, 2)) * exp_minus
@@ -356,16 +356,6 @@ def working_config() -> tuple[ConventionConfig, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_h0_ghost_charge(mono: NOMono) -> int:
-    q = 0
-    for g in mono.factors:
-        if g.sector == 0 and g.kind == "beta":
-            q += 2
-        elif g.sector == 0 and g.kind == "gamma":
-            q -= 2
-    return q
-
-
 def verify_charge_relations(ops: OperatorSet) -> dict:
     """Charge 2 for e^(l) and -2 for f^(l) via exact first-order OPE.
 
@@ -447,7 +437,7 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
     res_0l = wick_ope(e0, f_l, conv)
     residue_0l = res_0l.zero_sector_pole(1)
     exp_witnesses = [
-        mo.render() for mo in residue_0l.monomials() if not mo.momentum.is_zero()
+        render_term(*t) for t in residue_0l.monomials() if not t[1].is_zero()
     ]
     missing = []
     for name, target in (
@@ -471,23 +461,23 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
 
     # ghost-degree audit (zero-exponential monomials of f^(l) at charge -2)
     audited = []
-    for mo in f_l.monomials():
-        if not mo.momentum.is_zero():
+    for factors, mom, coef in f_l.monomials():
+        if not mom.is_zero():
             continue
-        charge = _monomial_h0_ghost_charge(mo)
-        if charge != -2:
+        p = sum(1 for g in factors if g.sector == 0 and g.kind == "beta")
+        q = sum(1 for g in factors if g.sector == 0 and g.kind == "gamma")
+        if 2 * (p - q) != -2:  # the h0 ghost charge
             continue
-        p = sum(1 for g in mo.factors if g.sector == 0 and g.kind == "beta")
-        q = sum(1 for g in mo.factors if g.sector == 0 and g.kind == "gamma")
-        audited.append({"monomial": mo.render(), "p": p, "q": q, "q_eq_p_plus_1": q == p + 1})
+        audited.append({"monomial": render_term(factors, mom, coef), "p": p, "q": q,
+                        "q_eq_p_plus_1": q == p + 1})
 
     # h^(l) bilinear structure: one sector-0 and one sector-l generator each
     bilinear_audit = []
-    for mo in h_l.monomials():
-        if len(mo.factors) == 2:
-            sec = sorted(g.sector for g in mo.factors)
+    for factors, mom, coef in h_l.monomials():
+        if len(factors) == 2:
+            sec = sorted(g.sector for g in factors)
             bilinear_audit.append(
-                {"monomial": mo.render(), "sectors": sec, "ok": sec == [0, l]}
+                {"monomial": render_term(factors, mom, coef), "sectors": sec, "ok": sec == [0, l]}
             )
 
     return {
@@ -628,15 +618,15 @@ def check_wakimoto_type(E: FieldExpr, F: FieldExpr, m: int) -> dict:
     violations = []
     f_ghost_sectors = set()
     for (factors, mom), coef in F.terms.items():  # violations in insertion order
-        mo = NOMono(coef, factors, mom)
-        if not (mo.momentum == minus_alpha or mo.momentum.is_zero()):
-            violations.append({"monomial": mo.render(), "why": "momentum not in {-alpha, 0}"})
+        if not (mom == minus_alpha or mom.is_zero()):
+            violations.append({"monomial": render_term(factors, mom, coef),
+                               "why": "momentum not in {-alpha, 0}"})
             continue
-        for g in mo.factors:
+        for g in factors:
             if g.kind == "heis":
                 if g.sector == 0:
                     violations.append(
-                        {"monomial": mo.render(),
+                        {"monomial": render_term(factors, mom, coef),
                          "why": "sector-0 Heisenberg field in the ghost/remainder part"}
                     )
             else:

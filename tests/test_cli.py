@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secalg import cli, families
+from secalg import cli, families, wakimoto
 from secalg.cli import (
     MAX_DERIV_ORDER,
     MAX_INT_DIGITS,
+    MAX_MMAX,
     MAX_NESTING,
+    MAX_OBSTRUCTION_M,
     MAX_POWER_SPAN,
     Command,
     ParseError,
@@ -30,7 +32,7 @@ from secalg.cli import (
     run_command,
 )
 from secalg.coeffs import CoeffK, Poly2, PolyC, sparse_add
-from secalg.ope import KINDS, ConventionConfig, FieldExpr, FieldGen, NOMono, wick_ope
+from secalg.ope import KINDS, ConventionConfig, FieldExpr, FieldGen, wick_ope
 from secalg.ring import RingElem, RingParams
 from secalg.wakimoto import build_operators
 
@@ -94,10 +96,10 @@ def _ring_elems(draw):
 
 
 _field_exprs = st.lists(st.builds(
-    NOMono, _coeffks.filter(lambda x: not x.is_zero()),
+    FieldExpr.term, _coeffks.filter(lambda x: not x.is_zero()),
     st.lists(st.builds(FieldGen, st.sampled_from(KINDS), st.integers(0, 2), st.integers(0, 2)),
              max_size=3),
-    st.none() | _coeffks), max_size=4).map(FieldExpr)
+    st.just(CoeffK.zero()) | _coeffks), max_size=4).map(lambda ts: sum(ts, FieldExpr()))
 _NEG = PolyC({2: F(-3, 2), 1: F(-1, 2)})  # -3/2*c^2 - 1/2*c: several terms, all negative
 
 
@@ -452,6 +454,25 @@ def test_main_invalid_parameters_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd, flag, bound, what", [
+    ("critical-levels", "--mmax", MAX_MMAX, "the table has about mmax^2/2 rows"),
+    ("obstructions", "--m", MAX_OBSTRUCTION_M, "the matrix has m^2 cells"),
+])
+def test_quadratic_output_bounds(cmd, flag, bound, what, monkeypatch, capsys):
+    """The bound itself answers; one more is refused in one line before any work."""
+    assert (MAX_MMAX, MAX_OBSTRUCTION_M) == (400, 200)
+    assert main([cmd, flag, str(bound)]) == 0
+    assert capsys.readouterr().out.endswith("}\n")
+
+    def no_work(*args):
+        raise AssertionError("work done above the bound")
+
+    monkeypatch.setattr(wakimoto, "critical_level", no_work)
+    monkeypatch.setattr(wakimoto, "obstruction_report", no_work)
+    assert main([cmd, flag, str(bound + 1)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {bound + 1} above {bound}: {what}\n"
 
 
 def test_derivative_order_bound():

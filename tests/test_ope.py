@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from secalg.coeffs import CoeffK
 from secalg.ope import (
     ALL_CONFIGS,
+    KINDS,
     ConventionConfig,
     FieldExpr,
     FieldGen,
-    NOMono,
     OPEResult,
     OPESector,
     charge_of,
@@ -69,18 +69,18 @@ def test_wick_exponential_pair(b, eps):
 
 
 def test_taylor_shift_examples():
-    sh = taylor_shift(NOMono(CoeffK.one(), [gen("beta", 1)]), 1)
+    sh = taylor_shift(FieldExpr.term(CoeffK.one(), [gen("beta", 1)]), 1)
     assert sh[0] == fe("beta", 1)
     assert sh[1] == fe("beta", 1, 1)
-    sh = taylor_shift(NOMono(CoeffK.c(), []), 2)
+    sh = taylor_shift(FieldExpr.term(CoeffK.c(), []), 2)
     assert sh[0] == FieldExpr.const(CoeffK.c())
     assert sh[1].is_zero() and sh[2].is_zero()
-    sh = taylor_shift(NOMono(CoeffK.one(), [gen("gamma", 0)]), 2)
+    sh = taylor_shift(FieldExpr.term(CoeffK.one(), [gen("gamma", 0)]), 2)
     assert sh[2] == fe("gamma", 0, 2).scale(CoeffK.from_rat(F(1, 2)))
 
 
 def test_taylor_shift_repeated_factor():
-    sh = taylor_shift(NOMono(CoeffK.one(), [gen("beta", 1), gen("beta", 1)]), 2)
+    sh = taylor_shift(FieldExpr.term(CoeffK.one(), [gen("beta", 1), gen("beta", 1)]), 2)
     assert sh[2] == fe("beta", 1, 1) * fe("beta", 1, 1) + fe("beta", 1) * fe("beta", 1, 2)
 
 
@@ -97,7 +97,7 @@ def test_taylor_shift_exponential_matches_sympy_series():
     series = sp.exp(A * sum(y * x**p / sp.factorial(p) for p, y in enumerate(ys, 1)))
     series = sp.expand(sp.series(series, x, 0, order + 1).removeO())
     a = CoeffK.from_rat(F(3, 2)) / CoeffK.s() + CoeffK.c()
-    shifted = taylor_shift(NOMono(CoeffK.one(), [], a), order)
+    shifted = taylor_shift(FieldExpr.term(CoeffK.one(), [], a), order)
     for n in range(order + 1):
         monos = []
         for powers, q in sp.Poly(series.coeff(x, n), A, *ys).terms():
@@ -108,8 +108,8 @@ def test_taylor_shift_exponential_matches_sympy_series():
             for p, e in enumerate(powers[1:], 1):
                 coef = coef * CoeffK.from_rat(F(1, 2**e))
                 factors += [gen("heis", 0, p - 1)] * e
-            monos.append(NOMono(coef, factors, a))
-        assert shifted[n] == FieldExpr(monos), n
+            monos.append(FieldExpr.term(coef, factors, a))
+        assert shifted[n] == sum(monos, FieldExpr()), n
 
 
 def test_wick_basic_and_sector_locality():
@@ -158,8 +158,8 @@ def test_wick_bilinearity_randomized():
             coef = CoeffK.from_rat(F(rng.randint(-3, 3), rng.randint(1, 2)))
             if coef.is_zero():
                 coef = CoeffK.one()
-            monos.append(NOMono(coef, factors, mom))
-        return FieldExpr(monos)
+            monos.append(FieldExpr.term(coef, factors, mom))
+        return sum(monos, FieldExpr())
 
     def eq(r1, r2):
         if set(r1.sectors) != set(r2.sectors):
@@ -192,13 +192,13 @@ def test_wick_derivative_consistency():
             for _ in range(rng.randint(1, 2))
         ]
         mom = rng.choice([CoeffK.zero(), ALPHA])
-        E = FieldExpr([NOMono(CoeffK.one(), factors, mom)])
+        E = FieldExpr.term(CoeffK.one(), factors, mom)
         factors2 = [
             gen(rng.choice(("beta", "gamma", "heis")), rng.randint(0, 1))
             for _ in range(rng.randint(1, 2))
         ]
         mom2 = rng.choice([CoeffK.zero(), CoeffK.zero() - ALPHA])
-        Fx = FieldExpr([NOMono(CoeffK.one(), factors2, mom2)])
+        Fx = FieldExpr.term(CoeffK.one(), factors2, mom2)
 
         lhs = wick_ope(E.derivative(), Fx, CONV)
         base = wick_ope(E, Fx, CONV, extra_orders=1)
@@ -293,13 +293,13 @@ def test_negative_extra_orders_rejected():
 _gens = st.builds(gen, st.sampled_from(("beta", "gamma", "heis")),
                   st.integers(0, 3), st.integers(0, 2))
 _monos = st.builds(
-    NOMono,
+    FieldExpr.term,
     st.builds(lambda n, d: CoeffK.from_rat(F(n, d)),
               st.integers(-3, 3).filter(bool), st.integers(1, 3)),
     st.lists(_gens, max_size=2),
     st.sampled_from((CoeffK.zero(), ALPHA, CoeffK.zero() - ALPHA)),
 )
-_exprs = st.lists(_monos, min_size=1, max_size=3).map(FieldExpr)
+_exprs = st.lists(_monos, min_size=1, max_size=3).map(lambda ts: sum(ts, FieldExpr()))
 # injective renamings of the nonzero sectors 1..3, monotone or not; 0 fixed
 _renamings = st.permutations(range(1, 7)).map(
     lambda p: {0: 0, 1: p[0], 2: p[1], 3: p[2]})
@@ -334,10 +334,9 @@ def _clean(fe_):
 
 
 # coefficient 0 included, so that zero terms and cancellations are drawn
-_any_monos = st.builds(
-    NOMono,
+_any_monos = st.tuples(
     st.builds(CoeffK.from_int, st.integers(-2, 2)),
-    st.lists(_gens, max_size=3),
+    st.lists(_gens, max_size=3).map(lambda fs: tuple(sorted(fs, key=FieldGen.sort_key))),
     st.sampled_from((CoeffK.zero(), ALPHA, CoeffK.zero() - ALPHA)),
 )
 
@@ -345,13 +344,13 @@ _any_monos = st.builds(
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(monos=st.lists(_any_monos, max_size=5), Fx=_exprs)
 def test_term_map_invariants(monos, Fx):
-    E = FieldExpr(monos)
-    assert E == FieldExpr(reversed(monos))
+    E = sum((FieldExpr.term(*t) for t in monos), FieldExpr())
+    assert E == sum((FieldExpr.term(*t) for t in reversed(monos)), FieldExpr())
     assert (E + Fx) - Fx == E
     left = ConventionConfig(nesting="left")
     results = [E, E + Fx, E - E, -E, E * Fx, E.derivative(), E.scale(ALPHA),
-               nested_product([g for mo in monos[:2] for g in mo.factors], left)]
-    results += [fld for mo in monos for fld in taylor_shift(mo, 2).values()]
+               nested_product([g for _c, fs, _m in monos[:2] for g in fs], left)]
+    results += [fld for t in monos for fld in taylor_shift(FieldExpr.term(*t), 2).values()]
     results += [fld for sec in wick_ope(E, Fx, CONV, 1).sectors.values()
                 for fld in sec.poles.values()]
     assert all(_clean(x) for x in results)
@@ -364,13 +363,12 @@ def _wick_reference(E, Fx, conv, extra_orders=0):
     the z-exponential; each survivor is Taylor-shifted on its own."""
     sectors = {}
     d_min = 1 - extra_orders
-    for mE in E.monomials():
-        for mF in Fx.monomials():
-            a, b = mE.momentum, mF.momentum
+    for fE, a, cE in E.monomials():
+        for fF, b, cF in Fx.monomials():
             eps = a * b
             poles = sectors.setdefault(eps, (eps, {}))[1]
             merged = a + b
-            zf, wf = list(mE.factors), list(mF.factors)
+            zf, wf = list(fE), list(fF)
             z_opts = []
             for g in zf:
                 opts = [None]
@@ -389,7 +387,7 @@ def _wick_reference(E, Fx, conv, extra_orders=0):
                 if len(set(used_w)) < len(used_w):
                     continue
                 order = sum(opt[2][0] for opt in choice if opt is not None)
-                coef = mE.coef * mF.coef
+                coef = cE * cF
                 for opt in choice:
                     if opt is not None:
                         coef = coef * opt[2][1]
@@ -405,34 +403,68 @@ def _wick_reference(E, Fx, conv, extra_orders=0):
                     if D < d_min:
                         continue
                     surv_w = tuple(h for j, h in enumerate(wf) if j not in used)
-                    for n, fld in taylor_shift(NOMono(c, surv_z, a), D - d_min).items():
+                    for n, fld in taylor_shift(FieldExpr.term(c, surv_z, a), D - d_min).items():
                         poles.setdefault(D - n, []).extend(
-                            NOMono(mo.coef, mo.factors + surv_w, merged)
-                            for mo in fld.monomials())
+                            FieldExpr.term(v, fs + surv_w, merged)
+                            for fs, _m, v in fld.monomials())
     return OPEResult(
-        OPESector(eps, {d: FieldExpr(monos) for d, monos in poles.items()})
+        OPESector(eps, {d: sum(monos, FieldExpr()) for d, monos in poles.items()})
         for eps, poles in sectors.values())
 
 
 _ref_monos = st.builds(
-    NOMono,
+    FieldExpr.term,
     st.builds(lambda n, d: CoeffK.from_rat(F(n, d)),
               st.integers(-3, 3).filter(bool), st.integers(1, 3)),
     st.lists(st.builds(gen, st.sampled_from(("beta", "gamma", "heis")),
                        st.integers(0, 1), st.integers(0, 1)), max_size=3),
     st.sampled_from((CoeffK.zero(), ALPHA, CoeffK.zero() - ALPHA, CoeffK.c())),
 )
-_ref_exprs = st.lists(_ref_monos, min_size=1, max_size=2).map(FieldExpr)
+_ref_exprs = st.lists(_ref_monos, min_size=1, max_size=2).map(lambda ts: sum(ts, FieldExpr()))
 _B0 = gen("heis", 0)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(E=_ref_exprs, Fx=_ref_exprs)
 # repeated b[0] factors on both sides, each side carrying an exponential
-@example(E=FieldExpr([NOMono(CoeffK.one(), [_B0, _B0, gen("beta", 1)], ALPHA)]),
-         Fx=FieldExpr([NOMono(CoeffK.one(), [_B0, _B0, gen("gamma", 1)], CoeffK.c())]))
+@example(E=FieldExpr.term(CoeffK.one(), [_B0, _B0, gen("beta", 1)], ALPHA),
+         Fx=FieldExpr.term(CoeffK.one(), [_B0, _B0, gen("gamma", 1)], CoeffK.c()))
 def test_wick_matches_reference_enumeration(E, Fx):
     for conv in ALL_CONFIGS:
         for extra in (0, 1):
             assert _poles(wick_ope(E, Fx, conv, extra)) == _poles(
                 _wick_reference(E, Fx, conv, extra))
+
+
+def _left_nested_reference(factors, conv):
+    """The left-nested product by a direct fold: appending C(w) to the
+    point-split composite :A1..An:(x) adds, per inner factor Ai contracting
+    C with propagator coef/(x-w)^q, coef times the q-th Taylor coefficient
+    of the product of the other inner factors."""
+    if conv.nesting == "right" or len(factors) < 3:
+        return FieldExpr.term(CoeffK.one(), factors)
+    acc = FieldExpr.term(CoeffK.one(), factors[:1])
+    for g in factors[1:]:
+        flat = FieldExpr()
+        for fs, mom, coef in acc.monomials():
+            flat = flat + FieldExpr.term(coef, fs + (g,), mom)
+            for idx, inner in enumerate(fs):
+                pr = contract_pair(inner, g, conv)
+                if pr is not None:
+                    q, pc = pr
+                    rest = FieldExpr.term(coef * pc, fs[:idx] + fs[idx + 1:], mom)
+                    flat = flat + taylor_shift(rest, q)[q]
+        acc = flat
+    return acc
+
+
+_nest_gens = st.builds(gen, st.sampled_from(KINDS), st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(factors=st.lists(_nest_gens, min_size=3, max_size=4))
+@example(factors=[gen("beta", 0), gen("gamma", 0), gen("gamma", 0)])
+@example(factors=[gen("heis", 1, 2), gen("beta", 1), gen("heis", 1, 1), gen("gamma", 1, 2)])
+def test_nested_product_matches_left_nested_reference(factors):
+    for conv in ALL_CONFIGS:
+        assert nested_product(factors, conv) == _left_nested_reference(factors, conv)

@@ -50,8 +50,8 @@ def test_build_operators_anchors():
     assert ops.alpha == CoeffK.alpha()
     # the printed coefficients appear exactly: (k+2)/k on the derivative term
     t2 = ops.f_parts[1]["T2"]
-    [mono] = t2.monomials()
-    assert mono.coef == (CoeffK.k() + CoeffK.from_int(2)) / CoeffK.k()
+    [(_factors, _mom, coef)] = t2.monomials()
+    assert coef == (CoeffK.k() + CoeffK.from_int(2)) / CoeffK.k()
 
 
 def test_calibration_diagnostics():
