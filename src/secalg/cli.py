@@ -80,6 +80,7 @@ MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one
 # two spans of a product or quotient of two such coefficients added up: products are quadratic
 MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
 MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
+EMIT_CHUNKS = 1024  # the chunks of a report that one write joins, at most
 
 
 def _tokenize(src: str):
@@ -406,20 +407,24 @@ class Command:
         self.name, self.params = name, {} if params is None else params
 
 
-def emit_report(report, fmt: str = "json") -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)`` byte for byte, in one pass; fenced for md."""
-    chunks: list[str] = []
-    _emit(report, "\n", chunks)
-    text = "".join(chunks)
-    return f"```json\n{text}\n```" if fmt == "md" else text
+def emit_report(report, fmt: str = "json", out=None) -> Optional[str]:
+    """``json.dumps(report, indent=2, sort_keys=True)`` byte for byte, in one pass; fenced for md.
+    Returned, or written to out with a newline as it is encoded (see _write_report)."""
+    chunks, end = (["```json\n"], "\n```") if fmt == "md" else ([], "")
+    if out is None:
+        _emit(report, "\n", chunks, None)
+        return "".join(chunks) + end
+    _write_report(out, chunks, lambda: _emit(report, "\n", chunks, out), end + "\n")
 
 
-def _write_report(out, text: str) -> None:
-    """Write text and a newline.  A reader that leaves early (a closed pipe) ends the output
-    quietly: out is pointed at the null device, so that no later flush raises."""
+def _write_report(out, chunks: list, emit=lambda: None, end: str = "\n") -> None:
+    """Write the chunks, those that emit() adds as it goes and end to out, so that no whole text
+    is joined.  A reader that leaves early (a closed pipe) ends the output quietly: out is
+    pointed at the null device, so that no later flush raises."""
     try:
-        out.write(text)
-        out.write("\n")  # apart, so that a large report is not copied
+        emit()
+        _flush(chunks, out, 1)
+        out.write(end)
         out.flush()
     except BrokenPipeError:
         null = os.open(os.devnull, os.O_WRONLY)
@@ -427,14 +432,23 @@ def _write_report(out, text: str) -> None:
         os.close(null)
 
 
-def _emit(x, nl: str, out: list) -> None:
-    """Append the text of x, its lines indented after ``nl``, to ``out``: exact dicts with str
+def _flush(chunks: list, out, least: int) -> None:
+    """While at least ``least`` chunks wait, write the first EMIT_CHUNKS in one piece to out."""
+    while len(chunks) >= least:
+        out.write("".join(chunks[:EMIT_CHUNKS]))
+        del chunks[:EMIT_CHUNKS]
+
+
+def _emit(x, nl: str, chunks: list, sink) -> None:
+    """Append the text of x, its lines indented after ``nl``, to ``chunks``: exact dicts with str
     keys, lists, tuples, strs, ints, bools and None here, each scalar in one chunk with the
-    separator and key before it; any other value through ``json.dumps`` itself."""
+    separator and key before it; any other value through ``json.dumps`` itself.  Each item of
+    a list (a report's long containers; a dict is a record) first flushes to the sink, if any,
+    once EMIT_CHUNKS chunks wait."""
     t = type(x)
     enc = _SCALARS.get(t)
     if enc:
-        out.append(enc(x))
+        chunks.append(enc(x))
     elif t is dict and all(type(k) is str for k in x):
         inner = nl + "  "
         sep = "{" + inner
@@ -443,26 +457,28 @@ def _emit(x, nl: str, out: list) -> None:
             enc = _SCALARS.get(type(v))
             head = sep + _encode_str(k) + ": "
             if enc:
-                out.append(head + enc(v))
+                chunks.append(head + enc(v))
             else:
-                out.append(head)
-                _emit(v, inner, out)
+                chunks.append(head)
+                _emit(v, inner, chunks, sink)
             sep = "," + inner
-        out.append(nl + "}" if x else "{}")
+        chunks.append(nl + "}" if x else "{}")
     elif t is list or t is tuple:
         inner = nl + "  "
         head = "[" + inner
         for v in x:
+            if len(chunks) >= EMIT_CHUNKS and sink is not None:
+                _flush(chunks, sink, EMIT_CHUNKS)
             enc = _SCALARS.get(type(v))
             if enc:
-                out.append(head + enc(v))
+                chunks.append(head + enc(v))
             else:
-                out.append(head)
-                _emit(v, inner, out)
+                chunks.append(head)
+                _emit(v, inner, chunks, sink)
             head = "," + inner
-        out.append(nl + "]" if x else "[]")
+        chunks.append(nl + "]" if x else "[]")
     else:
-        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
+        chunks.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
 
 
 _SCALARS = {str: _encode_str, int: int.__repr__, bool: ("false", "true").__getitem__,
@@ -497,11 +513,9 @@ def run_command(cmd: Command, out=None) -> int:
         spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
         table = family_table(spec, p["kmax"])
         if fmt == "md":
-            _write_report(out, table.to_markdown() + "\n\nnote: " + INDEX_RECONCILIATION_NOTE)
+            _write_report(out, [table.to_markdown()], end=f"\n\nnote: {INDEX_RECONCILIATION_NOTE}\n")
         else:
-            doc = table.to_json_dict()
-            doc["note"] = INDEX_RECONCILIATION_NOTE
-            _write_report(out, emit_report(doc))
+            emit_report({**table.to_json_dict(), "note": INDEX_RECONCILIATION_NOTE}, out=out)
         return 0
 
     if cmd.name == "rescaling":
@@ -511,7 +525,7 @@ def run_command(cmd: Command, out=None) -> int:
             "m": p["m"], "r": p["r"], "k_max": p["kmax"],
             "checked": len(rep), "failures": failures,
         }
-        _write_report(out, emit_report(doc, fmt))
+        emit_report(doc, fmt, out)
         return 0 if not failures else 1
 
     if cmd.name == "kahler-reduce":
@@ -519,15 +533,15 @@ def run_command(cmd: Command, out=None) -> int:
         dt, du = (parse_ring_terms(p[k]) if p.get(k) else {} for k in ("dt", "du"))
         check_form_reach(params, dt, du)  # before any u^q is expanded
         cls = reduce_oracle(DiffForm(ring_from_terms(params, dt), ring_from_terms(params, du)))
-        _write_report(out, emit_report(cls.to_json_dict(), fmt))
+        emit_report(cls.to_json_dict(), fmt, out)
         return 0
 
     if cmd.name == "dim":
         params = RingParams(p["m"], p["r"])
         d = basis_dim(params)
         expected = 2 * p["r"] * (p["m"] - 1) + 1
-        _write_report(out, emit_report({"m": p["m"], "r": p["r"], "dim": d,
-                                        "expected": expected, "ok": d == expected}, fmt))
+        emit_report({"m": p["m"], "r": p["r"], "dim": d, "expected": expected,
+                     "ok": d == expected}, fmt, out)
         return 0 if d == expected else 1
 
     if cmd.name == "bracket":
@@ -547,7 +561,7 @@ def run_command(cmd: Command, out=None) -> int:
                         "central": formula.central.to_json_dict()},
             "match": oracle == formula,
         }
-        _write_report(out, emit_report(doc, fmt))
+        emit_report(doc, fmt, out)
         return 0
 
     if cmd.name == "bracket-audit":
@@ -558,12 +572,12 @@ def run_command(cmd: Command, out=None) -> int:
             st = summary.setdefault(e["type"], {"pass": 0, "fail": 0})
             st["pass" if e["match"] else "fail"] += 1
         doc = {"summary": summary, "pairs": rep}
-        _write_report(out, emit_report(doc, fmt))
+        emit_report(doc, fmt, out)
         return 0
 
     if cmd.name == "calibrate":
         res = wakimoto.calibrate_conventions(strict=False)
-        _write_report(out, emit_report(res.to_json_dict(), fmt))
+        emit_report(res.to_json_dict(), fmt, out)
         return 0 if len(res.passing) == 1 else 1
 
     if cmd.name == "ope":
@@ -575,7 +589,7 @@ def run_command(cmd: Command, out=None) -> int:
         doc = res.to_json_dict()
         doc["classification"] = classification_text(is_laurent(res, _parse_k(p["k"])))
         doc["conventions"] = status
-        _write_report(out, emit_report(doc, fmt))
+        emit_report(doc, fmt, out)
         return 0
 
     if cmd.name == "charges":
@@ -583,7 +597,7 @@ def run_command(cmd: Command, out=None) -> int:
         ops = wakimoto.build_operators(p["m"], conv)
         rep = wakimoto.verify_charge_relations(ops)
         rep["calibration"] = status
-        _write_report(out, emit_report(rep, fmt))
+        emit_report(rep, fmt, out)
         return 0 if rep["ok"] else 1
 
     if cmd.name == "obstructions":
@@ -591,9 +605,9 @@ def run_command(cmd: Command, out=None) -> int:
             raise ValueError(f"--m {p['m']} above {MAX_OBSTRUCTION_M}: the matrix has m^2 cells")
         rep = wakimoto.obstruction_report(p["m"], _parse_k(p["k"]))
         if fmt == "md":
-            _write_report(out, rep.to_markdown())
+            _write_report(out, [rep.to_markdown()])
         else:
-            _write_report(out, emit_report(rep.to_json_dict()))
+            emit_report(rep.to_json_dict(), out=out)
         return 0
 
     if cmd.name == "critical-levels":
@@ -612,7 +626,7 @@ def run_command(cmd: Command, out=None) -> int:
                 ok = ok and sym and expq
                 rows.append({"m": m, "l": l, "k_crit": str(kc),
                              "symmetry": sym, "exponent_identity": expq})
-        _write_report(out, emit_report({"rows": rows, "ok": ok}, fmt))
+        emit_report({"rows": rows, "ok": ok}, fmt, out)
         return 0 if ok else 1
 
     raise ValueError(f"unknown command {cmd.name!r}")
@@ -694,7 +708,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cmd = parse_argv(sys.argv[1:] if argv is None else argv)
         if cmd.name == "help":
-            _write_report(sys.stdout, cmd.params["text"])
+            _write_report(sys.stdout, [cmd.params["text"]])
             return 0
         return run_command(cmd)
     except (ValueError, ZeroDivisionError) as exc:  # ParseError is a ValueError

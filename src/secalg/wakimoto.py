@@ -238,21 +238,16 @@ class CalibrationResult:
 
 
 @functools.cache
-def _config_diagnostics(conv: ConventionConfig) -> dict:
-    """The calibration OPEs of one configuration; computed once per process.
-
-    The result depends on constants only.  The cached dict is shared, so
-    callers that hand it on give out a deep copy.
-    """
+def _config_checks(conv: ConventionConfig) -> tuple[dict, dict, FieldExpr]:
+    """The verdict of one configuration on the three identities, the OPEs it reads, and h0:
+    all that choosing a configuration needs; computed once per process."""
     ops = build_operators(2, conv)
     e0, h0, f0 = ops.op("e", 0), ops.op("h", 0), ops.op("f", 0)
     k = CoeffK.k()
     two = CoeffK.from_int(2)
-
-    ef = wick_ope(e0, f0, conv)
-    he = wick_ope(h0, e0, conv)
-    hf = wick_ope(h0, f0, conv)
-    hh = wick_ope(h0, h0, conv)
+    opes = {"e0f0": wick_ope(e0, f0, conv), "h0e0": wick_ope(h0, e0, conv),
+            "h0f0": wick_ope(h0, f0, conv)}
+    ef, he, hf = opes.values()
 
     ef_p1, ef_p2 = ef.zero_sector_pole(1), ef.zero_sector_pole(2)
     he_p1, he_p2 = he.zero_sector_pole(1), he.zero_sector_pole(2)
@@ -266,27 +261,26 @@ def _config_diagnostics(conv: ConventionConfig) -> dict:
         "hf_residue_is_minus_2f0": hf_p1 == f0.scale(CoeffK.zero() - two),
         "hf_no_double": hf_p2.is_zero(),
     }
-    return {
-        "config": conv.to_json_dict(),
-        "checks": checks,
-        "full_match": all(checks.values()),
-        "residue_match": checks["ef_residue_is_h0"]
-        and checks["he_residue_is_2e0"]
-        and checks["hf_residue_is_minus_2f0"],
-        "opes": {
-            "e0f0": ef.to_json_dict(),
-            "h0e0": he.to_json_dict(),
-            "h0f0": hf.to_json_dict(),
-            # delegated normalization: computed and reported, no target
-            "h0h0": hh.to_json_dict(),
-        },
-    }
+    residues = ("ef_residue_is_h0", "he_residue_is_2e0", "hf_residue_is_minus_2f0")
+    return ({"checks": checks, "full_match": all(checks.values()),
+             "residue_match": all(checks[name] for name in residues)}, opes, h0)
+
+
+@functools.cache
+def _config_diagnostics(conv: ConventionConfig) -> dict:
+    """The calibration report of one configuration, its OPEs rendered; computed once per
+    process.  The cached dict is shared, so callers that hand it on give out a deep copy."""
+    verdict, opes, h0 = _config_checks(conv)
+    # delegated normalization: computed and reported, no target
+    opes = {**opes, "h0h0": wick_ope(h0, h0, conv)}
+    return {"config": conv.to_json_dict(), **verdict,
+            "opes": {name: res.to_json_dict() for name, res in opes.items()}}
 
 
 @functools.cache
 def _calibration_choice() -> tuple[tuple, tuple, Optional[ConventionConfig]]:
-    """(passing, residue_passing, chosen) read off the shared diagnostics; once per process."""
-    diags = [_config_diagnostics(conv) for conv in ALL_CONFIGS]
+    """(passing, residue_passing, chosen) read off the shared verdicts; once per process."""
+    diags = [_config_checks(conv)[0] for conv in ALL_CONFIGS]
     passing = tuple(conv for conv, d in zip(ALL_CONFIGS, diags) if d["full_match"])
     residue_passing = tuple(conv for conv, d in zip(ALL_CONFIGS, diags) if d["residue_match"])
     chosen: Optional[ConventionConfig] = None
@@ -737,12 +731,12 @@ def obstruction_report(
     classified = functools.cache(
         lambda canon: _at_level(orbit_report(_branch_cut_expansion, conventions, canon), k_val))
 
-    diag = _config_diagnostics(conventions)
-    anomalies = [name for name, ok in diag["checks"].items() if not ok]
+    verdict = _config_checks(conventions)[0]
+    anomalies = [name for name, ok in verdict["checks"].items() if not ok]
     cells[(0, 0)] = {
-        "status": "realized" if diag["residue_match"] else "not_realized",
+        "status": "realized" if verdict["residue_match"] else "not_realized",
         "witness": {
-            "first_order_identities_hold": diag["residue_match"],
+            "first_order_identities_hold": verdict["residue_match"],
             "anomalies": anomalies,
         },
     }

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr
+from unittest import mock
 from fractions import Fraction as F
 
 import pytest
@@ -300,10 +301,77 @@ def _containers(children):
 def test_emit_report_matches_json(doc):
     """The one-pass emitter writes json.dumps(indent=2, sort_keys=True) byte for byte,
     also for the values and keys it hands to json: bools, None, floats, non-str keys and
-    subclasses of dict, list, str and int."""
+    subclasses of dict, list, str and int.  Streamed to an output, with the chunk bound
+    set low, the writes join to that text and a newline, each joins at most the bound's
+    chunks, whole ones, and a doc of two or more containers takes more than one write
+    before the newline."""
     ref = json.dumps(doc, indent=2, sort_keys=True)
     assert emit_report(doc) == ref
     assert emit_report(doc, "md") == "```json\n" + ref + "\n```"
+    for fmt, head, text in (("json", [], ref), ("md", ["```json\n"], "```json\n" + ref + "\n```")):
+        chunks = list(head)
+        cli._emit(doc, "\n", chunks, None)
+        sink = _Sink()
+        with mock.patch.object(cli, "EMIT_CHUNKS", 2):
+            assert emit_report(doc, fmt, sink) is None
+        assert "".join(sink.writes) == text + "\n"
+        *body, end = sink.writes
+        assert end == text[len("".join(chunks)):] + "\n"
+        sizes = _chunks_per_write(body, chunks)
+        assert max(sizes, default=0) <= 2
+        if _containers_in(doc) > 1:
+            assert len(body) > 1
+
+
+class _Sink:
+    """An output that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _chunks_per_write(writes, chunks):
+    """How many of the chunks each write joins, in order, all of them used, none cut."""
+    sizes, i = [], 0
+    for w in writes:
+        j, text = i, ""
+        while len(text) < len(w) and j < len(chunks):
+            text += chunks[j]
+            j += 1
+        assert text == w, (w, chunks[i:j])
+        sizes.append(j - i)
+        i = j
+    assert i == len(chunks)
+    return sizes
+
+
+def _containers_in(x):
+    if type(x) in (list, tuple) or type(x) is dict and all(type(k) is str for k in x):
+        return 1 + sum(map(_containers_in, x.values() if type(x) is dict else x))
+    return 0
+
+
+def test_emit_report_writes_while_it_encodes(monkeypatch):
+    """A long list is written in pieces as it is encoded: the first writes come before its
+    last item is encoded, not after the whole text is built."""
+    sink, seen, emit = _Sink(), [], cli._emit
+
+    def spy(x, *args):
+        seen.append(len(sink.writes))
+        emit(x, *args)
+
+    monkeypatch.setattr(cli, "EMIT_CHUNKS", 4)
+    monkeypatch.setattr(cli, "_emit", spy)
+    emit_report([[i] for i in range(20)], out=sink)
+    assert seen[0] == 0 and seen[-1] >= 8
+    assert "".join(sink.writes) == json.dumps([[i] for i in range(20)], indent=2) + "\n"
 
 
 def test_emit_report_refuses_what_json_refuses():
@@ -333,12 +401,13 @@ def test_every_command_report_matches_json(argv, monkeypatch, capsys):
     """Each command's document, as emitted, is what json.dumps writes for it."""
     seen = []
 
-    def checked(report, fmt="json"):
-        text = emit_report(report, fmt)
+    def checked(report, fmt="json", out=None):
+        streamed = io.StringIO()
+        emit_report(report, fmt, streamed)
         ref = json.dumps(report, indent=2, sort_keys=True)
-        assert text == (ref if fmt == "json" else "```json\n" + ref + "\n```")
+        assert streamed.getvalue() == (ref if fmt == "json" else "```json\n" + ref + "\n```") + "\n"
         seen.append(fmt)
-        return text
+        out.write(streamed.getvalue())
 
     monkeypatch.setattr(cli, "emit_report", checked)
     assert main(argv) in (0, 1)
@@ -704,3 +773,33 @@ def test_closed_pipe_ends_quietly(argv, lines):
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0 and err == "", err
+
+
+_PEAKS = r"""
+import resource, subprocess, sys
+src, path = sys.argv[1:3]
+pre = f"import sys; sys.path.insert(0, {src!r}); from secalg import cli"
+for code in (pre, pre + "; sys.exit(cli.main(['obstructions', '--m', '120']))"):
+    with open(path, "w") as fh:
+        subprocess.run([sys.executable, "-c", code], stdout=fh, check=True)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_obstructions_peak_memory_follows_its_output(tmp_path):
+    """The report is written as it is encoded, so the peak RSS of `obstructions --m 120`
+    (8.5 MB of output) grows over that of a process that only imports secalg.cli by less
+    than 4 times its output.  Measured (Linux x86_64, Python 3.11): joining the whole text
+    before writing it grew the peak 7.0 times the output, at m = 120 and at m = 200;
+    streaming it grows the peak 2.6 times.  Both commands run as children of a small Python
+    process, which reads its RUSAGE_CHILDREN after each: a child's ru_maxrss starts from the
+    peak of the process it was forked from, here the test run's own."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", _PEAKS, src, str(path)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    base, peak = (1024 * int(line) for line in proc.stdout.split())
+    size = path.stat().st_size
+    assert size > 8_000_000
+    assert peak - base < 4 * size, (base, peak, size)

@@ -130,10 +130,10 @@ def main(argv=None) -> int:
             pairs = [{s: run(trees[s], workload, seconds)
                       for s in (SIDES if i % 2 == 0 else SIDES[::-1])} for i in range(PAIRS)]
             doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
-            w = doc["workloads"][workload]["summary"]["wall_s"]
-            print(f"[{workload}] wall_s median parent {w['parent']['median']:.6g} change "
-                  f"{w['change']['median']:.6g}; change lower in {w['change_lower_in_pairs']} "
-                  f"of {PAIRS}", flush=True)
+            summary = doc["workloads"][workload]["summary"]
+            print(f"[{workload}] median parent -> change (pairs lower of {PAIRS}): " + "; ".join(
+                f"{m} {summary[m]['parent']['median']:.6g} -> {summary[m]['change']['median']:.6g} "
+                f"({summary[m]['change_lower_in_pairs']})" for m in END_TO_END), flush=True)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
