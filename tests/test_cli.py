@@ -7,8 +7,8 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr
-from unittest import mock
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
