@@ -824,21 +824,6 @@ def sparse_add(acc: dict, key, v) -> None:
 # ---------------------------------------------------------------------------
 
 
-def field_ops(a: CoeffK, b: CoeffK, op: str) -> CoeffK:
-    """Field arithmetic dispatch; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise ZeroDivisionError("field_ops: division by zero")
-        return a / b
-    raise ValueError(f"unknown field op {op!r}")
-
-
 def specialize(
     x: CoeffK, c_val: Optional[Fraction] = None, k_val: Optional[Fraction] = None
 ) -> CoeffK:

@@ -193,7 +193,3 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
                             sparse_add(acc, e1 + e2 + pe, v * pv)
     return RingElem._of(a.params, {l: lt for l, lt in out.items() if lt})
 
-
-def decompose_sectors(a: RingElem) -> list[tuple[int, dict[int, PolyC]]]:
-    """Nonzero graded components, ascending sector."""
-    return [(l, dict(a.sectors[l])) for l in sorted(a.sectors)]

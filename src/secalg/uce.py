@@ -17,6 +17,10 @@ through an exact bilinear factorization (sl2 Jacobi + Killing invariance +
 ring associativity + the cocycle identity on monomial triples), which is an
 algebraic regrouping of the same computation, not a sampling.
 
+sl2 is its two generator tables, ``_BRACKET`` and ``_KILLING``: the brackets
+read them, and the sl2 checks of ``lie_axiom_check`` verify them by bilinear
+extension, so what is checked is what is used.
+
 A bracket adds its terms into a current term map {(gen, sector, t): PolyC} and
 a central one (``DiffClass.terms``) by ``sparse_add`` and wraps them once; the
 formula sums its central terms as monomial classes and reduces them once.  A direct
@@ -49,58 +53,20 @@ from .ring import RingElem, RingParams, p_laurent, ring_mul
 GENS = ("e", "h", "f")
 
 
-class SL2Elem:
-    __slots__ = ("e_coef", "h_coef", "f_coef")
-
-    def __init__(self, e_coef: PolyC, h_coef: PolyC, f_coef: PolyC):
-        self.e_coef, self.h_coef, self.f_coef = e_coef, h_coef, f_coef
-
-    def __eq__(self, other):
-        if type(other) is not SL2Elem:
-            return NotImplemented
-        return (self.e_coef == other.e_coef and self.h_coef == other.h_coef
-                and self.f_coef == other.f_coef)
-
-    @staticmethod
-    def gen(name: str) -> "SL2Elem":
-        if name not in GENS:
-            raise ValueError(f"unknown sl2 generator {name!r}")
-        return SL2Elem(*(PolyC.const(int(g == name)) for g in GENS))
-
-    def coeff(self, name: str) -> PolyC:
-        return {"e": self.e_coef, "h": self.h_coef, "f": self.f_coef}[name]
-
-
-def sl2_bracket(x: SL2Elem, y: SL2Elem) -> SL2Elem:
-    """Bilinear extension of [e,f]=h, [h,e]=2e, [h,f]=-2f."""
-    return SL2Elem(
-        e_coef=(x.h_coef * y.e_coef - x.e_coef * y.h_coef) * 2,
-        h_coef=x.e_coef * y.f_coef - x.f_coef * y.e_coef,
-        f_coef=(x.f_coef * y.h_coef - x.h_coef * y.f_coef) * 2,
-    )
-
-
-def killing(x: SL2Elem, y: SL2Elem) -> PolyC:
-    return (
-        x.e_coef * y.f_coef
-        + x.f_coef * y.e_coef
-        + x.h_coef * y.h_coef * 2
-    )
-
-
-# The two tables on generators, read off sl2_bracket and killing (Killing
-# pairing normalized with <e, f> = 1, <h, h> = 2): (x, y) -> the bracket as
-# ((generator, integer coefficient), ...), and (x, y) -> a nonzero <x, y>.
-_GEN = {g: SL2Elem.gen(g) for g in GENS}
+# sl2 on its generators, the one source of its structure: (x, y) -> [x, y] as
+# ((generator, integer coefficient), ...), and (x, y) -> a nonzero Killing pairing
+# <x, y>, normalized with <e, f> = 1, <h, h> = 2.
 _BRACKET = {
-    (x, y): tuple((g, int(v.leading())) for g in GENS
-                  if not (v := sl2_bracket(_GEN[x], _GEN[y]).coeff(g)).is_zero())
-    for x in GENS for y in GENS
+    ("e", "e"): (), ("e", "h"): (("e", -2),), ("e", "f"): (("h", 1),),
+    ("h", "e"): (("e", 2),), ("h", "h"): (), ("h", "f"): (("f", -2),),
+    ("f", "e"): (("h", -1),), ("f", "h"): (("f", 2),), ("f", "f"): (),
 }
-_KILLING = {
-    (x, y): int(v.leading()) for x in GENS for y in GENS
-    if not (v := killing(_GEN[x], _GEN[y])).is_zero()
-}
+_KILLING = {("e", "f"): 1, ("h", "h"): 2, ("f", "e"): 1}
+
+
+def killing(x: str, y: str) -> int:
+    """The Killing pairing <x, y> of two generators."""
+    return _KILLING.get((x, y), 0)
 
 
 class CurrentElem:
@@ -412,14 +378,19 @@ def lie_axiom_check(
 @functools.cache
 def _sl2_failures() -> tuple[tuple, tuple]:
     """(sl2 Jacobi failures, Killing invariance failures) over all generator
-    triples; the pass reads no ring, so it runs once per process."""
+    triples, by bilinear extension of ``_BRACKET`` and ``_KILLING``, the tables
+    the brackets read; the pass reads no ring, so it runs once per process."""
     jac, inv = [], []
     for gx, gy, gz in itertools.product(GENS, repeat=3):
-        X, Y, Z = (SL2Elem.gen(g) for g in (gx, gy, gz))
-        s = [sl2_bracket(sl2_bracket(*xy), z) for xy, z in (((X, Y), Z), ((Y, Z), X), ((Z, X), Y))]
-        if not all((s[0].coeff(g) + s[1].coeff(g) + s[2].coeff(g)).is_zero() for g in GENS):
+        cyclic: dict[str, int] = {}  # [[x, y], z] + [[y, z], x] + [[z, x], y]
+        for a, b, c in ((gx, gy, gz), (gy, gz, gx), (gz, gx, gy)):
+            for g, u in _BRACKET[a, b]:
+                for gen, v in _BRACKET[g, c]:
+                    cyclic[gen] = cyclic.get(gen, 0) + u * v
+        if any(cyclic.values()):
             jac.append((gx, gy, gz))
-        if killing(sl2_bracket(X, Y), Z) != killing(X, sl2_bracket(Y, Z)):
+        if (sum(u * killing(g, gz) for g, u in _BRACKET[gx, gy])
+                != sum(v * killing(gx, g) for g, v in _BRACKET[gy, gz])):
             inv.append((gx, gy, gz))
     return tuple(jac), tuple(inv)
 

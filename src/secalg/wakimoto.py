@@ -19,13 +19,16 @@ Apart from its labels, a cell depends on m only through its bracket type
 premises make the relabeled orbit report the report of the cell:
 
 (a) each sector-l operator, l >= 1, is the sector-1 template renamed by
-    {0: 0, 1: l}; this holds by construction in ``build_operators``;
+    {0: 0, 1: l}; this holds by construction in ``build_operators``, and
+    ``test_sector_operators_hold_sectors_0_and_l`` tests it;
 (b) ``wick_ope`` commutes with injective renamings of the nonzero sectors;
     this is a property of the code, not checked at run time, and
     ``test_wick_commutes_with_sector_renaming`` tests it.
 
-``orbit_report`` memoizes the five orbit reports once per process and
-configuration, in rendered data and whatever the level; each call
+By premise (a) the nonzero sectors of a sector-l operator lie in {l}, so
+``_orbit`` reads the orbit of a cell off its sector labels and builds no
+operator.  ``orbit_report`` memoizes the five orbit reports once per
+process and configuration, in rendered data and whatever the level; each call
 classifies a branch-cut orbit at its own level by ``exponent_class``, the
 rule ``is_laurent`` applies, and hands out a copy relabeled to its sectors.
 
@@ -80,13 +83,11 @@ class CalibrationError(RuntimeError):
 
 
 class OperatorSet:
-    __slots__ = ("m", "conventions", "operators", "alpha", "f_parts")
+    __slots__ = ("m", "conventions", "operators")
 
-    def __init__(self, m: int, conventions: ConventionConfig, operators: dict, alpha: CoeffK,
-                 f_parts: dict):
-        self.m, self.conventions, self.alpha = m, conventions, alpha
+    def __init__(self, m: int, conventions: ConventionConfig, operators: dict):
+        self.m, self.conventions = m, conventions
         self.operators = operators  # (name, sector) -> FieldExpr
-        self.f_parts = f_parts  # sector -> {part name -> FieldExpr}, for witness reports
 
     def op(self, name: str, sector: int) -> FieldExpr:
         return self.operators[(name, sector)]
@@ -96,13 +97,13 @@ class OperatorSet:
         each label."""
         if not all(1 <= l <= self.m - 1 for l in sectors):
             raise ValueError(f"sectors {sectors} outside 1..m-1 = 1..{self.m - 1}")
-        return _orbit(sectors, {l: self.op("f", l).sectors() for l in sectors})
+        return _orbit(sectors)
 
 
-def _orbit(sectors: tuple, f_sectors: dict) -> tuple[tuple, tuple]:
-    """The labels ``canonical_sectors`` gives sectors by the sectors
-    f_sectors[l] of their f operators, and the sector of each label 0..n."""
-    sigma = canonical_sectors(*(f_sectors[l] for l in sectors))
+def _orbit(sectors: tuple) -> tuple[tuple, tuple]:
+    """The labels ``canonical_sectors`` gives sectors, and the sector of each
+    label 0..n; by premise (a) the operators of sector l hold sectors {0, l}."""
+    sigma = canonical_sectors(set(sectors))
     return tuple(sigma[l] for l in sectors), tuple(sorted(sigma))
 
 
@@ -152,14 +153,13 @@ def _label_template(text: str) -> str:
 
 
 @functools.cache
-def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
-    """The operators and parts of f in sectors 0 and 1, built once per process
-    and configuration; ``build_operators`` hands out renamed copies."""
+def _sector_templates(conventions: ConventionConfig) -> dict:
+    """The operators of sectors 0 and 1, built once per process and
+    configuration; ``build_operators`` hands out renamed copies."""
     s = CoeffK.s()
     k = CoeffK.k()
     alpha = CoeffK.alpha()  # 1/s
     ops: dict = {}
-    f_parts: dict = {}
 
     # even sector
     ops[("e", 0)] = FieldExpr.generator("beta", 0)
@@ -172,7 +172,6 @@ def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
     dgamma0 = FieldExpr.generator("gamma", 0, deriv=1).scale(k + CoeffK.from_int(2))
     bgamma0 = (FieldExpr.generator("heis", 0) * FieldExpr.generator("gamma", 0)).scale(s)
     ops[("f", 0)] = cubic0 + dgamma0 + bgamma0
-    f_parts[0] = {"cubic": cubic0, "dgamma": dgamma0, "bgamma": bgamma0}
 
     # sector 1
     exp_minus = FieldExpr.exponential(CoeffK.zero() - alpha)
@@ -194,8 +193,7 @@ def _sector_templates(conventions: ConventionConfig) -> tuple[dict, dict]:
     ).scale(s * Fraction(1, 2)) * exp_minus
     t4 = (FieldExpr.generator("heis", 0) * FieldExpr.generator("gamma", 1)).scale(alpha)
     ops[("f", 1)] = t1 + t2 + t3 + t4
-    f_parts[1] = {"T1": t1, "T2": t2, "T3": t3, "T4": t4}
-    return ops, f_parts
+    return ops
 
 
 def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
@@ -204,13 +202,11 @@ def build_operators(m: int, conventions: ConventionConfig) -> OperatorSet:
     of the orbit form, by construction)."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    ops, parts = _sector_templates(conventions)  # {0: 0, 1: 0} copies sector 0
+    ops = _sector_templates(conventions)  # {0: 0, 1: 0} copies sector 0
     return OperatorSet(
-        m=m, conventions=conventions, alpha=CoeffK.alpha(),
+        m=m, conventions=conventions,
         operators={(name, l): ops[name, min(l, 1)].renamed({0: 0, 1: l})
-                   for l in range(m) for name in ("e", "h", "f")},
-        f_parts={l: {part: fe.renamed({0: 0, 1: l}) for part, fe in parts[min(l, 1)].items()}
-                 for l in range(m)})
+                   for l in range(m) for name in ("e", "h", "f")})
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +294,20 @@ def _calibration_choice() -> tuple[tuple, tuple, Optional[ConventionConfig]]:
     return passing, residue_passing, chosen
 
 
-def calibrate_conventions(strict: bool = True) -> CalibrationResult:
+def calibrate_conventions() -> CalibrationResult:
     """Test all four configurations against the even-sector identities.
 
-    With ``strict`` (the default) a unique fully-passing
-    configuration is required: zero passing configurations raise
-    ``CalibrationError('no calibration')`` and several raise
-    ``CalibrationError('ambiguous calibration')``, both carrying the full
-    diagnostics.  ``strict=False`` returns the diagnostics unconditionally,
-    choosing the unique full match if one exists, else the unique
-    residue-level match (each identity holding at first order).
+    Returns the full diagnostics whatever the verdict, choosing the unique
+    full match if one exists, else the unique residue-level match (each
+    identity holding at first order); ``chosen`` is None if neither is unique.
     """
     passing, residue_passing, chosen = _calibration_choice()
-    result = CalibrationResult(
+    return CalibrationResult(
         per_config=[copy.deepcopy(_config_diagnostics(conv)) for conv in ALL_CONFIGS],
         passing=list(passing),
         residue_passing=list(residue_passing),
         chosen=chosen,
     )
-    if strict:
-        if not passing:
-            raise CalibrationError("no calibration", result)
-        if len(passing) > 1:
-            raise CalibrationError("ambiguous calibration", result)
-    return result
 
 
 def working_config() -> tuple[ConventionConfig, dict]:
@@ -335,7 +321,7 @@ def working_config() -> tuple[ConventionConfig, dict]:
     passing, residue_passing, chosen = _calibration_choice()
     if chosen is None:
         raise CalibrationError("no usable convention configuration",
-                               calibrate_conventions(strict=False))
+                               calibrate_conventions())
     status = {
         "full_calibration": [c.to_json_dict() for c in passing],
         "residue_calibration": [c.to_json_dict() for c in residue_passing],
@@ -379,9 +365,9 @@ def _charge_entry(ops: OperatorSet, l: int) -> dict:
     ce = charge_of(h0, e_l, conv)
     pole1 = wick_ope(h0, f_l, conv).zero_sector_pole(1)
     cf = scalar_ratio(pole1, f_l)
-    charged_parts = (
-        ops.f_parts[l]["T1"] + ops.f_parts[l]["T2"] + ops.f_parts[l]["T3"]
-    )
+    # T1 + T2 + T3 carry exp(-alpha phi0); the tail T4 carries no exponential
+    charged_parts = FieldExpr({key: v for key, v in f_l.terms.items() if not key[1].is_zero()})
+    minus2_charged = charged_parts.scale(CoeffK.from_int(-2))
     entry = {
         "l": l,
         "e_charge": ce.render() if ce is not None else None,
@@ -389,11 +375,9 @@ def _charge_entry(ops: OperatorSet, l: int) -> dict:
         "e_ok": ce == two,
         "f_ok": cf == CoeffK.from_int(-2),
         "f_first_order_pole": pole1.render(),
-        "f_pole_equals_minus2_exponential_terms": pole1
-        == charged_parts.scale(CoeffK.from_int(-2)),
-        "f_zero_charge_term_dropped": (pole1 - charged_parts.scale(
-            CoeffK.from_int(-2))).is_zero()
-        and not ops.f_parts[l]["T4"].is_zero(),
+        "f_pole_equals_minus2_exponential_terms": pole1 == minus2_charged,
+        "f_zero_charge_term_dropped": pole1 == minus2_charged
+        and any(mom.is_zero() for _factors, mom in f_l.terms),
     }
     # orthogonality of the h0 ghost bilinear against sector-l generators
     orth = []
@@ -413,9 +397,7 @@ def charge_residue_check(ops: OperatorSet, l: int) -> dict:
     """Residue of e0(z) f^(l)(w) against h^(l)(w), with witnesses.
 
     Also computes the reversed pair e^(l)(z) f0(w), whose residue must be
-    the single exponential-bearing term reported in the worked example, and
-    audits the ghost-degree combinatorics: every zero-exponential monomial
-    of f^(l) with ghost charge -2 must contain one more gamma0 than beta0.
+    the single exponential-bearing term reported in the worked example.
     The report is made once per sector orbit.
     """
     canon, labels = ops.orbit(l)
@@ -449,21 +431,9 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
     residue_l0 = res_l0.zero_sector_pole(1)
     expected_l0 = (
         FieldExpr.generator("beta", l)
-        * FieldExpr.exponential(ops.alpha)
+        * FieldExpr.exponential(CoeffK.alpha())
         * FieldExpr.generator("gamma", 0)
     ).scale(CoeffK.from_int(2))
-
-    # ghost-degree audit (zero-exponential monomials of f^(l) at charge -2)
-    audited = []
-    for factors, mom, coef in f_l.monomials():
-        if not mom.is_zero():
-            continue
-        p = sum(1 for g in factors if g.sector == 0 and g.kind == "beta")
-        q = sum(1 for g in factors if g.sector == 0 and g.kind == "gamma")
-        if 2 * (p - q) != -2:  # the h0 ghost charge
-            continue
-        audited.append({"monomial": render_term(factors, mom, coef), "p": p, "q": q,
-                        "q_eq_p_plus_1": q == p + 1})
 
     # h^(l) bilinear structure: one sector-0 and one sector-l generator each
     bilinear_audit = []
@@ -486,8 +456,6 @@ def _charge_residue_report(ops: OperatorSet, l: int) -> dict:
         "expected_el_f0": expected_l0.render(),
         "el_f0_residue_matches_expected": residue_l0 == expected_l0,
         "el_f0_residue_differs_from_h_l": residue_l0 != h_l,
-        "ghost_charge_audit": audited,
-        "ghost_charge_audit_ok": all(a["q_eq_p_plus_1"] for a in audited),
         "h_l_bilinear_audit": bilinear_audit,
         "h_l_bilinear_audit_ok": all(b["ok"] for b in bilinear_audit),
     }
@@ -716,7 +684,7 @@ def obstruction_report(
     """Status of every sector pair (l1, l2), derived from computed OPEs.
 
     Each cell relabels the witness fields it keeps from its orbit report;
-    of the sector-l operators only f^(l) is built, for the canonical labels.
+    no sector-l operator is built for the cell itself.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -724,8 +692,6 @@ def obstruction_report(
         conventions, calib = working_config()
     else:
         calib = {"chosen": conventions.to_json_dict(), "mode": "explicit"}
-    f1 = _sector_templates(conventions)[0]["f", 1]
-    f_sectors = {l: f1.renamed({0: 0, 1: l}).sectors() for l in range(1, m)}
     cells: dict = {}
     # each branch-cut orbit is classified once per call, not once per cell
     classified = functools.cache(
@@ -741,7 +707,7 @@ def obstruction_report(
         },
     }
     for l in range(1, m):
-        canon, labels = _orbit((l,), f_sectors)
+        canon, labels = _orbit((l,))
         crc = orbit_report(_charge_residue_report, conventions, canon)
         cells[(0, l)] = {
             "status": "charge_residue_obstructed"
@@ -765,7 +731,7 @@ def obstruction_report(
         }
     for l1 in range(1, m):
         for l2 in range(1, m):
-            canon, labels = _orbit((l1, l2), f_sectors)
+            canon, labels = _orbit((l1, l2))
             chk = classified(canon)
             total = l1 + l2
             btype = "I" if total < m else ("II" if total == m else "III")

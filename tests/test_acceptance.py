@@ -161,7 +161,7 @@ def test_criterion_05b_type_I_pairs_pass(bracket_audit):
 
 
 def test_criterion_06_calibration():
-    res = calibrate_conventions(strict=False)
+    res = calibrate_conventions()
     ok = len(res.passing) == 1
     anomalies = {
         (d["config"]["sigma_rev"], d["config"]["nesting"]): [
@@ -230,15 +230,10 @@ def test_criterion_09_charge_residue_mechanism(ops_by_m):
         good = (
             rep["residue_differs_from_h_l"]
             and bool(rep["exponential_momentum_witnesses"])
-            and rep["ghost_charge_audit_ok"]
             and rep["h_l_bilinear_audit_ok"]
         )
         ok = ok and good
-        details.append(
-            f"l={l}: residue != h({l}) with exponential witness; "
-            f"zero-exponential charge -2 monomials audited: "
-            f"{len(rep['ghost_charge_audit'])} (q = p + 1 holds on all)"
-        )
+        details.append(f"l={l}: residue != h({l}) with exponential witness")
     assert report(9, "charge-residue obstruction (concrete)", ok, "; ".join(details))
 
 

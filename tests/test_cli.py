@@ -135,8 +135,10 @@ def test_printed_ope_witnesses_parse_back():
     """Every pole field and exponent an OPE of the Wakimoto operators prints, as
     ``ope``, ``calibrate`` and ``obstructions`` do, reads as itself."""
     ops = build_operators(3, CONV)
-    fields = list(ops.operators.values()) + [fe for parts in ops.f_parts.values()
-                                             for fe in parts.values()]
+    # the operators, and each monomial of each f^(l) alone
+    fields = list(ops.operators.values()) + [FieldExpr({key: v}) for (name, _l), f in
+                                             ops.operators.items() if name == "f"
+                                             for key, v in f.terms.items()]
     for E in fields:
         for Fx in fields:
             for sec in wick_ope(E, Fx, CONV, extra_orders=1).sectors.values():

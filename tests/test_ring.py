@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from secalg import coeffs
 from secalg.coeffs import CoeffK, PolyC, as_polyc, sparse_add
-from secalg.ring import RingElem, RingParams, decompose_sectors, p_laurent, ring_mul
+from secalg.ring import RingElem, RingParams, p_laurent, ring_mul
 
 P32 = RingParams(3, 2)
 
@@ -53,7 +53,7 @@ def test_u_times_u2_reduces_to_p():
     prod = ring_mul(u, u2)
     expected = RingElem(P32, {0: p_laurent(P32)})
     assert prod == expected
-    assert decompose_sectors(prod)[0][0] == 0
+    assert list(prod.sectors) == [0]
 
 
 def test_no_reduction_needed():
@@ -71,12 +71,11 @@ def test_u2_times_u2_is_u_times_p():
 
 def test_decompose_examples():
     p_elem = RingElem(P32, {0: p_laurent(P32)})
-    [(l, lt)] = decompose_sectors(p_elem)
+    [(l, lt)] = p_elem.sectors.items()
     assert l == 0 and set(lt) == {0, 2, 4}
     two = mono(P32, 1, -1, 1) + mono(P32, 1, 0, 2)
-    comps = decompose_sectors(two)
-    assert [c[0] for c in comps] == [1, 2]
-    assert decompose_sectors(RingElem.zero(P32)) == []
+    assert sorted(two.sectors) == [1, 2]
+    assert RingElem.zero(P32).sectors == {}
 
 
 def test_parameter_mismatch():

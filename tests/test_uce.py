@@ -17,13 +17,11 @@ from secalg.kahler import DiffClass, cocycle_terms, reduce_monomial_class, ring_
 from secalg.ring import RingElem, RingParams, p_laurent, ring_mul
 from secalg.uce import (
     CurrentElem,
-    SL2Elem,
     TauCache,
     UCEElem,
     formula_vs_oracle,
     killing,
     lie_axiom_check,
-    sl2_bracket,
     tau_oracle,
     uce_bracket_formula,
     uce_bracket_oracle,
@@ -37,15 +35,17 @@ def cur(gen, t, l, params=P32):
 
 
 def test_sl2_bracket_and_killing():
-    e, h, f = (SL2Elem.gen(g) for g in "ehf")
-    assert sl2_bracket(e, f) == h
-    assert sl2_bracket(h, e).e_coef == PolyC.const(2)
-    assert sl2_bracket(h, f).f_coef == PolyC.const(-2)
-    assert sl2_bracket(h, h) == SL2Elem(PolyC.zero(), PolyC.zero(), PolyC.zero())
-    assert sl2_bracket(e, e).h_coef.is_zero()
-    assert killing(e, f) == PolyC.const(1) and killing(f, e) == PolyC.const(1)
-    assert killing(h, h) == PolyC.const(2)
-    assert killing(e, h).is_zero()
+    """The generator tables are sl2 in the basis e, h, f, with <e, f> = 1, <h, h> = 2."""
+    assert uce._BRACKET["e", "f"] == (("h", 1),)
+    assert uce._BRACKET["h", "e"] == (("e", 2),)
+    assert uce._BRACKET["h", "f"] == (("f", -2),)
+    for x, y in itertools.product("ehf", repeat=2):
+        assert uce._BRACKET[y, x] == tuple((g, -c) for g, c in uce._BRACKET[x, y])
+        assert killing(x, y) == killing(y, x)
+    assert all(uce._BRACKET[g, g] == () for g in "ehf")
+    assert killing("e", "f") == 1 and killing("h", "h") == 2
+    assert killing("e", "h") == killing("e", "e") == 0
+    assert uce._sl2_failures() == ((), ())
 
 
 def test_oracle_bracket_loop_cocycle():
@@ -156,17 +156,29 @@ def _digest(rep):
     return hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
 
 
-def test_lie_check_bracket_reuse_hides_no_failure(monkeypatch):
-    """A wrong [h, e] shows up in full, though inner brackets are reused."""
+@pytest.fixture
+def fresh_sl2_pass():
+    """The once-per-process sl2 pass is cleared before and after the test, so a
+    test that patches the tables reads its own pass and leaves none behind."""
+    uce._sl2_failures.cache_clear()
+    yield
+    uce._sl2_failures.cache_clear()
+
+
+def test_lie_check_bracket_reuse_hides_no_failure(monkeypatch, fresh_sl2_pass):
+    """A wrong [h, e] shows up in full, though inner brackets are reused, and in
+    the sl2 checks, which read the same table."""
     monkeypatch.setitem(uce._BRACKET, ("h", "e"), (("e", 3),))
     rep = lie_axiom_check(P32, exp_bound=1, direct_exp_bound=1)
     assert not rep["ok"]
     assert len(rep["antisymmetry_failures"]) == 81
     assert len(rep["jacobi_direct_failures"]) == 405
+    assert len(rep["sl2_jacobi_failures"]) == 6
+    assert len(rep["killing_invariance_failures"]) == 2
     anti, jac = _naive_pair_checks(P32, 1, 1)
     assert rep["antisymmetry_failures"] == anti and rep["jacobi_direct_failures"] == jac
     # the report of the version that built every bracket afresh
-    assert _digest(rep) == "2c3587120cc8b50795a047ebb63c5d4f559956047d0593abff3b938053d2c015"
+    assert _digest(rep) == "769f9a021754b0dfc720855518984f92a0bcc10813ccf6f5dea591ef10e287fb"
 
 
 @pytest.mark.parametrize("m,r,digest", [

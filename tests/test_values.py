@@ -8,15 +8,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from secalg.coeffs import PolyC
 from secalg.families import FamilySpec
 from secalg.kahler import DiffForm, ReductionWindow
 from secalg.ope import ConventionConfig, FieldGen
 from secalg.ring import RingElem, RingParams
-from secalg.uce import SL2Elem
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-ONE, ZERO = PolyC.const(1), PolyC.zero()
 P32 = RingParams(3, 2)
 
 
@@ -52,8 +49,6 @@ VALUE_TYPES = [
     ("key", ConventionConfig, (-1, "right"), [(1, "right"), (-1, "left")],
      [(0, "right"), (1, "up")]),
     ("value", ReductionWindow, (-2, 3), [(-1, 3), (-2, 4)], [(4, 3)]),
-    ("value", SL2Elem, (ONE, ZERO, ONE), [(ZERO, ZERO, ONE), (ONE, ONE, ONE), (ONE, ZERO, ZERO)],
-     []),
     ("record", DiffForm, (RingElem.zero(P32), RingElem.zero(P32)), [],
      [(RingElem.zero(P32), RingElem.zero(RingParams(2, 2)))]),
 ]

@@ -11,9 +11,8 @@ import secalg.ope as ope
 import secalg.wakimoto as wakimoto
 from secalg.cli import main
 from secalg.coeffs import CoeffK
-from secalg.ope import ALL_CONFIGS, ConventionConfig, FieldExpr, is_laurent, wick_ope
+from secalg.ope import ALL_CONFIGS, ConventionConfig, FieldExpr, FieldGen, is_laurent, wick_ope
 from secalg.wakimoto import (
-    CalibrationError,
     _config_diagnostics,
     branch_cut_check,
     build_operators,
@@ -46,11 +45,12 @@ def test_build_operators_anchors():
     )
     assert ops.op("h", 1) == expected_h1
     ops2 = build_operators(2, CONV)
-    assert ops2.op("e", 1) == fe("beta", 1) * FieldExpr.exponential(ops2.alpha)
-    assert ops.alpha == CoeffK.alpha()
+    assert ops2.op("e", 1) == fe("beta", 1) * FieldExpr.exponential(CoeffK.alpha())
     # the printed coefficients appear exactly: (k+2)/k on the derivative term
-    t2 = ops.f_parts[1]["T2"]
-    [(_factors, _mom, coef)] = t2.monomials()
+    # D(gamma[1],1) of f^(1), which carries exp(-alpha phi0)
+    [(mom, coef)] = [(mom, coef) for factors, mom, coef in ops.op("f", 1).monomials()
+                     if factors == (FieldGen("gamma", 1, 1),)]
+    assert mom == CoeffK.zero() - CoeffK.alpha()
     assert coef == (CoeffK.k() + CoeffK.from_int(2)) / CoeffK.k()
 
 
@@ -59,7 +59,7 @@ def test_calibration_diagnostics():
     (the residues match under sigma_rev = -1, but the double poles are
     anomalous: k+2 instead of k in e0 f0, and a spurious double pole in
     h0 f0).  Pinned as the documented verification finding."""
-    res = calibrate_conventions(strict=False)
+    res = calibrate_conventions()
     assert res.passing == []
     assert {(c.sigma_rev, c.nesting) for c in res.residue_passing} == {
         (-1, "left"),
@@ -70,8 +70,6 @@ def test_calibration_diagnostics():
         if diag["config"]["sigma_rev"] == -1:
             assert diag["checks"]["he_residue_is_2e0"] is True
             assert diag["checks"]["hf_no_double"] is False
-    with pytest.raises(CalibrationError, match="no calibration"):
-        calibrate_conventions(strict=True)
 
 
 def test_working_config_choice():
@@ -81,7 +79,7 @@ def test_working_config_choice():
 
 
 def test_calibration_cache_is_isolated():
-    first = calibrate_conventions(strict=False)
+    first = calibrate_conventions()
     want = copy.deepcopy(first.to_json_dict())
     first.per_config[0]["checks"]["ef_double_is_k"] = True
     first.per_config[0]["config"]["nesting"] = "left"
@@ -91,10 +89,8 @@ def test_calibration_cache_is_isolated():
     _conv, status = working_config()
     status["chosen"]["sigma_rev"] = 1
     status["residue_calibration"].clear()
-    assert calibrate_conventions(strict=False).to_json_dict() == want
+    assert calibrate_conventions().to_json_dict() == want
     assert _config_diagnostics.cache_info().currsize <= 4
-    with pytest.raises(CalibrationError, match="no calibration"):
-        calibrate_conventions(strict=True)
 
 
 def test_working_config_copies_no_diagnostics(monkeypatch):
@@ -134,7 +130,6 @@ def test_charge_residue_witnesses():
         assert set(rep["missing_terms"]) == {"-beta(l)gamma0", "(s/2)b(l)"}
         assert rep["el_f0_residue_matches_expected"]
         assert rep["el_f0_residue_differs_from_h_l"]
-        assert rep["ghost_charge_audit_ok"]
         assert rep["h_l_bilinear_audit_ok"]
 
 
@@ -387,6 +382,19 @@ def _assert_matrix_matches(rep, m, k_val, direct):
             }
 
 
+def test_sector_operators_hold_sectors_0_and_l():
+    """Premise (a) of the orbit form, which ``_orbit`` reads in place of the
+    operators: under every configuration, each sector-l operator holds sectors
+    within {0, l}, and f^(l) holds both."""
+    for conv in ALL_CONFIGS:
+        for m in range(2, 13):
+            ops = build_operators(m, conv)
+            for l in range(1, m):
+                for name in ("e", "h", "f"):
+                    assert ops.op(name, l).sectors() <= {0, l}, (conv, m, l, name)
+                assert ops.op("f", l).sectors() == {0, l}, (conv, m, l)
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_orbit_reports_match_direct_computation(m):
     ops, direct = build_operators(m, CONV), _direct(m)  # ops is shared by all k
@@ -476,7 +484,7 @@ def test_returned_reports_do_not_alter_the_memo():
         assert check() == want
 
     def fields(ops):
-        return [*ops.operators.values(), *(f for p in ops.f_parts.values() for f in p.values())]
+        return list(ops.operators.values())
 
     want = [fe.render() for fe in fields(build_operators(4, CONV))]
     for fe in fields(build_operators(4, CONV)):

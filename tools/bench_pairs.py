@@ -17,7 +17,9 @@ run in the two trees, parent first in even pairs and change first in odd ones.
 The output records both commits with their ``src/`` and ``bench/`` trees, the
 Python version and the host, each run's sessions, requests, failures and
 end-to-end metrics, and per metric each side's median and quartiles and the
-number of pairs in which the change reads strictly lower.
+number of pairs in which the change reads strictly lower.  The progress line
+of each workload prints those medians and each side's failed/attempted
+requests, the share the acceptance gate counts.
 """
 
 from __future__ import annotations
@@ -131,9 +133,11 @@ def main(argv=None) -> int:
                       for s in (SIDES if i % 2 == 0 else SIDES[::-1])} for i in range(PAIRS)]
             doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
             summary = doc["workloads"][workload]["summary"]
+            failed = {s: "{}/{}".format(*summary[f"{s}_failed_of_requests"]) for s in SIDES}
             print(f"[{workload}] median parent -> change (pairs lower of {PAIRS}): " + "; ".join(
                 f"{m} {summary[m]['parent']['median']:.6g} -> {summary[m]['change']['median']:.6g} "
-                f"({summary[m]['change_lower_in_pairs']})" for m in END_TO_END), flush=True)
+                f"({summary[m]['change_lower_in_pairs']})" for m in END_TO_END)
+                + f"; failed/attempted {failed['parent']} -> {failed['change']}", flush=True)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
