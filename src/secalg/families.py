@@ -30,8 +30,9 @@ product of m'i/(m'i + 2r) over the class up to k (Abel's identity; Elaydi,
 ``test_casoratian_is_free_of_c`` checks it on the walk's values.
 
 The recurrence (not any closed form, and not the Kahler oracle) is the
-normative definition here; agreement with oracle-reduced classes is a
-verification *output*, produced by ``reconcile_with_kahler``.
+normative definition here; how the families compare with oracle-reduced
+classes is checked in ``tests/test_families.py``
+(``test_reconcile_with_kahler_reports_no_verbatim_match``).
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import PolyC, walk_recurrence
-from . import kahler
-from .ring import RingParams
 
 #: Documented indexing note for stated-table comparisons: families whose
 #: nonzero initial condition sits at an odd offset -j have their nonzero
@@ -121,15 +120,6 @@ def _sector_triple(m: int, r: int, l: int):
     return lambda k: (m * k + 2 * r * l, m * k + r * l, m * k)
 
 
-def sector_recurrence_value(m: int, r: int, l: int, j: int, k: int) -> PolyC:
-    """Sector-l recurrence evaluated directly: coefficients (mk+2rl, mk+rl, mk).
-
-    This is the left-hand side of the rescaling identity, computed without
-    dividing through by l.
-    """
-    return walk_recurrence(_initial_values(r, j), k, r, _sector_triple(m, r, l))
-
-
 def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
     """Exact equality of the sector-l recurrence and the m' = m/l family.
 
@@ -198,39 +188,3 @@ def family_table(spec: FamilySpec, k_max: int) -> FamilyTable:
     return FamilyTable(
         spec, {k: eval_family(spec, k) for k in range(-2 * spec.r, k_max + 1)}
     )
-
-
-def reconcile_with_kahler(
-    params: RingParams, l: int, k_range=None
-) -> list[dict]:
-    """Compare oracle structure constants with family values (reported).
-
-    For each k the oracle coordinates of class(t^(k-1) u^l dt) are compared
-    with family values at the candidate indices k-1, k, k+1.  No match is
-    asserted; the report records what holds.
-    """
-    m, r = params.m, params.r
-    if k_range is None:
-        k_range = range(1, 7)
-    out = []
-    for k in k_range:
-        oracle = kahler.structure_constants(l, k, params)
-        entry = {
-            "l": l,
-            "k": k,
-            "oracle": {j: oracle[j].render() for j in sorted(oracle)},
-            "matches": {},
-        }
-        for cand in (k - 1, k, k + 1):
-            if cand < -2 * r:
-                continue
-            ok = True
-            for j in range(1, 2 * r + 1):
-                fam = eval_family(FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r), cand)
-                if fam != oracle[j]:
-                    ok = False
-                    break
-            entry["matches"][cand] = ok
-        entry["any_match"] = any(entry["matches"].values())
-        out.append(entry)
-    return out

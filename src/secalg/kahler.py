@@ -13,47 +13,43 @@ of coef * class(t^e u^l dt): ``eliminate_du``, ``class_terms`` and
 
 Two reducers are provided:
 
-* ``reduce_oracle`` -- the normative reducer.  It expresses any class in the
-  basis through the ring's reduction table: the relations among monomial
-  classes ``t^n u^l dt`` (images of exact forms and of the module relation
-  ``m u^(m-1) du = p' dt`` under du-elimination), solved exactly over Q[c],
-  each relation row for its outermost column.  Every pivot is a nonzero
-  rational, so no denominator in c arises.  The system is triangular in the
-  distance from the basis block, so a column's class does not depend on the
-  window it was solved over, and the table grows outward on demand.
+* ``reduce_oracle`` -- the normative reducer.  Sector 0 is trivial: t^e dt is exact
+  unless e = -1.  In a sector l >= 1 the classes cl(e) = class(t^e u^l dt) obey, at every
+  n, the corrected three-term relation (``_relation`` with shift m + l)
 
-* ``reduce_recurrence`` -- the stated three-term recurrence, reproduced
-  for audit and cross-checked against the oracle; nothing else reduces
-  through it.  Every applied instance is logged with a validity flag;
-  ``verify_recurrence`` evaluates candidate recurrences on oracle-reduced
-  classes and reports which ones actually hold.
+      mn cl(n-1) - 2c(mn + r(m+l)) cl(n+r-1) + (mn + 2r(m+l)) cl(n+2r-1) = 0,
 
-Values are immutable.  Each ring has one reduction table (``ring_table``),
-kept for the process: it only grows (to ``MAX_REACH``), a solved column never
-changes, and growth holds the table's lock, so it is safe to share across threads.
+  -l times the image of t^n u^l (m u^(m-1) du - p'(t) dt) = 0 under du-elimination.
+  Solved for its column farthest from the basis block -2r..-1, its pivot is
+  mn + 2r(m+l) > 0 above the block and mn != 0 below it, so a class folds down its
+  residue class mod r to the block, exactly over Q[c].
+
+* ``reduce_recurrence`` -- the stated three-term recurrence, which has l where the
+  derivative of u^(m+l) gives m + l, reproduced for audit and cross-checked against the
+  oracle; nothing else reduces through it.  Every applied instance is logged with a
+  validity flag; ``verify_recurrence`` evaluates both relations on oracle-reduced classes
+  and reports which ones actually hold.
+
+Values are immutable.  Each ring has one reduction table (``ring_table``), kept for the
+process, which holds every column a fold has passed.  A column is a pure function of the
+ring and (e, l), stored after its two inward neighbours, so the table takes no lock: two
+threads can at worst fold one column twice and store equal values.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import ChainMap
 from fractions import Fraction
-from typing import Optional
 
 from .coeffs import PolyC, sparse_add
 from .ring import RingElem, RingParams, dp_laurent, p_laurent, ring_mul
 
 
-MAX_REACH = 1000  # farthest t exponent, either sign, a table grows to: growth is superlinear
+MAX_REACH = 1000  # farthest t exponent, either sign, a fold reaches: its cost grows about as e^3
 W0 = (0, 0)  # the key of w0 in ``DiffClass.terms``, beside the odd keys (l, j) with l, j >= 1
 
 
-class WindowError(ValueError):
-    """Raised when a window does not cover what it must, or a column stays unresolved."""
-
-
 class PivotError(ValueError):
-    """Raised on a degenerate pivot of the stated recurrence."""
+    """Raised on a degenerate pivot of a three-term relation."""
 
 
 class ReductionWindow:
@@ -68,9 +64,6 @@ class ReductionWindow:
         if type(other) is not ReductionWindow:
             return NotImplemented
         return self.lo == other.lo and self.hi == other.hi
-
-    def __repr__(self):  # error text names the window
-        return f"ReductionWindow(lo={self.lo}, hi={self.hi})"
 
     def enlarged(self, amount: int) -> "ReductionWindow":
         return ReductionWindow(self.lo - amount, self.hi + amount)
@@ -237,41 +230,29 @@ def cocycle_terms(params: RingParams, i: int, a: int, j: int, b: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The oracle: relation rows, elimination, reduction table
+# The oracle: the corrected three-term relation, folded per residue class
 # ---------------------------------------------------------------------------
 
 
-def _relation_rows(params: RingParams, lo: int, hi: int) -> list[dict]:
-    """All relation rows among monomial classes with exponents inside [lo, hi].
+def _relation(params: RingParams, n: int, shift: int) -> tuple[int, int, int]:
+    """(mn, mn + r*shift, mn + 2r*shift) at instance n of the three-term relation
+    mn cl(n-1) - 2c(mn + r*shift) cl(n+r-1) + (mn + 2r*shift) cl(n+2r-1) = 0 in one sector:
+    shift m + l is the corrected relation of sector l, shift l the stated one."""
+    mn = params.m * n
+    return mn, mn + params.r * shift, mn + 2 * params.r * shift
 
-    Sector 0: images of d(t^n) kill every class(t^j dt) with j != -1.
-    Sector l >= 1: images of the module-relation generators
-    t^n u^l (m u^(m-1) du - p'(t) dt), which touch exponents n-1, n+r-1 and
-    n+2r-1; images of d(t^n u^l) vanish identically because du-elimination
-    is built from exactly those forms.
-    """
-    m, r = params.m, params.r
-    rows: list[dict] = []
-    p = p_laurent(params)
-    dp = dp_laurent(params)
 
-    for n in range(lo + 1, hi + 2):
-        if n != 0:
-            rows.append({(n - 1, 0): PolyC.const(n)})
-
-    for l in range(1, m):
-        for n in range(lo + 1, hi - 2 * r + 2):
-            row: dict[tuple[int, int], PolyC] = {}
-            # m * t^n * p(t) * u^(l-1) du, eliminated
-            for e, a in p.items():
-                _du_monomial_classes(n + e, l - 1, params, a * m, row)
-            # - t^n p'(t) u^l dt
-            for e, a in dp.items():
-                sparse_add(row, (n + e, l), -a)
-            if not all(lo <= e <= hi for (e, _l) in row):
-                raise AssertionError(f"relation row (n={n}, l={l}) leaves [{lo}, {hi}]")
-            rows.append(row)
-    return rows
+def _solved_for(params: RingParams, e: int, shift: int) -> tuple[int, int, int, int, int]:
+    """(n, pivot, mid, far, step) of the instance n solved for cl(e), e outside the block
+    -2r..-1: cl(e) = (2c mid cl(e+step) - far cl(e+2step)) / pivot.  Above the block cl(e)
+    is the top column, n = e+1-2r; below it, the bottom one, n = e+1."""
+    r = params.r
+    if e >= 0:
+        n = e + 1 - 2 * r
+        low, mid, top = _relation(params, n, shift)
+        return n, top, mid, low, -r
+    low, mid, top = _relation(params, e + 1, shift)
+    return e + 1, low, mid, top, r
 
 
 def _check_reach(t_exp: int) -> None:
@@ -340,96 +321,27 @@ def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
 
 
 class ReductionTable:
-    """Relation system solved column by column; maps monomial classes to basis.
+    """The classes of monomials t^e u^l dt over the basis, each folded down its residue class.
 
-    Each relation row is solved for its column farthest from the basis block.
-    The system is triangular in that distance: a sector-l row touches
-    exponents n-1, n+r-1, n+2r-1, and either its top exponent is >= 0 (pivot
-    mn + 2r(m+l) > 0) or its bottom exponent is < -2r (pivot mn != 0), never
-    both and never neither.  So, taken in order of distance, every row's other
-    columns are basis columns or columns solved by an earlier row.  Every pivot
-    (n, mn or mn + 2r(m+l)) is a nonzero rational, so the table stays in Q[c].
-
-    The table starts over ``window`` and grows when ``reduce_monomial`` meets
-    a column outside it.  Growth solves only the new columns, from the rows of
-    the strip next to them, so it gives the classes a table built over the
-    larger window at once would give.
+    ``window`` is the basis block -2r..-1 every fold ends in, and ``n_cols`` the number of
+    columns held: the basis columns and every sector-l column a fold has passed.  A column is
+    stored after its two inward neighbours, so the columns between a held one and the block
+    are held too, and a fold starts from the nearest held column of its residue class.
     """
 
-    def __init__(self, params: RingParams, window: ReductionWindow):
+    def __init__(self, params: RingParams):
         self.params = params
-        m, r = params.m, params.r
-        one = PolyC.const(1)
-        basis = {(-1, 0): DiffClass._of(params, {W0: one})}
-        for l in range(1, m):
+        r, one = params.r, PolyC.const(1)
+        self.window = ReductionWindow(-2 * r, -1)
+        self._classes = {(-1, 0): DiffClass._of(params, {W0: one})}
+        for l in range(1, params.m):
             for j in range(1, 2 * r + 1):
-                basis[(-j, l)] = DiffClass._of(params, {(l, j): one})
-        if not all(window.lo <= e <= window.hi for (e, _l) in basis):
-            raise WindowError("window does not cover the basis exponents")
-        self.n_basis = len(basis)
-        self._classes = basis
-        self._lock = threading.Lock()
-        self.rank = 0
-        self._solve(_relation_rows(params, window.lo, window.hi), window, None)
-
-    def _solve(self, rows: list[dict], window: ReductionWindow,
-               old: Optional[ReductionWindow]) -> None:
-        """Solve the rows nearest first, then publish the classes and ``window``.
-
-        Rows that pivot inside ``old`` were solved when ``old`` was built.
-        """
-        r = self.params.r
-
-        def distance(col: tuple[int, int]) -> int:
-            e, l = col
-            return abs(e + 1) if l == 0 else max(e + 1, -2 * r - e, 0)
-
-        pivoted = [(max(row, key=distance), row) for row in rows]
-        if old is not None:
-            pivoted = [(col, row) for col, row in pivoted if not old.lo <= col[0] <= old.hi]
-        pivoted.sort(key=lambda pr: distance(pr[0]))
-        new: dict[tuple[int, int], DiffClass] = {}
-        solved = ChainMap(new, self._classes)
-        for col, row in pivoted:
-            if col in solved or any(k != col and k not in solved for k in row):
-                raise AssertionError(
-                    f"relation row for {col} is not triangular over window {window}"
-                )
-            pivot = row[col]
-            if pivot.degree() != 0:
-                raise AssertionError(f"pivot {pivot.render()} of {col} is not a nonzero constant")
-            inv = -1 / pivot.leading()
-            terms: dict[tuple[int, int], PolyC] = {}
-            for k, v in row.items():
-                if k != col:
-                    solved[k].add_into(terms, v * inv)
-            new[col] = DiffClass._of(self.params, terms)
-
-        self._classes.update(new)
-        self.rank += len(pivoted)
-        self.window = window
-        self.n_cols = self.params.m * (window.hi - window.lo + 1)
-
-    def cover(self, window: ReductionWindow) -> None:
-        """Grow the table to cover ``window``, solving only the new columns."""
-        with self._lock:
-            old = self.window
-            lo, hi = min(window.lo, old.lo), max(window.hi, old.hi)
-            if (lo, hi) == (old.lo, old.hi):
-                return
-            # a new column's row reaches 2r exponents back toward the basis
-            reach = 2 * self.params.r
-            rows = []
-            if lo < old.lo:
-                rows += _relation_rows(self.params, lo, old.lo - 1 + reach)
-            if hi > old.hi:
-                rows += _relation_rows(self.params, old.hi + 1 - reach, hi)
-            self._solve(rows, ReductionWindow(lo, hi), old)
+                self._classes[(-j, l)] = DiffClass._of(params, {(l, j): one})
+        self.n_basis = len(self._classes)
 
     @property
-    def dim(self) -> int:
-        with self._lock:
-            return self.n_cols - self.rank
+    def n_cols(self) -> int:
+        return len(self._classes)
 
     def reduce_terms(self, terms: dict[tuple[int, int], PolyC]) -> DiffClass:
         """Expand the monomial classes {(e, l): coef}, the sum of coef * class(t^e u^l dt)."""
@@ -442,36 +354,50 @@ class ReductionTable:
         return DiffClass._of(self.params, out)
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
-        """Expand class(t^t_exp u^sector dt) over the basis, growing the table to reach it."""
-        cls = self._classes.get((t_exp, sector))
-        if cls is None:
-            if not 0 <= sector < self.params.m:
-                raise ValueError(f"sector {sector} is outside 0..{self.params.m - 1}")
-            _check_reach(t_exp)
-            self.cover(ReductionWindow(t_exp, t_exp))
-            cls = self._classes.get((t_exp, sector))
-            if cls is None:
-                raise WindowError(
-                    f"monomial {(t_exp, sector)} is unresolved over window {self.window}"
-                )
-        return cls
+        """Expand class(t^t_exp u^sector dt) over the basis: walk inward by r to the nearest
+        held column, then solve outward one column at a time by the corrected relation."""
+        classes, params = self._classes, self.params
+        cls = classes.get((t_exp, sector))
+        if cls is not None:
+            return cls
+        if not 0 <= sector < params.m:
+            raise ValueError(f"sector {sector} is outside 0..{params.m - 1}")
+        _check_reach(t_exp)
+        if sector == 0:  # t^e dt = d(t^(e+1))/(e+1)
+            return DiffClass.zero(params)
+        path, e, inward = [], t_exp, -params.r if t_exp >= 0 else params.r
+        while (e, sector) not in classes:
+            path.append(e)
+            e += inward
+        zero = PolyC.zero()
+        for e in reversed(path):
+            _n, pivot, mid, far, step = _solved_for(params, e, params.m + sector)
+            if pivot < 0:
+                pivot, mid, far = -pivot, -mid, -far
+            near = classes[(e + step, sector)].terms
+            farther = classes[(e + 2 * step, sector)].terms
+            terms = {}
+            for key in sorted(near.keys() | farther.keys()):
+                v = near.get(key, zero).c_lincomb(2 * mid, farther.get(key, zero), -far, pivot)
+                if not v.is_zero():
+                    terms[key] = v
+            classes[(e, sector)] = DiffClass._of(params, terms)
+        return classes[(t_exp, sector)]
 
 
 _TABLES: dict[RingParams, ReductionTable] = {}
-_TABLES_LOCK = threading.Lock()
 
 
 def ring_table(params: RingParams) -> ReductionTable:
     """The one reduction table of the ring, shared by every caller in the process."""
-    with _TABLES_LOCK:
-        table = _TABLES.get(params)
-        if table is None:
-            table = _TABLES[params] = ReductionTable(params, ReductionWindow(-2 * params.r, -1))
-        return table
+    table = _TABLES.get(params)
+    if table is None:  # two threads may build it twice, and keep one
+        table = _TABLES.setdefault(params, ReductionTable(params))
+    return table
 
 
 def reduce_oracle(f: DiffForm) -> DiffClass:
-    """Reduce the class of f to the basis by exact elimination."""
+    """Reduce the class of f to the basis by the corrected relation."""
     return ring_table(f.params).reduce_terms(eliminate_du(f))
 
 
@@ -486,15 +412,18 @@ def reduce_monomial_class(params: RingParams, t_exp: int, sector: int) -> DiffCl
 def basis_dim(params: RingParams) -> int:
     """Dimension of the quotient over the basis block enlarged by 2r.
 
-    Over the block itself the dimension is the number of basis columns; the
-    rows of the enlarged window must pivot on every other column.
+    Every column of the window outside the block is solved by a relation of its own:
+    t^e dt, e != -1, by d(t^(e+1)), and a sector-l column by the corrected relation, whose
+    pivot must be nonzero.  So the dimension is the number of basis columns.
     """
     table = ring_table(params)
-    table.cover(ReductionWindow(-2 * params.r, -1).enlarged(2 * params.r))
-    d = table.dim
-    if d != table.n_basis:
-        raise WindowError(f"dimension {d} over {table.window} differs from the basis block's")
-    return d
+    block = table.window
+    window = block.enlarged(2 * params.r)
+    for l in range(1, params.m):
+        for e in range(window.lo, window.hi + 1):
+            if not block.lo <= e <= block.hi and not _solved_for(params, e, params.m + l)[1]:
+                raise PivotError(f"zero pivot of column (e={e}, l={l}) over {window.lo}..{window.hi}")
+    return table.n_basis
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +447,6 @@ class RecurrenceReduction:
         self.cls, self.instances = cls, instances
 
 
-def _paper_coeffs(n: int, l: int, params: RingParams) -> tuple[Fraction, PolyC, Fraction]:
-    """Stated coefficients: (mn, 2c(mn+rl), mn+2rl) at instance n, sector l."""
-    m, r = params.m, params.r
-    return (
-        Fraction(m * n),
-        PolyC({1: 2 * (m * n + r * l)}),
-        Fraction(m * n + 2 * r * l),
-    )
-
-
 def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction:
     """Reduce class(t^(n-1) u^l dt) using the stated recurrence only.
 
@@ -547,17 +466,15 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
         if guard > 10_000:
             raise PivotError("recurrence reduction did not terminate")
         # solve the instance whose top term is the highest X_j above -1, else the one whose
-        # bottom term is the lowest X_j: X_j = [2c(mn+rl) X_(j+step) - far X_(j+2step)] / pivot
-        top = max(vec) > -1
-        j, step = (max(vec), -r) if top else (min(vec), r)
-        inst = j + 1 - 2 * r if top else j + 1
-        c_bot, c_mid, c_top = _paper_coeffs(inst, l, params)
-        pivot, far, name = (c_top, c_bot, "m*n+2rl") if top else (c_bot, c_top, "m*n")
+        # bottom term is the lowest X_j
+        j = max(vec) if max(vec) > -1 else min(vec)
+        inst, pivot, mid, far, step = _solved_for(params, j, l)
         if pivot == 0:
+            name = "m*n+2rl" if step < 0 else "m*n"
             raise PivotError(f"recurrence pivot degenerate: {name} = 0 at (n={inst}, l={l})")
         instances.append(RecurrenceInstance(inst, l, inst >= 1))
         coef = vec.pop(j)
-        sparse_add(vec, j + step, coef * (c_mid * (1 / Fraction(pivot))))
+        sparse_add(vec, j + step, coef * PolyC({1: Fraction(2 * mid, pivot)}))
         sparse_add(vec, j + 2 * step, coef * Fraction(-far, pivot))
 
     odd = {(l, -e): v for e, v in vec.items()}
@@ -577,10 +494,11 @@ def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
     out = []
     for n in n_range:
 
-        def residual(mid_shift: int) -> DiffClass:
-            return table.reduce_terms({(n - 1, l): PolyC.const(m * n),
-                                       (n + r - 1, l): PolyC({1: -2 * (m * n + r * mid_shift)}),
-                                       (n + 2 * r - 1, l): PolyC.const(m * n + 2 * r * mid_shift)})
+        def residual(shift: int) -> DiffClass:
+            low, mid, top = _relation(params, n, shift)
+            return table.reduce_terms({(n - 1, l): PolyC.const(low),
+                                       (n + r - 1, l): PolyC({1: -2 * mid}),
+                                       (n + 2 * r - 1, l): PolyC.const(top)})
 
         out.append(
             {

@@ -604,26 +604,6 @@ def check_wakimoto_type(E: FieldExpr, F: FieldExpr, m: int) -> dict:
     return report
 
 
-def classify_type_II(
-    ops: OperatorSet, l: int, k_val: Optional[Fraction] = None
-) -> dict:
-    """Arithmetic classification of the sector-pair (l, m-l) OPE.
-
-    Case (a): branch cut for 1/k not an integer; case (b): integer pole of
-    order at least n = 1/k >= 1, with the leading residue reported (not
-    asserted) against h0; case (c): regular for 1/k a non-positive integer.
-    """
-    check = branch_cut_check(ops, l, ops.m - l, k_val)
-    cls = check["classification"]
-    if cls == "branch_cut":
-        case = "a"
-    elif cls.startswith("integer_pole"):
-        case = "b"
-    else:
-        case = "c"
-    return {"l": l, "m": ops.m, "k": check["k"], "case": case, "detail": check}
-
-
 def critical_level(l: int, m: int) -> Fraction:
     """The level m/(l(m-l)+m) at which a simple pole would be restored."""
     if not 1 <= l <= m - 1:

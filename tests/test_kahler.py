@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -15,11 +16,11 @@ from secalg import kahler
 from secalg.cli import main
 from secalg.coeffs import PolyC, sparse_add
 from secalg.kahler import (
+    W0,
     DiffClass,
     DiffForm,
     PivotError,
     ReductionTable,
-    ReductionWindow,
     basis_dim,
     check_cocycle_reach,
     check_form_reach,
@@ -32,7 +33,7 @@ from secalg.kahler import (
     structure_constants,
     verify_recurrence,
 )
-from secalg.ring import RingElem, RingParams, dp_laurent
+from secalg.ring import RingElem, RingParams, dp_laurent, p_laurent
 from secalg.uce import TauCache
 
 P32 = RingParams(3, 2)
@@ -177,9 +178,63 @@ def test_basis_dim_stabilizes_wider_grid():
             assert basis_dim(RingParams(m, r)) == 2 * r * (m - 1) + 1
 
 
+def _relation_rows(params, lo, hi):
+    """All relation rows among monomial classes with exponents inside [lo, hi]: the
+    independent oracle of the fold.
+
+    Sector 0: images of d(t^n) kill every class(t^j dt) with j != -1.
+    Sector l >= 1: images under du-elimination of the module-relation generators
+    t^n u^l (m u^(m-1) du - p'(t) dt), which touch exponents n-1, n+r-1 and
+    n+2r-1; images of d(t^n u^l) vanish identically because du-elimination
+    is built from exactly those forms.
+    """
+    m, r = params.m, params.r
+    rows = [{(n - 1, 0): PolyC.const(n)} for n in range(lo + 1, hi + 2) if n]
+    for l in range(1, m):
+        for n in range(lo + 1, hi - 2 * r + 2):
+            dt = du = RingElem.zero(params)
+            for e, a in dp_laurent(params).items():
+                dt = dt + RingElem.monomial(params, -a, n + e, l)
+            for e, a in p_laurent(params).items():
+                du = du + RingElem.monomial(params, a * m, n + e, l - 1)
+            row = eliminate_du(DiffForm(dt, du))
+            assert all(lo <= e <= hi for e, _l in row), (n, l, lo, hi)
+            rows.append(row)
+    return rows
+
+
+@functools.cache
+def _triangular_solve(params, lo, hi):
+    """Every column of [lo, hi] over the basis, from the relation rows: each row solved for
+    its column farthest from the basis block, nearest rows first.  The system is triangular
+    in that distance: a row's other columns are basis columns or solved by an earlier row."""
+    r, one = params.r, PolyC.const(1)
+
+    def distance(col):
+        e, l = col
+        return abs(e + 1) if l == 0 else max(e + 1, -2 * r - e, 0)
+
+    solved = {(-1, 0): DiffClass._of(params, {W0: one})}
+    for l in range(1, params.m):
+        for j in range(1, 2 * r + 1):
+            solved[(-j, l)] = DiffClass._of(params, {(l, j): one})
+    pivoted = sorted(((max(row, key=distance), row) for row in _relation_rows(params, lo, hi)),
+                     key=lambda pr: distance(pr[0]))
+    for col, row in pivoted:
+        assert col not in solved and all(k in solved for k in row if k != col), col
+        assert row[col].degree() == 0, (col, row[col].render())
+        inv = -1 / row[col].leading()
+        terms = {}
+        for k, v in row.items():
+            if k != col:
+                solved[k].add_into(terms, v * inv)
+        solved[col] = DiffClass._of(params, terms)
+    return solved
+
+
 @pytest.mark.parametrize("m, r", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
 def test_reduction_table_matches_sympy_rref(m, r):
-    """Independent oracle: sympy's rref over QQ(c) of the same relation rows.
+    """Independent oracle: sympy's rref over QQ(c) of the relation rows.
 
     Basis columns go last, so every pivot is a non-basis column and its rref
     row expresses that column's class in the basis.  The window contains
@@ -200,7 +255,7 @@ def test_reduction_table_matches_sympy_rref(m, r):
     cols = [(e, l) for l in range(m) for e in range(lo, hi + 1) if (e, l) not in basis]
     cols += basis
     index = {col: i for i, col in enumerate(cols)}
-    rows = kahler._relation_rows(params, lo, hi)
+    rows = _relation_rows(params, lo, hi)
     dense = [[K.zero] * len(cols) for _ in rows]
     for i, row in enumerate(rows):
         for col, v in row.items():
@@ -208,8 +263,8 @@ def test_reduction_table_matches_sympy_rref(m, r):
     rref, pivots = DomainMatrix(dense, (len(rows), len(cols)), K).rref()
     rref = rref.to_Matrix()
 
-    table = ReductionTable(params, ReductionWindow(lo, hi))
-    assert table.dim == len(cols) - len(pivots) == len(basis)
+    table = ReductionTable(params)
+    assert len(cols) - len(pivots) == len(basis) == table.n_basis
     for i, p in enumerate(pivots):
         cls = table.reduce_monomial(*cols[p])
         for (e, l) in basis:
@@ -218,26 +273,57 @@ def test_reduction_table_matches_sympy_rref(m, r):
             assert K.from_sympy(want) == to_k(got), (cols[p], (e, l))
 
 
-def test_reduction_table_rejects_a_row_solved_twice(monkeypatch):
-    relation_rows = kahler._relation_rows
-    monkeypatch.setattr(kahler, "_relation_rows",
-                        lambda params, lo, hi: relation_rows(params, lo, hi)[:1] * 2)
-    with pytest.raises(AssertionError, match="not triangular"):
-        ReductionTable(P32, ReductionWindow(-9, 9))
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 2), (4, 3), (5, 2)])
+def test_every_relation_row_is_the_corrected_relation(m, r):
+    """-l times the sector-l row at instance n is the corrected relation the fold solves."""
+    params = RingParams(m, r)
+    rows = iter(row for row in _relation_rows(params, -20, 20) if any(l for _e, l in row))
+    for l in range(1, m):
+        for n in range(-19, 22 - 2 * r):
+            low, mid, top = kahler._relation(params, n, m + l)
+            want = {(n - 1, l): PolyC.const(low), (n + r - 1, l): PolyC({1: -2 * mid}),
+                    (n + 2 * r - 1, l): PolyC.const(top)}
+            assert {k: v * -l for k, v in next(rows).items()} == {
+                k: v for k, v in want.items() if not v.is_zero()}, (l, n)
+    assert next(rows, None) is None
 
 
-def fresh_table(params):
-    return ReductionTable(params, ReductionWindow(-2 * params.r, -1))
+@pytest.mark.parametrize("m, r", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (5, 2)])
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_fold_matches_triangular_solve_of_relation_rows(m, r, data):
+    """Every sector and every e in -6r..4r, requested in any order of a fresh table: the
+    fold by the corrected relation equals the triangular solve of the relation rows."""
+    params = RingParams(m, r)
+    solved = _triangular_solve(params, -6 * r, 4 * r)
+    table = ReductionTable(params)
+    cols = [(e, l) for l in range(m) for e in range(-6 * r, 4 * r + 1)]
+    for col in data.draw(st.permutations(cols)):
+        assert table.reduce_monomial(*col) == solved[col], col
 
 
-_WHOLE: dict = {}
+def test_fold_with_the_stated_shift_disagrees_with_the_rows(monkeypatch):
+    """The stated recurrence has l where the derivative of u^(m+l) gives m + l.  A fold by it
+    keeps sector 0 and the basis block, and disagrees with the relation rows on every other
+    column: the rows are the corrected relation, not the stated one."""
+    solved = _triangular_solve(P32, -12, 8)
+    relation = kahler._relation
+    monkeypatch.setattr(kahler, "_relation",
+                        lambda params, n, shift: relation(params, n, shift - params.m))
+    table = ReductionTable(P32)
+    for (e, l), cls in solved.items():
+        agrees = table.reduce_monomial(e, l) == cls
+        assert agrees == (l == 0 or -4 <= e <= -1), (e, l)
 
 
-def whole_table(params):
-    """One table built over [-5r-3, 3r+3] at once, the reference for grown tables."""
-    if params not in _WHOLE:
-        _WHOLE[params] = ReductionTable(params, ReductionWindow(-5 * params.r - 3, 3 * params.r + 3))
-    return _WHOLE[params]
+def test_basis_dim_checks_every_pivot(monkeypatch):
+    """The dimension is computed: a relation whose pivot vanishes in the enlarged window
+    (here the top one, at e = 3) stops it."""
+    relation = kahler._relation
+    monkeypatch.setattr(kahler, "_relation", lambda params, n, shift: (
+        relation(params, n, shift)[:2] + (0,) if n == 0 else relation(params, n, shift)))
+    with pytest.raises(PivotError, match=r"\(e=3, l=1\)"):
+        basis_dim(P32)
 
 
 _GRID = [RingParams(m, r) for m in (2, 3, 4) for r in (2, 3)]
@@ -246,16 +332,17 @@ _GRID = [RingParams(m, r) for m in (2, 3, 4) for r in (2, 3)]
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_grown_table_matches_whole_window_table(data):
-    """Classes do not depend on the order in which columns are first requested,
-    and the oracle over a fresh ring table is linear."""
+    """Classes do not depend on the order in which columns are first requested, a table
+    holds only the columns its folds passed, and the oracle over a fresh ring table is
+    linear."""
     params = data.draw(st.sampled_from(_GRID))
-    whole = whole_table(params)
-    cols = [(e, l) for l in range(params.m)
-            for e in range(whole.window.lo, whole.window.hi + 1)]
-    table = fresh_table(params)
+    lo, hi = -5 * params.r - 3, 3 * params.r + 3
+    whole = _triangular_solve(params, lo, hi)
+    cols = [(e, l) for l in range(params.m) for e in range(lo, hi + 1)]
+    table = ReductionTable(params)
     for col in data.draw(st.permutations(cols)):
-        assert table.reduce_monomial(*col) == whole.reduce_monomial(*col), col
-    assert table.window == whole.window and table.dim == whole.dim == table.n_basis
+        assert table.reduce_monomial(*col) == whole[col], col
+    assert table.n_cols == (params.m - 1) * (hi - lo + 1) + 1
 
     span = 3 * params.r
     term = st.tuples(st.integers(-5, 5), st.integers(-span, span),
@@ -273,45 +360,38 @@ def test_grown_table_matches_whole_window_table(data):
         assert reduce_oracle(form([a, b])) == reduce_oracle(form([a])) + reduce_oracle(form([b]))
 
 
-def test_growth_is_linear_in_the_final_width(monkeypatch):
-    relation_rows = kahler._relation_rows
-    count = [0]
-
-    def counted(params, lo, hi):
-        rows = relation_rows(params, lo, hi)
-        count[0] += len(rows)
-        return rows
-
-    monkeypatch.setattr(kahler, "_relation_rows", counted)
-    table = fresh_table(P32)
-    for e in range(0, 201):
-        table.reduce_monomial(e, 1)
-    assert table.window == ReductionWindow(-4, 200)
-    assert count[0] <= 3 * table.n_cols, (count[0], table.n_cols)
-    assert table.dim == table.n_basis
-    once = ReductionTable(P32, table.window)
+def test_growth_is_linear_in_the_final_width():
+    """e = 0..200 in sector 1 adds one column per request, in either order of request,
+    and both orders give the same classes."""
+    tables = []
+    for order in (range(0, 201), range(200, -1, -1)):
+        table = ReductionTable(P32)
+        for e in order:
+            table.reduce_monomial(e, 1)
+        assert table.n_cols - table.n_basis == 201
+        tables.append(table)
+    up, down = tables
     for e in range(-4, 201):
-        for l in range(3):
-            assert table.reduce_monomial(e, l) == once.reduce_monomial(e, l), (e, l)
+        assert up.reduce_monomial(e, 1) == down.reduce_monomial(e, 1), e
 
 
 def test_sector_out_of_range_does_not_grow():
-    table = fresh_table(P32)
-    before = (table.window, table.n_cols, table.rank)
+    table = ReductionTable(P32)
+    before = table.n_cols
     for sector in (-1, 3, 7):
         with pytest.raises(ValueError, match="sector"):
             table.reduce_monomial(50, sector)
-    assert (table.window, table.n_cols, table.rank) == before
+    assert table.n_cols == before
 
 
 def test_far_term_refused_before_nearer_terms_grow_the_table(capsys):
     """A form with one term beyond MAX_REACH is refused before any term is reduced."""
     with mock.patch.dict(kahler._TABLES, clear=True):
-        before = ring_table(P32).window
+        before = ring_table(P32).n_cols
         assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "t^1000*u + t^1001*u"]) == 2
         assert capsys.readouterr().err == (
             "error: t exponent 1001 is beyond kahler.MAX_REACH (1000)\n")
-        assert ring_table(P32).window == before
+        assert ring_table(P32).n_cols == before
 
 
 def test_ring_table_grows_safely_across_threads():
@@ -320,6 +400,7 @@ def test_ring_table_grows_safely_across_threads():
             [(-90, 2), (130, 1)]]
     with mock.patch.dict(kahler._TABLES, clear=True):
         serial = {col: ring_table(params).reduce_monomial(*col) for job in jobs for col in job}
+        n_cols = ring_table(params).n_cols
     results: dict = {}
     errors: list = []
     barrier = threading.Barrier(len(jobs))
@@ -342,11 +423,9 @@ def test_ring_table_grows_safely_across_threads():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            table = ring_table(params)
             assert errors == []
             assert results == serial
-            assert table.window == ReductionWindow(-130, 140)
-            assert table.dim == table.n_basis
+            assert ring_table(params).n_cols == n_cols
     finally:
         sys.setswitchinterval(interval)
 
