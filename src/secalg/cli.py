@@ -10,7 +10,9 @@ Grammar (shared tokens; byte offsets reported on error):
                    combined with "+", "-", "*", "/", and "^" int; c-degree
                    span at most coeffs.MAX_C_DEGREE (100000), and a power of
                    a sum, or a product or quotient of two sums, at most
-                   MAX_POWER_SPAN (2000) in _span, else exit 2
+                   MAX_POWER_SPAN (2000) in _span, else exit 2; evaluated in
+                   Q[c] (PolyC) until s, k, a division by a non-constant or a
+                   negative power of one lifts both operands to CoeffK
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
@@ -46,7 +48,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
-from .coeffs import CoeffK, PolyC, as_polyc, sparse_add
+from .coeffs import CoeffK, PolyC, as_coeffk, as_polyc, sparse_add
 from .families import (
     INDEX_RECONCILIATION_NOTE,
     FamilySpec,
@@ -81,6 +83,7 @@ MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one
 MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
 MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
 EMIT_CHUNKS = 1024  # the chunks of a report that one write joins, at most
+_C = PolyC.c()
 
 
 def _tokenize(src: str):
@@ -132,6 +135,12 @@ class _Parser:
         self.pos += 1
         return t
 
+    def accept(self, kind: str) -> bool:
+        """Whether the next token is of kind; it is consumed if so."""
+        found = self.toks[self.pos][0] == kind
+        self.pos += found
+        return found
+
     def expect(self, kind: str):
         t = self.next()
         if t[0] != kind:
@@ -151,16 +160,16 @@ class _Parser:
         self.depth -= 1
         return val
 
-    # -- coefficient expressions ------------------------------------------
-    def coef_expr(self) -> CoeffK:
+    # -- coefficient expressions (a PolyC while in Q[c], see the grammar) ------
+    def coef_expr(self) -> PolyC | CoeffK:
         val = self.coef_term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.coef_term()
+            val, rhs = _lifted(val, self.coef_term())
             val = val + rhs if op == "+" else val - rhs
         return val
 
-    def coef_term(self, ops: tuple = ("*", "/")) -> CoeffK:
+    def coef_term(self, ops: tuple = ("*", "/")) -> PolyC | CoeffK:
         """A chain of coefficient powers joined by the operators in ops."""
         val = self.coef_power()
         while self.peek()[0] in ops:
@@ -169,41 +178,42 @@ class _Parser:
             rhs = self.coef_power()
             _bound_pair(val, op, rhs, pos)
             if op == "*":
+                val, rhs = _lifted(val, rhs)
                 val = val * rhs
             else:
                 if rhs.is_zero():
                     raise ParseError("division by zero", self.peek()[2])
-                val = val / rhs
+                val, rhs = _lifted(val, rhs, type(rhs) is PolyC and rhs.degree() > 0)
+                val = val / rhs if type(val) is CoeffK else val * Fraction(rhs.den, rhs.num)
         return val
 
-    def coef_power(self) -> CoeffK:
+    def coef_power(self) -> PolyC | CoeffK:
         val = self.coef_atom()
         while self.peek()[0] == "^":
             e, t = self.exponent()
             if _dense(val) and _span(val) * abs(e) > MAX_POWER_SPAN:
                 raise ParseError(f"power {abs(e)} of a coefficient of exponent span {_span(val)} "
                                  f"spans above {MAX_POWER_SPAN}", t[2])
+            if e < 0 and type(val) is PolyC:
+                val, e = (PolyC.const(1 / val.cont), -e) if val.degree() == 0 else (as_coeffk(val), e)
             val = val ** e
         return val
 
     def exponent(self) -> tuple[int, tuple]:
         """"^", an optional "-" and an int: the signed int and the int's token."""
         self.expect("^")
-        sign = 1
-        if self.peek()[0] == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         t = self.expect("int")
         return sign * int(t[1]), t
 
-    def coef_atom(self) -> CoeffK:
+    def coef_atom(self) -> PolyC | CoeffK:
         t = self.peek()
         if t[0] == "-":
             self.next()
-            return CoeffK.zero() - self.nested(self.coef_power)
+            return -self.nested(self.coef_power)
         if t[0] == "int":
             self.next()
-            return CoeffK.from_int(int(t[1]))
+            return PolyC.const(int(t[1]))
         if t[0] == "(":
             self.next()
             val = self.nested(self.coef_expr)
@@ -212,7 +222,7 @@ class _Parser:
         if t[0] == "name":
             if t[1] == "c":
                 self.next()
-                return CoeffK.c()
+                return _C
             if t[1] == "s":
                 self.next()
                 return CoeffK.s()
@@ -233,13 +243,10 @@ class _Parser:
             op = self.next()[0]
 
     def ring_term(self) -> tuple[tuple[int, int], PolyC]:
-        coef = CoeffK.one()
+        coef = PolyC.const(1)
         t_exp = 0
         u_exp = 0
-        neg = False
-        if self.peek()[0] == "-":
-            self.next()
-            neg = True
+        neg = self.accept("-")
         while True:
             t = self.peek()
             if t[0] == "name" and t[1] in ("t", "u"):
@@ -254,13 +261,12 @@ class _Parser:
             else:
                 rhs = self.coef_term(("/",))
                 _bound_pair(coef, "*", rhs, t[2])
+                coef, rhs = _lifted(coef, rhs)
                 coef = coef * rhs
-            if self.peek()[0] == "*":
-                self.next()
-                continue
-            break
+            if not self.accept("*"):
+                break
         if neg:
-            coef = CoeffK.zero() - coef
+            coef = -coef
         return (t_exp, u_exp), as_polyc(coef)
 
     # -- field expressions ---------------------------------------------------
@@ -273,13 +279,9 @@ class _Parser:
         return val
 
     def field_term(self, m: int) -> FieldExpr:
-        neg = False
-        if self.peek()[0] == "-":
-            self.next()
-            neg = True
+        neg = self.accept("-")
         val = self.field_item(m)
-        while self.peek()[0] == "*":
-            self.next()
+        while self.accept("*"):
             pos, rhs = self.peek()[2], self.field_item(m)
             for a in val.terms.values():  # each coefficient product, as in ring_term
                 for b in rhs.terms.values():
@@ -306,7 +308,7 @@ class _Parser:
             if nm[1] != "phi0":
                 raise ParseError("only the sector-0 scalar 'phi0' is supported", nm[2])
             self.expect(")")
-            return FieldExpr.exponential(mom)
+            return FieldExpr.exponential(as_coeffk(mom))
         if t[0] == "name" and t[1] == "D":
             self.next()
             self.expect("(")
@@ -324,7 +326,7 @@ class _Parser:
             return inner
         # otherwise a coefficient item: power/division chains bind here,
         # "*" returns to the enclosing field term
-        return FieldExpr.const(self.coef_term(("/",)))
+        return FieldExpr.const(as_coeffk(self.coef_term(("/",))))
 
     def field_gen(self, m: int) -> FieldExpr:
         t = self.expect("name")
@@ -343,19 +345,26 @@ class _Parser:
             raise ParseError(f"trailing input {t[1]!r}", t[2])
 
 
-def _span(x: CoeffK) -> int:
+def _lifted(a: PolyC | CoeffK, b: PolyC | CoeffK, leave: bool = False) -> tuple:
+    """(a, b) while both are PolyC values and the operation stays in Q[c], else both lifted."""
+    return (a, b) if type(a) is type(b) is PolyC and not leave else (as_coeffk(a), as_coeffk(b))
+
+
+def _span(x: PolyC | CoeffK) -> int:
     """The span of x's c exponents plus three times that of its s exponents, numerator and
     denominator added up: a product spends about three times as long per s exponent (a PolyC)."""
+    if type(x) is PolyC:
+        return x.degree() - x.val
     return sum(max(map(PolyC.degree, p.by_s.values())) - min(q.val for q in p.by_s.values())
                + 3 * (max(p.by_s) - min(p.by_s)) for p in (x.num, x.den))
 
 
-def _dense(x: CoeffK) -> bool:
+def _dense(x: PolyC | CoeffK) -> bool:
     """Whether x has more than one term, numerator and denominator together."""
-    return x.num.n_terms() * x.den.n_terms() > 1
+    return x.n_terms() > 1 if type(x) is PolyC else x.num.n_terms() * x.den.n_terms() > 1
 
 
-def _bound_pair(a: CoeffK, op: str, b: CoeffK, pos: int) -> None:
+def _bound_pair(a: PolyC | CoeffK, op: str, b: PolyC | CoeffK, pos: int) -> None:
     """Refuse a op b, a product or a quotient of two coefficients of more than one term each,
     before it is expanded, once their spans add up above MAX_POWER_SPAN."""
     if _dense(a) and _dense(b) and _span(a) + _span(b) > MAX_POWER_SPAN:
@@ -368,7 +377,7 @@ def parse_coef(src: str) -> CoeffK:
     p = _Parser(src)
     val = p.coef_expr()
     p.done()
-    return val
+    return as_coeffk(val)
 
 
 def parse_ring_terms(src: str) -> dict[tuple[int, int], PolyC]:

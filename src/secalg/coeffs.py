@@ -23,8 +23,9 @@ at the edges, for scalars and for reading coefficients out):
   all their arithmetic is ``PolyC``'s integer arithmetic.
 * ``CoeffK``  -- the coefficient field Frac(Q[c, s]), stored as a canonical
   reduced fraction of two ``Poly2`` values.  It serves the free-field side
-  (OPEs, Wakimoto operators) and the CLI coefficient parser; ``as_polyc`` is
-  the one way from it into the algebra side.
+  (OPEs, Wakimoto operators) and the CLI coefficient parser, which reads in
+  Q[c] until s, k, a division by a non-constant or a negative power of one
+  lifts it here (``as_coeffk``); ``as_polyc`` is the one way back.
 
 ``s`` is the primitive level variable; the level itself is ``k = s**2`` and
 is rewritten into ``s`` on input and out of ``s`` only for display or
@@ -132,6 +133,19 @@ def _axpy(fa: int, a: tuple, va: int, fb: int, b: tuple, vb: int, num: int, den:
     return PolyC._of(*_primitive(ints, num, den, va))
 
 
+def _power(x, n: int, out):
+    """out * x**n for n >= 0, x a PolyC or a CoeffK, by square-and-multiply."""
+    if n < 0:
+        raise ValueError(f"negative power {n} of a polynomial")
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 def _pdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int], int]:
     """Integer pseudo-division of tuples (lowest degree first, ``b`` nonempty with ``b[-1] > 0``).
 
@@ -217,7 +231,7 @@ class PolyC:
 
     @staticmethod
     def c(power: int = 1) -> "PolyC":
-        return PolyC({power: 1})
+        return PolyC._of((1,), 1, 1, power) if power >= 0 else PolyC({power: 1})  # which refuses it
 
     # -- queries
     def is_zero(self) -> bool:
@@ -308,6 +322,9 @@ class PolyC:
         return PolyC._of(tuple(out), num, den, val)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "PolyC":
+        return _power(self, n, _ONE)
 
     def scale(self, q) -> "PolyC":
         return self * Fraction(q)
@@ -467,7 +484,7 @@ class Poly2:
 
     @staticmethod
     def var_s(power: int = 1) -> "Poly2":
-        return Poly2({(0, power): 1})
+        return Poly2._of({power: _ONE}) if power >= 0 else Poly2({(0, power): 1})  # which refuses it
 
     def is_zero(self) -> bool:
         return not self.by_s
@@ -677,13 +694,13 @@ class CoeffK:
 
     @staticmethod
     def c() -> "CoeffK":
-        return CoeffK(Poly2.var_c())
+        return CoeffK(Poly2.var_c(), _P2_ONE, _canonical=True)
 
     @staticmethod
     def s(power: int = 1) -> "CoeffK":
         if power >= 0:
-            return CoeffK(Poly2.var_s(power))
-        return CoeffK(_P2_ONE, Poly2.var_s(-power))
+            return CoeffK(Poly2.var_s(power), _P2_ONE, _canonical=True)
+        return CoeffK(_P2_ONE, Poly2.var_s(-power), _canonical=True)
 
     @staticmethod
     def k() -> "CoeffK":
@@ -760,17 +777,7 @@ class CoeffK:
         return self * other.inv()
 
     def __pow__(self, n: int) -> "CoeffK":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = CoeffK.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, CoeffK.one()) if n >= 0 else self.inv() ** -n
 
     # -- constants
     def as_rational(self) -> Optional[Fraction]:
@@ -797,16 +804,20 @@ def as_factor(x: PolyC | Poly2, text: str) -> str:
 
 
 def as_polyc(x: PolyC | CoeffK) -> PolyC:
-    """A ring coefficient in Q[c]: a PolyC as is, or a CoeffK with no s, denominator 1 and
-    c-degree at most MAX_C_DEGREE."""
-    if isinstance(x, PolyC):
-        return x
-    if x.den == _P2_ONE and set(x.num.by_s) <= {0}:
-        p = x.num.by_s.get(0, _ZERO)
-        if p.degree() > MAX_C_DEGREE:
-            raise ValueError(f"ring coefficient of c degree {p.degree()} above {MAX_C_DEGREE}")
-        return p
-    raise ValueError(f"ring coefficient {x.render(k_style=True)} is not a polynomial in c")
+    """A ring coefficient in Q[c] of c-degree at most MAX_C_DEGREE: a PolyC, or a CoeffK with
+    no s and denominator 1."""
+    if isinstance(x, CoeffK):
+        if x.den != _P2_ONE or not set(x.num.by_s) <= {0}:
+            raise ValueError(f"ring coefficient {x.render(k_style=True)} is not a polynomial in c")
+        x = x.num.by_s.get(0, _ZERO)
+    if x.degree() > MAX_C_DEGREE:
+        raise ValueError(f"ring coefficient of c degree {x.degree()} above {MAX_C_DEGREE}")
+    return x
+
+
+def as_coeffk(x: PolyC | CoeffK) -> CoeffK:
+    """x in the field: a CoeffK as is, or a PolyC over 1 (no gcd: it is canonical)."""
+    return x if type(x) is CoeffK else CoeffK(Poly2._of({0: x} if x.ints else {}), _canonical=True)
 
 
 def sparse_add(acc: dict, key, v) -> None:

@@ -486,8 +486,10 @@ def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
 
     For each instance n, reports whether (a) the stated coefficients
     (mn, 2c(mn+rl), mn+2rl) and (b) the corrected coefficients
-    (mn, 2c(mn+r(m+l)), mn+2r(m+l)) annihilate the oracle classes.  This is
-    a theorem check run against first principles, not an assumption.
+    (mn, 2c(mn+r(m+l)), mn+2r(m+l)) annihilate the oracle classes.  (a) is a
+    check against first principles; (b) holds by construction, as the fold
+    solves every column by that very relation, and its independent evidence is
+    the relation-row tests of tests/test_kahler.py.
     """
     m, r = params.m, params.r
     table = ring_table(params)

@@ -11,8 +11,10 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.parsing.sympy_parser import parse_expr
 
 from secalg import cli, families, wakimoto
 from secalg.cli import (
@@ -30,6 +32,7 @@ from secalg.cli import (
     parse_coef,
     parse_field_expr,
     parse_ring_elem,
+    parse_ring_terms,
     run_command,
 )
 from secalg.coeffs import CoeffK, Poly2, PolyC, sparse_add
@@ -157,6 +160,100 @@ def test_parse_ring_elem():
     assert list(c.sectors) == [0]
     with pytest.raises(ParseError):
         parse_ring_elem("t^", P)
+
+
+# -- the coefficient grammar against sympy; Q[c] values build no CoeffK ------------
+
+_c, _s = sympy.symbols("c s")
+_SYMBOLS = {"c": _c, "s": _s, "k": _s ** 2}
+
+
+def _compound(texts):
+    """Sums, differences, products, quotients, powers and negations of texts, each operand
+    of a binary operator in parentheses or not, the base of a power always in parentheses."""
+    operand = st.tuples(texts, st.booleans()).map(lambda x: f"({x[0]})" if x[1] else x[0])
+    return (st.tuples(operand, st.sampled_from("+-*/"), operand).map("".join)
+            | st.tuples(texts, st.integers(-2, 3)).map(lambda x: f"({x[0]})^{x[1]}")
+            | operand.map("-".__add__))
+
+
+_coef_texts = st.recursive(st.sampled_from(["0", "1", "2", "3", "c", "s", "k", "c^2", "c^-1",
+                                            "2^-1", "(c-1)", "(c^2-1)", "(c-c)"]),
+                           _compound, max_leaves=8)
+
+
+def _sympy_value(e):
+    """The value of a tree that sympy parsed unevaluated, or None where a negative power (a
+    quotient is one) has a base equal to zero."""
+    if e.is_Atom:
+        return e
+    args = [_sympy_value(a) for a in e.args]
+    if None in args or e.is_Pow and args[1] < 0 and sympy.cancel(args[0]) == 0:
+        return None
+    return sympy.cancel(e.func(*args))
+
+
+def _as_sympy(x) -> sympy.Expr:
+    return sympy.sympify(x.render().replace("^", "**"), locals=_SYMBOLS)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(text=_coef_texts)
+@example(text="(c^2-1)/(c-1)")
+@example(text="1/(c-1)*(c-1)")
+@example(text="-(c-1)^-2*k/2--3")
+@example(text="(c-c)^0/(2-2)")
+def test_coefficient_grammar_matches_sympy(text):
+    """parse_coef reads a text as sympy reads it (with ** for ^), and a ring term with that
+    coefficient is accepted exactly when the value is a polynomial in c, as that polynomial.
+    A zero divisor or a zero base of a negative power refuses both, as a ParseError or a
+    ZeroDivisionError."""
+    value = _sympy_value(parse_expr(text.replace("^", "**"), local_dict=_SYMBOLS, evaluate=False))
+    ring = f"({text})*t"
+    if value is None:
+        for parse, src in ((parse_coef, text), (parse_ring_terms, ring)):
+            with pytest.raises((ParseError, ZeroDivisionError)):
+                parse(src)
+        return
+    assert sympy.cancel(_as_sympy(parse_coef(text)) - value) == 0
+    if value.has(_s) or not value.is_polynomial(_c):
+        with pytest.raises(ValueError, match="is not a polynomial in c$"):
+            parse_ring_terms(ring)
+        return
+    terms = parse_ring_terms(ring)
+    assert set(terms) == ({(1, 0)} if value != 0 else set())
+    assert all(sympy.expand(_as_sympy(p) - value) == 0 for p in terms.values())
+
+
+def test_ring_coefficient_refusals_pinned():
+    for text, kind, message in (
+            ("s*t", ValueError, "ring coefficient s is not a polynomial in c"),
+            ("1/c*t", ValueError, "ring coefficient 1/c is not a polynomial in c"),
+            ("c^100001*t", ValueError, "ring coefficient of c degree 100001 above 100000"),
+            ("1/(c-c)*t", ParseError, "division by zero (at byte offset 7)"),
+            ("(c-c)^-1*t", ZeroDivisionError, "inverting zero CoeffK")):
+        with pytest.raises(kind) as info:
+            parse_ring_terms(text)
+        assert str(info.value) == message
+
+
+def test_q_c_ring_terms_build_no_field_value(monkeypatch):
+    """A ring text whose coefficients stay in Q[c] is read in PolyC arithmetic alone; one
+    that leaves Q[c] on the way (a quotient by c - 1) goes through the field and back."""
+    built = []
+    init = CoeffK.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoeffK, "__init__", counted)
+    terms = parse_ring_terms("(-1/2 + (3/2)*c)*t^2*u^3 + (1 + (0)*c)*u")
+    assert terms == {(2, 3): PolyC({0: F(-1, 2), 1: F(3, 2)}), (0, 1): PolyC.const(1)}
+    assert built == []
+    assert parse_ring_terms("(c^2-1)/(c-1)*t") == {(1, 0): PolyC({0: 1, 1: 1})}
+    assert built
+    assert parse_ring_terms("1/(c-1)*(c-1)*u") == {(0, 1): PolyC.const(1)}
 
 
 def test_families_command_and_determinism():

@@ -123,7 +123,13 @@ def test_stated_recurrence_vs_oracle():
     """Theorem check: the stated three-term recurrence coefficients
     (mn, 2c(mn+rl), mn+2rl) annihilate oracle classes only at n = 0; the
     corrected coefficients (mn, 2c(mn+r(m+l)), mn+2r(m+l)) hold for all n.
-    This is the documented verification finding, pinned here."""
+    This is the documented verification finding, pinned here.  The corrected
+    half holds by construction, since the fold solves every column by that
+    relation; the independent evidence for it is the relation-row tests below
+    (test_reduction_table_matches_sympy_rref,
+    test_every_relation_row_is_the_corrected_relation,
+    test_fold_matches_triangular_solve_of_relation_rows and
+    test_fold_with_the_stated_shift_disagrees_with_the_rows)."""
     for params in (P32, P22):
         for l in range(1, params.m):
             rep = verify_recurrence(params, l, range(-2, 6))
