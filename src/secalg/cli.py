@@ -10,9 +10,11 @@ Grammar (shared tokens; byte offsets reported on error):
                    combined with "+", "-", "*", "/", and "^" int; c-degree
                    span at most coeffs.MAX_C_DEGREE (100000), and a power of
                    a sum, or a product or quotient of two sums, at most
-                   MAX_POWER_SPAN (2000) in _span, else exit 2; evaluated in
-                   Q[c] (PolyC) until s, k, a division by a non-constant or a
-                   negative power of one lifts both operands to CoeffK
+                   MAX_POWER_SPAN (2000) in _span, and a sum's two dense
+                   denominators at most MAX_SUM_SPAN (128), else exit 2;
+                   evaluated in Q[c] (PolyC) until s, k, a division by a
+                   non-constant or a negative power of one lifts both
+                   operands to CoeffK
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
@@ -80,6 +82,7 @@ MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow l
 MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as int() reads by default
 MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term, or the
 # two spans of a product or quotient of two such coefficients added up: products are quadratic
+MAX_SUM_SPAN = 128  # two denominator spans of a sum added up: 1/(c+2)^a + 1/(c-1)^b is under 1 s
 MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
 MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
 EMIT_CHUNKS = 1024  # the chunks of a report that one write joins, at most
@@ -165,7 +168,9 @@ class _Parser:
         val = self.coef_term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            val, rhs = _lifted(val, self.coef_term())
+            pos, rhs = self.peek()[2], self.coef_term()
+            _bound_pair(val, op, rhs, pos)
+            val, rhs = _lifted(val, rhs)
             val = val + rhs if op == "+" else val - rhs
         return val
 
@@ -274,7 +279,9 @@ class _Parser:
         val = self.field_term(m)
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.field_term(m)
+            pos, rhs = self.peek()[2], self.field_term(m)
+            for key in val.terms.keys() & rhs.terms.keys():  # each like-term merge
+                _bound_pair(val.terms[key], op, rhs.terms[key], pos)
             val = val + rhs if op == "+" else val - rhs
         return val
 
@@ -350,13 +357,14 @@ def _lifted(a: PolyC | CoeffK, b: PolyC | CoeffK, leave: bool = False) -> tuple:
     return (a, b) if type(a) is type(b) is PolyC and not leave else (as_coeffk(a), as_coeffk(b))
 
 
-def _span(x: PolyC | CoeffK) -> int:
+def _span(x: PolyC | CoeffK, den: bool = False) -> int:
     """The span of x's c exponents plus three times that of its s exponents, numerator and
-    denominator added up: a product spends about three times as long per s exponent (a PolyC)."""
+    denominator added up, or the denominator's alone: a product spends about three times as
+    long per s exponent (a PolyC)."""
     if type(x) is PolyC:
         return x.degree() - x.val
     return sum(max(map(PolyC.degree, p.by_s.values())) - min(q.val for q in p.by_s.values())
-               + 3 * (max(p.by_s) - min(p.by_s)) for p in (x.num, x.den))
+               + 3 * (max(p.by_s) - min(p.by_s)) for p in ((x.den,) if den else (x.num, x.den)))
 
 
 def _dense(x: PolyC | CoeffK) -> bool:
@@ -365,12 +373,17 @@ def _dense(x: PolyC | CoeffK) -> bool:
 
 
 def _bound_pair(a: PolyC | CoeffK, op: str, b: PolyC | CoeffK, pos: int) -> None:
-    """Refuse a op b, a product or a quotient of two coefficients of more than one term each,
-    before it is expanded, once their spans add up above MAX_POWER_SPAN."""
-    if _dense(a) and _dense(b) and _span(a) + _span(b) > MAX_POWER_SPAN:
-        what = "product" if op == "*" else "quotient"
-        raise ParseError(f"{what} of coefficients of exponent spans {_span(a)} and {_span(b)} "
-                         f"spans above {MAX_POWER_SPAN}", pos)
+    """Refuse a op b before it is worked out: a product or quotient of two coefficients of more
+    than one term each once their spans add up above MAX_POWER_SPAN, and a sum or difference
+    once two denominators of nonzero span add up above MAX_SUM_SPAN, as its gcd is steep."""
+    sums = op in "+-"
+    if not (type(a) is type(b) is CoeffK if sums else _dense(a) and _dense(b)):
+        return
+    sa, sb, bound = _span(a, sums), _span(b, sums), MAX_SUM_SPAN if sums else MAX_POWER_SPAN
+    if sa and sb and sa + sb > bound:
+        what = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}[op]
+        raise ParseError(f"{what} of coefficients of {'denominator' if sums else 'exponent'} "
+                         f"spans {sa} and {sb} spans above {bound}", pos)
 
 
 def parse_coef(src: str) -> CoeffK:

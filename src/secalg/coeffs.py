@@ -402,23 +402,22 @@ _ZERO = PolyC._of((), 1, 1)
 _ONE = PolyC._of((1,), 1, 1)
 
 
-def walk_recurrence(values: dict[int, PolyC], k: int, r: int, triple) -> PolyC:
-    """P_k from the memo ``values``, extending k's residue class mod r forward: the walk of
-    the structure-constant families and of the powers of p(t) in the ring.
-
-    ``triple(kk)`` gives the integers (lead > 0, mid, low) of lead * P_kk = 2c * mid *
-    P_(kk-r) - low * P_(kk-2r).  Every value is stored, each from one fused integer step
-    (``PolyC.c_lincomb``); the recurrence is homogeneous, so two zeros in a row end the walk.
-    """
-    if k < -2 * r:
-        raise ValueError(f"family index {k} below -2r")
-    top = k
+def walk_recurrence(values: dict, k: int, step: int, triple):
+    """The value at k from the memo ``values``, walking k's residue class mod |step| away from
+    the seeds: the one three-term walker, of the families (step r), of p^k in the ring (step
+    1) and of the Kahler classes by the corrected and the stated relation (r above the basis
+    block, -r below it).  ``triple(kk)`` gives the integers (lead > 0, mid, low) of lead * P_kk
+    = 2c * mid * P_(kk-step) - low * P_(kk-2step), over values with ``is_zero`` and ``c_lincomb``.
+    Each value is stored; two zeros in a row end the walk.  An index behind the seeds is refused."""
+    if (value := values.get(k)) is not None:
+        return value
+    top = k - step
+    if top not in values and (k - (min(values) if step > 0 else max(values))) * step < 0:
+        raise ValueError(f"index {k} lies behind the seeds of a walk by {step}")
     while top not in values:
-        top -= r
-    if top == k:
-        return values[k]
-    older, newer = values[top - r], values[top]
-    for kk in range(top + r, k + 1, r):
+        top -= step
+    older, newer = values[top - step], values[top]
+    for kk in range(top + step, k + step, step):
         if older.is_zero() and newer.is_zero():
             return newer
         lead, mid, low = triple(kk)

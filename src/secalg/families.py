@@ -98,6 +98,8 @@ _memos: dict[FamilySpec, dict[int, PolyC]] = {}
 
 def eval_family(spec: FamilySpec, k: int) -> PolyC:
     """The unique family value P^(l,j)_k as a polynomial in c."""
+    if k < -2 * spec.r:
+        raise ValueError(f"family index {k} below -2r")
     values = _memos.get(spec)
     if values is None:
         values = _memos[spec] = _initial_values(spec.r, spec.j)

@@ -11,40 +11,42 @@ monomial classes is one map {(t exponent e, sector l): coef}, meaning the sum
 of coef * class(t^e u^l dt): ``eliminate_du``, ``class_terms`` and
 ``cocycle_terms`` write it, ``ReductionTable.reduce_terms`` expands it.
 
-Two reducers are provided:
+One walker, ``coeffs.walk_recurrence``, reduces a class, with one of two shifts of one
+three-term relation (``_relation``).  In a sector l >= 1 the classes cl(e) = class(t^e u^l dt)
+obey, at every n,
 
-* ``reduce_oracle`` -- the normative reducer.  Sector 0 is trivial: t^e dt is exact
-  unless e = -1.  In a sector l >= 1 the classes cl(e) = class(t^e u^l dt) obey, at every
-  n, the corrected three-term relation (``_relation`` with shift m + l)
+    mn cl(n-1) - 2c(mn + r*shift) cl(n+r-1) + (mn + 2r*shift) cl(n+2r-1) = 0.
 
-      mn cl(n-1) - 2c(mn + r(m+l)) cl(n+r-1) + (mn + 2r(m+l)) cl(n+2r-1) = 0,
+Solved for its column farthest from the basis block -2r..-1 (``_solved_for``), it walks a
+class out of the block along its residue class mod r, at step r above it and -r below it.
 
-  -l times the image of t^n u^l (m u^(m-1) du - p'(t) dt) = 0 under du-elimination.
-  Solved for its column farthest from the basis block -2r..-1, its pivot is
-  mn + 2r(m+l) > 0 above the block and mn != 0 below it, so a class folds down its
-  residue class mod r to the block, exactly over Q[c].
+* Shift m + l, the corrected relation: ``reduce_oracle``, the normative reducer.  It is -l
+  times the image of t^n u^l (m u^(m-1) du - p'(t) dt) = 0 under du-elimination; its pivot
+  is mn + 2r(m+l) > 0 above the block and mn != 0 below it, so every class walks to the
+  block exactly over Q[c].  Sector 0 is trivial: t^e dt is exact unless e = -1.
 
-* ``reduce_recurrence`` -- the stated three-term recurrence, which has l where the
-  derivative of u^(m+l) gives m + l, reproduced for audit and cross-checked against the
-  oracle; nothing else reduces through it.  Every applied instance is logged with a
-  validity flag; ``verify_recurrence`` evaluates both relations on oracle-reduced classes
-  and reports which ones actually hold.
+* Shift l, the stated recurrence, which has l where the derivative of u^(m+l) gives m + l:
+  ``reduce_recurrence``, reproduced for audit and cross-checked against the oracle; nothing
+  else reduces through it.  Every instance it solves is logged with a validity flag;
+  ``verify_recurrence`` evaluates both relations on oracle-reduced classes and reports which
+  ones actually hold.
 
 Values are immutable.  Each ring has one reduction table (``ring_table``), kept for the
-process, which holds every column a fold has passed.  A column is a pure function of the
+process, which holds every column a walk has passed.  A column is a pure function of the
 ring and (e, l), stored after its two inward neighbours, so the table takes no lock: two
-threads can at worst fold one column twice and store equal values.
+threads can at worst walk one column twice and store equal values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from .coeffs import PolyC, sparse_add
+from .coeffs import PolyC, sparse_add, walk_recurrence
 from .ring import RingElem, RingParams, dp_laurent, p_laurent, ring_mul
 
 
-MAX_REACH = 1000  # farthest t exponent, either sign, a fold reaches: its cost grows about as e^3
+MAX_REACH = 1000  # farthest t exponent, either sign, a walk reaches: its cost grows about as e^3
 W0 = (0, 0)  # the key of w0 in ``DiffClass.terms``, beside the odd keys (l, j) with l, j >= 1
 
 
@@ -121,6 +123,17 @@ class DiffClass:
         """terms += q * self, over a term map keyed as ``self.terms``."""
         for key, v in self.terms.items():
             sparse_add(terms, key, v * q)
+
+    def c_lincomb(self, s: int, other: "DiffClass", t: int, lead: int) -> "DiffClass":
+        """(s * c * self + t * other) / lead, key by key by ``PolyC.c_lincomb``: one step of
+        ``coeffs.walk_recurrence``."""
+        zero, near, far = PolyC.zero(), self.terms, other.terms
+        terms = {}
+        for key in sorted(near.keys() | far.keys()):
+            v = near.get(key, zero).c_lincomb(s, far.get(key, zero), t, lead)
+            if not v.is_zero():
+                terms[key] = v
+        return DiffClass._of(self.params, terms)
 
     @staticmethod
     def zero(params: RingParams) -> "DiffClass":
@@ -230,7 +243,7 @@ def cocycle_terms(params: RingParams, i: int, a: int, j: int, b: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The oracle: the corrected three-term relation, folded per residue class
+# The relation, its walker triple, and the oracle table
 # ---------------------------------------------------------------------------
 
 
@@ -242,17 +255,28 @@ def _relation(params: RingParams, n: int, shift: int) -> tuple[int, int, int]:
     return mn, mn + params.r * shift, mn + 2 * params.r * shift
 
 
-def _solved_for(params: RingParams, e: int, shift: int) -> tuple[int, int, int, int, int]:
-    """(n, pivot, mid, far, step) of the instance n solved for cl(e), e outside the block
-    -2r..-1: cl(e) = (2c mid cl(e+step) - far cl(e+2step)) / pivot.  Above the block cl(e)
-    is the top column, n = e+1-2r; below it, the bottom one, n = e+1."""
-    r = params.r
-    if e >= 0:
-        n = e + 1 - 2 * r
+def _solved_for(params: RingParams, l: int, shift: int, log: list | None = None):
+    """The ``coeffs.walk_recurrence`` triple e -> (lead > 0, mid, low) of sector l under the
+    relation with ``shift``.  Above the block cl(e) is the top column of instance n = e+1-2r,
+    walked at step r; below it, the bottom one of n = e+1, at step -r.  ``_relation`` is read
+    at each call, a zero pivot raises ``PivotError``, and each n solved goes into ``log``."""
+    def triple(e: int) -> tuple[int, int, int]:
+        n = e + 1 - 2 * params.r if e >= 0 else e + 1
         low, mid, top = _relation(params, n, shift)
-        return n, top, mid, low, -r
-    low, mid, top = _relation(params, e + 1, shift)
-    return e + 1, low, mid, top, r
+        if e < 0:
+            low, top = top, low
+        if not top:
+            raise PivotError(f"zero pivot of column (e={e}, l={l})")
+        if log is not None:
+            log.append(n)
+        return (top, mid, low) if top > 0 else (-top, -mid, -low)
+    return triple
+
+
+def _unit_column(params: RingParams, l: int) -> dict[int, DiffClass]:
+    """The seeds of every walk in sector l: cl(-j) = w(l, -j), j = 1..2r."""
+    one = PolyC.const(1)
+    return {-j: DiffClass._of(params, {(l, j): one}) for j in range(1, 2 * params.r + 1)}
 
 
 def _check_reach(t_exp: int) -> None:
@@ -321,27 +345,25 @@ def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
 
 
 class ReductionTable:
-    """The classes of monomials t^e u^l dt over the basis, each folded down its residue class.
+    """The classes of monomials t^e u^l dt over the basis, each walked down its residue class.
 
-    ``window`` is the basis block -2r..-1 every fold ends in, and ``n_cols`` the number of
-    columns held: the basis columns and every sector-l column a fold has passed.  A column is
-    stored after its two inward neighbours, so the columns between a held one and the block
-    are held too, and a fold starts from the nearest held column of its residue class.
+    ``window`` is the basis block -2r..-1 every walk starts from, and ``n_cols`` the number
+    of columns held in one memo per sector, seeded with the basis: every sector-l column a
+    walk by the sector's triple (``_solved_for``, shift m + l) has passed.  A column is stored
+    after its two inward neighbours, so the columns between a held one and the block are too.
     """
 
     def __init__(self, params: RingParams):
         self.params = params
-        r, one = params.r, PolyC.const(1)
-        self.window = ReductionWindow(-2 * r, -1)
-        self._classes = {(-1, 0): DiffClass._of(params, {W0: one})}
-        for l in range(1, params.m):
-            for j in range(1, 2 * r + 1):
-                self._classes[(-j, l)] = DiffClass._of(params, {(l, j): one})
-        self.n_basis = len(self._classes)
+        self.window = ReductionWindow(-2 * params.r, -1)
+        self._columns = [{-1: DiffClass._of(params, {W0: PolyC.const(1)})}]
+        self._columns += (_unit_column(params, l) for l in range(1, params.m))
+        self._triples = [None] + [_solved_for(params, l, params.m + l) for l in range(1, params.m)]
+        self.n_basis = self.n_cols
 
     @property
     def n_cols(self) -> int:
-        return len(self._classes)
+        return sum(map(len, self._columns))
 
     def reduce_terms(self, terms: dict[tuple[int, int], PolyC]) -> DiffClass:
         """Expand the monomial classes {(e, l): coef}, the sum of coef * class(t^e u^l dt)."""
@@ -354,35 +376,19 @@ class ReductionTable:
         return DiffClass._of(self.params, out)
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
-        """Expand class(t^t_exp u^sector dt) over the basis: walk inward by r to the nearest
-        held column, then solve outward one column at a time by the corrected relation."""
-        classes, params = self._classes, self.params
-        cls = classes.get((t_exp, sector))
-        if cls is not None:
-            return cls
+        """Expand class(t^t_exp u^sector dt) over the basis: one walk of its column by the
+        corrected relation, from the held column nearest it."""
+        params = self.params
         if not 0 <= sector < params.m:
             raise ValueError(f"sector {sector} is outside 0..{params.m - 1}")
+        column = self._columns[sector]
+        if (cls := column.get(t_exp)) is not None:
+            return cls
         _check_reach(t_exp)
         if sector == 0:  # t^e dt = d(t^(e+1))/(e+1)
             return DiffClass.zero(params)
-        path, e, inward = [], t_exp, -params.r if t_exp >= 0 else params.r
-        while (e, sector) not in classes:
-            path.append(e)
-            e += inward
-        zero = PolyC.zero()
-        for e in reversed(path):
-            _n, pivot, mid, far, step = _solved_for(params, e, params.m + sector)
-            if pivot < 0:
-                pivot, mid, far = -pivot, -mid, -far
-            near = classes[(e + step, sector)].terms
-            farther = classes[(e + 2 * step, sector)].terms
-            terms = {}
-            for key in sorted(near.keys() | farther.keys()):
-                v = near.get(key, zero).c_lincomb(2 * mid, farther.get(key, zero), -far, pivot)
-                if not v.is_zero():
-                    terms[key] = v
-            classes[(e, sector)] = DiffClass._of(params, terms)
-        return classes[(t_exp, sector)]
+        return walk_recurrence(column, t_exp, params.r if t_exp >= 0 else -params.r,
+                               self._triples[sector])
 
 
 _TABLES: dict[RingParams, ReductionTable] = {}
@@ -421,8 +427,8 @@ def basis_dim(params: RingParams) -> int:
     window = block.enlarged(2 * params.r)
     for l in range(1, params.m):
         for e in range(window.lo, window.hi + 1):
-            if not block.lo <= e <= block.hi and not _solved_for(params, e, params.m + l)[1]:
-                raise PivotError(f"zero pivot of column (e={e}, l={l}) over {window.lo}..{window.hi}")
+            if not block.lo <= e <= block.hi:
+                table._triples[l](e)
     return table.n_basis
 
 
@@ -431,54 +437,33 @@ def basis_dim(params: RingParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-class RecurrenceInstance:
+class RecurrenceInstance(NamedTuple):
     """One application of the stated three-term recurrence at index n."""
-
-    __slots__ = ("n", "sector", "within_stated_range")  # stated validity range: n >= 1
-
-    def __init__(self, n: int, sector: int, within_stated_range: bool):
-        self.n, self.sector, self.within_stated_range = n, sector, within_stated_range
+    n: int
+    sector: int
+    within_stated_range: bool  # stated validity range: n >= 1
 
 
-class RecurrenceReduction:
-    __slots__ = ("cls", "instances")
-
-    def __init__(self, cls: DiffClass, instances: list):
-        self.cls, self.instances = cls, instances
+class RecurrenceReduction(NamedTuple):
+    cls: DiffClass
+    instances: list[RecurrenceInstance]
 
 
 def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction:
-    """Reduce class(t^(n-1) u^l dt) using the stated recurrence only.
+    """Reduce class(t^(n-1) u^l dt) using the stated recurrence only: one walk of its column
+    with shift l, from the basis.
 
-    Instances with index < 1 fall outside the stated validity range; they
-    are still applied but flagged, so callers can audit the reachability of
-    the result.  Degenerate pivots raise ``PivotError``.
+    Every instance solved is logged; instances with index < 1 fall outside the stated
+    validity range, and are still applied but flagged, so callers can audit the reachability
+    of the result.  Degenerate pivots raise ``PivotError``.
     """
-    if l < 1:
-        raise ValueError("recurrence applies to sectors l >= 1")
-    r = params.r
-    instances: list[RecurrenceInstance] = []
-    # work vector over monomial exponents, then fold into basis coordinates
-    vec: dict[int, PolyC] = {n - 1: PolyC.const(1)}
-    guard = 0
-    while vec and (max(vec) > -1 or min(vec) < -2 * r):
-        guard += 1
-        if guard > 10_000:
-            raise PivotError("recurrence reduction did not terminate")
-        # solve the instance whose top term is the highest X_j above -1, else the one whose
-        # bottom term is the lowest X_j
-        j = max(vec) if max(vec) > -1 else min(vec)
-        inst, pivot, mid, far, step = _solved_for(params, j, l)
-        if pivot == 0:
-            name = "m*n+2rl" if step < 0 else "m*n"
-            raise PivotError(f"recurrence pivot degenerate: {name} = 0 at (n={inst}, l={l})")
-        instances.append(RecurrenceInstance(inst, l, inst >= 1))
-        coef = vec.pop(j)
-        sparse_add(vec, j + step, coef * PolyC({1: Fraction(2 * mid, pivot)}))
-        sparse_add(vec, j + 2 * step, coef * Fraction(-far, pivot))
-
-    odd = {(l, -e): v for e, v in vec.items()}
-    return RecurrenceReduction(DiffClass(params, odd=odd), instances)
+    if not 1 <= l < params.m:
+        raise ValueError(f"recurrence applies to sectors 1..{params.m - 1}")
+    _check_reach(n - 1)
+    log: list[int] = []
+    cls = walk_recurrence(_unit_column(params, l), n - 1, params.r if n > 0 else -params.r,
+                          _solved_for(params, l, l, log))
+    return RecurrenceReduction(cls, [RecurrenceInstance(k, l, k >= 1) for k in log])
 
 
 def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
@@ -487,7 +472,7 @@ def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
     For each instance n, reports whether (a) the stated coefficients
     (mn, 2c(mn+rl), mn+2rl) and (b) the corrected coefficients
     (mn, 2c(mn+r(m+l)), mn+2r(m+l)) annihilate the oracle classes.  (a) is a
-    check against first principles; (b) holds by construction, as the fold
+    check against first principles; (b) holds by construction, as the walk
     solves every column by that very relation, and its independent evidence is
     the relation-row tests of tests/test_kahler.py.
     """
@@ -519,11 +504,9 @@ def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:
 
 
 def structure_constants(l: int, k: int, params: RingParams) -> dict[int, PolyC]:
-    """Oracle coordinates of class(t^(k-1) u^l dt) in the w(l)_(-j) basis."""
-    if l < 1 or k < 1:
-        raise ValueError("structure constants need l >= 1 and k >= 1")
+    """Oracle coordinates of class(t^(k-1) u^l dt) in the w(l)_(-j) basis, 1 <= l <= m-1: a
+    sector-l class stays in sector l, while u^m = p(t) would move it to sector l - m."""
+    if not 1 <= l < params.m or k < 1:
+        raise ValueError(f"structure constants need 1 <= l <= {params.m - 1} and k >= 1")
     cls = reduce_monomial_class(params, k - 1, l)
-    bad = [key for key in cls.terms if key[0] != l]
-    if bad:  # W0 = (0, 0) is sector 0
-        raise AssertionError(f"sector-l class leaked into sectors {bad}")
     return {j: cls.coeff(l, j) for j in range(1, 2 * params.r + 1)}

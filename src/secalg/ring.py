@@ -10,8 +10,8 @@ coefficient from the parser only when that lies in Q[c].
 ``RingElem.monomial`` writes u^q as p^k u^j, (k, j) = divmod(q, m), and p^k as
 sum_n G_n(c) x^n, x = t^r, G_n the Gegenbauer polynomial C_n^(-k) (Szego, *Orthogonal
 Polynomials*, 4.7): (1 - 2cx + x^2) G' = 2k(x - c) G gives n G_n = 2c(n-k-1)
-G_(n-1) - (n-2k-2) G_(n-2), G_0 = 1, G_(-1) = 0, walked to n = k by the
-families' walker, and G_(2k-n) = G_n.  For n <= k, G_n has the nonzero terms
+G_(n-1) - (n-2k-2) G_(n-2), G_0 = 1, G_(-1) = 0, walked to n = k at step 1 by
+``coeffs.walk_recurrence``, and G_(2k-n) = G_n.  For n <= k, G_n has the nonzero terms
 c^(n-2i), 0 <= i <= n/2, so all 2k+1 positions of p^k are nonzero and G_k
 spans k - k mod 2 c degrees: a term over ``coeffs.MAX_C_DEGREE`` is refused
 before any walk, as the repeated product would refuse it.

@@ -24,6 +24,7 @@ from secalg.cli import (
     MAX_NESTING,
     MAX_OBSTRUCTION_M,
     MAX_POWER_SPAN,
+    MAX_SUM_SPAN,
     Command,
     ParseError,
     emit_report,
@@ -568,6 +569,36 @@ def test_field_term_coefficient_product_at_the_bound_pinned(capsys):
     assert main(["ope", "--m", "3", "--e", "(c+1)^1000*(c+1)^1000*beta[0]", "--f", "gamma[0]"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "ef5a29d7cde6fb6b496278c626fd76c03385544e464979252b049e886ad52eb7")
+
+
+def test_sum_of_dense_fractions_bounded(capsys):
+    """A sum or difference of two fractions whose denominators both have more than one term is
+    refused, in one line and before its gcd runs, once the spans of the two denominators add
+    up above MAX_SUM_SPAN, s exponents three times: in a coefficient and in a like-term merge
+    of a field expression.  Spans adding up to the bound answer, and so does a sum whose other
+    denominator is a monomial."""
+    assert MAX_SUM_SPAN == 128
+    c, one = CoeffK.c(), CoeffK.one()
+    assert parse_coef("1/(c+1)^64+1/(c-1)^64") == ((c + one) ** 64).inv() + ((c - one) ** 64).inv()
+    assert parse_coef("1/(c+1)^200-1/c^9+c") == ((c + one) ** 200).inv() - (c ** 9).inv() + c
+    for text, what, spans, pos in (("1/(c+1)^64+1/(c-1)^65", "sum", "64 and 65", 11),
+                                   ("1/(c+1)^64-1/(c-1)^65", "difference", "64 and 65", 11),
+                                   ("1/(s+1)^21+1/(s-1)^22", "sum", "63 and 66", 11),
+                                   ("c+1/(c+1)^64+1/(c^2-1)^33", "sum", "64 and 66", 13)):
+        with pytest.raises(ParseError, match=f"^{what} of coefficients of denominator spans "
+                                             f"{spans} spans above 128 \\(at byte offset {pos}\\)$"):
+            parse_coef(text)
+    assert parse_field_expr("(1/(c+1)^200)*beta[0] + (1/(c-1)^200)*gamma[0]", 2)
+    merge = "(1/(c+1)^200)*beta[0] + (1/(c-1)^200)*beta[0]"
+    with pytest.raises(ParseError, match="^sum of coefficients of denominator spans 200 and 200"):
+        parse_field_expr(merge, 2)
+    for argv, pos in ((["ope", "--m", "3", "--e", merge, "--f", "gamma[0]"], 24),
+                      (["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(1/(c+1)^64-1/(c-1)^65)*t"],
+                       12)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"spans above 128 (at byte offset {pos})\n")
+        assert err.count("\n") == 1
 
 
 def test_main_entry():

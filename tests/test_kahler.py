@@ -162,6 +162,74 @@ def test_reduce_recurrence_degenerate_pivot():
         reduce_recurrence(2, 1, P22)
 
 
+def _push_down(n, l, params):
+    """class(t^(n-1) u^l dt) by the stated recurrence, as one work vector over t exponents
+    pushed down to the block: the farthest exponent solved first, by its own instance, with
+    the coefficients written out here.  The independent reference of ``reduce_recurrence``,
+    which walks the column out from the block instead; returns (class, instances)."""
+    m, r = params.m, params.r
+    instances, vec = [], {n - 1: PolyC.const(1)}
+    while vec and (max(vec) > -1 or min(vec) < -2 * r):
+        e = max(vec) if max(vec) > -1 else min(vec)
+        k = e + 1 - 2 * r if e >= 0 else e + 1
+        low, mid, top = m * k, m * k + r * l, m * k + 2 * r * l
+        pivot, far, step = (top, low, -r) if e >= 0 else (low, top, r)
+        if not pivot:
+            raise PivotError(f"zero pivot of column (e={e}, l={l})")
+        instances.append(k)
+        coef = vec.pop(e)
+        sparse_add(vec, e + step, coef * PolyC({1: F(2 * mid, pivot)}))
+        sparse_add(vec, e + 2 * step, coef * F(-far, pivot))
+    return DiffClass(params, odd={(l, -e): v for e, v in vec.items()}), instances
+
+
+def _outcome(reduce, *args):
+    try:
+        return reduce(*args)
+    except PivotError as exc:
+        return str(exc)
+
+
+def test_stated_walk_matches_the_push_down():
+    """Over m 2..6, r 2..4, every l and n -30..30 (2,745 cases) the walk and the push-down
+    give the same class or the same ``PivotError``.  The walk solves every column between the
+    block and cl(n-1), the push-down only those it reaches: their instance sets differ in 12
+    cases, each where a pushed instance k has middle coefficient mk + rl = 0, so that the
+    push-down passes a column by, as at (m, r, l, n) = (2, 2, 1, 3), whose walk logs [-3, -1]
+    and whose push-down logs [-1]."""
+    cases = differ = 0
+    for m in range(2, 7):
+        for r in range(2, 5):
+            params = RingParams(m, r)
+            for l in range(1, m):
+                for n in range(-30, 31):
+                    cases += 1
+                    walk = _outcome(reduce_recurrence, n, l, params)
+                    push = _outcome(_push_down, n, l, params)
+                    if isinstance(push, str):
+                        assert walk == push, (m, r, l, n)
+                        continue
+                    walked = [inst.n for inst in walk.instances]
+                    assert walk.cls == push[0], (m, r, l, n)
+                    assert all(inst.sector == l and inst.within_stated_range == (inst.n >= 1)
+                               for inst in walk.instances)
+                    assert set(push[1]) <= set(walked), (m, r, l, n)
+                    if set(push[1]) != set(walked):
+                        assert any(m * k + r * l == 0 for k in push[1]), (m, r, l, n)
+                        differ += 1
+    assert (cases, differ) == (2745, 12)
+    assert [inst.n for inst in reduce_recurrence(3, 1, P22).instances] == [-3, -1]
+    assert _push_down(3, 1, P22)[1] == [-1]
+
+
+def test_structure_constants_refuse_a_sector_outside_1_to_m_minus_1():
+    """u^m = p(t) moves a sector-m class to sector 0, and u^(m+1) to sector 1: neither has
+    structure constants in the w(l)_(-j) basis."""
+    for l, k in ((3, 2), (4, 2), (0, 2), (1, 0)):
+        with pytest.raises(ValueError, match=r"structure constants need 1 <= l <= 2 and k >= 1"):
+            structure_constants(l, k, P32)
+
+
 def test_structure_constants_parity():
     # contract requires k >= 1; basis unit-vector behavior is covered via
     # reduce_monomial_class above (t^(k-1) = t^(-j) needs k = 1 - j < 1)

@@ -197,6 +197,21 @@ def test_p_power_matches_sympy(k):
                 for e, v in got.items()} == want
 
 
+@pytest.mark.parametrize("k", [50, 200])
+def test_p_power_matches_the_multinomial_formula(k):
+    """p^k at (3, 2), far beyond the other ranges: the coefficient of (-2c t^r)^a (t^(2r))^b is
+    k!/(a! b! (k-a-b)!), summed over a + 2b = n at t^(rn)."""
+    params, fact = RingParams(3, 2), [1]
+    for i in range(1, k + 1):
+        fact.append(fact[-1] * i)
+    want: dict[int, PolyC] = {}
+    for a in range(k + 1):
+        for b in range(k - a + 1):
+            coef = fact[k] // (fact[a] * fact[b] * fact[k - a - b]) * (-2) ** a
+            sparse_add(want, params.r * (a + 2 * b), PolyC({a: coef}))
+    assert RingElem.monomial(params, PolyC.const(1), 0, params.m * k).sectors == {0: want}
+
+
 def _refusal(fn, *args):
     try:
         fn(*args)
