@@ -10,8 +10,9 @@ Grammar (shared tokens; byte offsets reported on error):
                    combined with "+", "-", "*", "/", and "^" int; c-degree
                    span at most coeffs.MAX_C_DEGREE (100000), and a power of
                    a sum, or a product or quotient of two sums, at most
-                   MAX_POWER_SPAN (2000) in _span, and a sum's two dense
-                   denominators at most MAX_SUM_SPAN (128), else exit 2;
+                   MAX_POWER_SPAN (2000) in _span and MAX_GCD_SIZE (10^6) in
+                   numerator x denominator span x coefficient bits, and a sum's
+                   two dense denominators at most MAX_SUM_SPAN (128), else exit 2;
                    evaluated in Q[c] (PolyC) until s, k, a division by a
                    non-constant or a negative power of one lifts both
                    operands to CoeffK
@@ -20,11 +21,11 @@ Grammar (shared tokens; byte offsets reported on error):
                    | "u"["^"int]; a term's coefficient must lie in Q[c]
                    (no s, no k, no denominator in c, c-degree at most
                    coeffs.MAX_C_DEGREE), else exit 2, and so must its
-                   expansion u^q = p^k u^j (G_k spans k - k mod 2), before
-                   any walk; a reduction reaching a t exponent beyond
-                   kahler.MAX_REACH (1000) exits 2, before any u^q is
-                   expanded when one term alone reaches it (in the form of
-                   kahler-reduce, in the cocycle of bracket's operands)
+                   expansion u^q = p^k u^j (G_k spans k - k mod 2, and k^3 bits at
+                   most coeffs.MAX_EXPANSION_BITS), before any walk; a reduction
+                   reaching a t exponent beyond kahler.MAX_REACH (1000) exits 2,
+                   before any u^q is expanded when one term alone reaches it (in
+                   the form of kahler-reduce, in the cocycle of bracket's operands)
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
@@ -83,6 +84,7 @@ MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as 
 MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term, or the
 # two spans of a product or quotient of two such coefficients added up: products are quadratic
 MAX_SUM_SPAN = 128  # two denominator spans of a sum added up: 1/(c+2)^a + 1/(c-1)^b is under 1 s
+MAX_GCD_SIZE = 10**6  # a product or quotient's numerator x denominator span x coefficient bits
 MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
 MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
 EMIT_CHUNKS = 1024  # the chunks of a report that one write joins, at most
@@ -362,9 +364,16 @@ def _span(x: PolyC | CoeffK, den: bool = False) -> int:
     denominator added up, or the denominator's alone: a product spends about three times as
     long per s exponent (a PolyC)."""
     if type(x) is PolyC:
-        return x.degree() - x.val
+        return 0 if den else x.degree() - x.val
     return sum(max(map(PolyC.degree, p.by_s.values())) - min(q.val for q in p.by_s.values())
                + 3 * (max(p.by_s) - min(p.by_s)) for p in ((x.den,) if den else (x.num, x.den)))
+
+
+def _fraction(x: PolyC | CoeffK) -> tuple[int, int, int]:
+    """x's numerator and denominator spans, as ``_span`` counts them, and widest integer's bits."""
+    parts = (x,) if type(x) is PolyC else (*x.num.by_s.values(), *x.den.by_s.values())
+    bits = max(abs(v).bit_length() for p in parts for v in p.ints)
+    return _span(x) - _span(x, True), _span(x, True), bits
 
 
 def _dense(x: PolyC | CoeffK) -> bool:
@@ -374,16 +383,22 @@ def _dense(x: PolyC | CoeffK) -> bool:
 
 def _bound_pair(a: PolyC | CoeffK, op: str, b: PolyC | CoeffK, pos: int) -> None:
     """Refuse a op b before it is worked out: a product or quotient of two coefficients of more
-    than one term each once their spans add up above MAX_POWER_SPAN, and a sum or difference
-    once two denominators of nonzero span add up above MAX_SUM_SPAN, as its gcd is steep."""
+    than one term each above MAX_POWER_SPAN or MAX_GCD_SIZE, and a sum or difference once two
+    denominators of nonzero span add up above MAX_SUM_SPAN, as its gcd is steep."""
     sums = op in "+-"
     if not (type(a) is type(b) is CoeffK if sums else _dense(a) and _dense(b)):
         return
     sa, sb, bound = _span(a, sums), _span(b, sums), MAX_SUM_SPAN if sums else MAX_POWER_SPAN
+    what = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}[op]
     if sa and sb and sa + sb > bound:
-        what = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}[op]
         raise ParseError(f"{what} of coefficients of {'denominator' if sums else 'exponent'} "
                          f"spans {sa} and {sb} spans above {bound}", pos)
+    if not sums:
+        (an, ad, ab), (bn, bd, bb) = _fraction(a), _fraction(b)
+        num, den = (an + bn, ad + bd) if op == "*" else (an + bd, ad + bn)
+        if num * den * (ab + bb) > MAX_GCD_SIZE:
+            raise ParseError(f"{what} of numerator span {num}, denominator span {den} and {ab + bb}"
+                             f"-bit coefficients is above {MAX_GCD_SIZE} in their product", pos)
 
 
 def parse_coef(src: str) -> CoeffK:

@@ -11,13 +11,15 @@ at the edges, for scalars and for reading coefficients out):
   and a product of two integer contents (denominator 1) takes no gcd.  By
   Gauss's lemma a product of primitive polynomials is primitive, so a
   product convolves integers with no gcd, and a sum takes one integer gcd
-  rather than one per coefficient; ``c_lincomb`` takes a step of the family
-  recurrence in one such pass.  Division, exact division and the gcd share
+  rather than one per coefficient.  Division, exact division and the gcd share
   one integer pseudo-division on the primitive tuples, which scales the
   remainder only when the divisor's leading coefficient does not divide it;
   the gcd is a primitive PRS (Collins 1967; Brown and Traub 1971).  The
   algebra side (ring, Kahler reduction, cocycle, bracket, families) lives in
   Q[c]: p(t) is in Z[c][t] and every relation pivot is a nonzero rational.
+  Its three-term recurrences have one walker, ``walk_recurrence``, fraction-free
+  (Bareiss 1968): on raw chains, each made canonical when first read.  p^k, of
+  integer coefficients where a long raw chain grows like n!, steps index by index.
 * ``Poly2``   -- polynomials in ``c`` and ``s``, stored as ``{s exponent:
   PolyC}``, so that every polynomial in ``c`` has the one representation and
   all their arithmetic is ``PolyC``'s integer arithmetic.
@@ -33,13 +35,10 @@ specialization.  Canonical form: gcd-reduced fraction whose denominator has
 leading coefficient 1 under graded-lex order with ``c < s``.  Equality of
 canonical forms is structural, so it is decidable and unique.
 
-The gcd of two ``Poly2`` values is the gcd of their contents in ``c`` (the
-``PolyC`` gcd of their s-coefficients) times a primitive PRS in ``s`` over
-Q[c].  Every denominator the free-field side builds is a monomial
-``c^a s^b``, and the parser's (e.g. ``1/(c-1)``) are free of ``s``: with one
-s-exponent on either side the PRS is skipped, and division by such a divisor
-is one exact ``PolyC`` division per s-coefficient, which for a monomial only
-subtracts exponents.
+``Poly2.gcd`` skips its PRS in ``s`` when either side has one s-exponent, as
+every denominator of the free-field side (a monomial ``c^a s^b``) and of the
+parser (e.g. ``1/(c-1)``) has; division by one is an exact ``PolyC`` division
+per s-coefficient, which for a monomial only subtracts exponents.
 
 All values are immutable after construction and every operation is a pure
 function, so values can be shared freely across threads, and ``Poly2`` and
@@ -49,6 +48,7 @@ function, so values can be shared freely across threads, and ``Poly2`` and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -74,6 +74,7 @@ def rat_sqrt(q: Fraction) -> Optional[Fraction]:
 
 #: PolyC stores every coefficient from its lowest power of c to its highest: that span is bounded.
 MAX_C_DEGREE = 100_000
+MAX_EXPANSION_BITS = 1 << 27  # u^q = p^k u^j: about k^2/2 terms of at most 2k bits, k^3 <= 512^3
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -120,8 +121,8 @@ def _primitive(ints: list[int], num: int, den: int, val: int = 0) -> tuple[tuple
     return tuple(ints), num, den, val
 
 
-def _axpy(fa: int, a: tuple, va: int, fb: int, b: tuple, vb: int, num: int, den: int) -> "PolyC":
-    """``num/den * (fa * c^va * a + fb * c^vb * b)`` made canonical: one integer pass."""
+def _axpy(fa: int, a, va: int, fb: int, b, vb: int, num: int, den: int) -> tuple:
+    """``num/den * (fa c^va a + fb c^vb b)`` as a raw chain, whose ints ``_primitive`` keeps."""
     if va > vb:
         fa, a, va, fb, b, vb = fb, b, vb, fa, a, va
     n = max(len(a), vb - va + len(b))
@@ -130,7 +131,9 @@ def _axpy(fa: int, a: tuple, va: int, fb: int, b: tuple, vb: int, num: int, den:
     ints = [fa * x for x in a] + [0] * (n - len(a))
     for i, y in enumerate(b, vb - va):
         ints[i] += fb * y
-    return PolyC._of(*_primitive(ints, num, den, va))
+    while ints and not ints[-1]:  # so that _primitive never pops from a list in a shared memo
+        ints.pop()
+    return ints, num, den, va
 
 
 def _power(x, n: int, out):
@@ -277,13 +280,7 @@ class PolyC:
         # h is coprime to the lcm, as _primitive requires
         fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
         h = math.gcd(fa, fb)
-        return _axpy(fa // h, a, self.val, fb // h, b, other.val, h, den)
-
-    def c_lincomb(self, s: int, other: "PolyC", t: int, lead: int) -> "PolyC":
-        """``(s * c * self + t * other) / lead`` for integers s, t and lead > 0: one integer
-        pass over both primitive tuples and one canonical form, with no intermediate PolyC."""
-        fa, fb, den = _over_lcm(self.num, self.den, other.num, other.den)
-        return _axpy(s * fa, self.ints, self.val + 1, t * fb, other.ints, other.val, 1, den * lead)
+        return PolyC._of(*_primitive(*_axpy(fa // h, a, self.val, fb // h, b, other.val, h, den)))
 
     def __neg__(self) -> "PolyC":
         return PolyC._of(self.ints, -self.num, self.den, self.val) if self.ints else self
@@ -400,31 +397,33 @@ class PolyC:
 
 _ZERO = PolyC._of((), 1, 1)
 _ONE = PolyC._of((1,), 1, 1)
+_Raw = namedtuple("_Raw", "ints num den val")  # a raw chain in a memo: _axpy, no content taken out
 
 
-def walk_recurrence(values: dict, k: int, step: int, triple):
-    """The value at k from the memo ``values``, walking k's residue class mod |step| away from
-    the seeds: the one three-term walker, of the families (step r), of p^k in the ring (step
-    1) and of the Kahler classes by the corrected and the stated relation (r above the basis
-    block, -r below it).  ``triple(kk)`` gives the integers (lead > 0, mid, low) of lead * P_kk
-    = 2c * mid * P_(kk-step) - low * P_(kk-2step), over values with ``is_zero`` and ``c_lincomb``.
-    Each value is stored; two zeros in a row end the walk.  An index behind the seeds is refused."""
-    if (value := values.get(k)) is not None:
-        return value
-    top = k - step
-    if top not in values and (k - (min(values) if step > 0 else max(values))) * step < 0:
-        raise ValueError(f"index {k} lies behind the seeds of a walk by {step}")
-    while top not in values:
-        top -= step
-    older, newer = values[top - step], values[top]
-    for kk in range(top + step, k + step, step):
-        if older.is_zero() and newer.is_zero():
-            return newer
-        lead, mid, low = triple(kk)
-        assert lead > 0
-        older, newer = newer, newer.c_lincomb(2 * mid, older, -low, lead)
-        values[kk] = newer
-    return newer
+def walk_recurrence(values: dict, k: int, step: int, triple) -> PolyC:
+    """The value at k from the memo ``values``, walked along k's residue class mod |step| from
+    the seeds by lead * P_kk = 2c * mid * P_(kk-step) - low * P_(kk-2step), (lead > 0, mid, low)
+    = ``triple(kk)``; two zeros in a row end it, and an index behind the seeds is refused."""
+    if (value := values.get(k)) is None:
+        top = k - step
+        if top not in values and (k - (min(values) if step > 0 else max(values))) * step < 0:
+            raise ValueError(f"index {k} lies behind the seeds of a walk by {step}")
+        while top not in values:
+            top -= step
+        prev, cur = values[top - step], values[top]
+        for kk in range(top + step, k + step, step):
+            if not prev.ints and not cur.ints:
+                return _ZERO
+            lead, mid, low = triple(kk)
+            assert lead > 0
+            fa, fb, den = _over_lcm(cur.num, cur.den, prev.num, prev.den)
+            value = _axpy(2 * mid * fa, cur.ints, cur.val + 1, -low * fb, prev.ints, prev.val, 1, den * lead)
+            if kk != k:
+                prev, cur = cur, tuple.__new__(_Raw, value) if value[0] else _ZERO
+                values[kk] = cur
+    if type(value) is not PolyC:  # a raw chain, settled in place: idempotent, so memos may be shared
+        value = values[k] = PolyC._of(*_primitive(*value))
+    return value
 
 
 # ---------------------------------------------------------------------------

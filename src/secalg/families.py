@@ -81,15 +81,15 @@ class FamilySpec:
         return self._hash
 
 
-def _initial_values(r: int, j: int) -> dict[int, PolyC]:
-    """P_{-j} = 1 and P_{-s} = 0 for the other s in 1..2r."""
-    return {-s: PolyC.const(1) if s == j else PolyC.zero() for s in range(1, 2 * r + 1)}
-
-
 def _family_triple(spec: FamilySpec):
     """Integer coefficients (pk + 2rq, pk + rq, pk) for m' = p/q: the rational triple times q."""
     p, q, r = spec.m_prime.numerator, spec.m_prime.denominator, spec.r
     return lambda k: (p * k + 2 * r * q, p * k + r * q, p * k)
+
+
+def seeds(r: int, j: int) -> dict[int, PolyC]:
+    """P_{-j} = 1 and P_{-s} = 0 for the other s in 1..2r (also a Kahler coordinate's seeds)."""
+    return {-s: PolyC.const(1) if s == j else PolyC.zero() for s in range(1, 2 * r + 1)}
 
 
 #: Per-spec memos of family values (confined; no cross-spec sharing).
@@ -102,7 +102,7 @@ def eval_family(spec: FamilySpec, k: int) -> PolyC:
         raise ValueError(f"family index {k} below -2r")
     values = _memos.get(spec)
     if values is None:
-        values = _memos[spec] = _initial_values(spec.r, spec.j)
+        values = _memos[spec] = seeds(spec.r, spec.j)
     return walk_recurrence(values, k, spec.r, _family_triple(spec))
 
 
@@ -112,7 +112,7 @@ def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
     Confirms that extending the shared memo of ``eval_family`` gives the
     same values as a walk from scratch.
     """
-    return walk_recurrence(_initial_values(spec.r, spec.j), k, spec.r, _family_triple(spec))
+    return walk_recurrence(seeds(spec.r, spec.j), k, spec.r, _family_triple(spec))
 
 
 def _sector_triple(m: int, r: int, l: int):
@@ -139,7 +139,7 @@ def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
         for j in range(1, 2 * r + 1):
             spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
             triple = _sector_triple(m, r, l)
-            sector = _initial_values(r, j)
+            sector = seeds(r, j)
             for k in range(-2 * r, k_max + 1):
                 lhs = walk_recurrence(sector, k, r, triple)
                 rhs = eval_family(spec, k)

@@ -18,7 +18,8 @@ obey, at every n,
     mn cl(n-1) - 2c(mn + r*shift) cl(n+r-1) + (mn + 2r*shift) cl(n+2r-1) = 0.
 
 Solved for its column farthest from the basis block -2r..-1 (``_solved_for``), it walks a
-class out of the block along its residue class mod r, at step r above it and -r below it.
+class out of the block along its residue class mod r (step r above it, -r below): a column
+there is a w(l, -j) + b w(l, -j-r), two scalar walks from the seeds (1, 0) and (0, 1).
 
 * Shift m + l, the corrected relation: ``reduce_oracle``, the normative reducer.  It is -l
   times the image of t^n u^l (m u^(m-1) du - p'(t) dt) = 0 under du-elimination; its pivot
@@ -32,9 +33,9 @@ class out of the block along its residue class mod r, at step r above it and -r 
   ones actually hold.
 
 Values are immutable.  Each ring has one reduction table (``ring_table``), kept for the
-process, which holds every column a walk has passed.  A column is a pure function of the
-ring and (e, l), stored after its two inward neighbours, so the table takes no lock: two
-threads can at worst walk one column twice and store equal values.
+process, which holds every coordinate a walk has passed.  A coordinate is a pure function of
+the ring and (e, l, j), stored after its two inward neighbours, so the table takes no lock:
+two threads can at worst walk one coordinate twice and store equal values.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coeffs import PolyC, sparse_add, walk_recurrence
+from .families import seeds
 from .ring import RingElem, RingParams, dp_laurent, p_laurent, ring_mul
 
 
@@ -123,17 +125,6 @@ class DiffClass:
         """terms += q * self, over a term map keyed as ``self.terms``."""
         for key, v in self.terms.items():
             sparse_add(terms, key, v * q)
-
-    def c_lincomb(self, s: int, other: "DiffClass", t: int, lead: int) -> "DiffClass":
-        """(s * c * self + t * other) / lead, key by key by ``PolyC.c_lincomb``: one step of
-        ``coeffs.walk_recurrence``."""
-        zero, near, far = PolyC.zero(), self.terms, other.terms
-        terms = {}
-        for key in sorted(near.keys() | far.keys()):
-            v = near.get(key, zero).c_lincomb(s, far.get(key, zero), t, lead)
-            if not v.is_zero():
-                terms[key] = v
-        return DiffClass._of(self.params, terms)
 
     @staticmethod
     def zero(params: RingParams) -> "DiffClass":
@@ -273,10 +264,12 @@ def _solved_for(params: RingParams, l: int, shift: int, log: list | None = None)
     return triple
 
 
-def _unit_column(params: RingParams, l: int) -> dict[int, DiffClass]:
-    """The seeds of every walk in sector l: cl(-j) = w(l, -j), j = 1..2r."""
-    one = PolyC.const(1)
-    return {-j: DiffClass._of(params, {(l, j): one}) for j in range(1, 2 * params.r + 1)}
+def _column(params: RingParams, l: int, e: int, memos: list[dict], triples) -> DiffClass:
+    """cl(e) in sector l >= 1: a w(l, -j) + b w(l, -j-r), e's block columns mod r, with a and b
+    walked from ``memos[j - 1]`` and ``memos[j + r - 1]`` (``families.seeds``) by ``triples``."""
+    r, j, step = params.r, -e % params.r or params.r, params.r if e >= 0 else -params.r
+    return DiffClass._of(params, {(l, i): v for i, t in zip((j, j + r), triples)
+                                  if (v := walk_recurrence(memos[i - 1], e, step, t)).ints})
 
 
 def _check_reach(t_exp: int) -> None:
@@ -347,23 +340,26 @@ def check_cocycle_reach(params: RingParams, f: dict[tuple[int, int], PolyC],
 class ReductionTable:
     """The classes of monomials t^e u^l dt over the basis, each walked down its residue class.
 
-    ``window`` is the basis block -2r..-1 every walk starts from, and ``n_cols`` the number
-    of columns held in one memo per sector, seeded with the basis: every sector-l column a
-    walk by the sector's triple (``_solved_for``, shift m + l) has passed.  A column is stored
-    after its two inward neighbours, so the columns between a held one and the block are too.
+    ``window`` is the basis block -2r..-1 every walk starts from.  A sector l >= 1 holds the
+    classes read and one coordinate memo per basis column w(l, -j), walked by the triple
+    (``_solved_for``, shift m + l); ``n_cols`` counts w0 and every column a walk has passed,
+    each stored after its two inward neighbours, so those between it and the block are too.
     """
 
     def __init__(self, params: RingParams):
         self.params = params
         self.window = ReductionWindow(-2 * params.r, -1)
         self._columns = [{-1: DiffClass._of(params, {W0: PolyC.const(1)})}]
-        self._columns += (_unit_column(params, l) for l in range(1, params.m))
+        self._columns += ({-j: DiffClass._of(params, {(l, j): PolyC.const(1)})
+                           for j in range(1, 2 * params.r + 1)} for l in range(1, params.m))
+        self._coords: dict[int, list[dict]] = {}  # sector -> its 2r memos, seeded on its first walk
         self._triples = [None] + [_solved_for(params, l, params.m + l) for l in range(1, params.m)]
-        self.n_basis = self.n_cols
+        self.n_basis = 1 + (params.m - 1) * 2 * params.r
 
     @property
     def n_cols(self) -> int:
-        return sum(map(len, self._columns))
+        return self.n_basis + len({(l, e) for l, memos in list(self._coords.items()) for memo in memos
+                                   for e in list(memo) if not -2 * self.params.r <= e < 0})
 
     def reduce_terms(self, terms: dict[tuple[int, int], PolyC]) -> DiffClass:
         """Expand the monomial classes {(e, l): coef}, the sum of coef * class(t^e u^l dt)."""
@@ -376,8 +372,8 @@ class ReductionTable:
         return DiffClass._of(self.params, out)
 
     def reduce_monomial(self, t_exp: int, sector: int) -> DiffClass:
-        """Expand class(t^t_exp u^sector dt) over the basis: one walk of its column by the
-        corrected relation, from the held column nearest it."""
+        """Expand class(t^t_exp u^sector dt) over the basis: two walks of its coordinates by
+        the corrected relation, each from the held value nearest it."""
         params = self.params
         if not 0 <= sector < params.m:
             raise ValueError(f"sector {sector} is outside 0..{params.m - 1}")
@@ -387,8 +383,10 @@ class ReductionTable:
         _check_reach(t_exp)
         if sector == 0:  # t^e dt = d(t^(e+1))/(e+1)
             return DiffClass.zero(params)
-        return walk_recurrence(column, t_exp, params.r if t_exp >= 0 else -params.r,
-                               self._triples[sector])
+        memos = self._coords.get(sector) or self._coords.setdefault(  # atomic: one list wins
+            sector, [seeds(params.r, j) for j in range(1, 2 * params.r + 1)])
+        cls = column[t_exp] = _column(params, sector, t_exp, memos, (self._triples[sector],) * 2)
+        return cls
 
 
 _TABLES: dict[RingParams, ReductionTable] = {}
@@ -460,10 +458,10 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
     if not 1 <= l < params.m:
         raise ValueError(f"recurrence applies to sectors 1..{params.m - 1}")
     _check_reach(n - 1)
-    log: list[int] = []
-    cls = walk_recurrence(_unit_column(params, l), n - 1, params.r if n > 0 else -params.r,
-                          _solved_for(params, l, l, log))
-    return RecurrenceReduction(cls, [RecurrenceInstance(k, l, k >= 1) for k in log])
+    logs = ([], [])  # of the two coordinate walks' logs, the longer is one walk of the class's
+    cls = _column(params, l, n - 1, [seeds(params.r, j) for j in range(1, 2 * params.r + 1)],
+                  [_solved_for(params, l, l, log) for log in logs])
+    return RecurrenceReduction(cls, [RecurrenceInstance(k, l, k >= 1) for k in max(logs, key=len)])
 
 
 def verify_recurrence(params: RingParams, l: int, n_range: range) -> list[dict]:

@@ -10,11 +10,12 @@ coefficient from the parser only when that lies in Q[c].
 ``RingElem.monomial`` writes u^q as p^k u^j, (k, j) = divmod(q, m), and p^k as
 sum_n G_n(c) x^n, x = t^r, G_n the Gegenbauer polynomial C_n^(-k) (Szego, *Orthogonal
 Polynomials*, 4.7): (1 - 2cx + x^2) G' = 2k(x - c) G gives n G_n = 2c(n-k-1)
-G_(n-1) - (n-2k-2) G_(n-2), G_0 = 1, G_(-1) = 0, walked to n = k at step 1 by
+G_(n-1) - (n-2k-2) G_(n-2), G_0 = 1, G_(-1) = 0, stepped index by index to n = k by
 ``coeffs.walk_recurrence``, and G_(2k-n) = G_n.  For n <= k, G_n has the nonzero terms
 c^(n-2i), 0 <= i <= n/2, so all 2k+1 positions of p^k are nonzero and G_k
 spans k - k mod 2 c degrees: a term over ``coeffs.MAX_C_DEGREE`` is refused
-before any walk, as the repeated product would refuse it.
+before any walk, as the repeated product would refuse it, and so is a p^k of about
+k^2/2 terms of at most 2k bits, k^3 above ``coeffs.MAX_EXPANSION_BITS``.
 
 Values are immutable; all operations return fresh elements.
 """
@@ -100,9 +101,11 @@ class RingElem:
         span = len(coef.ints) - 1 + k - k % 2
         if span > coeffs.MAX_C_DEGREE:
             raise ValueError(f"u^{u_exp} expands to c degree span {span} above {coeffs.MAX_C_DEGREE}")
+        if k ** 3 > coeffs.MAX_EXPANSION_BITS:
+            raise ValueError(f"u^{u_exp} expands p^{k} to about {k**3} bits above {coeffs.MAX_EXPANSION_BITS}")
         g = {-1: PolyC.zero(), 0: PolyC.const(1)}
-        walk_recurrence(g, k, 1, lambda n: (n, n - k - 1, n - 2 * k - 2))
-        lt = {t_exp + params.r * n: coef * g[min(n, 2 * k - n)] for n in range(2 * k + 1)}
+        half = [walk_recurrence(g, n, 1, lambda i: (i, i - k - 1, i - 2 * k - 2)) for n in range(k + 1)]
+        lt = {t_exp + params.r * n: coef * half[min(n, 2 * k - n)] for n in range(2 * k + 1)}
         return RingElem._of(params, {j: lt})
 
     def is_zero(self) -> bool:

@@ -601,6 +601,26 @@ def test_sum_of_dense_fractions_bounded(capsys):
         assert err.count("\n") == 1
 
 
+def test_quotient_with_a_steep_gcd_bounded(capsys):
+    """A product or quotient whose numerator and denominator both have more than one term is
+    refused, in one line and before its gcd runs, once numerator span x denominator span x the
+    bits of the operands' widest integers add up above MAX_GCD_SIZE: at 10^6 it answers, one
+    more span is refused, and so is the dense-numerator gcd cliff."""
+    assert cli.MAX_GCD_SIZE == 10**6
+    c, one = CoeffK.c(), CoeffK.one()
+    assert parse_coef("(c^100+1)/(c^100+2^98)") == (c ** 100 + one) / (c ** 100 + one * 2 ** 98)
+    for text, spans, bits in (("(c^101+1)/(c^100+2^98)", "101, denominator span 100", 100),
+                              ("(c^100+1)*(1/(c^101+2^98))", "100, denominator span 101", 100),
+                              ("(c^200+1)/(c+2)^120", "200, denominator span 120", 188)):
+        with pytest.raises(ParseError, match=f"^(quotient|product) of numerator span {spans} and "
+                                             f"{bits}-bit coefficients is above 1000000 in their "
+                                             "product \\(at byte offset [0-9]+\\)$"):
+            parse_coef(text)
+    assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(c^200+1)/(c+2)^120*t"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: quotient of numerator span 200") and err.count("\n") == 1
+
+
 def test_main_entry():
     assert main(["dim", "--m", "2", "--r", "2"]) == 0
 

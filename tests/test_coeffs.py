@@ -17,6 +17,7 @@ from secalg.coeffs import (
     SpecializationError,
     is_integer_constant,
     specialize,
+    walk_recurrence,
 )
 from secalg.ope import FieldExpr
 
@@ -308,8 +309,8 @@ def test_polyc_matches_sympy(a, b, q, n):
                "scale": (a.scale(q), sa * q), "neg": (-a, -sa),
                "mul_int": (a * n, sa * n), "rmul_int": (n * a, sa * n),
                "gcd": (PolyC.gcd(a, b), sa.gcd(sb).monic()),
-               "c_lincomb": (a.c_lincomb(n, b, 3 - n, abs(n) + 1),
-                             (sa * _symc(PolyC.c()) * n + sb * (3 - n)) * F(1, abs(n) + 1))}
+               "walk_step": (walk_recurrence({0: b, 1: a}, 2, 1, lambda _k: (abs(n) + 1, n, n - 3)),
+                             (sa * _symc(PolyC.c()) * 2 * n + sb * (3 - n)) * F(1, abs(n) + 1))}
     if not b.is_zero():
         (quo, rem), (squo, srem) = a.divmod(b), sa.div(sb)
         results.update(quo=(quo, squo), rem=(rem, srem))

@@ -127,7 +127,7 @@ def sector_recurrence_value(m, r, l, j, k):
     This is the left-hand side of the rescaling identity, computed without
     dividing through by l.
     """
-    return walk_recurrence(families._initial_values(r, j), k, r, families._sector_triple(m, r, l))
+    return walk_recurrence(families.seeds(r, j), k, r, families._sector_triple(m, r, l))
 
 
 def reconcile_with_kahler(params, l, k_range):

@@ -238,3 +238,24 @@ def test_c_degree_refusal_matches_repeated_product():
                     assert got in (None, f"u^{u_exp} expands to c degree span {span} above 6")
                     refused.add(got is not None)
     assert refused == {False, True}
+
+
+def test_expansion_budget_boundary_is_a_refusal(capsys):
+    """p^k holds about k^2/2 terms of at most 2k bits: k = 512 is the last k whose k^3 is
+    within coeffs.MAX_EXPANSION_BITS, and u^(513 m) is refused before any walk, also by a
+    bracket whose generators pair to zero and so check no reach."""
+    from secalg import ring
+    from secalg.cli import main
+
+    assert 512 ** 3 <= coeffs.MAX_EXPANSION_BITS < 513 ** 3
+    with mock.patch.object(ring, "walk_recurrence", side_effect=AssertionError("walked")):
+        for params in (RingParams(2, 2), RingParams(3, 2)):
+            for u_exp in (513 * params.m, 514 * params.m - 1):
+                assert _refusal(RingElem.monomial, params, PolyC.const(1), 0, u_exp) == (
+                    f"u^{u_exp} expands p^513 to about 135005697 bits above 134217728")
+        assert main(["bracket", "--m", "3", "--r", "2", "--x", "e", "--y", "e",
+                     "--a", "u^1539", "--b", "u"]) == 2
+    assert capsys.readouterr().err == (
+        "error: u^1539 expands p^513 to about 135005697 bits above 134217728\n")
+    top = RingElem.monomial(RingParams(2, 2), PolyC.const(1), 0, 1025).sectors[1]
+    assert len(top) == 2 * 512 + 1 and top[0] == top[4 * 512] == PolyC.const(1)
