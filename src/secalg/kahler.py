@@ -448,7 +448,7 @@ class RecurrenceReduction(NamedTuple):
 
 
 def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction:
-    """Reduce class(t^(n-1) u^l dt) using the stated recurrence only: one walk of its column
+    """Reduce class(t^(n-1) u^l dt) using the stated recurrence only: two coordinate walks
     with shift l, from the basis.
 
     Every instance solved is logged; instances with index < 1 fall outside the stated
