@@ -11,8 +11,9 @@ Grammar (shared tokens; byte offsets reported on error):
                    span at most coeffs.MAX_C_DEGREE (100000), and a power of
                    a sum, or a product or quotient of two sums, at most
                    MAX_POWER_SPAN (2000) in _span and MAX_GCD_SIZE (10^6) in
-                   numerator x denominator span x coefficient bits, and a sum's
-                   two dense denominators at most MAX_SUM_SPAN (128), else exit 2;
+                   numerator x denominator span x coefficient bits, and a sum of
+                   two fractions with dense denominators at most MAX_SUM_SPAN (128)
+                   in their spans and MAX_GCD_SIZE in its cross products, else exit 2;
                    evaluated in Q[c] (PolyC) until s, k, a division by a
                    non-constant or a negative power of one lifts both
                    operands to CoeffK
@@ -33,7 +34,7 @@ Grammar (shared tokens; byte offsets reported on error):
                    gen := ("beta"|"gamma"|"b") "[" int "]"; the orders of
                    nested D( add up to at most MAX_DERIV_ORDER (20), and a
                    term's coefficient products are bounded as a ring
-                   term's, else exit 2
+                   term's and its momentum sums as a coefficient's, else exit 2
     int         := at most MAX_INT_DIGITS (4300) digits, else exit 2
     --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2; so is
                    a Taylor shift above ope.MAX_SHIFT_ORDER (24) in an ope
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -77,257 +79,289 @@ class ParseError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",")
 MAX_NESTING = 100  # parentheses, signs, D( and no( around an atom, counted together
 MAX_DERIV_ORDER = 20  # D( orders around an atom, added up: Taylor shifts grow like partition numbers
 MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as int() reads by default
 MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term, or the
 # two spans of a product or quotient of two such coefficients added up: products are quadratic
 MAX_SUM_SPAN = 128  # two denominator spans of a sum added up: 1/(c+2)^a + 1/(c-1)^b is under 1 s
-MAX_GCD_SIZE = 10**6  # a product or quotient's numerator x denominator span x coefficient bits
+MAX_GCD_SIZE = 10**6  # a product, quotient or sum's numerator x denominator span x coefficient bits
 MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
 MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
 EMIT_CHUNKS = 1024  # the chunks of a report that one write joins, at most
-_C = PolyC.c()
+_C, _ONE = PolyC.c(), PolyC.const(1)
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]\w*|[-+*/^()\[\],]")  # an int, a name or a punctuation mark
 
 
-def _tokenize(src: str):
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j - i > MAX_INT_DIGITS:
-                raise ParseError(f"integer literal of {j - i} digits above {MAX_INT_DIGITS}", i)
-            toks.append(("int", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("name", src[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
-    return toks
+def _classed(src: str) -> str:
+    """src with each non-ASCII character replaced by an ASCII one of its class: a space, a digit,
+    a letter, "_" (another alphanumeric, which only continues a name) or "?" (none)."""
+    return src if src.isascii() else "".join(
+        ch if ch.isascii() else " " if ch.isspace() else "0" if ch.isdigit() else "a"
+        if ch.isalpha() else "_" if ch.isalnum() else "?" for ch in src)
+
+
+def _tokenize(src: str) -> list[str]:
+    """The tokens of src, left to right: an int (digits), a name (a letter, then letters, digits
+    and "_") or a punctuation mark, as ``str.isdigit``, ``isalpha``, ``isalnum`` and
+    ``isspace`` class the characters.  An unexpected character or an int of more than
+    MAX_INT_DIGITS digits, whichever comes first, is a ParseError."""
+    text = _classed(src)
+    toks = _TOKEN.findall(text)
+    if "".join(toks) != "".join(text.split()) or len(src) > MAX_INT_DIGITS:
+        end = 0
+        for mt in (*_TOKEN.finditer(text), None):
+            gap = text[end:mt.start() if mt else len(text)]
+            if gap.strip():
+                i = end + len(gap) - len(gap.lstrip())
+                raise ParseError(f"unexpected character {src[i]!r}", i)
+            if mt and text[mt.start()].isdigit() and mt.end() - mt.start() > MAX_INT_DIGITS:
+                raise ParseError(f"integer literal of {mt.end() - mt.start()} digits above "
+                                 f"{MAX_INT_DIGITS}", mt.start())
+            end = mt and mt.end()
+    return toks if text is src else [src[mt.start():mt.end()] for mt in _TOKEN.finditer(text)]
+
+
+class _Refused(Exception):
+    """A ParseError at the token that has ``left`` tokens, itself and the end included, from it
+    to the end: ``_parse`` gives it its byte offset."""
+
+    def __init__(self, message: str, left: int):
+        super().__init__(message, left)
+
+
+def _parse(src: str, rule, *args):
+    """rule(parser, *args) over the whole of src."""
+    p = _Parser(src)
+    try:
+        val = rule(p, *args)
+        if p.toks[-1]:
+            raise _Refused(f"trailing input {p.toks[-1]!r}", len(p.toks))
+    except _Refused as exc:
+        msg, left = exc.args
+        starts = [mt.start() for mt in _TOKEN.finditer(_classed(src))] + [len(src)]
+        raise ParseError(msg, starts[-left]) from None
+    return val
 
 
 class _Parser:
+    """A descent over src's tokens, held reversed above the end token "": the next token is
+    ``toks[-1]`` and ``toks.pop()`` takes it."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.pos = 0
+        self.toks = [""] + _tokenize(src)[::-1]
         self.depth = 0
         self.order = 0  # the largest D( order sum inside the item being parsed
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
+    def expect(self, kind: str) -> str:
+        """The next token, taken: kind itself, or of kind "int" or "name"."""
+        t = self.toks.pop()
+        if not (t.isdigit() if kind == "int" else t[:1].isalpha() if kind == "name" else t == kind):
+            raise _Refused(f"expected {kind!r}, found {t!r}", len(self.toks) + 1)
         return t
 
-    def accept(self, kind: str) -> bool:
-        """Whether the next token is of kind; it is consumed if so."""
-        found = self.toks[self.pos][0] == kind
-        self.pos += found
-        return found
-
-    def expect(self, kind: str):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
-        return t
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg + f", found {t[1]!r}", t[2])
-
-    def nested(self, rule, *args):
-        """rule(*args) one nesting level deeper; a ParseError ends the parse."""
+    def deeper(self) -> None:
+        """One nesting level more, up to MAX_NESTING; the caller ends it by ``depth -= 1``."""
         if self.depth == MAX_NESTING:
-            self.fail(f"input nests deeper than {MAX_NESTING} levels")
+            raise _Refused(f"input nests deeper than {MAX_NESTING} levels, found {self.toks[-1]!r}",
+                           len(self.toks))
         self.depth += 1
-        val = rule(*args)
-        self.depth -= 1
-        return val
+
+    def exponent(self) -> tuple[int, int]:
+        """"^", an optional "-" and an int: the signed int and the int's ``left``."""
+        toks = self.toks
+        toks.pop()
+        t = toks.pop()
+        sign = 1
+        if t == "-":
+            sign, t = -1, toks.pop()
+        if not t.isdigit():
+            raise _Refused(f"expected 'int', found {t!r}", len(toks) + 1)
+        return sign * int(t), len(toks) + 1
 
     # -- coefficient expressions (a PolyC while in Q[c], see the grammar) ------
     def coef_expr(self) -> PolyC | CoeffK:
+        toks = self.toks
         val = self.coef_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            pos, rhs = self.peek()[2], self.coef_term()
+        while toks[-1] in ("+", "-"):
+            op = toks.pop()
+            pos = len(toks)
+            rhs = self.coef_term()
             _bound_pair(val, op, rhs, pos)
             val, rhs = _lifted(val, rhs)
             val = val + rhs if op == "+" else val - rhs
         return val
 
     def coef_term(self, ops: tuple = ("*", "/")) -> PolyC | CoeffK:
-        """A chain of coefficient powers joined by the operators in ops."""
-        val = self.coef_power()
-        while self.peek()[0] in ops:
-            op = self.next()[0]
-            pos = self.peek()[2]
-            rhs = self.coef_power()
-            _bound_pair(val, op, rhs, pos)
-            if op == "*":
-                val, rhs = _lifted(val, rhs)
-                val = val * rhs
+        """A chain of coefficient powers joined by the operators in ops.  A power is an atom, its
+        "^" exponents and the unary minus signs before it, each sign one nesting level."""
+        toks = self.toks
+        op = None
+        while True:
+            depth = self.depth
+            t = toks.pop()
+            while t == "-":
+                self.deeper()
+                t = toks.pop()
+            if t == "c":
+                rhs = _C
+            elif t.isdigit():
+                rhs = PolyC.const(int(t))
+            elif t == "(":
+                self.deeper()
+                rhs = self.coef_expr()
+                self.depth -= 1
+                self.expect(")")
+            elif t == "s" or t == "k":
+                rhs = CoeffK.s() if t == "s" else CoeffK.k()
             else:
-                if rhs.is_zero():
-                    raise ParseError("division by zero", self.peek()[2])
-                val, rhs = _lifted(val, rhs, type(rhs) is PolyC and rhs.degree() > 0)
-                val = val / rhs if type(val) is CoeffK else val * Fraction(rhs.den, rhs.num)
-        return val
-
-    def coef_power(self) -> PolyC | CoeffK:
-        val = self.coef_atom()
-        while self.peek()[0] == "^":
-            e, t = self.exponent()
-            if _dense(val) and _span(val) * abs(e) > MAX_POWER_SPAN:
-                raise ParseError(f"power {abs(e)} of a coefficient of exponent span {_span(val)} "
-                                 f"spans above {MAX_POWER_SPAN}", t[2])
-            if e < 0 and type(val) is PolyC:
-                val, e = (PolyC.const(1 / val.cont), -e) if val.degree() == 0 else (as_coeffk(val), e)
-            val = val ** e
-        return val
-
-    def exponent(self) -> tuple[int, tuple]:
-        """"^", an optional "-" and an int: the signed int and the int's token."""
-        self.expect("^")
-        sign = -1 if self.accept("-") else 1
-        t = self.expect("int")
-        return sign * int(t[1]), t
-
-    def coef_atom(self) -> PolyC | CoeffK:
-        t = self.peek()
-        if t[0] == "-":
-            self.next()
-            return -self.nested(self.coef_power)
-        if t[0] == "int":
-            self.next()
-            return PolyC.const(int(t[1]))
-        if t[0] == "(":
-            self.next()
-            val = self.nested(self.coef_expr)
-            self.expect(")")
-            return val
-        if t[0] == "name":
-            if t[1] == "c":
-                self.next()
-                return _C
-            if t[1] == "s":
-                self.next()
-                return CoeffK.s()
-            if t[1] == "k":
-                self.next()
-                return CoeffK.k()
-        self.fail("expected a coefficient")
+                raise _Refused(f"expected a coefficient, found {t!r}", len(toks) + 1)
+            while toks[-1] == "^":
+                e, epos = self.exponent()
+                if _dense(rhs) and _span(rhs) * abs(e) > MAX_POWER_SPAN:
+                    raise _Refused(f"power {abs(e)} of a coefficient of exponent span {_span(rhs)} "
+                                   f"spans above {MAX_POWER_SPAN}", epos)
+                if e < 0 and type(rhs) is PolyC:
+                    rhs, e = (PolyC.const(1 / rhs.cont), -e) if rhs.degree() == 0 else (as_coeffk(rhs), e)
+                rhs = rhs ** e
+            if (self.depth - depth) & 1:
+                rhs = -rhs
+            self.depth = depth
+            if op is None:
+                val = rhs
+            else:
+                _bound_pair(val, op, rhs, pos)
+                if op == "*":
+                    val, rhs = _lifted(val, rhs)
+                    val = val * rhs
+                else:
+                    if rhs.is_zero():
+                        raise _Refused("division by zero", len(toks))
+                    val, rhs = _lifted(val, rhs, type(rhs) is PolyC and rhs.degree() > 0)
+                    val = val / rhs if type(val) is CoeffK else val * Fraction(rhs.den, rhs.num)
+            if toks[-1] not in ops:
+                return val
+            op = toks.pop()
+            pos = len(toks)
 
     # -- ring elements -----------------------------------------------------
     def ring_expr(self) -> dict[tuple[int, int], PolyC]:
+        toks = self.toks
         terms: dict[tuple[int, int], PolyC] = {}
         op = "+"
         while True:
             key, v = self.ring_term()
             sparse_add(terms, key, v if op == "+" else -v)
-            if self.peek()[0] not in ("+", "-"):
+            if toks[-1] not in ("+", "-"):
                 return terms
-            op = self.next()[0]
+            op = toks.pop()
 
     def ring_term(self) -> tuple[tuple[int, int], PolyC]:
-        coef = PolyC.const(1)
+        toks = self.toks
+        coef = _ONE
         t_exp = 0
         u_exp = 0
-        neg = self.accept("-")
+        neg = toks[-1] == "-" and toks.pop()
         while True:
-            t = self.peek()
-            if t[0] == "name" and t[1] in ("t", "u"):
-                self.next()
-                e = self.exponent()[0] if self.peek()[0] == "^" else 1
-                if t[1] == "t":
+            t = toks[-1]
+            if t == "t" or t == "u":
+                toks.pop()
+                pos = len(toks) + 1
+                e = self.exponent()[0] if toks[-1] == "^" else 1
+                if t == "t":
                     t_exp += e
                 else:
                     if e < 0:
-                        raise ParseError("u exponent must be non-negative", t[2])
+                        raise _Refused("u exponent must be non-negative", pos)
                     u_exp += e
             else:
+                pos = len(toks)
                 rhs = self.coef_term(("/",))
-                _bound_pair(coef, "*", rhs, t[2])
-                coef, rhs = _lifted(coef, rhs)
-                coef = coef * rhs
-            if not self.accept("*"):
+                if coef is _ONE:  # the first factor: 1 * rhs is rhs
+                    coef = rhs
+                else:
+                    _bound_pair(coef, "*", rhs, pos)
+                    coef, rhs = _lifted(coef, rhs)
+                    coef = coef * rhs
+            if toks[-1] != "*":
                 break
+            toks.pop()
         if neg:
             coef = -coef
         return (t_exp, u_exp), as_polyc(coef)
 
     # -- field expressions ---------------------------------------------------
     def field_expr(self, m: int) -> FieldExpr:
+        toks = self.toks
         val = self.field_term(m)
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            pos, rhs = self.peek()[2], self.field_term(m)
+        while toks[-1] in ("+", "-"):
+            op = toks.pop()
+            pos = len(toks)
+            rhs = self.field_term(m)
             for key in val.terms.keys() & rhs.terms.keys():  # each like-term merge
                 _bound_pair(val.terms[key], op, rhs.terms[key], pos)
             val = val + rhs if op == "+" else val - rhs
         return val
 
     def field_term(self, m: int) -> FieldExpr:
-        neg = self.accept("-")
+        toks = self.toks
+        neg = toks[-1] == "-" and toks.pop()
         val = self.field_item(m)
-        while self.accept("*"):
-            pos, rhs = self.peek()[2], self.field_item(m)
+        while toks[-1] == "*":
+            toks.pop()
+            pos = len(toks)
+            rhs = self.field_item(m)
             for a in val.terms.values():  # each coefficient product, as in ring_term
                 for b in rhs.terms.values():
                     _bound_pair(a, "*", b, pos)
+            fractions = [mb for _, mb in rhs.terms if not mb.den.is_const()]
+            for _, ma in val.terms if fractions else ():  # each momentum sum, as in coef_expr
+                for mb in fractions:
+                    _bound_pair(ma, "+", mb, pos)
             val = val * rhs
         return val.scale(CoeffK.from_int(-1)) if neg else val
 
     def field_item(self, m: int) -> FieldExpr:
-        t = self.peek()
-        if t[0] == "name" and t[1] in GEN_NAMES:
-            return self.field_gen(m)
-        if t[0] == "name" and t[1] == "no":
-            self.next()
+        toks = self.toks
+        t = toks[-1]
+        if t in GEN_NAMES:
+            toks.pop()
+            self.expect("[")
+            sector = int(self.expect("int"))
+            pos = len(toks) + 1
+            self.expect("]")
+            if not 0 <= sector < m:
+                raise _Refused(f"sector {sector} out of range for m={m}", pos)
+            return FieldExpr.generator(GEN_NAMES[t], sector)
+        if t == "no":
+            toks.pop()
             self.expect("(")
-            inner = self.nested(self.field_term, m)
+            self.deeper()
+            inner = self.field_term(m)
+            self.depth -= 1
             self.expect(")")
             return inner
-        if t[0] == "name" and t[1] == "exp":
-            self.next()
+        if t == "exp":
+            toks.pop()
             self.expect("(")
             mom = self.coef_expr()
             self.expect(",")
-            nm = self.expect("name")
-            if nm[1] != "phi0":
-                raise ParseError("only the sector-0 scalar 'phi0' is supported", nm[2])
+            if self.expect("name") != "phi0":
+                raise _Refused("only the sector-0 scalar 'phi0' is supported", len(toks) + 1)
             self.expect(")")
             return FieldExpr.exponential(as_coeffk(mom))
-        if t[0] == "name" and t[1] == "D":
-            self.next()
+        if t == "D":
+            toks.pop()
             self.expect("(")
             outer, self.order = self.order, 0
-            inner = self.nested(self.field_item, m)
+            self.deeper()
+            inner = self.field_item(m)
+            self.depth -= 1
             self.expect(",")
-            ot = self.expect("int")
-            order = int(ot[1])
+            order = int(self.expect("int"))
+            pos = len(toks) + 1
             if self.order + order > MAX_DERIV_ORDER:
-                raise ParseError(f"derivative order {self.order + order} above {MAX_DERIV_ORDER}", ot[2])
+                raise _Refused(f"derivative order {self.order + order} above {MAX_DERIV_ORDER}", pos)
             self.expect(")")
             self.order = max(outer, self.order + order)
             for _ in range(order):
@@ -336,22 +370,6 @@ class _Parser:
         # otherwise a coefficient item: power/division chains bind here,
         # "*" returns to the enclosing field term
         return FieldExpr.const(as_coeffk(self.coef_term(("/",))))
-
-    def field_gen(self, m: int) -> FieldExpr:
-        t = self.expect("name")
-        kind = GEN_NAMES[t[1]]
-        self.expect("[")
-        st = self.expect("int")
-        sector = int(st[1])
-        self.expect("]")
-        if not 0 <= sector < m:
-            raise ParseError(f"sector {sector} out of range for m={m}", st[2])
-        return FieldExpr.generator(kind, sector)
-
-    def done(self):
-        t = self.peek()
-        if t[0] != "end":
-            raise ParseError(f"trailing input {t[1]!r}", t[2])
 
 
 def _lifted(a: PolyC | CoeffK, b: PolyC | CoeffK, leave: bool = False) -> tuple:
@@ -383,42 +401,45 @@ def _dense(x: PolyC | CoeffK) -> bool:
 
 def _bound_pair(a: PolyC | CoeffK, op: str, b: PolyC | CoeffK, pos: int) -> None:
     """Refuse a op b before it is worked out: a product or quotient of two coefficients of more
-    than one term each above MAX_POWER_SPAN or MAX_GCD_SIZE, and a sum or difference once two
-    denominators of nonzero span add up above MAX_SUM_SPAN, as its gcd is steep."""
+    than one term each above MAX_POWER_SPAN, and a sum or difference of two fractions whose
+    denominators have nonzero span above MAX_SUM_SPAN, as its gcd is steep; and either above
+    MAX_GCD_SIZE, a sum's numerator spanning as its two cross products."""
     sums = op in "+-"
     if not (type(a) is type(b) is CoeffK if sums else _dense(a) and _dense(b)):
         return
     sa, sb, bound = _span(a, sums), _span(b, sums), MAX_SUM_SPAN if sums else MAX_POWER_SPAN
+    if sums and not (sa and sb):
+        return
     what = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}[op]
     if sa and sb and sa + sb > bound:
-        raise ParseError(f"{what} of coefficients of {'denominator' if sums else 'exponent'} "
-                         f"spans {sa} and {sb} spans above {bound}", pos)
-    if not sums:
-        (an, ad, ab), (bn, bd, bb) = _fraction(a), _fraction(b)
-        num, den = (an + bn, ad + bd) if op == "*" else (an + bd, ad + bn)
-        if num * den * (ab + bb) > MAX_GCD_SIZE:
-            raise ParseError(f"{what} of numerator span {num}, denominator span {den} and {ab + bb}"
-                             f"-bit coefficients is above {MAX_GCD_SIZE} in their product", pos)
+        raise _Refused(f"{what} of coefficients of {'denominator' if sums else 'exponent'} "
+                       f"spans {sa} and {sb} spans above {bound}", pos)
+    (an, ad, ab), (bn, bd, bb) = _fraction(a), _fraction(b)
+    num, den = {"*": (an + bn, ad + bd), "/": (an + bd, ad + bn)}.get(op, (max(an + bd, bn + ad), ad + bd))
+    if num * den * (ab + bb) > MAX_GCD_SIZE:
+        raise _Refused(f"{what} of numerator span {num}, denominator span {den} and {ab + bb}"
+                       f"-bit coefficients is above {MAX_GCD_SIZE} in their product", pos)
 
 
 def parse_coef(src: str) -> CoeffK:
-    p = _Parser(src)
-    val = p.coef_expr()
-    p.done()
-    return as_coeffk(val)
+    return as_coeffk(_parse(src, _Parser.coef_expr))
 
 
 def parse_ring_terms(src: str) -> dict[tuple[int, int], PolyC]:
     """The terms {(t exponent, u exponent): coefficient in Q[c]}, like terms merged, u^q unexpanded."""
-    p = _Parser(src)
-    terms = p.ring_expr()
-    p.done()
-    return terms
+    return _parse(src, _Parser.ring_expr)
 
 
 def ring_from_terms(params: RingParams, terms: dict[tuple[int, int], PolyC]) -> RingElem:
-    """The sum of the terms, each u^q expanded by ``RingElem.monomial``."""
-    return sum((RingElem.monomial(params, v, *k) for k, v in terms.items()), RingElem.zero(params))
+    """The sum of the terms: one with u < m written straight into its sector, and each u^q with
+    q >= m expanded by ``RingElem.monomial``."""
+    sectors: dict[int, dict[int, PolyC]] = {}
+    for (t, u), v in terms.items():
+        for l, lt in ({u: {t: v}} if u < params.m else RingElem.monomial(params, v, t, u).sectors).items():
+            acc = sectors.setdefault(l, {})
+            for e, w in lt.items():
+                sparse_add(acc, e, w)
+    return RingElem._of(params, {l: lt for l, lt in sectors.items() if lt})
 
 
 def parse_ring_elem(src: str, params: RingParams) -> RingElem:
@@ -427,10 +448,7 @@ def parse_ring_elem(src: str, params: RingParams) -> RingElem:
 
 def parse_field_expr(src: str, m: int) -> FieldExpr:
     """Parse the field-expression grammar; sector indices range-checked."""
-    p = _Parser(src)
-    val = p.field_expr(m)
-    p.done()
-    return val
+    return _parse(src, _Parser.field_expr, m)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -619,6 +620,45 @@ def test_quotient_with_a_steep_gcd_bounded(capsys):
     assert main(["kahler-reduce", "--m", "3", "--r", "2", "--dt", "(c^200+1)/(c+2)^120*t"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: quotient of numerator span 200") and err.count("\n") == 1
+
+
+def _cpu_s() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+
+
+@pytest.mark.parametrize("e, message", [
+    # a sum of two dense fractions whose cross-multiplied numerator is steep: MAX_GCD_SIZE
+    ("((c^200+1)/(c+2)^50+1/(c-1)^70)*beta[0]",
+     "sum of numerator span 270, denominator span 120 and 144-bit coefficients is above 1000000 "
+     "in their product (at byte offset 20)"),
+    ("((c^199+1)/(c+2)^30+1/(c-1)^30)*beta[0]",
+     "sum of numerator span 229, denominator span 60 and 73-bit coefficients is above 1000000 "
+     "in their product (at byte offset 20)"),
+    # a product of exponentials adds their momenta: MAX_SUM_SPAN, as in a coefficient
+    ("exp(1/(c+2)^60,phi0)*exp(1/(c-1)^100,phi0)*beta[0]",
+     "sum of coefficients of denominator spans 60 and 100 spans above 128 (at byte offset 21)"),
+    ("exp(1/(c+1)^64,phi0)*exp(1/(c-1)^65,phi0)*beta[0]",
+     "sum of coefficients of denominator spans 64 and 65 spans above 128 (at byte offset 21)"),
+])
+def test_steep_sums_refused_before_their_gcd(e, message, capsys):
+    """A sum whose gcd is steep exits 2 in one line, before the gcd runs: each took 1 to 20 s
+    CPU to answer before these bounds."""
+    start = _cpu_s()
+    assert main(["ope", "--m", "2", "--e", e, "--f", "gamma[0]"]) == 2
+    assert _cpu_s() - start < 0.2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+
+
+def test_steep_sums_just_inside_their_bounds_answer(capsys):
+    """One span less than the refusals above, each still answers as before the bounds."""
+    value = parse_coef("(c^198+1)/(c+2)^30+1/(c-1)^30")  # 228 x 60 x 73 bits = 998,640
+    assert hashlib.sha256(value.render().encode()).hexdigest() == (
+        "1ac0eaf8ab99ea87a79d5e825ec56b0f5379a57af93b3d00896928d092cc506b")
+    assert main(["ope", "--m", "2", "--e", "exp(1/(c+1)^64,phi0)*exp(1/(c-1)^64,phi0)*beta[0]",
+                 "--f", "gamma[0]"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "176f598cb0850fe14f03c17bdc30bf79bba94e690a82353466ad559ab640c7dd")
 
 
 def test_main_entry():
