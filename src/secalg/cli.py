@@ -123,11 +123,8 @@ def _tokenize(src: str) -> list[str]:
 
 
 class _Refused(Exception):
-    """A ParseError at the token that has ``left`` tokens, itself and the end included, from it
-    to the end: ``_parse`` gives it its byte offset."""
-
-    def __init__(self, message: str, left: int):
-        super().__init__(message, left)
+    """``_Refused(message, left)``: a ParseError at the token that has ``left`` tokens, itself
+    and the end included, from it to the end; ``_parse`` gives it its byte offset."""
 
 
 def _parse(src: str, rule, *args):
