@@ -13,7 +13,8 @@ Grammar (shared tokens; byte offsets reported on error):
                    MAX_POWER_SPAN (2000) in _span and MAX_GCD_SIZE (10^6) in
                    numerator x denominator span x coefficient bits, and a sum of
                    two fractions with dense denominators at most MAX_SUM_SPAN (128)
-                   in their spans and MAX_GCD_SIZE in its cross products, else exit 2;
+                   in their spans and MAX_GCD_SIZE in its cross products, and any power
+                   at most MAX_GCD_SIZE in exponent x its base's widest bits, else exit 2;
                    evaluated in Q[c] (PolyC) until s, k, a division by a
                    non-constant or a negative power of one lifts both
                    operands to CoeffK
@@ -218,6 +219,9 @@ class _Parser:
                 if _dense(rhs) and _span(rhs) * abs(e) > MAX_POWER_SPAN:
                     raise _Refused(f"power {abs(e)} of a coefficient of exponent span {_span(rhs)} "
                                    f"spans above {MAX_POWER_SPAN}", epos)
+                if abs(e) * (bits := _widest(rhs)) > MAX_GCD_SIZE:
+                    raise _Refused(f"power {abs(e)} of a coefficient of {bits}-bit integers is "
+                                   f"above {MAX_GCD_SIZE} in exponent x bits", epos)
                 if e < 0 and type(rhs) is PolyC:
                     rhs, e = (PolyC.const(1 / rhs.cont), -e) if rhs.degree() == 0 else (as_coeffk(rhs), e)
                 rhs = rhs ** e
@@ -389,6 +393,13 @@ def _fraction(x: PolyC | CoeffK) -> tuple[int, int, int]:
     parts = (x,) if type(x) is PolyC else (*x.num.by_s.values(), *x.den.by_s.values())
     bits = max(abs(v).bit_length() for p in parts for v in p.ints)
     return _span(x) - _span(x, True), _span(x, True), bits
+
+
+def _widest(x: PolyC | CoeffK) -> int:
+    """The bits of x's widest integer, contents included; 0 for 1, whose powers do not grow."""
+    parts = (x,) if type(x) is PolyC else (*x.num.by_s.values(), *x.den.by_s.values())
+    w = max(max(abs(p.num) * max(map(abs, p.ints), default=0), p.den) for p in parts)
+    return w.bit_length() if w > 1 else 0
 
 
 def _dense(x: PolyC | CoeffK) -> bool:
@@ -571,11 +582,11 @@ def run_command(cmd: Command, out=None) -> int:
         return 0
 
     if cmd.name == "rescaling":
-        rep = rescaling_check(p["m"], p["r"], k_max=p["kmax"])
-        failures = [e for e in rep if not e["equal"]]
+        certs = rescaling_check(p["m"], p["r"], k_max=p["kmax"])
+        failures = [c for c in certs if not c["holds"]]
         doc = {
             "m": p["m"], "r": p["r"], "k_max": p["kmax"],
-            "checked": len(rep), "failures": failures,
+            "checked": sum(c["covers"] for c in certs if c["holds"]), "failures": failures,
         }
         emit_report(doc, fmt, out)
         return 0 if not failures else 1

@@ -12,8 +12,10 @@ positive for every k >= 0.  The recurrence is homogeneous in its three
 coefficients, so for m' = p/q it runs on the integer triple
 (pk + 2rq, pk + rq, pk), the rational one times q.  The sector-l families at
 integer m coincide with the sector-1 families at the rational parameter m/l
-(rescaling identity); ``rescaling_check`` verifies this by running both
-recurrences independently, each from its own integer triple.
+(rescaling identity), which ``rescaling_check`` proves for every k: the sector
+triple (mk + 2rl, mk + rl, mk) is gcd(m, l) times the one at m/l on the pairs both
+walks read, and both walks start from ``seeds(r, j)`` (Petkovsek, Wilf and
+Zeilberger, *A = B*, 1996).
 
 Two classical facts place the families.  For 1 <= j <= r, the class of -j
 holds the associated ultraspherical polynomials (Bustoz and Ismail,
@@ -38,6 +40,7 @@ classes is checked in ``tests/test_families.py``
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .coeffs import PolyC, walk_recurrence
 
@@ -81,10 +84,16 @@ class FamilySpec:
         return self._hash
 
 
-def _family_triple(spec: FamilySpec):
-    """Integer coefficients (pk + 2rq, pk + rq, pk) for m' = p/q: the rational triple times q."""
-    p, q, r = spec.m_prime.numerator, spec.m_prime.denominator, spec.r
-    return lambda k: (p * k + 2 * r * q, p * k + r * q, p * k)
+def _linear(pairs):
+    """The walker triple k -> (a0 k + b0, a1 k + b1, a2 k + b2) of the pairs [a, b]."""
+    (a0, b0), (a1, b1), (a2, b2) = pairs
+    return lambda k: (a0 * k + b0, a1 * k + b1, a2 * k + b2)
+
+
+def _family_pairs(m_prime: Fraction, r: int) -> list[list[int]]:
+    """(pk + 2rq, pk + rq, pk) for m' = p/q, the rational triple times q, as pairs [a, b]."""
+    p, q = m_prime.numerator, m_prime.denominator
+    return [[p, 2 * r * q], [p, r * q], [p, 0]]
 
 
 def seeds(r: int, j: int) -> dict[int, PolyC]:
@@ -103,7 +112,7 @@ def eval_family(spec: FamilySpec, k: int) -> PolyC:
     values = _memos.get(spec)
     if values is None:
         values = _memos[spec] = seeds(spec.r, spec.j)
-    return walk_recurrence(values, k, spec.r, _family_triple(spec))
+    return walk_recurrence(values, k, spec.r, _linear(_family_pairs(spec.m_prime, spec.r)))
 
 
 def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
@@ -112,22 +121,19 @@ def eval_family_chain(spec: FamilySpec, k: int) -> PolyC:
     Confirms that extending the shared memo of ``eval_family`` gives the
     same values as a walk from scratch.
     """
-    return walk_recurrence(seeds(spec.r, spec.j), k, spec.r, _family_triple(spec))
+    return walk_recurrence(seeds(spec.r, spec.j), k, spec.r,
+                           _linear(_family_pairs(spec.m_prime, spec.r)))
 
 
-def _sector_triple(m: int, r: int, l: int):
-    """Sector-l integer coefficients (mk+2rl, mk+rl, mk), not divided through by l."""
-    if not 1 <= l <= m - 1:
-        raise ValueError("sector l must lie in 1..m-1")
-    return lambda k: (m * k + 2 * r * l, m * k + r * l, m * k)
+def _sector_pairs(m: int, r: int, l: int) -> list[list[int]]:
+    """Sector-l (mk + 2rl, mk + rl, mk), not divided through by l, as pairs [a, b]."""
+    return [[m, 2 * r * l], [m, r * l], [m, 0]]
 
 
 def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
-    """Exact equality of the sector-l recurrence and the m' = m/l family.
-
-    Returns one report entry per (l, j, k); failures are entries, not errors.
-    Each (l, j) sector chain is walked once up to k_max.
-    """
+    """One certificate per sector l that P^(l,j)_k = P^(1,j)_k at m' = m/l, for every j and
+    k >= -2r: it holds when the sector pairs are g times the family pairs, entry by entry, and
+    the family lead is positive.  ``covers`` counts its (j, k) with k <= k_max."""
     if r < 2:
         raise ValueError(f"r {r} below 2: p(t) = 1 - 2c t^r + t^(2r) needs r >= 2")
     if k_max < -2 * r:
@@ -136,19 +142,13 @@ def rescaling_check(m: int, r: int, k_max: int = 20) -> list[dict]:
         raise ValueError(f"m {m} below 2: there is no sector to check")
     out = []
     for l in range(1, m):
-        for j in range(1, 2 * r + 1):
-            spec = FamilySpec(l=l, j=j, m_prime=Fraction(m, l), r=r)
-            triple = _sector_triple(m, r, l)
-            sector = seeds(r, j)
-            for k in range(-2 * r, k_max + 1):
-                lhs = walk_recurrence(sector, k, r, triple)
-                rhs = eval_family(spec, k)
-                equal = lhs == rhs
-                text = lhs.render()  # canonical forms: equal values render alike
-                out.append(
-                    {"l": l, "j": j, "k": k, "equal": equal,
-                     "lhs": text, "rhs": text if equal else rhs.render()}
-                )
+        g, m_prime = gcd(m, l), Fraction(m, l)
+        sector, family = _sector_pairs(m, r, l), _family_pairs(m_prime, r)
+        out.append({"l": l, "g": g, "m_prime": str(m_prime), "sector": sector, "family": family,
+                    "premises": ["shared seed window: both sides start from seeds(r, j)",
+                                 "positive lead: pk + 2rq > 0 for k >= 0, one solution a side"],
+                    "holds": all(s == [g * a, g * b] for s, (a, b) in zip(sector, family))
+                    and min(family[0]) > 0, "covers": 2 * r * (k_max + 2 * r + 1)})
     return out
 
 

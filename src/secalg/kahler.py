@@ -264,12 +264,14 @@ def _solved_for(params: RingParams, l: int, shift: int, log: list | None = None)
     return triple
 
 
-def _column(params: RingParams, l: int, e: int, memos: list[dict], triples) -> DiffClass:
+def _column(params: RingParams, l: int, e: int, memos: dict, triples) -> DiffClass:
     """cl(e) in sector l >= 1: a w(l, -j) + b w(l, -j-r), e's block columns mod r, with a and b
-    walked from ``memos[j - 1]`` and ``memos[j + r - 1]`` (``families.seeds``) by ``triples``."""
+    walked by ``triples`` from ``memos[l, j]`` and ``memos[l, j + r]``, each seeded by
+    ``families.seeds`` when first read (setdefault is atomic: one memo wins)."""
     r, j, step = params.r, -e % params.r or params.r, params.r if e >= 0 else -params.r
-    return DiffClass._of(params, {(l, i): v for i, t in zip((j, j + r), triples)
-                                  if (v := walk_recurrence(memos[i - 1], e, step, t)).ints})
+    held = [memos.get((l, i)) or memos.setdefault((l, i), seeds(r, i)) for i in (j, j + r)]
+    return DiffClass._of(params, {(l, i): v for i, t, memo in zip((j, j + r), triples, held)
+                                  if (v := walk_recurrence(memo, e, step, t)).ints})
 
 
 def _check_reach(t_exp: int) -> None:
@@ -341,7 +343,7 @@ class ReductionTable:
     """The classes of monomials t^e u^l dt over the basis, each walked down its residue class.
 
     ``window`` is the basis block -2r..-1 every walk starts from.  A sector l >= 1 holds the
-    classes read and one coordinate memo per basis column w(l, -j), walked by the triple
+    classes read and one coordinate memo per basis column w(l, -j) read, walked by the triple
     (``_solved_for``, shift m + l); ``n_cols`` counts w0 and every column a walk has passed,
     each stored after its two inward neighbours, so those between it and the block are too.
     """
@@ -352,13 +354,13 @@ class ReductionTable:
         self._columns = [{-1: DiffClass._of(params, {W0: PolyC.const(1)})}]
         self._columns += ({-j: DiffClass._of(params, {(l, j): PolyC.const(1)})
                            for j in range(1, 2 * params.r + 1)} for l in range(1, params.m))
-        self._coords: dict[int, list[dict]] = {}  # sector -> its 2r memos, seeded on its first walk
+        self._coords: dict[tuple[int, int], dict] = {}  # (l, j) -> w(l, -j)'s memo, made when read
         self._triples = [None] + [_solved_for(params, l, params.m + l) for l in range(1, params.m)]
         self.n_basis = 1 + (params.m - 1) * 2 * params.r
 
     @property
     def n_cols(self) -> int:
-        return self.n_basis + len({(l, e) for l, memos in list(self._coords.items()) for memo in memos
+        return self.n_basis + len({(l, e) for (l, _j), memo in list(self._coords.items())
                                    for e in list(memo) if not -2 * self.params.r <= e < 0})
 
     def reduce_terms(self, terms: dict[tuple[int, int], PolyC]) -> DiffClass:
@@ -383,9 +385,8 @@ class ReductionTable:
         _check_reach(t_exp)
         if sector == 0:  # t^e dt = d(t^(e+1))/(e+1)
             return DiffClass.zero(params)
-        memos = self._coords.get(sector) or self._coords.setdefault(  # atomic: one list wins
-            sector, [seeds(params.r, j) for j in range(1, 2 * params.r + 1)])
-        cls = column[t_exp] = _column(params, sector, t_exp, memos, (self._triples[sector],) * 2)
+        triples = (self._triples[sector],) * 2
+        cls = column[t_exp] = _column(params, sector, t_exp, self._coords, triples)
         return cls
 
 
@@ -459,8 +460,7 @@ def reduce_recurrence(n: int, l: int, params: RingParams) -> RecurrenceReduction
         raise ValueError(f"recurrence applies to sectors 1..{params.m - 1}")
     _check_reach(n - 1)
     logs = ([], [])  # of the two coordinate walks' logs, the longer is one walk of the class's
-    cls = _column(params, l, n - 1, [seeds(params.r, j) for j in range(1, 2 * params.r + 1)],
-                  [_solved_for(params, l, l, log) for log in logs])
+    cls = _column(params, l, n - 1, {}, [_solved_for(params, l, l, log) for log in logs])
     return RecurrenceReduction(cls, [RecurrenceInstance(k, l, k >= 1) for k in max(logs, key=len)])
 
 

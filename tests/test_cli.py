@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -304,22 +305,34 @@ def test_rescaling_refuses_r_below_2(r, capsys):
 
 
 def test_rescaling_failures_match_the_check(monkeypatch):
-    """A wrong sector lead for l = 1: the CLI prints exactly the check's failures."""
-    triple = families._sector_triple
+    """A wrong sector lead for l = 1: the CLI prints exactly the certificates that fail, and
+    counts the entries that the holding ones cover."""
+    pairs = families._sector_pairs
 
     def wrong(m, r, l):
-        right = triple(m, r, l)
-        if l != 1:
-            return right
-        return lambda k: (right(k)[0] + 1, *right(k)[1:])
+        right = pairs(m, r, l)
+        if l == 1:
+            right[0][1] += 1
+        return right
 
-    monkeypatch.setattr(families, "_sector_triple", wrong)
+    monkeypatch.setattr(families, "_sector_pairs", wrong)
     status, out = run("rescaling", m=3, r=2, kmax=12)
     rep = families.rescaling_check(3, 2, k_max=12)
     doc = json.loads(out)
     assert status == 1
-    assert doc["failures"] == [e for e in rep if not e["equal"]] != []
-    assert doc["checked"] == len(rep)
+    assert doc["failures"] == [c for c in rep if not c["holds"]] != []
+    assert doc["checked"] == sum(c["covers"] for c in rep if c["holds"]) == 68
+
+
+@pytest.mark.parametrize("m, r, kmax", [(3, 2, 100000), (3, 1000, 1)])
+def test_rescaling_costs_nothing_in_kmax_and_r(m, r, kmax, capsys):
+    """The certificates are exact in k, so neither --kmax nor r is walked: both took seconds
+    or ended in a MemoryError while each (l, j, k) was walked and rendered."""
+    start = _cpu_s()
+    assert main(["rescaling", "--m", str(m), "--r", str(r), "--kmax", str(kmax)]) == 0
+    assert _cpu_s() - start < 0.2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == [] and doc["checked"] == (m - 1) * 2 * r * (kmax + 2 * r + 1)
 
 
 def test_kahler_reduce_command():
@@ -648,6 +661,26 @@ def test_steep_sums_refused_before_their_gcd(e, message, capsys):
     assert _cpu_s() - start < 0.2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and not captured.out
+
+
+def test_power_bounded_by_exponent_times_bits(capsys):
+    """A power whose exponent times the bits of its base's widest integer is above MAX_GCD_SIZE
+    is refused in one line, naming the exponent's offset, before it is worked out: a base of one
+    term has no span, and (2/3)^1000000 took a second to end in the int-to-str limit."""
+    message = ("power 1000000 of a coefficient of 2-bit integers is above 1000000 in exponent x "
+               "bits (at byte offset 6)")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_coef("(2/3)^1000000")
+    start = _cpu_s()
+    assert main(["bracket", "--m", "3", "--r", "2", "--x", "e", "--y", "f",
+                 "--a", "(2/3)^1000000*u", "--b", "u"]) == 2
+    assert _cpu_s() - start < 0.2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+    with pytest.raises(ParseError, match="^power 500001 of a coefficient of 2-bit integers .* "
+                                         "offset 4[)]$"):
+        parse_coef("c*2^500001")
+    assert parse_coef("c*2^500000") == CoeffK.c() * 2 ** 500000  # 2 bits x 500000: at the bound
 
 
 def test_steep_sums_just_inside_their_bounds_answer(capsys):

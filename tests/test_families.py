@@ -1,5 +1,3 @@
-import hashlib
-import json
 import random
 import sys
 from fractions import Fraction as F
@@ -105,7 +103,7 @@ def test_degree_bound():
 
 def test_rescaling_small():
     rep = rescaling_check(4, 2, k_max=20)
-    assert all(e["equal"] for e in rep)
+    assert all(c["holds"] for c in rep)
     # spot value: sector-2 recurrence at m=4 equals the m'=2 family
     lhs = sector_recurrence_value(4, 2, 2, 2, 8)
     rhs = eval_family(FamilySpec(l=2, j=2, m_prime=F(2), r=2), 8)
@@ -127,7 +125,8 @@ def sector_recurrence_value(m, r, l, j, k):
     This is the left-hand side of the rescaling identity, computed without
     dividing through by l.
     """
-    return walk_recurrence(families.seeds(r, j), k, r, families._sector_triple(m, r, l))
+    return walk_recurrence(families.seeds(r, j), k, r,
+                           families._linear(families._sector_pairs(m, r, l)))
 
 
 def reconcile_with_kahler(params, l, k_range):
@@ -174,7 +173,7 @@ def _sympy_family(mp, r, j, k_max):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("m,l", [(3, 1), (3, 2), (4, 2), (5, 3)])
+@pytest.mark.parametrize("m,l", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 3)])
 def test_family_values_match_sympy_recurrence(m, l, r):
     for j in range(1, 2 * r + 1):
         expected = _sympy_family(F(m, l), r, j, 40)
@@ -192,11 +191,41 @@ def test_cold_eval_family_far_index():
 
 
 def test_rescaling_report_order_and_renders_pinned():
-    rep = rescaling_check(4, 2, k_max=20)
-    assert [(e["l"], e["j"], e["k"]) for e in rep] == [
-        (l, j, k) for l in range(1, 4) for j in range(1, 5) for k in range(-4, 21)]
-    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-    assert digest == "554b5111006f6fb265e0c2c87718976c43030c98c2861c1545dc14424599913a"
+    """One certificate per sector l, in order: g = gcd(m, l), both triples as pairs (a, b) of
+    ak + b, the premises, and the 2r (k_max + 2r + 1) entries (j, k) a holding one covers."""
+    premises = ["shared seed window: both sides start from seeds(r, j)",
+                "positive lead: pk + 2rq > 0 for k >= 0, one solution a side"]
+    assert rescaling_check(4, 2, k_max=20) == [
+        {"l": l, "g": g, "m_prime": mp, "sector": sector, "family": family,
+         "premises": premises, "holds": True, "covers": 100}
+        for l, g, mp, sector, family in (
+            (1, 1, "4", [[4, 4], [4, 2], [4, 0]], [[4, 4], [4, 2], [4, 0]]),
+            (2, 2, "2", [[4, 8], [4, 4], [4, 0]], [[2, 4], [2, 2], [2, 0]]),
+            (3, 1, "4/3", [[4, 12], [4, 6], [4, 0]], [[4, 12], [4, 6], [4, 0]]))]
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["a", "b"])
+@pytest.mark.parametrize("entry", [0, 1, 2], ids=["lead", "mid", "low"])
+@pytest.mark.parametrize("side", ["_sector_pairs", "_family_pairs"])
+def test_rescaling_certificate_fails_on_a_perturbed_pair(side, entry, part, monkeypatch):
+    """Moving either number of any one of the six pairs fails every certificate, and moves the
+    triple that the walk of that side steps by: the check reads the walks' own numbers."""
+    right = getattr(families, side)
+
+    def wrong(*args):
+        pairs = right(*args)
+        pairs[entry][part] += 1
+        return pairs
+
+    def triple():  # of the walk of the family side, or of the sector side's
+        args = (F(4), 2) if side == "_family_pairs" else (4, 2, 1)
+        return families._linear(getattr(families, side)(*args))
+
+    before = triple()(1)
+    monkeypatch.setattr(families, side, wrong)
+    assert triple()(1)[entry] == before[entry] + 1
+    certs = rescaling_check(4, 2, k_max=20)
+    assert len(certs) == 3 and not any(c["holds"] for c in certs)
 
 
 def _fraction_recurrence(triple, r, j, k_max):

@@ -513,6 +513,21 @@ def test_far_reduction_pinned(dt, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_far_r_reads_only_the_memos_it_walks(capsys):
+    """A class at r = 1000 makes the coordinate memos of its two columns, 2r seeds each, not
+    all 2r of its sector (4r^2 seeds and 280 MB), and prints what it printed then."""
+    table = ReductionTable(RingParams(3, 1000))
+    table.reduce_monomial(1, 1)
+    assert sorted(table._coords) == [(1, 999), (1, 1999)]
+    assert sum(map(len, table._coords.values())) == 2 * (2 * 1000 + 1)
+    assert table.n_cols == table.n_basis + 1
+    start = time.process_time()
+    assert main(["kahler-reduce", "--m", "3", "--r", "1000", "--dt", "t*u"]) == 0
+    assert time.process_time() - start < 0.2
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "b407412ce3a213dc9e0aef455fb449557a41ee2e4601196cf3a5b55ada864cfd")
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["bracket", "--m", "3", "--r", "2", "--x", "h", "--a", "(1/2+c)*t^3*u^2 - t^-2",
       "--y", "h", "--b", "(3-c)*t*u + 2*t^5*u^2"],

@@ -69,7 +69,7 @@ def _assert_canonical(v: PolyC):
        seed=st.integers(0, 99))
 def test_family_walk_matches_the_canonical_loop(p, q, r, j, ks, seed):
     spec = families.FamilySpec(l=1, j=min(j, 2 * r), m_prime=F(p, q), r=r)
-    triple = families._family_triple(spec)
+    triple = families._linear(families._family_pairs(spec.m_prime, r))
     want = {}
     ref = families.seeds(r, spec.j)
     for k in sorted(set(ks)):
