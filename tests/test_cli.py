@@ -325,7 +325,7 @@ def test_rescaling_failures_match_the_check(monkeypatch):
 
 
 @pytest.mark.parametrize("m, r, kmax", [(3, 2, 100000), (3, 1000, 1)])
-def test_rescaling_costs_nothing_in_kmax_and_r(m, r, kmax, capsys):
+def test_rescaling_cost_is_free_of_kmax_and_r(m, r, kmax, capsys):
     """The certificates are exact in k, so neither --kmax nor r is walked: both took seconds
     or ended in a MemoryError while each (l, j, k) was walked and rendered."""
     start = _cpu_s()

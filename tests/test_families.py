@@ -191,7 +191,7 @@ def test_cold_eval_family_far_index():
 
 
 def test_rescaling_report_order_and_renders_pinned():
-    """One certificate per sector l, in order: g = gcd(m, l), both triples as pairs (a, b) of
+    """One certificate per sector l, in order: g = gcd(m, l), both triples as pairs [a, b] of
     ak + b, the premises, and the 2r (k_max + 2r + 1) entries (j, k) a holding one covers."""
     premises = ["shared seed window: both sides start from seeds(r, j)",
                 "positive lead: pk + 2rq > 0 for k >= 0, one solution a side"]
