@@ -7,27 +7,20 @@ the exit status is nonzero exactly when an asserted check fails.
 Grammar (shared tokens; byte offsets reported on error):
 
     coefficient := rational | "c" | "s" | "k" | "(" coef ")"
-                   combined with "+", "-", "*", "/", and "^" int; c-degree
-                   span at most coeffs.MAX_C_DEGREE (100000), and a power of
-                   a sum, or a product or quotient of two sums, at most
-                   MAX_POWER_SPAN (2000) in _span and MAX_GCD_SIZE (10^6) in
-                   numerator x denominator span x coefficient bits, and a sum of
-                   two fractions with dense denominators at most MAX_SUM_SPAN (128)
-                   in their spans and MAX_GCD_SIZE in its cross products, and any power
-                   at most MAX_GCD_SIZE in exponent x its base's widest bits, else exit 2;
+                   combined with "+", "-", "*", "/", and "^" int; a sum,
+                   product, quotient or power whose size passes its bound
+                   (coeffs.MAX_C_DEGREE, MAX_POWER_SPAN, MAX_SUM_SPAN and
+                   MAX_GCD_SIZE, each stated where it is set) exits 2 first;
                    evaluated in Q[c] (PolyC) until s, k, a division by a
                    non-constant or a negative power of one lifts both
                    operands to CoeffK
     ring elem   := term ("+"|"-" term)*,
                    term := item ("*" item)*, item := coefficient | "t"["^"int]
-                   | "u"["^"int]; a term's coefficient must lie in Q[c]
-                   (no s, no k, no denominator in c, c-degree at most
-                   coeffs.MAX_C_DEGREE), else exit 2, and so must its
-                   expansion u^q = p^k u^j (G_k spans k - k mod 2, and k^3 bits at
-                   most coeffs.MAX_EXPANSION_BITS), before any walk; a reduction
-                   reaching a t exponent beyond kahler.MAX_REACH (1000) exits 2,
-                   before any u^q is expanded when one term alone reaches it (in
-                   the form of kahler-reduce, in the cocycle of bracket's operands)
+                   | "u"["^"int]; a term's coefficient and its expansion
+                   u^q = p^k u^j lie in Q[c] (no s, no k, no denominator in c)
+                   within coeffs.MAX_C_DEGREE and coeffs.MAX_EXPANSION_BITS, and
+                   a reduction reaches no t exponent beyond kahler.MAX_REACH
+                   (checked before any u^q is expanded: check_form_reach), else exit 2
     field expr  := term ("+"|"-" term)*,
                    term := item ("*" item)*,
                    item := coefficient | gen | "no(" term ")"
@@ -37,11 +30,8 @@ Grammar (shared tokens; byte offsets reported on error):
                    term's coefficient products are bounded as a ring
                    term's and its momentum sums as a coefficient's, else exit 2
     int         := at most MAX_INT_DIGITS (4300) digits, else exit 2
-    --extra-orders := int in 0..ope.MAX_EXTRA_ORDERS (20), else exit 2; so is
-                   a Taylor shift above ope.MAX_SHIFT_ORDER (24) in an ope
-    --mmax      := int in 2..MAX_MMAX (400) for critical-levels, else exit 2
-    --m         := int in 2..MAX_OBSTRUCTION_M (200) for obstructions, else
-                   exit 2; both outputs grow as the bound squared
+
+An int flag outside its range in COMMANDS, which ``secalg --help`` prints, exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coeffs import CoeffK, PolyC, as_coeffk, as_polyc, sparse_add
 from .families import (
@@ -63,7 +53,7 @@ from .families import (
 )
 from .kahler import (DiffForm, RingParams, basis_dim, check_cocycle_reach, check_form_reach,
                      reduce_oracle)
-from .ope import GEN_NAMES, FieldExpr, classification_text, is_laurent, wick_ope
+from .ope import GEN_NAMES, MAX_EXTRA_ORDERS, FieldExpr, classification_text, is_laurent, wick_ope
 from .ring import RingElem
 from .uce import (GENS, CurrentElem, UCEElem, formula_vs_oracle, killing,
                   uce_bracket_formula, uce_bracket_oracle)
@@ -86,9 +76,7 @@ MAX_INT_DIGITS = 4300  # digits of one integer literal (also a --k), as many as 
 MAX_POWER_SPAN = 2000  # _span times the power of a coefficient of more than one term, or the
 # two spans of a product or quotient of two such coefficients added up: products are quadratic
 MAX_SUM_SPAN = 128  # two denominator spans of a sum added up: 1/(c+2)^a + 1/(c-1)^b is under 1 s
-MAX_GCD_SIZE = 10**6  # a product, quotient or sum's numerator x denominator span x coefficient bits
-MAX_MMAX = 400  # critical-levels --mmax: about mmax^2/2 rows, under about 1 s at the bound
-MAX_OBSTRUCTION_M = 200  # obstructions --m: m^2 cells, under about 1 s at the bound
+MAX_GCD_SIZE = 10**6  # span x span x bits of a product, quotient or sum; exponent x bits of a power
 EMIT_CHUNKS = 1024  # the chunks of a report that one write joins, at most
 _C, _ONE = PolyC.c(), PolyC.const(1)
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z]\w*|[-+*/^()\[\],]")  # an int, a name or a punctuation mark
@@ -463,11 +451,9 @@ def parse_field_expr(src: str, m: int) -> FieldExpr:
 # Commands
 # ---------------------------------------------------------------------------
 
-class Command:
-    __slots__ = ("name", "params")
-
-    def __init__(self, name: str, params: dict | None = None):
-        self.name, self.params = name, {} if params is None else params
+class Command(NamedTuple):
+    name: str
+    params: dict
 
 
 def emit_report(report, fmt: str = "json", out=None) -> Optional[str]:
@@ -664,8 +650,6 @@ def run_command(cmd: Command, out=None) -> int:
         return 0 if rep["ok"] else 1
 
     if cmd.name == "obstructions":
-        if p["m"] > MAX_OBSTRUCTION_M:
-            raise ValueError(f"--m {p['m']} above {MAX_OBSTRUCTION_M}: the matrix has m^2 cells")
         rep = wakimoto.obstruction_report(p["m"], _parse_k(p["k"]))
         if fmt == "md":
             _write_report(out, [rep.to_markdown()])
@@ -674,14 +658,9 @@ def run_command(cmd: Command, out=None) -> int:
         return 0
 
     if cmd.name == "critical-levels":
-        mmax = p["mmax"]
-        if mmax < 2:
-            raise ValueError(f"--mmax {mmax} below 2: there is no sector to check")
-        if mmax > MAX_MMAX:
-            raise ValueError(f"--mmax {mmax} above {MAX_MMAX}: the table has about mmax^2/2 rows")
         rows = []
         ok = True
-        for m in range(2, mmax + 1):
+        for m in range(2, p["mmax"] + 1):
             for l in range(1, m):
                 kc = wakimoto.critical_level(l, m)
                 sym = kc == wakimoto.critical_level(m - l, m)
@@ -695,40 +674,53 @@ def run_command(cmd: Command, out=None) -> int:
     raise ValueError(f"unknown command {cmd.name!r}")
 
 
-_MR = {"--m": (int, "required"), "--r": (int, "required")}
-# command -> {flag: (int, str or a tuple of choices; "required", a default, or None for none)}
+_RING = dict.fromkeys(["--m", "--r"], (int, "required", 10**5,
+                                       "the table has m - 1 sectors, each memo 2r seeds"))
+# command -> {flag: (kind, default[, upper bound, cost[, lower bound, reason]])}: kind int, str or
+# choices; default "required", a value or None.  An int's upper bound costs about 1 s CPU with the
+# other flags at theirs; a range hanging on another flag (families --l, --j) is the command's.
 COMMANDS = {name: {"--format": (("json", "md"), "json"), **flags} for name, flags in {
-    "families": {**_MR, "--j": (int, "required"), "--l": (int, 1), "--kmax": (int, 4)},
-    "rescaling": {**_MR, "--kmax": (int, 20)},
-    "kahler-reduce": {**_MR, "--dt": (str, None), "--du": (str, None)},
-    "dim": _MR,
-    "bracket": {**_MR, "--x": (GENS, "required"), "--a": (str, "required"),
+    "families": {"--m": (int, "required", 1000, "m' = m/l widens the values' integers"),
+                 "--r": (int, "required", 10**5, "the table has kmax + 2r + 1 values"),
+                 "--j": (int, "required", 2 * 10**5, "j lies in 1..2r"),
+                 "--l": (int, 1, 999, "l lies in 1..m-1"),
+                 "--kmax": (int, 4, 700, "the table grows about as kmax^3 at r = 2")},
+    "rescaling": {"--m": (int, "required", 10**5, "one certificate per sector, m - 1 in all"),
+                  "--r": (int, "required", 10**6, "a certificate costs the same at any r"),
+                  "--kmax": (int, 20, 10**6, "a certificate costs the same at any kmax")},
+    "kahler-reduce": {**_RING, "--dt": (str, None), "--du": (str, None)},
+    "dim": dict.fromkeys(["--m", "--r"], (int, "required", 1000, "4r(m-1) window columns to solve")),
+    "bracket": {**_RING, "--x": (GENS, "required"), "--a": (str, "required"),
                 "--y": (GENS, "required"), "--b": (str, "required")},
-    "bracket-audit": {**_MR, "--expbound": (int, 3)},
-    "ope": {"--m": (int, "required"), "--e": (str, "required"), "--f": (str, "required"),
-            "--k": (str, "symbolic"), "--extra-orders": (int, 0)},
-    "charges": {"--m": (int, "required")},
-    "obstructions": {"--m": (int, "required"), "--k": (str, "symbolic")},
-    "critical-levels": {"--mmax": (int, 12)},
+    "bracket-audit": {"--m": (int, "required", 10, "the audit has (m(2 expbound + 1))^2 pairs"),
+                      "--r": (int, "required", 400, "a pair's cocycle reaches about t^(2r)"),
+                      "--expbound": (int, 3, 6, "the audit has (m(2 expbound + 1))^2 pairs")},
+    "ope": {"--m": (int, "required", 10**6, "m only names the sectors an operand may use"),
+            "--e": (str, "required"), "--f": (str, "required"), "--k": (str, "symbolic"),
+            "--extra-orders": (int, 0, MAX_EXTRA_ORDERS, "Taylor shifts grow like partitions")},
+    "charges": {"--m": (int, "required", 20000, "the report has m - 1 entries, one per sector")},
+    "obstructions": {"--m": (int, "required", 200, "the matrix has m^2 cells"),
+                     "--k": (str, "symbolic")},
+    "critical-levels": {"--mmax": (int, 12, 400, "the table has about mmax^2/2 rows",
+                                   2, "there is no sector to check")},
     "calibrate": {},
 }.items()}
 
 
 def _defaults(flags: dict) -> dict:
     """The params that a command's flags in COMMANDS give by default, keyed as in parse_argv."""
-    return {f[2:].replace("-", "_"): d for f, (_, d) in flags.items() if d not in (None, "required")}
+    return {f[2:].replace("-", "_"): s[1] for f, s in flags.items() if s[1] not in (None, "required")}
 
 
 def usage(name: Optional[str] = None) -> str:
-    """A line for the command named, or for each command, giving every flag's type and, in
-    parentheses, "required" or its default."""
-    lines = []
-    for cmd in [name] if name else COMMANDS:
-        lines.append(f"usage: secalg {cmd}" + "".join(
-            f" {flag} {'|'.join(kind) if type(kind) is tuple else kind.__name__}"
-            + ("" if default is None else f" ({default})")
-            for flag, (kind, default) in COMMANDS[cmd].items()))
-    return "\n".join(lines)
+    """A line for the command named, or for each command, giving every flag's type, an int's
+    range ("in lo..hi", lo left out where there is none), and "required" or its default."""
+    return "\n".join(f"usage: secalg {cmd}" + "".join(
+        f" {flag} {'|'.join(kind) if type(kind) is tuple else kind.__name__}"
+        + (f" in {''.join(map(str, bounds[2:3]))}..{bounds[0]}" if bounds else "")
+        + ("" if default is None else f" ({default})")
+        for flag, (kind, default, *bounds) in COMMANDS[cmd].items())
+        for cmd in ([name] if name else COMMANDS))
 
 
 def parse_argv(argv: list[str]) -> Command:
@@ -761,9 +753,14 @@ def parse_argv(argv: list[str]) -> Command:
             params[flag[2:].replace("-", "_")] = int(value) if kind is int else value
         except ValueError:
             raise ValueError(f"{name}: {flag} takes an int, found {value!r}") from None
-    missing = [f for f, (_, d) in flags.items() if d == "required" and f[2:] not in params]
+    missing = [f for f, spec in flags.items() if spec[1] == "required" and f[2:] not in params]
     if missing:
         raise ValueError(f"{name}: missing {', '.join(missing)}")
+    for flag, spec in flags.items():  # an int's (int, default, hi, its cost[, lo, its reason])
+        for past, bound, why in zip(("above", "below"), spec[2::2], spec[3::2]):
+            v = params[flag[2:].replace("-", "_")]
+            if v > bound if past == "above" else v < bound:
+                raise ValueError(f"{flag} {v} {past} {bound}: {why}")
     return Command(name, params)
 
 

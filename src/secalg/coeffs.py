@@ -412,7 +412,8 @@ def walk_recurrence(values: dict, k: int, step: int, triple) -> PolyC:
             top -= step
         prev, cur = values[top - step], values[top]
         for kk in range(top + step, k + step, step):
-            if not prev.ints and not cur.ints:
+            if not prev.ints and not cur.ints:  # held at k, so the next read stops here
+                values[k - step] = values[k] = _ZERO
                 return _ZERO
             lead, mid, low = triple(kk)
             assert lead > 0

@@ -352,8 +352,7 @@ class ReductionTable:
         self.params = params
         self.window = ReductionWindow(-2 * params.r, -1)
         self._columns = [{-1: DiffClass._of(params, {W0: PolyC.const(1)})}]
-        self._columns += ({-j: DiffClass._of(params, {(l, j): PolyC.const(1)})
-                           for j in range(1, 2 * params.r + 1)} for l in range(1, params.m))
+        self._columns += ({} for _ in range(1, params.m))  # basis columns too, made when read
         self._coords: dict[tuple[int, int], dict] = {}  # (l, j) -> w(l, -j)'s memo, made when read
         self._triples = [None] + [_solved_for(params, l, params.m + l) for l in range(1, params.m)]
         self.n_basis = 1 + (params.m - 1) * 2 * params.r
@@ -382,6 +381,8 @@ class ReductionTable:
         column = self._columns[sector]
         if (cls := column.get(t_exp)) is not None:
             return cls
+        if sector and -2 * params.r <= t_exp < 0:  # a basis column w(l, -e), made when first read
+            return column.setdefault(t_exp, DiffClass._of(params, {(sector, -t_exp): PolyC.const(1)}))
         _check_reach(t_exp)
         if sector == 0:  # t^e dt = d(t^(e+1))/(e+1)
             return DiffClass.zero(params)

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import functools
 import hashlib
 import io
@@ -8,7 +9,7 @@ import re
 import resource
 import subprocess
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from unittest import mock
 
@@ -18,13 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import parse_expr
 
-from secalg import cli, families, wakimoto
+from secalg import cli, families
 from secalg.cli import (
     MAX_DERIV_ORDER,
     MAX_INT_DIGITS,
-    MAX_MMAX,
     MAX_NESTING,
-    MAX_OBSTRUCTION_M,
     MAX_POWER_SPAN,
     MAX_SUM_SPAN,
     Command,
@@ -748,23 +747,60 @@ def test_main_invalid_parameters_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("cmd, flag, bound, what", [
-    ("critical-levels", "--mmax", MAX_MMAX, "the table has about mmax^2/2 rows"),
-    ("obstructions", "--m", MAX_OBSTRUCTION_M, "the matrix has m^2 cells"),
-])
-def test_quadratic_output_bounds(cmd, flag, bound, what, monkeypatch, capsys):
-    """The bound itself answers; one more is refused in one line before any work."""
-    assert (MAX_MMAX, MAX_OBSTRUCTION_M) == (400, 200)
-    assert main([cmd, flag, str(bound)]) == 0
-    assert capsys.readouterr().out.endswith("}\n")
+# argv of each command with its flags small, and a flag whose range hangs on another's
+SMALL = {"families": {"--m": 3, "--r": 2, "--j": 1}, "rescaling": {"--m": 3, "--r": 2},
+         "kahler-reduce": {"--m": 3, "--r": 2, "--dt": "t*u"}, "dim": {"--m": 3, "--r": 2},
+         "bracket": {"--m": 3, "--r": 2, "--x": "e", "--y": "f", "--a": "t*u", "--b": "u"},
+         "bracket-audit": {"--m": 2, "--r": 2, "--expbound": 1},
+         "ope": {"--m": 2, "--e": "beta[1]", "--f": "gamma[1]"}, "charges": {"--m": 3},
+         "obstructions": {"--m": 3}, "critical-levels": {}, "calibrate": {}}
+COMPANION = {("families", "--l"): "--m", ("families", "--j"): "--r"}
+FINDINGS = {"charges", "calibrate"}  # exit 1 on the findings 07b and 06
+CASE_CPU_S = 3.0  # a bound is sized to about 1 s CPU with the command's other flags at theirs
+# (command, flag, bound) for every bound of every int flag in the table, upper and lower
+EDGES = [(name, flag, b) for name, flags in cli.COMMANDS.items()
+         for flag, (_kind, _default, *bounds) in flags.items() for b in (bounds[:1] + bounds[2:3])]
 
-    def no_work(*args):
-        raise AssertionError("work done above the bound")
 
-    monkeypatch.setattr(wakimoto, "critical_level", no_work)
-    monkeypatch.setattr(wakimoto, "obstruction_report", no_work)
-    assert main([cmd, flag, str(bound + 1)]) == 2
-    assert capsys.readouterr().err == f"error: {flag} {bound + 1} above {bound}: {what}\n"
+def edge_argv(name, flag, value):
+    """argv of the command with its flags small but flag at value, and the flag that flag's
+    range hangs on, if any, at its upper bound."""
+    flags = dict(SMALL[name])
+    if (name, flag) in COMPANION:
+        other = COMPANION[name, flag]
+        flags[other] = cli.COMMANDS[name][other][2]
+    flags[flag] = value
+    return [name] + [str(x) for item in flags.items() for x in item]
+
+
+def test_every_int_flag_has_a_range_holding_its_default():
+    assert {(name, flag) for name, flag, _b in EDGES} == {
+        (name, flag) for name, flags in cli.COMMANDS.items()
+        for flag, (kind, *_rest) in flags.items() if kind is int}
+    for name, flags in cli.COMMANDS.items():
+        for flag, (kind, default, *bounds) in flags.items():
+            assert kind is not int or default == "required" or (
+                (bounds[2:3] or [default])[0] <= default <= bounds[0])
+    assert cli.COMMANDS["critical-levels"]["--mmax"][:3] == (int, 12, 400)
+    assert cli.COMMANDS["obstructions"]["--m"][:3] == (int, "required", 200)
+
+
+@pytest.mark.parametrize("name, flag, bound", EDGES)
+def test_flag_bounds_from_the_table(name, flag, bound, capsys):
+    """Each bound of an int flag in cli.COMMANDS answers, with the command's other flags small,
+    within CASE_CPU_S; one past it is refused in one line naming the bound and its cost,
+    before any work."""
+    _kind, _default, hi, cost, *low = cli.COMMANDS[name][flag]
+    past, why = ((hi + 1, f"above {hi}: {cost}") if bound == hi
+                 else (bound - 1, f"below {bound}: {low[1]}"))
+    start = _cpu_s()
+    with open(os.devnull, "w") as null, redirect_stdout(null):
+        assert main(edge_argv(name, flag, bound)) == (1 if name in FINDINGS else 0)
+    assert _cpu_s() - start < CASE_CPU_S
+    capsys.readouterr()
+    with mock.patch.object(cli, "run_command", side_effect=AssertionError("work done past a bound")):
+        assert main(edge_argv(name, flag, past)) == 2
+    assert capsys.readouterr().err == f"error: {flag} {past} {why}\n"
 
 
 def test_derivative_order_bound():
@@ -864,6 +900,17 @@ def reference_flags(name):
     return {"--format"} | {flag for flag, _ in REFERENCE_FLAGS[name]}
 
 
+def in_ranges(name, params):
+    """Whether each int param given lies in its flag's range in cli.COMMANDS."""
+    for flag, (_kind, _default, *bounds) in cli.COMMANDS[name].items():
+        v = params.get(flag[2:].replace("-", "_"))
+        if bounds and v is not None:
+            hi, _cost, *low = bounds
+            if v > hi or low and v < low[0]:
+                return False
+    return True
+
+
 def joined(argv):
     """argv with each flag spelled out in full and the item after it joined into one
     "--flag=value": the reference reads that value as it is, whatever it starts with."""
@@ -898,7 +945,7 @@ def argvs(draw):
     name = draw(st.sampled_from(list(cli.COMMANDS)))
     flags = cli.COMMANDS[name]
     items = []
-    for flag, (kind, default) in flags.items():
+    for flag, (kind, default, *_bounds) in flags.items():
         good, bad = _VALUES.get(kind) or (list(kind), ["q", "", "-e", "E"])
         for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if default == "required"
                                             else [0, 0, 1, 2]))):
@@ -922,14 +969,15 @@ def argvs(draw):
 def test_parse_argv_matches_the_reference(argv):
     """Where the reference accepts argv, parse_argv gives its command and params; where it
     refuses the argv with each flag and its value joined, so does main, in one line, before
-    any work.  Of the deliberate differences, two change what is accepted: a flag's value
-    may start with "-" (the joined form), and a flag named by a prefix is refused."""
+    any work.  Of the deliberate differences, three change what is accepted: a flag's value
+    may start with "-" (the joined form), a flag named by a prefix is refused, and so is an
+    int outside its flag's range in cli.COMMANDS, which the reference does not have."""
     prefixed = any(is_prefix_flag(argv[0], item) for item in joined(argv)[1:])
     want = None if prefixed else reference_parse(joined(argv))
     if not prefixed:
         direct = reference_parse(argv)
         assert direct is None or direct == want
-    if want is not None:
+    if want is not None and in_ranges(*want):
         cmd = parse_argv(argv)
         assert (cmd.name, cmd.params) == want
         return
@@ -939,6 +987,66 @@ def test_parse_argv_matches_the_reference(argv):
     with redirect_stderr(err):
         assert main(argv) == 2
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# operands for the str flags, each small; a drawn one may still be refused (a sector past m)
+OPERANDS = {"--dt": ["t*u", "-t^2", "c*t^-3*u^2"], "--du": ["u", "t^2*u"],
+            "--a": ["t*u", "u", "1", "-t^2*u^2"], "--b": ["u", "t^-1", "c*u^2"],
+            "--e": ["beta[1]", "no(beta[1]*gamma[1])", "exp(1/s,phi0)"],
+            "--f": ["gamma[1]", "gamma[0]", "exp(-1/s,phi0)"], "--k": ["symbolic", "1/2", "-1"]}
+
+
+@st.composite
+def bounded_argvs(draw):
+    """A command of the table with its flags drawn small, and at most one int flag one below,
+    at or one above one of its bounds."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = {}
+    for flag, (kind, default, *_bounds) in cli.COMMANDS[name].items():
+        pool = (["-1", "0", "1", "2", "3"] if kind is int else list(kind) if type(kind) is tuple
+                else OPERANDS[flag])
+        if default == "required" or draw(st.booleans()):
+            argv[flag] = draw(st.sampled_from(pool))
+    edges = [(flag, b) for n, flag, b in EDGES if n == name]
+    if edges and not draw(st.integers(0, 2)):
+        flag, bound = draw(st.sampled_from(edges))
+        argv[flag] = str(bound + draw(st.sampled_from([-1, 0, 1])))
+    return [name] + [x for item in argv.items() for x in item]
+
+
+def with_edge_examples(test):
+    """test with an example of every int flag one below, at and one above each of its bounds,
+    the other flags small, and of u^q at coeffs.MAX_EXPANSION_BITS: p^k with k = 512 answers."""
+    for name, flag, bound in EDGES:
+        for value in (bound - 1, bound, bound + 1):
+            test = example(argv=edge_argv(name, flag, value))(test)
+    for k in (511, 512, 513):
+        test = example(argv=["bracket", "--m", "3", "--r", "2", "--x", "e", "--y", "e",
+                             "--a", f"u^{3 * k}", "--b", "1"])(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=bounded_argvs())
+@with_edge_examples
+def test_argv_at_the_bounds_answers_or_refuses(argv):
+    """Every command, with every int flag one below, at and one above its bounds: exit 0, 1 only
+    where an asserted finding fails, or 2 in one line, never a traceback, each within
+    CASE_CPU_S; an int outside its range is refused before any work."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    outside = not in_ranges(argv[0], {f[2:].replace("-", "_"): int(v) for f, v in flags.items()
+                                      if cli.COMMANDS[argv[0]][f][0] is int})
+    err = io.StringIO()
+    start = _cpu_s()
+    with (redirect_stderr(err), open(os.devnull, "w") as null, redirect_stdout(null),
+          mock.patch.object(cli, "run_command", side_effect=AssertionError("work done past a bound"))
+          if outside else contextlib.nullcontext()):
+        status = main(argv)
+    assert _cpu_s() - start < CASE_CPU_S, argv
+    assert status in (0, 2) or status == 1 and argv[0] in FINDINGS, (argv, status)
+    assert "Traceback" not in err.getvalue()
+    assert status != 2 or err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not outside or status == 2
 
 
 @pytest.mark.parametrize("name", [None, *cli.COMMANDS])

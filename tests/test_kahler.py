@@ -513,6 +513,20 @@ def test_far_reduction_pinned(dt, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_fresh_table_holds_no_basis_column():
+    """A fresh table at r = 20000 holds w0 alone: each basis column w(l, -j) is made when first
+    read, walking nothing, and is held from then on."""
+    params = RingParams(3, 20000)
+    table = ReductionTable(params)
+    assert table._columns[1:] == [{}, {}] and list(table._columns[0]) == [-1]
+    assert table.n_cols == table.n_basis == 80001
+    for j in (1, 20000, 20001, 40000):
+        col = table.reduce_monomial(-j, 2)
+        assert col == DiffClass._of(params, {(2, j): PolyC.const(1)})
+        assert table.reduce_monomial(-j, 2) is col
+    assert table._coords == {} and table.n_cols == table.n_basis and table._columns[1] == {}
+
+
 def test_far_r_reads_only_the_memos_it_walks(capsys):
     """A class at r = 1000 makes the coordinate memos of its two columns, 2r seeds each, not
     all 2r of its sector (4r^2 seeds and 280 MB), and prints what it printed then."""

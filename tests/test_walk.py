@@ -119,3 +119,17 @@ def test_kahler_columns_match_the_canonical_loop(params, data, seed):
         calls[name] = relation.call_count
     assert calls["descending"] <= calls["ascending"]
     assert calls["shuffled"] == calls["ascending"]
+
+
+def test_zero_class_index_is_held_once_read():
+    """A read in a residue class whose two seeds are zero ends at the two-zeros stop and holds
+    the index read and the one before it, so a later read of the class stops there instead of
+    scanning down to the seeds again."""
+    r, zero = 3, PolyC.zero()
+    memo = families.seeds(r, 1)  # the class of -1 is walked; those of -2 and -3 are zero
+    triple = families._linear(families._family_pairs(F(3), r))
+    for k in (601, 1201, 600):
+        before = len(memo)
+        assert walk_recurrence(memo, k, r, triple) == zero
+        assert memo[k] == memo[k - r] == zero and len(memo) == before + 2
+        assert walk_recurrence(memo, k, r, mock.Mock(side_effect=AssertionError)) == zero
